@@ -261,6 +261,8 @@ class Machine:
         return delta
 
     def _grow_memory(self, offset: int, size: int) -> None:
+        if size == 0:   # a zero-size access touches no memory and costs none
+            return
         end = offset + size
         if end > len(self.memory):
             new_words = (end + 31) // 32
@@ -526,10 +528,10 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
 
     Charges the intrinsic gas first (a limit below it is rejected without
     execution), then interprets the code. Storage writes are buffered and
-    committed to the trie only on success. When a sink is given, the
-    execution is recorded as TX/EVM spans and the commit as a DB span; the
-    per-opcode samples (which exclude the intrinsic charge) travel on the
-    receipt, and the chain driver decides how to sink them.
+    committed to the trie, and hashed, only on success. When a sink is
+    given, the execution is recorded as TX/EVM spans and the commit as a DB
+    span; the per-opcode samples (which exclude the intrinsic charge) travel
+    on the receipt, and the chain driver decides how to sink them.
     """
     if gas_limit < schedule.intrinsic_gas:
         raise IntrinsicGasError(
@@ -557,6 +559,9 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
             else:
                 width = (value.bit_length() + 7) // 8
                 trie.insert(storage_key(slot), value.to_bytes(width, "big"))
+        # Hash the writes inside the DB span, so that no commit lands in a
+        # later transaction's SLOAD or SSTORE timing.
+        trie.root_hash()
         if sink is not None:
             sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
 

@@ -142,7 +142,11 @@ class GasSchedule:
             name, _, value = line.partition("=")
             name, value = name.strip(), value.strip()
             if name == "intrinsic":
-                intrinsic = int(value)
+                try:
+                    intrinsic = int(value)
+                except ValueError:
+                    raise ScheduleError(f"line {line_no}: bad intrinsic gas: "
+                                        f"{value!r}") from None
                 continue
             rule = _parse_rule(name, value, line_no)
             if name in ("PUSH", "DUP", "SWAP"):

@@ -74,7 +74,8 @@ def materialize_schedule(gas_model: GasModel, height: int,
 
     Modeled opcodes take their repriced constant; opcodes absent from the
     model keep the base schedule's rule (the default schedule if no base is
-    given). SSTORE's tier rule collapses to the modeled scalar.
+    given). SSTORE's tier rule collapses to the modeled scalar. A ``+mem``
+    rule stays ``+mem``, so memory expansion is still charged and bounded.
     """
     if base is None:
         from ..evm.schedule import default_schedule
@@ -84,6 +85,7 @@ def materialize_schedule(gas_model: GasModel, height: int,
         op = from_name(name)
         if op is None:
             continue
-        cost = max(1, int(model.evaluate(height) + 0.5))
-        rules[op] = ConstantRule(cost)
+        plus_memory = getattr(rules[op], "plus_memory", False)
+        rules[op] = ConstantRule(gas_model.materialized_cost(name, height),
+                                 plus_memory)
     return GasSchedule(rules, base.intrinsic_gas)

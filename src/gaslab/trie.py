@@ -7,8 +7,18 @@ otherwise the keccak-256 digest of the encoding. Keys are keccak-hashed
 before path conversion (secure mode, default) so paths distribute uniformly;
 unit tests may switch that off to build tries with known shapes.
 
-Concurrency contract: single writer, multiple readers. Mutations require
-exclusive access; the structure does no internal locking.
+`root_hash()` is the trie's single commit point. `insert` and `delete` only
+build in-memory node lists along the touched path, so the trie is dirty
+exactly while its root ref is a list. Committing encodes each dirty node
+once, bottom-up, keeps encodings under 32 bytes inline, and hashes and
+stores the rest; the root is always stored by hash. The store therefore
+holds committed nodes only, and a batch of writes hashes its shared upper
+levels once rather than once per write. `get` commits first, so every
+lookup walks stored, hashed nodes.
+
+Concurrency contract: single writer, multiple readers. Mutations, and a
+`get` on a dirty trie (it commits), require exclusive access; the structure
+does no internal locking.
 """
 
 from __future__ import annotations
@@ -69,6 +79,8 @@ def hex_prefix_decode(data: bytes) -> tuple[list[int], bool]:
 class NodeStore:
     """Content-addressed map from node hash to node encoding.
 
+    It holds committed nodes only: the trie puts nodes here when
+    `MerklePatriciaTrie.root_hash()` hashes its pending mutations.
     Re-inserting an identical node is a no-op. An optional bounded LRU read
     cache (capacity 0 disables it) sits in front of the backing dict; reads
     and writes are counted and reported to an optional work meter.
@@ -163,12 +175,22 @@ class MerklePatriciaTrie:
     # -- public interface ---------------------------------------------------
 
     def root_hash(self) -> bytes:
+        """Commit pending mutations and return the root hash.
+
+        The root is always stored by hash, so tries survive dump/load.
+        """
+        if isinstance(self._root_ref, list):
+            ref = self._commit(self._root_ref)
+            if isinstance(ref, list):   # a short root is still stored
+                ref = self._put(rlp.encode(ref))
+            self._root_ref = ref
         if self._root_ref == EMPTY_REF:
             return EMPTY_ROOT
-        return self._root_ref  # mutations always leave a hashed root
+        return self._root_ref
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Value last inserted for key, or None. Sets `last_lookup_depth`."""
+        self.root_hash()  # lookups walk committed nodes only
         reads_before = self.store.reads
         value = self._get(self._root_ref, self._path_of(key))
         self.last_lookup_depth = self.store.reads - reads_before
@@ -179,14 +201,14 @@ class MerklePatriciaTrie:
         if value == b"":
             self.delete(key)
             return
-        ref, created = self._insert(self._root_ref, self._path_of(key), value)
-        self._root_ref = self._commit_root(ref)
+        self._root_ref, created = self._insert(self._root_ref,
+                                               self._path_of(key), value)
         if created:
             self.key_count += 1
 
     def delete(self, key: bytes) -> None:
-        ref, deleted = self._delete(self._root_ref, self._path_of(key))
-        self._root_ref = self._commit_root(ref)
+        self._root_ref, deleted = self._delete(self._root_ref,
+                                               self._path_of(key))
         if deleted:
             self.key_count -= 1
 
@@ -214,21 +236,23 @@ class MerklePatriciaTrie:
         assert isinstance(decoded, list)
         return decoded
 
-    def _store_node(self, node: list, force_hash: bool = False) -> rlp.RlpItem:
+    def _commit(self, node: list) -> rlp.RlpItem:
+        """Ref of a node after committing its children, bottom-up: the node
+        itself if its encoding is under 32 bytes, else its stored hash.
+
+        Values are bytes, so every list item of a node is a child node.
+        """
+        node = [self._commit(item) if isinstance(item, list) else item
+                for item in node]
         encoded = rlp.encode(node)
-        if len(encoded) < 32 and not force_hash:
+        if len(encoded) < 32:
             return node
+        return self._put(encoded)
+
+    def _put(self, encoded: bytes) -> bytes:
         digest = keccak_256(encoded)
         self.store.put(digest, encoded)
         return digest
-
-    def _commit_root(self, ref: rlp.RlpItem) -> rlp.RlpItem:
-        """Root nodes are always stored by hash so tries survive dump/load."""
-        if ref == EMPTY_REF:
-            return EMPTY_REF
-        if isinstance(ref, list):
-            return self._store_node(ref, force_hash=True)
-        return ref
 
     def _get(self, ref: rlp.RlpItem, path: list[int]) -> Optional[bytes]:
         node = self._resolve(ref)
@@ -249,37 +273,33 @@ class MerklePatriciaTrie:
                 value: bytes) -> tuple[rlp.RlpItem, bool]:
         node = self._resolve(ref)
         if node is None:
-            leaf = [hex_prefix_encode(path, True), value]
-            return self._store_node(leaf), True
+            return [hex_prefix_encode(path, True), value], True
 
         if len(node) == 17:
             if not path:
                 created = node[16] == b""
-                new_branch = node[:16] + [value]
-                return self._store_node(new_branch), created
+                return node[:16] + [value], created
             child_ref, created = self._insert(node[path[0]], path[1:], value)
             new_branch = list(node)
             new_branch[path[0]] = child_ref
-            return self._store_node(new_branch), created
+            return new_branch, created
 
         node_path, is_leaf = hex_prefix_decode(node[0])
         common = _common_prefix(node_path, path)
 
         if is_leaf and common == len(node_path) == len(path):
-            leaf = [node[0], value]
-            return self._store_node(leaf), False
+            return [node[0], value], False
         if not is_leaf and common == len(node_path):
             child_ref, created = self._insert(node[1], path[common:], value)
-            ext = [node[0], child_ref]
-            return self._store_node(ext), created
+            return [node[0], child_ref], created
 
         # Diverge: split into a branch under the shared prefix.
         branch: list = [EMPTY_REF] * 16 + [b""]
         old_rest = node_path[common:]
         if is_leaf:
             if old_rest:
-                old_leaf = [hex_prefix_encode(old_rest[1:], True), node[1]]
-                branch[old_rest[0]] = self._store_node(old_leaf)
+                branch[old_rest[0]] = [hex_prefix_encode(old_rest[1:], True),
+                                       node[1]]
             else:
                 branch[16] = node[1]
         else:
@@ -287,21 +307,19 @@ class MerklePatriciaTrie:
             if len(old_rest) == 1:
                 branch[old_rest[0]] = node[1]
             else:
-                sub_ext = [hex_prefix_encode(old_rest[1:], False), node[1]]
-                branch[old_rest[0]] = self._store_node(sub_ext)
+                branch[old_rest[0]] = [hex_prefix_encode(old_rest[1:], False),
+                                       node[1]]
 
         new_rest = path[common:]
         if new_rest:
-            new_leaf = [hex_prefix_encode(new_rest[1:], True), value]
-            branch[new_rest[0]] = self._store_node(new_leaf)
+            branch[new_rest[0]] = [hex_prefix_encode(new_rest[1:], True),
+                                   value]
         else:
             branch[16] = value
 
-        branch_ref = self._store_node(branch)
         if common:
-            ext = [hex_prefix_encode(path[:common], False), branch_ref]
-            return self._store_node(ext), True
-        return branch_ref, True
+            return [hex_prefix_encode(path[:common], False), branch], True
+        return branch, True
 
     def _delete(self, ref: rlp.RlpItem,
                 path: list[int]) -> tuple[rlp.RlpItem, bool]:
@@ -341,10 +359,9 @@ class MerklePatriciaTrie:
         if not live and not has_value:
             return EMPTY_REF
         if not live:
-            leaf = [hex_prefix_encode([], True), branch[16]]
-            return self._store_node(leaf)
+            return [hex_prefix_encode([], True), branch[16]]
         if len(live) > 1 or has_value:
-            return self._store_node(branch)
+            return branch
 
         idx = live[0]
         return self._merge_extension([idx], branch[idx])
@@ -357,11 +374,9 @@ class MerklePatriciaTrie:
         child = self._resolve(child_ref)
         assert child is not None
         if len(child) == 17:
-            ext = [hex_prefix_encode(prefix, False), self._store_node(child)]
-            return self._store_node(ext)
+            return [hex_prefix_encode(prefix, False), child_ref]
         child_path, is_leaf = hex_prefix_decode(child[0])
-        merged = [hex_prefix_encode(prefix + child_path, is_leaf), child[1]]
-        return self._store_node(merged)
+        return [hex_prefix_encode(prefix + child_path, is_leaf), child[1]]
 
 
 def _common_prefix(a: list[int], b: list[int]) -> int:

@@ -159,7 +159,7 @@ class WorkloadGenerator:
                            + spec.program_length * 21_000 + 2_000)
 
     def write_genesis(self, trie: MerklePatriciaTrie) -> None:
-        """Prefill initial storage slots and deploy the code library."""
+        """Prefill initial storage slots, deploy the code library, commit."""
         from .evm.machine import storage_key
         for slot in range(self.spec.initial_keys):
             value = (slot % 255) + 1
@@ -167,6 +167,7 @@ class WorkloadGenerator:
                         value.to_bytes((value.bit_length() + 7) // 8, "big"))
         for code_id, code in CODE_LIBRARY.items():
             store_code(trie, code_id, code)
+        trie.root_hash()  # hash genesis once, inside genesis
 
     def generate_block(self, height: int) -> Block:
         if height != self.next_height:

@@ -180,6 +180,17 @@ def test_schedule_materialize_round_trips(tmp_path):
     assert schedule.intrinsic_gas == 21_000
 
 
+def test_schedule_parse_error_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    default = (DATA / "gas_schedule_default.cfg").read_text()
+    bad.write_text(default.replace("intrinsic = 21000", "intrinsic = x"))
+    assert run_cli("simulate", "--workload", SLOAD_HEAVY, "--blocks", "5",
+                   "--clock", "virtual", "--schedule", str(bad),
+                   "--out", str(tmp_path / "sim")) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "Traceback" not in err
+
+
 def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     monkeypatch.setenv("GASLAB_OUT", str(tmp_path))
     simulate("rooted", blocks=100, window=50)

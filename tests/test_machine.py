@@ -122,6 +122,18 @@ def test_sstore_zero_deletes_and_restores_root():
     assert trie.root_hash() == before
 
 
+def test_committed_transaction_leaves_nothing_dirty():
+    trie = MerklePatriciaTrie()
+    code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 5, Opcode.SSTORE,
+                  Opcode.PUSH1, 2, Opcode.PUSH1, 6, Opcode.SSTORE])
+    receipt = run(code, trie=trie, commit=True)
+    assert receipt.status is TxStatus.SUCCESS
+    nodes, writes = len(trie.store), trie.store.writes
+    assert nodes > 0
+    trie.root_hash()  # the transaction already hashed its writes
+    assert (len(trie.store), trie.store.writes) == (nodes, writes)
+
+
 def test_failed_transaction_commits_nothing():
     trie = MerklePatriciaTrie()
     before = trie.root_hash()
@@ -242,6 +254,17 @@ def test_mstore_mload_and_memory_expansion_charges():
     words = (4096 + 32 + 31) // 32
     expected = 3 + 3 * words + words * words // 512
     assert receipt.samples["MSTORE"][1] == expected
+
+
+@pytest.mark.parametrize("offset", [10 ** 6, 2 ** 255 - 1])
+def test_zero_size_return_touches_no_memory(offset):
+    code = bytes([Opcode.PUSH1, 0, Opcode.PUSH32]) + offset.to_bytes(32, "big")
+    machine = Machine(code + bytes([Opcode.RETURN]), MerklePatriciaTrie(),
+                      gas=100, block_height=0, schedule=SCHED)
+    assert machine.run() is TxStatus.SUCCESS
+    assert machine.return_data == b""
+    assert len(machine.memory) == 0 and machine.memory_words == 0
+    assert machine.gas == 100 - 3 - 3  # two pushes; RETURN costs 0 + C(0)
 
 
 # ---------------------------------------------------------------------------

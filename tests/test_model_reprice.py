@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaslab.evm.machine import TxStatus, execute_transaction
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import ConstantRule, default_schedule
+from gaslab.trie import MerklePatriciaTrie
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model import (InvalidConstantError, ScalarModel, StandardContract,
                           avg_prog_tpg, current_gas_model,
@@ -106,6 +109,58 @@ def test_materialize_schedule_rounds_half_up_and_keeps_base():
     # unmodeled opcodes keep the default schedule's rule
     assert schedule.rules[Opcode.MUL] == default_schedule().rules[Opcode.MUL]
     assert schedule.intrinsic_gas == 21_000
+
+
+MEM_OPS = [op for op, rule in default_schedule().rules.items()
+           if getattr(rule, "plus_memory", False)]
+
+
+def _push(value):
+    return bytes([Opcode.PUSH32]) + value.to_bytes(32, "big")
+
+
+def _memory_program(op, offset, size):
+    """Push operands and run op once at offset (RETURN: with size)."""
+    if op is Opcode.MLOAD:
+        return _push(offset) + bytes([op])
+    if op is Opcode.MSTORE:
+        return _push(7) + _push(offset) + bytes([op])
+    return _push(size) + _push(offset) + bytes([op])
+
+
+def _expansion_charged(op, schedule, offset, size):
+    """Status and the gas op was charged beyond its base cost."""
+    receipt = execute_transaction(_memory_program(op, offset, size),
+                                  MerklePatriciaTrie(), 3_000_000, 0,
+                                  schedule, commit=False)
+    charged = receipt.samples.get(op.name, [0, 0])[1]
+    return receipt.status, charged - schedule.rules[op].cost
+
+
+@given(st.dictionaries(st.sampled_from(MEM_OPS + [Opcode.ADD, Opcode.SLOAD]),
+                       st.floats(0.0, 5e4), min_size=1),
+       st.integers(0, 10 ** 6), st.integers(0, 2 ** 20),
+       st.integers(0, 4096))
+@settings(max_examples=60, deadline=None)
+def test_materialized_schedule_charges_memory_expansion(costs, height,
+                                                        offset, size):
+    time_models = {op.name: ScalarModel("constant", (cost,))
+                   for op, cost in costs.items()}
+    schedule = materialize_schedule(propose_gas_model(time_models, 5.0),
+                                    height)
+    for op in MEM_OPS:
+        assert schedule.rules[op].plus_memory
+        assert (_expansion_charged(op, schedule, offset, size)
+                == _expansion_charged(op, default_schedule(), offset, size))
+
+
+def test_materialized_schedule_keeps_the_memory_bound():
+    time_models = {op.name: ScalarModel("constant", (15.0,))
+                   for op in MEM_OPS}
+    schedule = materialize_schedule(propose_gas_model(time_models, 5.0), 0)
+    for op in MEM_OPS:
+        status, _ = _expansion_charged(op, schedule, 2 ** 40, 32)
+        assert status is TxStatus.OUT_OF_GAS
 
 
 def test_current_gas_model_uses_measured_means():

@@ -97,6 +97,8 @@ def test_bad_rule_reports_line():
         GasSchedule.parse("ADD = banana\n")
     with pytest.raises(ScheduleError, match="unknown opcode"):
         GasSchedule.parse("FROB = 3\n")
+    with pytest.raises(ScheduleError, match="line 2: bad intrinsic"):
+        GasSchedule.parse("ADD = 3\nintrinsic = x\n")
 
 
 def test_memory_expansion_quadratic_against_closed_form():

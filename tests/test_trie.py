@@ -9,6 +9,8 @@ with this oracle before the trie was built and is frozen here.
 import io
 import random
 
+import gaslab.trie
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +196,8 @@ def test_randomized_insert_delete_sequences_match_oracle():
 
 def test_content_addressing_of_stored_nodes():
     trie = make_trie(FIXTURE_PAIRS)
+    trie.root_hash()  # the store holds committed nodes only
+    assert len(trie.store) > 0
     for key in trie.store.keys():
         encoded = trie.store.get(key)
         assert len(key) == 32
@@ -229,7 +233,7 @@ def test_lookup_depth_bounded_and_growing():
 def test_corrupt_store_raises():
     trie = make_trie(FIXTURE_PAIRS)
     root = trie.root_hash()
-    # the store keeps superseded nodes too, so wipe everything but the root
+    # wipe every node but the root
     for key in [k for k in trie.store.keys() if k != root]:
         del trie.store._data[key]
     with pytest.raises(CorruptStoreError):
@@ -239,6 +243,7 @@ def test_corrupt_store_raises():
 
 def test_store_dump_load_round_trip(tmp_path):
     trie = make_trie(FIXTURE_PAIRS)
+    trie.root_hash()  # commit before reading the store
     buffer = io.BytesIO()
     trie.store.dump(buffer)
     buffer.seek(0)
@@ -267,8 +272,106 @@ def test_lru_read_cache_hits():
 
 def test_reinserting_identical_node_is_idempotent():
     trie = make_trie(FIXTURE_PAIRS)
+    trie.root_hash()  # commit before reading the store
     size_before = len(trie.store)
     root_before = trie.root_hash()
     trie.insert(b"key-00", b"value-00")  # same value again
     assert trie.root_hash() == root_before
     assert len(trie.store) == size_before
+
+
+# ---------------------------------------------------------------------------
+# commit contract: mutations are hashed and stored at root_hash()
+# ---------------------------------------------------------------------------
+
+def reachable_hashes(trie):
+    """Hashes of the stored nodes reachable from the committed root."""
+    seen = set()
+    pending = [trie.root_hash()]
+    while pending:
+        ref = pending.pop()
+        if isinstance(ref, bytes):
+            if ref == b"" or ref in seen:
+                continue
+            seen.add(ref)
+            node = rlp.decode(trie.store.get(ref))
+        else:
+            node = ref
+        if len(node) == 17:
+            pending.extend(node[:16])
+        elif not hex_prefix_decode(node[0])[1]:
+            pending.append(node[1])  # extension; a leaf holds a value
+    return seen
+
+
+_keys = st.binary(min_size=1, max_size=4)
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("insert"), _keys, st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("get"), _keys),
+    st.tuples(st.just("root"))), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_interleaved_mutations_gets_and_commits_match_oracle(ops):
+    trie = MerklePatriciaTrie()
+    mapping = {}
+    for op in ops:
+        if op[0] == "insert":
+            trie.insert(op[1], op[2])
+            mapping[op[1]] = op[2]
+        elif op[0] == "delete":
+            trie.delete(op[1])
+            mapping.pop(op[1], None)
+        elif op[0] == "get":
+            assert trie.get(op[1]) == mapping.get(op[1])
+        else:
+            assert trie.root_hash() == oracle_root(mapping)
+    assert trie.root_hash() == oracle_root(mapping)
+    assert trie.key_count == len(mapping)
+
+
+def test_mutations_touch_the_store_only_at_commit():
+    trie = make_trie(FIXTURE_PAIRS)
+    assert len(trie.store) == 0 and trie.store.writes == 0
+    trie.root_hash()
+    writes = trie.store.writes
+    assert writes > 0
+    trie.root_hash()  # nothing left dirty
+    assert trie.store.writes == writes
+
+
+def test_committed_store_holds_every_reachable_node():
+    rng = random.Random(3)
+    trie = MerklePatriciaTrie()
+    for i in range(300):
+        trie.insert(i.to_bytes(4, "big"), rng.randbytes(rng.randrange(1, 40)))
+    reachable = reachable_hashes(trie)
+    assert reachable <= set(trie.store.keys())
+    # one batch of distinct keys into a fresh trie stores only final nodes
+    assert len(reachable) / len(trie.store) == 1
+
+    victims = [rng.randbytes(8) for _ in range(20)]
+    for key in victims:
+        trie.insert(key, b"x")
+    for key in victims[:10]:
+        trie.delete(key)
+    assert reachable_hashes(trie) <= set(trie.store.keys())
+
+
+def test_keccak_budget_is_one_hash_per_key_and_per_stored_node(monkeypatch):
+    calls = 0
+    real = gaslab.trie.keccak_256
+
+    def counted(data):
+        nonlocal calls
+        calls += 1
+        return real(data)
+
+    monkeypatch.setattr(gaslab.trie, "keccak_256", counted)
+    trie = MerklePatriciaTrie()
+    for i in range(512):
+        trie.insert(i.to_bytes(4, "big"), b"v")
+    trie.root_hash()
+    assert calls == 512 + len(trie.store)
+    assert len(trie.store) == len(reachable_hashes(trie))  # final nodes only
