@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .clock import WallClock
-from .evm.machine import TxReceipt, TxStatus, execute_transaction
+from .evm.machine import execute_transaction
 from .evm.schedule import GasSchedule
 from .metrics import MacroCategory, SampleSink, WindowAggregate
 from .trie import MerklePatriciaTrie, NodeStore
@@ -69,43 +69,25 @@ def verify_block(block: Block, expected_height: int, parent_root: bytes,
             raise VerificationError(f"tx {i}: negative gas price")
 
 
-def _median_receipt(receipts: list[TxReceipt]) -> TxReceipt:
-    """Combine repeated runs: identical static behavior, median times."""
-    first = receipts[0]
-    if len(receipts) == 1:
-        return first
-    combined: dict[str, list[int]] = {}
-    for name, (count, gas, _) in first.samples.items():
-        times = sorted(r.samples[name][2] for r in receipts)
-        combined[name] = [count, gas, times[len(times) // 2]]
-    return TxReceipt(status=first.status, gas_used=first.gas_used,
-                     return_data=first.return_data, samples=combined,
-                     instructions=first.instructions)
-
-
 def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
-              window_size: int = 500, clock=None, cache_capacity: int = 0,
-              micro: bool = True, macro: bool = True,
-              repetitions: int = 1,
+              window_size: int = 500, clock=None,
               sink: Optional[SampleSink] = None) -> ChainRunReport:
     """Drive num_blocks synthetic blocks through the interpreter and trie."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
 
     if clock is None:
         clock = WallClock
-    store = NodeStore(cache_capacity=cache_capacity, meter=clock.meter)
+    store = NodeStore(meter=clock.meter)
     trie = MerklePatriciaTrie(store=store)
     generator = WorkloadGenerator(spec, schedule)
     generator.write_genesis(trie)
     initial_keys = trie.key_count
 
     if sink is None:
-        sink = SampleSink(0, micro_enabled=micro, macro_enabled=macro)
+        sink = SampleSink(0)
     receipts: list[ReceiptRow] = []
 
     # The cyclic collector's full passes scan the whole heap, which grows
@@ -118,7 +100,7 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
     gc.disable()
     try:
         _run_blocks(spec, num_blocks, schedule, window_size, clock,
-                    trie, generator, sink, receipts, repetitions)
+                    trie, generator, sink, receipts)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -137,7 +119,7 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
 
 
 def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
-                generator, sink, receipts, repetitions):
+                generator, sink, receipts):
     for height in range(num_blocks):
         if height and height % window_size == 0:
             sink.close_window(height)
@@ -155,15 +137,9 @@ def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
 
         import_start = clock.now_ns()
         for tx_index, tx in enumerate(block.transactions):
-            runs = []
-            for probe in range(repetitions - 1):
-                runs.append(execute_transaction(
-                    tx.code, trie, tx.gas_limit, height, schedule,
-                    clock=clock, commit=False))
-            runs.append(execute_transaction(
+            receipt = execute_transaction(
                 tx.code, trie, tx.gas_limit, height, schedule,
-                clock=clock, sink=sink, commit=True))
-            receipt = _median_receipt(runs)
+                clock=clock, sink=sink)
             for name, (count, gas, time_ns) in receipt.samples.items():
                 sink.record_instruction_totals(name, count, gas, time_ns)
             receipts.append(ReceiptRow(

@@ -8,10 +8,11 @@ Subcommands:
 * ``economics`` — fee vs infrastructure cost, scalar or per window
 * ``schedule materialize`` — emit an integer gas schedule at a height
 
-Exit codes: 0 success, 2 input error, 3 write/IO error. Output directories
-resolve relative to $GASLAB_OUT when that is set. Every command writes a
-manifest recording inputs, parameters, and output hashes; rerunning with
-identical inputs and seeds reproduces every byte.
+Exit codes: 0 success, 2 input error, 3 write/IO error. Relative ``--out``
+paths resolve under $GASLAB_OUT when that is set. ``simulate``, ``analyze``
+and table-mode ``economics`` write a manifest recording inputs, parameters,
+and output hashes; rerunning with identical inputs and seeds reproduces
+every byte.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     clock = VirtualClock() if args.clock == "virtual" else WallClock
 
     report = run_chain(spec, args.blocks, schedule,
-                       window_size=args.window, clock=clock,
-                       cache_capacity=args.cache,
-                       repetitions=args.repetitions)
+                       window_size=args.window, clock=clock)
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,9 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(out, "simulate",
                    params={"blocks": args.blocks, "window": args.window,
-                           "seed": spec.seed, "clock": args.clock,
-                           "cache": args.cache,
-                           "repetitions": args.repetitions},
+                           "seed": spec.seed, "clock": args.clock},
                    inputs={"workload": spec_path},
                    outputs=["micro.csv", "macro.csv", "receipts.csv",
                             "run.json"])
@@ -322,7 +319,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise InputError(f"{table_path}: no plottable data")
     svg = render_line_chart(f"{args.figure} ({x_col})", x_label, y_label,
                             series)
-    out_path = Path(args.out) if args.out else bundle / f"{args.figure}.svg"
+    out_path = (_out_dir(args.out) if args.out
+                else bundle / f"{args.figure}.svg")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, svg)
     print(f"wrote {out_path}")
@@ -381,7 +379,7 @@ def cmd_schedule_materialize(args: argparse.Namespace) -> int:
     gas_model = propose_gas_model(time_models, args.tpg_constant)
     base = _load_schedule(args.base)
     schedule = materialize_schedule(gas_model, args.height, base)
-    out_path = Path(args.out)
+    out_path = _out_dir(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = (f"# Repriced schedule materialized at height {args.height} "
               f"with C={args.tpg_constant}\n")
@@ -411,10 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gas schedule config (default: built-in)")
     p.add_argument("--clock", choices=("wall", "virtual"), default="wall",
                    help="wall time or deterministic virtual time")
-    p.add_argument("--cache", type=int, default=0,
-                   help="node-store read cache capacity (default 0)")
-    p.add_argument("--repetitions", type=int, default=1,
-                   help="runs per block, median-of-runs timing")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 
 TICKS_NODE_READ = 8_000
-TICKS_NODE_READ_CACHED = 600
 TICKS_NODE_WRITE_BASE = 9_000
 TICKS_NODE_WRITE_PER_BYTE = 30
 TICKS_KEY_HASH = 3_000
@@ -37,8 +36,8 @@ class WorkMeter:
     def __init__(self) -> None:
         self.ticks = 0
 
-    def node_read(self, cached: bool = False) -> None:
-        self.ticks += TICKS_NODE_READ_CACHED if cached else TICKS_NODE_READ
+    def node_read(self) -> None:
+        self.ticks += TICKS_NODE_READ
 
     def node_write(self, size: int) -> None:
         self.ticks += TICKS_NODE_WRITE_BASE + TICKS_NODE_WRITE_PER_BYTE * size

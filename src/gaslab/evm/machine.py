@@ -26,7 +26,7 @@ call is skipped and pushes failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -111,13 +111,6 @@ class _SampleArrays:
                 for byte, count in enumerate(self.counts) if count}
 
 
-@dataclass
-class InstructionSample:
-    opcode: Opcode
-    gas: int
-    duration_ns: int
-
-
 class _Halt(Exception):
     def __init__(self, status: TxStatus):
         self.status = status
@@ -149,9 +142,6 @@ class Machine:
         self._samples = sample_arrays if sample_arrays is not None \
             else _SampleArrays()
         self._rules = schedule.rules_by_byte()
-        self._last_byte = -1
-        self._last_cost = 0
-        self._last_duration = 0
         self.instructions = 0
         self.jumpdests = _scan_jumpdests(code)
 
@@ -207,21 +197,9 @@ class Machine:
         arrays.counts[byte] += 1
         arrays.gas[byte] += cost
         arrays.times[byte] += duration
-        self._last_byte = byte
-        self._last_cost = cost
-        self._last_duration = duration
 
         if child is not None:
             self._run_child(child)
-
-    def step(self) -> Optional[InstructionSample]:
-        """Execute one instruction; returns its sample, or None on halt."""
-        self._last_byte = -1
-        self._step()
-        if self._last_byte < 0:
-            return None
-        return InstructionSample(Opcode(self._last_byte), self._last_cost,
-                                 self._last_duration)
 
     def run(self) -> TxStatus:
         step = self._step

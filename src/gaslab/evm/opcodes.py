@@ -53,6 +53,9 @@ ALL_OPCODES: tuple[Opcode, ...] = tuple(Opcode)
 # Opcodes that end execution; these may legally carry a zero gas cost.
 TERMINAL_OPCODES = frozenset({Opcode.STOP, Opcode.RETURN})
 
+# Opcodes that touch memory; exactly these carry the ``+mem`` expansion charge.
+MEMORY_OPCODES = frozenset({Opcode.MLOAD, Opcode.MSTORE, Opcode.RETURN})
+
 # (stack items consumed, stack items produced)
 _BASE_ARITY: dict[Opcode, tuple[int, int]] = {
     Opcode.STOP: (0, 0),

@@ -20,7 +20,9 @@ overrides its family. Example::
 
 On load, every implemented opcode must end up with a rule, and every
 non-terminal opcode must cost at least one gas at any height (keeps all
-executions finite); STOP and RETURN may cost zero.
+executions finite); STOP and RETURN may cost zero. Each rule must fit its
+opcode: MLOAD, MSTORE and RETURN carry ``+mem`` and no other opcode does,
+and only SSTORE may take the ``sstore:`` tier rule.
 """
 
 from __future__ import annotations
@@ -29,13 +31,19 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .opcodes import ALL_OPCODES, Opcode, TERMINAL_OPCODES, from_name
+from .opcodes import (ALL_OPCODES, MEMORY_OPCODES, Opcode, TERMINAL_OPCODES,
+                      from_name)
 
 INTRINSIC_GAS_DEFAULT = 21_000
 
 
 class ScheduleError(ValueError):
     """Bad schedule config: syntax, missing opcode, or invalid cost."""
+
+
+def round_gas(value: float) -> int:
+    """Integer gas for a real-valued cost: round half up, never below 1."""
+    return max(1, int(value + 0.5))
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ class PolynomialRule:
         for coeff in self.coefficients:
             value += coeff * power
             power *= block_height
-        return max(1, int(value + 0.5))
+        return round_gas(value)
 
     def format(self) -> str:
         body = "poly:" + ",".join(repr(c) for c in self.coefficients)
@@ -174,6 +182,9 @@ def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
     if value.endswith("+mem"):
         plus_memory = True
         value = value[: -len("+mem")].strip()
+    if plus_memory and value.startswith("sstore:"):
+        raise ScheduleError(f"line {line_no}: {name}: +mem does not apply to "
+                            f"an sstore: rule")
     try:
         if value.startswith("sstore:"):
             set_cost, reset_cost = value[len("sstore:"):].split(",")
@@ -187,6 +198,13 @@ def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
 
 
 def _validate_rule(op: Opcode, rule: GasRule) -> None:
+    if isinstance(rule, SstoreRule) and op is not Opcode.SSTORE:
+        raise ScheduleError(f"{op.name}: sstore: tiers apply to SSTORE only")
+    plus_memory = getattr(rule, "plus_memory", False)
+    if plus_memory != (op in MEMORY_OPCODES):
+        raise ScheduleError(
+            f"{op.name}: +mem is required" if op in MEMORY_OPCODES
+            else f"{op.name}: +mem applies to MLOAD, MSTORE and RETURN only")
     if isinstance(rule, ConstantRule):
         minimum = 0 if op in TERMINAL_OPCODES else 1
         if rule.cost < minimum:

@@ -5,11 +5,9 @@ micro samples are per-opcode (count, gas, time) triples. Samples accumulate
 into the window that owns the current block-height range; closed windows are
 immutable and archived.
 
-Recording is concurrency-safe without per-sample locking: each recording
-thread owns a private accumulator that is merged into the window when it is
-closed. `close_window` is the only exclusive operation and requires that
-recorders for the closing window have quiesced (the chain driver guarantees
-this by closing windows between blocks).
+One thread records: the chain driver runs blocks in order and closes a
+window between blocks, so the open window is two plain dicts that
+`close_window` freezes and replaces.
 
 On-disk CSV formats (the interchange boundary for analysis):
 
@@ -23,7 +21,6 @@ their provenance inline. All times are integer nanoseconds.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -71,99 +68,49 @@ class WindowAggregate:
         return sum(s.gas for s in self.instructions.values())
 
 
-class _Bucket:
-    __slots__ = ("instructions", "categories")
-
-    def __init__(self) -> None:
-        self.instructions: dict[str, list[int]] = {}
-        self.categories: dict[str, int] = {}
-
-
 class SampleSink:
     """Windowed collector for macro spans and micro instruction samples."""
 
-    def __init__(self, window_start: int = 0, micro_enabled: bool = True,
-                 macro_enabled: bool = True):
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._buckets: list[_Bucket] = []
+    def __init__(self, window_start: int = 0):
         self._window_start = window_start
-        self.micro_enabled = micro_enabled
-        self.macro_enabled = macro_enabled
+        self._instructions: dict[str, list[int]] = {}
+        self._categories: dict[str, int] = {}
         self.archive: list[WindowAggregate] = []
 
-    def _bucket(self) -> _Bucket:
-        bucket = getattr(self._local, "bucket", None)
-        if bucket is None:
-            bucket = _Bucket()
-            self._local.bucket = bucket
-            with self._lock:
-                self._buckets.append(bucket)
-        return bucket
-
     def record_span(self, category: MacroCategory, duration_ns: int) -> None:
-        if not self.macro_enabled:
-            return
-        categories = self._bucket().categories
+        categories = self._categories
         name = category.value
         categories[name] = categories.get(name, 0) + duration_ns
-
-    def record_instruction(self, opcode: str, gas: int, duration_ns: int) -> None:
-        if not self.micro_enabled:
-            return
-        instructions = self._bucket().instructions
-        stat = instructions.get(opcode)
-        if stat is None:
-            instructions[opcode] = [1, gas, duration_ns]
-        else:
-            stat[0] += 1
-            stat[1] += gas
-            stat[2] += duration_ns
 
     def record_instruction_totals(self, opcode: str, count: int, gas: int,
                                   duration_ns: int) -> None:
         """Merge a pre-aggregated (count, gas, time) triple, e.g. a receipt."""
-        if not self.micro_enabled or count == 0:
+        if count == 0:
             return
-        instructions = self._bucket().instructions
-        stat = instructions.get(opcode)
+        stat = self._instructions.get(opcode)
         if stat is None:
-            instructions[opcode] = [count, gas, duration_ns]
+            self._instructions[opcode] = [count, gas, duration_ns]
         else:
             stat[0] += count
             stat[1] += gas
             stat[2] += duration_ns
 
     def close_window(self, next_start: int) -> WindowAggregate:
-        """Freeze and archive the current window; open one at next_start.
-
-        Recorders for the closing window must have quiesced.
-        """
-        with self._lock:
-            if next_start <= self._window_start:
-                raise ValueError(
-                    f"next_start {next_start} must exceed current window "
-                    f"start {self._window_start}")
-            instructions: dict[str, InstructionStat] = {}
-            categories: dict[str, int] = {}
-            for bucket in self._buckets:
-                for op, (count, gas, time_ns) in bucket.instructions.items():
-                    prev = instructions.get(op)
-                    if prev is None:
-                        instructions[op] = InstructionStat(count, gas, time_ns)
-                    else:
-                        instructions[op] = InstructionStat(
-                            prev.count + count, prev.gas + gas,
-                            prev.time_ns + time_ns)
-                bucket.instructions.clear()
-                for name, total in bucket.categories.items():
-                    categories[name] = categories.get(name, 0) + total
-                bucket.categories.clear()
-            aggregate = WindowAggregate(self._window_start, instructions,
-                                        categories)
-            self.archive.append(aggregate)
-            self._window_start = next_start
-            return aggregate
+        """Freeze and archive the current window; open one at next_start."""
+        if next_start <= self._window_start:
+            raise ValueError(
+                f"next_start {next_start} must exceed current window "
+                f"start {self._window_start}")
+        aggregate = WindowAggregate(
+            self._window_start,
+            {op: InstructionStat(*stat)
+             for op, stat in self._instructions.items()},
+            self._categories)
+        self.archive.append(aggregate)
+        self._window_start = next_start
+        self._instructions = {}
+        self._categories = {}
+        return aggregate
 
     @property
     def window_start(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..evm.opcodes import ALL_OPCODES, from_name
-from ..evm.schedule import ConstantRule, GasSchedule, SstoreRule
+from ..evm.schedule import ConstantRule, GasSchedule, round_gas
 from ..metrics import WindowAggregate
 from .base import InvalidConstantError, ScalarModel
 
@@ -32,7 +32,7 @@ class GasModel:
 
     def materialized_cost(self, opcode: str, n: float) -> int:
         """Integer gas at height n: round half up, never below 1."""
-        return max(1, int(self.models[opcode].evaluate(n) + 0.5))
+        return round_gas(self.models[opcode].evaluate(n))
 
 
 def propose_gas_model(time_models: Mapping[str, ScalarModel],

@@ -24,7 +24,6 @@ does no internal locking.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from typing import BinaryIO, Optional
 
 from .keccak import keccak_256
@@ -81,15 +80,12 @@ class NodeStore:
 
     It holds committed nodes only: the trie puts nodes here when
     `MerklePatriciaTrie.root_hash()` hashes its pending mutations.
-    Re-inserting an identical node is a no-op. An optional bounded LRU read
-    cache (capacity 0 disables it) sits in front of the backing dict; reads
-    and writes are counted and reported to an optional work meter.
+    Re-inserting an identical node is a no-op. Reads and writes are counted
+    and reported to an optional work meter.
     """
 
-    def __init__(self, cache_capacity: int = 0, meter=None):
+    def __init__(self, meter=None):
         self._data: dict[bytes, bytes] = {}
-        self._cache: OrderedDict[bytes, bytes] = OrderedDict()
-        self._cache_capacity = cache_capacity
         self.meter = meter
         self.reads = 0
         self.writes = 0
@@ -102,30 +98,17 @@ class NodeStore:
 
     def get(self, key: bytes) -> bytes:
         self.reads += 1
-        if self._cache_capacity:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                if self.meter is not None:
-                    self.meter.node_read(cached=True)
-                return cached
         try:
             value = self._data[key]
         except KeyError:
             raise CorruptStoreError(key.hex()) from None
-        if self._cache_capacity:
-            self._cache[key] = value
-            if len(self._cache) > self._cache_capacity:
-                self._cache.popitem(last=False)
         if self.meter is not None:
-            self.meter.node_read(cached=False)
+            self.meter.node_read()
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
         self.writes += 1
         self._data[key] = value
-        if self._cache_capacity and key in self._cache:
-            self._cache[key] = value
         if self.meter is not None:
             self.meter.node_write(len(value))
 
@@ -139,8 +122,8 @@ class NodeStore:
             fp.write(value)
 
     @classmethod
-    def load(cls, fp: BinaryIO, cache_capacity: int = 0) -> "NodeStore":
-        store = cls(cache_capacity=cache_capacity)
+    def load(cls, fp: BinaryIO) -> "NodeStore":
+        store = cls()
         while True:
             header = fp.read(4)
             if not header:

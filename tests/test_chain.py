@@ -143,15 +143,6 @@ def test_out_of_gas_transactions_recorded_not_aborting():
             assert row.gas_used == row.gas_limit
 
 
-def test_median_of_runs_repetitions():
-    report = virtual_run(MIXED, 10, 5, repetitions=3)
-    baseline = virtual_run(MIXED, 10, 5)
-    # static behavior identical; virtual timing identical too
-    assert report.final_root == baseline.final_root
-    assert [r.gas_used for r in report.receipts] == \
-           [r.gas_used for r in baseline.receipts]
-
-
 def test_verify_block_rejects_bad_linkage():
     block = Block(height=0, transactions=[])
     block.parent_root = b"\x00" * 32

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, determinism, and the fixture analysis."""
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -9,9 +10,11 @@ import pytest
 from gaslab.cli import main
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
+from gaslab.model import ScalarModel, save_models
 
 DATA = resources.files("gaslab").joinpath("data")
 SLOAD_HEAVY = str(DATA / "workloads" / "sload_heavy.json")
+WORKLOADS = DATA / "workloads"
 TABLE3 = str(DATA / "fixtures" / "table3_micro.csv")
 PRICES = str(DATA / "fixtures" / "prices_fig1.csv")
 
@@ -44,6 +47,54 @@ def test_simulate_is_byte_identical_under_virtual_clock(tmp_path):
     for name in ("micro.csv", "macro.csv", "receipts.csv", "run.json",
                  "manifest.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# sha256 of each virtual-clock output at 200 blocks, window 50, default seed.
+# A deliberate output change updates these and says why in CHANGES.md.
+GOLDEN = {
+    "sload_heavy": {
+        "micro.csv":
+            "9e417dfe9b29587f706a68663b8a8b95807cba5454f4720bd8263f963b63870d",
+        "macro.csv":
+            "d60699f3b18e6b7fa3c2c5b45b58384dbd0cf1fd5e0ef8fbf3d5ceadd16661c5",
+        "receipts.csv":
+            "0439661684f355b6a0640fda7f6c4fcd1e77da3f33d4ef063cfbbb2be4acbefa",
+        "run.json":
+            "3f9ba6e3afd72e3dbe013862c9f26843fbb1a6965cc17b075c91dbbcc65e40d2",
+    },
+    "mixed_fig8": {
+        "micro.csv":
+            "95ebb23a3c01f94d037146d583d5111e539dbf0c622c9c6255719b4c9c1d8625",
+        "macro.csv":
+            "2c4242bee30781bc4454fa5dd51f6569d335bd95d78464f0d9bacb24d208b709",
+        "receipts.csv":
+            "a52d29907c64a5d56fdef15e5bb26a18d0961230401ca4c58942dd8e6a950289",
+        "run.json":
+            "866ad1e340ecb72ef53e553080a6dda47526105c4c0584c9b7e63fa99b43e661",
+    },
+    "add_only": {
+        "micro.csv":
+            "476ac5c14613e5be68925e6c2b56585b5bad575b1a62bfb2a59c377b5bc2f737",
+        "macro.csv":
+            "5ecf9066598bebd9ecfb1b13f662a346084b0f4617fce0dfdde7f4f7906764a0",
+        "receipts.csv":
+            "ff98b4e4ff6b2cc0187d7defddf155e9c5e37bae9208c7e85c5d1e78462ebb0d",
+        "run.json":
+            "5cdd0a64bfa1e2d69a689a8c2786006650951b21a3b8d3144f93d55c7be3a8f4",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_virtual_simulate_matches_golden_digests(tmp_path, workload):
+    out = tmp_path / workload
+    assert run_cli("simulate", "--workload",
+                   str(WORKLOADS / f"{workload}.json"), "--blocks", "200",
+                   "--window", "50", "--clock", "virtual",
+                   "--out", str(out)) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN[workload]}
+    assert digests == GOLDEN[workload]
 
 
 def test_simulate_missing_workload_is_exit_2(tmp_path):
@@ -191,7 +242,33 @@ def test_schedule_parse_error_is_exit_2(tmp_path, capsys):
     assert "line 7" in err and "Traceback" not in err
 
 
+def test_schedule_rule_unfit_for_its_opcode_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    default = (DATA / "gas_schedule_default.cfg").read_text()
+    bad.write_text(default.replace("MSTORE = 3 +mem", "MSTORE = 3"))
+    assert run_cli("simulate", "--workload", SLOAD_HEAVY, "--blocks", "5",
+                   "--clock", "virtual", "--schedule", str(bad),
+                   "--out", str(tmp_path / "sim")) == 2
+    err = capsys.readouterr().err
+    assert "MSTORE" in err and "Traceback" not in err
+
+
 def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     monkeypatch.setenv("GASLAB_OUT", str(tmp_path))
     simulate("rooted", blocks=100, window=50)
     assert (tmp_path / "rooted" / "micro.csv").is_file()
+
+    models = tmp_path / "time_models.json"
+    save_models({"SLOAD": ScalarModel("constant", (1000.0,))}, models)
+    assert run_cli("schedule", "materialize", "--models", str(models),
+                   "--height", "100", "--out", "rooted/repriced.cfg") == 0
+    schedule = GasSchedule.load(tmp_path / "rooted" / "repriced.cfg")
+    assert schedule.rule_for(Opcode.SLOAD).cost == 200
+
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "dep_share.csv").write_text(
+        "window_start,dependent_share,extrapolated\n0,0.5,0\n50,0.6,0\n")
+    assert run_cli("plot", "--bundle", str(bundle), "--figure", "dep-share",
+                   "--out", "rooted/dep-share.svg") == 0
+    assert (tmp_path / "rooted" / "dep-share.svg").is_file()

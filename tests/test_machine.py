@@ -32,25 +32,26 @@ def with_return(code):
 
 
 # ---------------------------------------------------------------------------
-# single-step behavior
+# single-instruction behavior
 # ---------------------------------------------------------------------------
 
 def test_push_step_sample_and_stack():
-    machine = Machine(bytes([Opcode.PUSH1, 0x2A]), MerklePatriciaTrie(),
-                      gas=100, block_height=0, schedule=SCHED)
-    sample = machine.step()
-    assert sample.opcode is Opcode.PUSH1
-    assert sample.gas == 3
-    assert sample.duration_ns >= 0
+    code = bytes([Opcode.PUSH1, 0x2A])
+    machine = Machine(code, MerklePatriciaTrie(), gas=100, block_height=0,
+                      schedule=SCHED)
+    assert machine.run() is TxStatus.SUCCESS
     assert machine.stack == [0x2A]
     assert machine.gas == 97
+    count, gas, duration_ns = run(code).samples["PUSH1"]
+    assert (count, gas) == (1, 3)
+    assert duration_ns >= 0
 
 
 def test_add_on_stack():
     machine = Machine(bytes([Opcode.ADD]), MerklePatriciaTrie(), gas=100,
                       block_height=0, schedule=SCHED)
     machine.stack = [2, 3]
-    machine.step()
+    machine.run()
     assert machine.stack == [5]
 
 
@@ -58,8 +59,7 @@ def test_step_out_of_gas_boundary():
     # instruction cost exceeds remaining gas by one
     machine = Machine(bytes([Opcode.PUSH1, 1]), MerklePatriciaTrie(), gas=2,
                       block_height=0, schedule=SCHED)
-    machine.step()
-    assert machine.status is TxStatus.OUT_OF_GAS
+    assert machine.run() is TxStatus.OUT_OF_GAS
     assert machine.gas == 0
 
 
@@ -226,8 +226,7 @@ def test_stack_overflow_halts():
     machine = Machine(bytes([Opcode.PUSH1, 1]), MerklePatriciaTrie(),
                       gas=10_000, block_height=0, schedule=SCHED)
     machine.stack = [0] * 1024
-    machine.step()
-    assert machine.status is TxStatus.STACK_ERROR
+    assert machine.run() is TxStatus.STACK_ERROR
 
 
 def test_invalid_opcode_consumes_all_gas():
@@ -365,7 +364,7 @@ def test_gas_monotonically_decreases_across_steps():
                       schedule=SCHED)
     last = machine.gas
     while machine.status is None:
-        machine.step()
+        machine._step()
         assert machine.gas <= last
         last = machine.gas
 

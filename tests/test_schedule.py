@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from gaslab.evm.opcodes import ALL_OPCODES, Opcode
@@ -99,6 +101,24 @@ def test_bad_rule_reports_line():
         GasSchedule.parse("FROB = 3\n")
     with pytest.raises(ScheduleError, match="line 2: bad intrinsic"):
         GasSchedule.parse("ADD = 3\nintrinsic = x\n")
+
+
+@pytest.mark.parametrize("line, opcode", [
+    ("MSTORE = 3", "MSTORE"),               # +mem missing
+    ("MLOAD = poly:3,0.001", "MLOAD"),
+    ("RETURN = 0", "RETURN"),
+    ("POP = 2 +mem", "POP"),                # +mem on a non-memory opcode
+    ("SLOAD = poly:200,0.001 +mem", "SLOAD"),
+    ("POP = sstore:1,2", "POP"),            # tiers on a non-SSTORE opcode
+    ("PUSH = sstore:1,2", "PUSH1"),
+    ("MSTORE = sstore:1,2", "MSTORE"),
+    ("SSTORE = sstore:20000,5000 +mem", "SSTORE"),
+])
+def test_rule_must_fit_its_opcode(line, opcode):
+    default = resources.files("gaslab").joinpath(
+        "data/gas_schedule_default.cfg").read_text()
+    with pytest.raises(ScheduleError, match=opcode):
+        GasSchedule.parse(default + line + "\n")
 
 
 def test_memory_expansion_quadratic_against_closed_form():

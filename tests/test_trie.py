@@ -259,17 +259,6 @@ def test_store_dump_load_round_trip(tmp_path):
     assert first_len == 32
 
 
-def test_lru_read_cache_hits():
-    store = NodeStore(cache_capacity=64)
-    trie = MerklePatriciaTrie(store=store)
-    for key, value in FIXTURE_PAIRS.items():
-        trie.insert(key, value)
-    for key in FIXTURE_PAIRS:
-        trie.get(key)
-    cached = len(store._cache)
-    assert 0 < cached <= 64
-
-
 def test_reinserting_identical_node_is_idempotent():
     trie = make_trie(FIXTURE_PAIRS)
     trie.root_hash()  # commit before reading the store
