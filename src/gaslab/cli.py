@@ -27,6 +27,7 @@ from pathlib import Path
 from .chain import run_chain
 from .clock import VirtualClock, WallClock
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
+from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
 from .metrics import (CsvFormatError, read_macro_csv, read_micro_csv,
                       write_macro_csv, write_micro_csv)
 from .model import (InsufficientDataError, InvalidConstantError, load_models,
@@ -110,7 +111,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(out, "simulate",
                    params={"blocks": args.blocks, "window": args.window,
-                           "seed": spec.seed, "clock": args.clock},
+                           "seed": spec.seed, "clock": args.clock,
+                           "keccak": KECCAK_IMPLEMENTATION},
                    inputs={"workload": spec_path},
                    outputs=["micro.csv", "macro.csv", "receipts.csv",
                             "run.json"])

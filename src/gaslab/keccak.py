@@ -1,15 +1,31 @@
 """Keccak-256 for trie node hashing.
 
-Pure-Python sponge over Keccak-f[1600]. Both the original Keccak padding
-(0x01, used by Ethereum) and the NIST SHA3 padding (0x06) are exposed; the
-two share everything but the domain byte, which lets the test suite verify
-the permutation against hashlib's sha3_256.
+`keccak_256` is a small C sponge, `_keccak.c` next to this module, loaded
+as a CPython extension module. The first import builds it with the local
+`cc` against the running interpreter's headers and writes two files into
+`_build/` next to this module: `_keccak` plus the interpreter's extension
+suffix, so no other Python loads it, and a copy of the source it was built
+from. Later imports load that library, and rebuild it whenever the shipped
+source differs from the copy. Each file is written under a temporary name
+and moved into place, the library first.
 
-The hot permutation is unrolled over 25 locals; `_keccak_f1600_reference`
-keeps the readable table-driven form and must stay bit-identical to it.
+If the build cannot happen (no compiler, no `Python.h`, a directory that
+cannot be written), `keccak_256` is the pure-Python sponge below, which is
+also the tests' reference. `IMPLEMENTATION` names the one that runs: "c" or
+"python". Both compute the Keccak-256 that the Ethereum Yellow Paper hashes
+trie nodes with (appendix D), so roots do not depend on which one ran.
+
+The Python sponge takes the padding's domain byte: 0x01 is the original
+Keccak padding that Ethereum uses, and 0x06 is NIST SHA3, which lets the
+tests check the permutation against hashlib's sha3_256.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 M = (1 << 64) - 1
 
@@ -33,102 +49,8 @@ _ROTATIONS = (1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
 _RATE_BYTES = 136  # 1088-bit rate for 256-bit output
 
 
-def _keccak_f1600(st: list[int]) -> None:
-    """24-round Keccak-f[1600], unrolled over locals for speed."""
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = st
-    for rc in _ROUND_CONSTANTS:
-        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
-        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
-        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
-        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
-        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
-        d = c4 ^ (((c1 << 1) | (c1 >> 63)) & M)
-        a0 ^= d
-        a5 ^= d
-        a10 ^= d
-        a15 ^= d
-        a20 ^= d
-        d = c0 ^ (((c2 << 1) | (c2 >> 63)) & M)
-        a1 ^= d
-        a6 ^= d
-        a11 ^= d
-        a16 ^= d
-        a21 ^= d
-        d = c1 ^ (((c3 << 1) | (c3 >> 63)) & M)
-        a2 ^= d
-        a7 ^= d
-        a12 ^= d
-        a17 ^= d
-        a22 ^= d
-        d = c2 ^ (((c4 << 1) | (c4 >> 63)) & M)
-        a3 ^= d
-        a8 ^= d
-        a13 ^= d
-        a18 ^= d
-        a23 ^= d
-        d = c3 ^ (((c0 << 1) | (c0 >> 63)) & M)
-        a4 ^= d
-        a9 ^= d
-        a14 ^= d
-        a19 ^= d
-        a24 ^= d
-        b0 = a0
-        b1 = ((a6 << 44) | (a6 >> 20)) & M
-        b2 = ((a12 << 43) | (a12 >> 21)) & M
-        b3 = ((a18 << 21) | (a18 >> 43)) & M
-        b4 = ((a24 << 14) | (a24 >> 50)) & M
-        b5 = ((a3 << 28) | (a3 >> 36)) & M
-        b6 = ((a9 << 20) | (a9 >> 44)) & M
-        b7 = ((a10 << 3) | (a10 >> 61)) & M
-        b8 = ((a16 << 45) | (a16 >> 19)) & M
-        b9 = ((a22 << 61) | (a22 >> 3)) & M
-        b10 = ((a1 << 1) | (a1 >> 63)) & M
-        b11 = ((a7 << 6) | (a7 >> 58)) & M
-        b12 = ((a13 << 25) | (a13 >> 39)) & M
-        b13 = ((a19 << 8) | (a19 >> 56)) & M
-        b14 = ((a20 << 18) | (a20 >> 46)) & M
-        b15 = ((a4 << 27) | (a4 >> 37)) & M
-        b16 = ((a5 << 36) | (a5 >> 28)) & M
-        b17 = ((a11 << 10) | (a11 >> 54)) & M
-        b18 = ((a17 << 15) | (a17 >> 49)) & M
-        b19 = ((a23 << 56) | (a23 >> 8)) & M
-        b20 = ((a2 << 62) | (a2 >> 2)) & M
-        b21 = ((a8 << 55) | (a8 >> 9)) & M
-        b22 = ((a14 << 39) | (a14 >> 25)) & M
-        b23 = ((a15 << 41) | (a15 >> 23)) & M
-        b24 = ((a21 << 2) | (a21 >> 62)) & M
-        a0 = b0 ^ (~b1 & b2)
-        a1 = b1 ^ (~b2 & b3)
-        a2 = b2 ^ (~b3 & b4)
-        a3 = b3 ^ (~b4 & b0)
-        a4 = b4 ^ (~b0 & b1)
-        a5 = b5 ^ (~b6 & b7)
-        a6 = b6 ^ (~b7 & b8)
-        a7 = b7 ^ (~b8 & b9)
-        a8 = b8 ^ (~b9 & b5)
-        a9 = b9 ^ (~b5 & b6)
-        a10 = b10 ^ (~b11 & b12)
-        a11 = b11 ^ (~b12 & b13)
-        a12 = b12 ^ (~b13 & b14)
-        a13 = b13 ^ (~b14 & b10)
-        a14 = b14 ^ (~b10 & b11)
-        a15 = b15 ^ (~b16 & b17)
-        a16 = b16 ^ (~b17 & b18)
-        a17 = b17 ^ (~b18 & b19)
-        a18 = b18 ^ (~b19 & b15)
-        a19 = b19 ^ (~b15 & b16)
-        a20 = b20 ^ (~b21 & b22)
-        a21 = b21 ^ (~b22 & b23)
-        a22 = b22 ^ (~b23 & b24)
-        a23 = b23 ^ (~b24 & b20)
-        a24 = b24 ^ (~b20 & b21)
-        a0 ^= rc
-    st[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-             a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
-
 def _keccak_f1600_reference(st: list[int]) -> None:
-    """Table-driven permutation; the readable twin of `_keccak_f1600`."""
+    """24-round Keccak-f[1600], table-driven, in place."""
     for rc in _ROUND_CONSTANTS:
         # theta
         c = [st[x] ^ st[x + 5] ^ st[x + 10] ^ st[x + 15] ^ st[x + 20]
@@ -167,16 +89,73 @@ def _sponge_256(data: bytes, domain: int) -> bytes:
         block = padded[block_start:block_start + _RATE_BYTES]
         for i in range(17):
             st[i] ^= int.from_bytes(block[i * 8:i * 8 + 8], "little")
-        _keccak_f1600(st)
+        _keccak_f1600_reference(st)
 
     return b"".join(st[i].to_bytes(8, "little") for i in range(4))
 
 
-def keccak_256(data: bytes) -> bytes:
+def _keccak_256_python(data: bytes) -> bytes:
     """32-byte Keccak-256 digest (original padding, as used by Ethereum)."""
     return _sponge_256(data, 0x01)
 
 
-def sha3_256(data: bytes) -> bytes:
-    """32-byte NIST SHA3-256 digest; same permutation, 0x06 domain byte."""
-    return _sponge_256(data, 0x06)
+def _compile(code: bytes, build_dir: str, library: str,
+             built_from: str) -> None:
+    """Build `code` into `library` and record it as `built_from`.
+
+    Raises OSError when a file cannot be written or the compiler is
+    missing, and ImportError when the compiler rejects the source.
+    """
+    import subprocess
+    import sysconfig
+
+    os.makedirs(build_dir, exist_ok=True)
+    staged = os.path.join(build_dir, f".{os.getpid()}")
+    staged_source = staged + "_keccak.c"
+    staged_library = staged + os.path.basename(library)
+    link = (["-bundle", "-undefined", "dynamic_lookup"]
+            if sys.platform == "darwin" else ["-shared"])
+    try:
+        with open(staged_source, "wb") as fp:
+            fp.write(code)
+        proc = subprocess.run(
+            ["cc", "-O3", "-fPIC", *link,
+             "-I", sysconfig.get_paths()["include"],
+             "-o", staged_library, staged_source],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise ImportError(proc.stderr)
+        os.replace(staged_library, library)
+        os.replace(staged_source, built_from)
+    finally:
+        for path in (staged_source, staged_library):
+            if os.path.exists(path):
+                os.remove(path)
+
+
+def _load(source: str, build_dir: str):
+    """(keccak_256, implementation): the C function built from `source`
+    into `build_dir`, else the Python sponge when it cannot be built or
+    loaded."""
+    library = os.path.join(build_dir, "_keccak" + EXTENSION_SUFFIXES[0])
+    built_from = os.path.join(build_dir, "_keccak.c")
+    try:
+        with open(source, "rb") as fp:
+            code = fp.read()
+        try:
+            with open(built_from, "rb") as fp:
+                current = fp.read() == code and os.path.exists(library)
+        except FileNotFoundError:
+            current = False
+        if not current:
+            _compile(code, build_dir, library, built_from)
+        module = module_from_spec(
+            spec_from_file_location("gaslab._keccak", library))
+    except (OSError, ImportError):
+        return _keccak_256_python, "python"
+    return module.keccak_256, "c"
+
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+keccak_256, IMPLEMENTATION = _load(os.path.join(_HERE, "_keccak.c"),
+                                   os.path.join(_HERE, "_build"))

@@ -23,8 +23,7 @@ does no internal locking.
 
 from __future__ import annotations
 
-import struct
-from typing import BinaryIO, Optional
+from typing import Optional
 
 from .keccak import keccak_256
 from . import rlp
@@ -112,29 +111,6 @@ class NodeStore:
         if self.meter is not None:
             self.meter.node_write(len(value))
 
-    def dump(self, fp: BinaryIO) -> None:
-        """Write all records as big-endian length-prefixed (key, encoding)."""
-        for key in sorted(self._data):
-            value = self._data[key]
-            fp.write(struct.pack(">I", len(key)))
-            fp.write(key)
-            fp.write(struct.pack(">I", len(value)))
-            fp.write(value)
-
-    @classmethod
-    def load(cls, fp: BinaryIO) -> "NodeStore":
-        store = cls()
-        while True:
-            header = fp.read(4)
-            if not header:
-                break
-            if len(header) < 4:
-                raise ValueError("truncated store file")
-            key = fp.read(struct.unpack(">I", header)[0])
-            (vlen,) = struct.unpack(">I", fp.read(4))
-            store._data[key] = fp.read(vlen)
-        return store
-
 
 # ---------------------------------------------------------------------------
 # Trie
@@ -160,7 +136,10 @@ class MerklePatriciaTrie:
     def root_hash(self) -> bytes:
         """Commit pending mutations and return the root hash.
 
-        The root is always stored by hash, so tries survive dump/load.
+        The root is always stored by hash, even when its encoding is
+        shorter than 32 bytes, so every lookup reads it from the store and
+        a trie over the same store opens at it with
+        `MerklePatriciaTrie(store, root_hash=...)`.
         """
         if isinstance(self._root_ref, list):
             ref = self._commit(self._root_ref)

@@ -10,6 +10,7 @@ import pytest
 from gaslab.cli import main
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
+from gaslab.keccak import IMPLEMENTATION
 from gaslab.model import ScalarModel, save_models
 
 DATA = resources.files("gaslab").joinpath("data")
@@ -39,6 +40,10 @@ def test_simulate_writes_bundle(tmp_path):
     run_doc = json.loads((out / "run.json").read_text())
     assert run_doc["blocks"] == 400
     assert run_doc["clock"] == "virtual"
+    # Which Keccak ran is provenance: in the manifest, never in run.json.
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["keccak"] == IMPLEMENTATION
+    assert "keccak" not in run_doc
 
 
 def test_simulate_is_byte_identical_under_virtual_clock(tmp_path):

@@ -1,18 +1,30 @@
-"""Keccak permutation and digest checks.
+"""Keccak digest checks and the C build's loader.
 
 The NIST SHA3-256 variant shares everything with keccak-256 except the
-domain byte, so hashlib acts as an independent oracle for the permutation
-and sponge; the keccak-side digests are pinned to well-known constants.
+domain byte, so hashlib acts as an independent oracle for the Python
+sponge's permutation; the keccak-side digests are pinned to well-known
+constants, and the C build must agree with the Python sponge everywhere.
 """
 
 import hashlib
+import os
 import random
+import shutil
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gaslab.keccak import (_keccak_f1600, _keccak_f1600_reference, keccak_256,
-                           sha3_256)
+import gaslab.keccak
+from gaslab.keccak import (IMPLEMENTATION, _keccak_256_python, _load,
+                           _sponge_256, keccak_256)
+
+SOURCE = Path(gaslab.keccak.__file__).with_name("_keccak.c")
+SRC_ROOT = str(Path(gaslab.__file__).resolve().parent.parent)
+MODULE_DOC = b"Keccak-256 sponge in C for gaslab's trie hashing."
 
 # Well-known digests: the empty-input hash, the "abc" test vector, and the
 # hashes of the canonical RLP encodings of the empty string / empty list.
@@ -24,9 +36,15 @@ KNOWN_VECTORS = [
 ]
 
 
+def sha3_256(data: bytes) -> bytes:
+    """NIST SHA3-256 through the Python sponge: same permutation, 0x06."""
+    return _sponge_256(data, 0x06)
+
+
 @pytest.mark.parametrize("data,digest", KNOWN_VECTORS)
 def test_known_vectors(data, digest):
     assert keccak_256(data).hex() == digest
+    assert _keccak_256_python(data).hex() == digest
 
 
 @given(st.binary(max_size=600))
@@ -40,14 +58,16 @@ def test_sha3_matches_hashlib_at_block_boundaries(size):
     assert sha3_256(data[:size]) == hashlib.sha3_256(data[:size]).digest()
 
 
-def test_unrolled_permutation_matches_reference():
-    rng = random.Random(1234)
-    for _ in range(25):
-        state = [rng.getrandbits(64) for _ in range(25)]
-        fast, slow = list(state), list(state)
-        _keccak_f1600(fast)
-        _keccak_f1600_reference(slow)
-        assert fast == slow
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_c_build_matches_python_sponge_at_every_length():
+    # Every length 0-300 crosses the rate boundaries 135/136/137 and
+    # 271/272/273; 407-409 is the third, 1000 B spans seven blocks.
+    assert IMPLEMENTATION == "c"
+    rng = random.Random(7)
+    for size in [*range(301), 407, 408, 409, 1000]:
+        data = rng.randbytes(size)
+        assert keccak_256(data) == _keccak_256_python(data), size
+    assert keccak_256(bytearray(b"abc")) == keccak_256(memoryview(b"abc"))
 
 
 def test_digest_shape_and_determinism():
@@ -55,3 +75,76 @@ def test_digest_shape_and_determinism():
     assert len(digest) == 32
     assert digest == keccak_256(b"gaslab")
     assert digest != keccak_256(b"gaslab!")
+
+
+# ---------------------------------------------------------------------------
+# The loader: build on first use, fall back, rebuild on a changed source
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["no compiler", "build dir is a file",
+                                  "source does not compile"])
+def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
+                                                      case):
+    source, build = tmp_path / "_keccak.c", tmp_path / "build"
+    source.write_bytes(SOURCE.read_bytes())
+    if case == "no compiler":
+        monkeypatch.setenv("PATH", str(tmp_path))
+    elif case == "build dir is a file":
+        build.write_text("")
+    else:
+        source.write_bytes(b"this is not C\n")
+    hash_fn, implementation = _load(str(source), str(build))
+    assert implementation == "python"
+    assert hash_fn is _keccak_256_python
+    for data, digest in KNOWN_VECTORS:
+        assert hash_fn(data).hex() == digest
+    if build.is_dir():   # a failed build leaves no library behind
+        assert not list(build.glob("*" + EXTENSION_SUFFIXES[0]))
+
+
+def _load_in_fresh_interpreter(source: Path, build: Path) -> list[str]:
+    """(implementation, module docstring) from `_load` in a new process,
+    which has no library of `build` loaded yet."""
+    code = ("import sys; from gaslab.keccak import _load; "
+            "fn, impl = _load(sys.argv[1], sys.argv[2]); "
+            "print(impl, fn.__self__.__doc__)")
+    proc = subprocess.run([sys.executable, "-c", code, str(source),
+                           str(build)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC_ROOT),
+                          check=True)
+    return proc.stdout.split(" ", 1)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_changed_source_is_rebuilt_before_it_is_loaded(tmp_path):
+    source, build = tmp_path / "_keccak.c", tmp_path / "build"
+    source.write_bytes(SOURCE.read_bytes())
+    assert MODULE_DOC in source.read_bytes()
+    hash_fn, implementation = _load(str(source), str(build))
+    assert implementation == "c"
+    assert hash_fn.__self__.__doc__ == MODULE_DOC.decode()
+    library = build / ("_keccak" + EXTENSION_SUFFIXES[0])
+    built = library.stat().st_ino, library.stat().st_mtime_ns
+
+    # The same source again: the library is loaded as it was built.
+    assert _load_in_fresh_interpreter(source, build) == \
+        ["c", MODULE_DOC.decode() + "\n"]
+    assert (library.stat().st_ino, library.stat().st_mtime_ns) == built
+
+    # A changed source: rebuilt, and only the new library is loaded.
+    source.write_bytes(source.read_bytes().replace(MODULE_DOC, b"rebuilt"))
+    assert _load_in_fresh_interpreter(source, build) == ["c", "rebuilt\n"]
+    assert (build / "_keccak.c").read_bytes() == source.read_bytes()
+    assert (library.stat().st_ino, library.stat().st_mtime_ns) != built
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_loading_imports_no_hashing_or_build_modules():
+    # At run time the loader only opens files: hashlib and ctypes cost
+    # resident memory, and the compile-path modules are not needed.
+    code = ("import sys, gaslab; print(sorted({'hashlib', 'ctypes', "
+            "'subprocess', 'sysconfig'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC_ROOT),
+                          check=True)
+    assert proc.stdout.strip() == "[]"

