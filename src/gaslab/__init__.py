@@ -8,7 +8,7 @@ repriced gas schedule with constant time-per-gas.
 """
 
 from .chain import ChainRunReport, run_chain
-from .clock import VirtualClock, WallClock, WorkMeter
+from .clock import VirtualClock, WallClock, Work
 from .evm.machine import (IntrinsicGasError, Machine, TxReceipt, TxStatus,
                           execute_transaction)
 from .evm.opcodes import Opcode
@@ -26,7 +26,7 @@ __all__ = [
     "ChainRunReport", "GasSchedule", "IntrinsicGasError", "Machine",
     "MacroCategory", "MerklePatriciaTrie", "NodeStore", "Opcode",
     "SampleSink", "TxReceipt", "TxStatus", "VirtualClock", "WallClock",
-    "WindowAggregate", "WorkMeter", "WorkloadSpec", "default_schedule",
+    "WindowAggregate", "Work", "WorkloadSpec", "default_schedule",
     "execute_transaction", "keccak_256", "load_workload", "read_macro_csv",
     "read_micro_csv", "run_chain", "write_macro_csv", "write_micro_csv",
 ]

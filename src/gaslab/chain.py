@@ -20,7 +20,7 @@ import gc
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .clock import WallClock
+from .clock import VirtualClock, WallClock
 from .evm.machine import execute_transaction
 from .evm.schedule import GasSchedule
 from .metrics import MacroCategory, SampleSink, WindowAggregate
@@ -70,17 +70,20 @@ def verify_block(block: Block, expected_height: int, parent_root: bytes,
 
 
 def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
-              window_size: int = 500, clock=None,
+              window_size: int = 500, virtual: bool = False,
               sink: Optional[SampleSink] = None) -> ChainRunReport:
-    """Drive num_blocks synthetic blocks through the interpreter and trie."""
+    """Drive num_blocks synthetic blocks through the interpreter and trie.
+
+    Timing runs on the wall clock, or with `virtual` on a `VirtualClock`
+    over the run's own work counters (`store.work`).
+    """
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
 
-    if clock is None:
-        clock = WallClock
-    store = NodeStore(meter=clock.meter)
+    store = NodeStore()
+    clock = VirtualClock(store.work) if virtual else WallClock
     trie = MerklePatriciaTrie(store=store)
     generator = WorkloadGenerator(spec, schedule)
     generator.write_genesis(trie)
@@ -113,13 +116,14 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
         final_keys=trie.key_count,
         num_blocks=num_blocks,
         window_size=window_size,
-        clock_mode="virtual" if clock.meter is not None else "wall",
+        clock_mode="virtual" if virtual else "wall",
         spec=spec,
     )
 
 
 def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
                 generator, sink, receipts):
+    work = trie.store.work
     for height in range(num_blocks):
         if height and height % window_size == 0:
             sink.close_window(height)
@@ -130,8 +134,7 @@ def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
         total_start = clock.now_ns()
         verify_start = clock.now_ns()
         verify_block(block, height, parent_root, schedule)
-        if clock.meter is not None:
-            clock.meter.span_overhead()
+        work.spans += 1
         sink.record_span(MacroCategory.VERIFY, clock.now_ns() - verify_start)
         block.parent_root = parent_root
 
@@ -147,8 +150,7 @@ def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
                 tx.gas_limit, receipt.instructions))
 
         finalize_start = clock.now_ns()
-        if clock.meter is not None:
-            clock.meter.commit()
+        work.commits += 1
         block.post_root = trie.root_hash()
         sink.record_span(MacroCategory.DB, clock.now_ns() - finalize_start)
 

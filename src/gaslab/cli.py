@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 from .chain import run_chain
-from .clock import VirtualClock, WallClock
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
 from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
 from .metrics import (CsvFormatError, read_macro_csv, read_micro_csv,
@@ -83,10 +82,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     schedule = _load_schedule(args.schedule)
-    clock = VirtualClock() if args.clock == "virtual" else WallClock
-
-    report = run_chain(spec, args.blocks, schedule,
-                       window_size=args.window, clock=clock)
+    report = run_chain(spec, args.blocks, schedule, window_size=args.window,
+                       virtual=args.clock == "virtual")
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)

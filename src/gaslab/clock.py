@@ -1,14 +1,19 @@
-"""Timing sources for instrumentation.
+"""Work counters and the timing sources built on them.
+
+`Work` is the run's one set of work counters: trie node reads and writes
+(with written bytes), key hashes, instructions, memory words, commits and
+spans. The run's `NodeStore` owns it, and every layer increments it at the
+point where the work happens, whichever clock the run uses, so wall runs
+keep the same counts as virtual ones.
 
 Two interchangeable clocks drive all span and instruction timing:
 
 * `WallClock` reads the OS monotonic clock; it is what the measurement
   study runs on.
-* `VirtualClock` reads a deterministic `WorkMeter` that components tick as
-  they do work (trie node reads/writes, key hashing, instruction bodies).
-  Runs under it are bit-reproducible, which is what the CLI's determinism
-  guarantee and the CI smoke tests rely on; the depth-dependent node-read
-  charges keep the state-growth slowdown visible even in virtual time.
+* `VirtualClock` reads a weighted sum of a `Work`'s counts. Runs under it
+  are bit-reproducible, which is what the CLI's determinism guarantee
+  rests on; the depth-dependent node-read charges keep the state-growth
+  slowdown visible even in virtual time.
 
 Tick weights are arbitrary "virtual nanoseconds"; only their relative
 ordering matters (deep lookups must dominate per-instruction overhead).
@@ -28,40 +33,26 @@ TICKS_COMMIT = 1_500
 TICKS_SPAN = 200
 
 
-class WorkMeter:
-    """Deterministic work accumulator; the time source of `VirtualClock`."""
+class Work:
+    """Counts of the work a run has done; plain ints, incremented in place."""
 
-    __slots__ = ("ticks",)
+    __slots__ = ("node_reads", "node_writes", "node_write_bytes",
+                 "key_hashes", "instructions", "memory_words", "commits",
+                 "spans")
 
     def __init__(self) -> None:
-        self.ticks = 0
-
-    def node_read(self) -> None:
-        self.ticks += TICKS_NODE_READ
-
-    def node_write(self, size: int) -> None:
-        self.ticks += TICKS_NODE_WRITE_BASE + TICKS_NODE_WRITE_PER_BYTE * size
-
-    def key_hash(self) -> None:
-        self.ticks += TICKS_KEY_HASH
-
-    def instruction(self) -> None:
-        self.ticks += TICKS_INSTRUCTION
-
-    def memory_words(self, words: int) -> None:
-        self.ticks += TICKS_MEMORY_WORD * words
-
-    def commit(self) -> None:
-        self.ticks += TICKS_COMMIT
-
-    def span_overhead(self) -> None:
-        self.ticks += TICKS_SPAN
+        self.node_reads = 0
+        self.node_writes = 0
+        self.node_write_bytes = 0
+        self.key_hashes = 0
+        self.instructions = 0
+        self.memory_words = 0
+        self.commits = 0
+        self.spans = 0
 
 
 class WallClock:
-    """Monotonic wall clock; `meter` is None so components skip tick hooks."""
-
-    meter = None
+    """Monotonic wall clock."""
 
     @staticmethod
     def now_ns() -> int:
@@ -69,10 +60,18 @@ class WallClock:
 
 
 class VirtualClock:
-    """Clock whose 'now' is the total deterministic work done so far."""
+    """Clock whose 'now' is the weighted total of the work done so far."""
 
-    def __init__(self, meter: WorkMeter | None = None) -> None:
-        self.meter = meter if meter is not None else WorkMeter()
+    def __init__(self, work: Work) -> None:
+        self.work = work
 
     def now_ns(self) -> int:
-        return self.meter.ticks
+        w = self.work
+        return (TICKS_NODE_READ * w.node_reads
+                + TICKS_NODE_WRITE_BASE * w.node_writes
+                + TICKS_NODE_WRITE_PER_BYTE * w.node_write_bytes
+                + TICKS_KEY_HASH * w.key_hashes
+                + TICKS_INSTRUCTION * w.instructions
+                + TICKS_MEMORY_WORD * w.memory_words
+                + TICKS_COMMIT * w.commits
+                + TICKS_SPAN * w.spans)

@@ -84,7 +84,7 @@ class TxReceipt:
     return_data: bytes
     # opcode name -> [count, total gas, total time ns]
     samples: dict[str, list[int]]
-    instructions: int
+    instructions: int   # sum of the sample counts, child calls included
 
     @property
     def sample_gas_total(self) -> int:
@@ -129,6 +129,7 @@ class Machine:
         self.block_height = block_height
         self.schedule = schedule
         self.clock = clock
+        self.work = trie.store.work
         self.depth = depth
         self.pc = 0
         self.stack: list[int] = []
@@ -142,7 +143,6 @@ class Machine:
         self._samples = sample_arrays if sample_arrays is not None \
             else _SampleArrays()
         self._rules = schedule.rules_by_byte()
-        self.instructions = 0
         self.jumpdests = _scan_jumpdests(code)
 
     @property
@@ -183,8 +183,7 @@ class Machine:
             if cost > self.gas:
                 raise _Halt(TxStatus.OUT_OF_GAS)
             self.gas -= cost
-            if clock.meter is not None:
-                clock.meter.instruction()
+            self.work.instructions += 1
             self.pc = pc + 1
             child = _DISPATCH[byte](self)
             duration = clock.now_ns() - start
@@ -192,7 +191,6 @@ class Machine:
             self._halt(halt.status)
             return
 
-        self.instructions += 1
         arrays = self._samples
         arrays.counts[byte] += 1
         arrays.gas[byte] += cost
@@ -234,8 +232,8 @@ class Machine:
             raise _Halt(TxStatus.OUT_OF_GAS)
         new_words = (offset + size + 31) // 32
         delta = memory_expansion_cost(self.memory_words, new_words)
-        if delta and self.clock.meter is not None:
-            self.clock.meter.memory_words(new_words - self.memory_words)
+        if delta:
+            self.work.memory_words += new_words - self.memory_words
         return delta
 
     def _grow_memory(self, offset: int, size: int) -> None:
@@ -265,7 +263,6 @@ class Machine:
     def _run_child(self, child: "Machine") -> None:
         status = child.run()  # child samples land in the shared arrays
         self.gas = child.gas
-        self.instructions += child.instructions
         if status is not TxStatus.SUCCESS:
             self.status = status
             self.gas = 0
@@ -526,10 +523,8 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
         sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
 
     if status is TxStatus.SUCCESS and commit:
-        meter = clock.meter
         db_start = clock.now_ns()
-        if meter is not None:
-            meter.commit()
+        trie.store.work.commits += 1
         for slot in sorted(machine.storage_buffer):
             value = machine.storage_buffer[slot]
             if value == 0:
@@ -547,4 +542,4 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
     return TxReceipt(status=status, gas_used=gas_used,
                      return_data=machine.return_data,
                      samples=machine.samples,
-                     instructions=machine.instructions)
+                     instructions=sum(machine._samples.counts))

@@ -8,8 +8,7 @@ from .classify import (DEPENDENT, INDEPENDENT, ClassificationResult,
                        classify_bh_dependence, classify_opcode,
                        mean_time_series, pearson_correlation)
 from .contract import (StandardContract, avg_prog_gas, avg_prog_time,
-                       avg_prog_tpg, dependent_time_share,
-                       estimate_standard_contract)
+                       avg_prog_tpg, dependent_time_share)
 from .fit import (bic_score, build_time_models, constant_model,
                   fit_time_model, load_models, models_from_json,
                   models_to_json, save_models)
@@ -28,9 +27,8 @@ __all__ = [
     "bic_score", "build_time_models", "chi_square_decision",
     "chi_square_normality", "classify_bh_dependence", "classify_opcode",
     "constant_model", "current_gas_model", "dependent_time_share",
-    "estimate_standard_contract", "extrapolate", "fit_time_model",
-    "load_models", "macro_micro_differences", "materialize_schedule",
-    "mean_time_series", "models_from_json", "models_to_json",
-    "pearson_correlation", "propose_gas_model", "relative_difference",
-    "save_models",
+    "extrapolate", "fit_time_model", "load_models",
+    "macro_micro_differences", "materialize_schedule", "mean_time_series",
+    "models_from_json", "models_to_json", "pearson_correlation",
+    "propose_gas_model", "relative_difference", "save_models",
 ]

@@ -2,9 +2,8 @@
 
 An opcode is height-dependent when the Pearson correlation between window
 start height and its mean execution time per window exceeds the threshold
-(0.7 by default). Windows weigh equally regardless of sample count; pass
-count_weighted=True to weigh each window by its execution count instead.
-A series with zero variance on either axis defines a correlation of 0.
+(0.7 by default). Windows weigh equally regardless of sample count. A
+series with zero variance on either axis defines a correlation of 0.
 """
 
 from __future__ import annotations
@@ -23,24 +22,20 @@ DEFAULT_THRESHOLD = 0.7
 MIN_WINDOWS = 3
 
 
-def pearson_correlation(xs: Sequence[float], ys: Sequence[float],
-                        weights: Sequence[float] | None = None) -> float:
-    """Weighted Pearson r; zero variance on either axis yields 0."""
+def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson r; zero variance on either axis yields 0."""
     if len(xs) != len(ys):
         raise ValueError("series lengths differ")
-    if weights is None:
-        weights = [1.0] * len(xs)
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    mean_x = sum(w * x for w, x in zip(weights, xs)) / total
-    mean_y = sum(w * y for w, y in zip(weights, ys)) / total
+    if not xs:
+        raise ValueError("empty series")
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
     sxx = sxy = syy = 0.0
-    for w, x, y in zip(weights, xs, ys):
+    for x, y in zip(xs, ys):
         dx, dy = x - mean_x, y - mean_y
-        sxx += w * dx * dx
-        syy += w * dy * dy
-        sxy += w * dx * dy
+        sxx += dx * dx
+        syy += dy * dy
+        sxy += dx * dy
     if sxx == 0 or syy == 0:
         return 0.0
     return sxy / math.sqrt(sxx * syy)
@@ -60,42 +55,39 @@ class ClassificationResult:
 
 
 def mean_time_series(windows: Iterable[WindowAggregate],
-                     opcode: str) -> tuple[list[float], list[float], list[float]]:
-    """(window heights, mean time per execution, counts) where count > 0."""
-    heights, means, counts = [], [], []
+                     opcode: str) -> tuple[list[float], list[float]]:
+    """(window heights, mean time per execution) where count > 0."""
+    heights, means = [], []
     for window in windows:
         stat = window.instructions.get(opcode)
         if stat is None or stat.count == 0:
             continue
         heights.append(float(window.start))
         means.append(stat.time_ns / stat.count)
-        counts.append(float(stat.count))
-    return heights, means, counts
+    return heights, means
 
 
 def classify_opcode(windows: Sequence[WindowAggregate], opcode: str,
-                    threshold: float = DEFAULT_THRESHOLD,
-                    count_weighted: bool = False) -> tuple[float, str]:
+                    threshold: float = DEFAULT_THRESHOLD) -> tuple[float, str]:
     """Correlation and label for one opcode; raises on sparse data."""
-    heights, means, counts = mean_time_series(windows, opcode)
+    heights, means = mean_time_series(windows, opcode)
     if len(heights) < MIN_WINDOWS:
         raise InsufficientDataError(
             f"{opcode}: {len(heights)} usable windows, need {MIN_WINDOWS}")
-    r = pearson_correlation(heights, means,
-                            counts if count_weighted else None)
+    r = pearson_correlation(heights, means)
     return r, (DEPENDENT if r > threshold else INDEPENDENT)
 
 
 def classify_bh_dependence(windows: Sequence[WindowAggregate],
-                           threshold: float = DEFAULT_THRESHOLD,
-                           count_weighted: bool = False) -> ClassificationResult:
+                           threshold: float = DEFAULT_THRESHOLD
+                           ) -> ClassificationResult:
     """Classify every opcode observed in the windows."""
     opcodes = sorted({op for w in windows for op in w.instructions})
     result = ClassificationResult(threshold=threshold)
     for op in opcodes:
-        heights, _, _ = mean_time_series(windows, op)
+        heights, _ = mean_time_series(windows, op)
         try:
-            r, label = classify_opcode(windows, op, threshold, count_weighted)
+            r, label = classify_opcode(windows, op, threshold)
         except InsufficientDataError as exc:
             result.skipped[op] = str(exc)
             continue

@@ -11,7 +11,7 @@ inter-instruction effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .base import (InsufficientDataError, MissingModelError, ScalarModel,
                    UndefinedRatioError)
@@ -42,22 +42,6 @@ class StandardContract:
         if total <= 0:
             raise InsufficientDataError("no instruction counts")
         return cls(length, {op: c / total for op, c in counts.items() if c})
-
-
-def estimate_standard_contract(receipts: Iterable) -> StandardContract:
-    """Aggregate successful receipts into (length, frequencies)."""
-    counts: dict[str, int] = {}
-    lengths = []
-    for receipt in receipts:
-        if receipt.status.value != "success":
-            continue
-        lengths.append(receipt.instructions)
-        for op, (count, _gas, _time) in receipt.samples.items():
-            counts[op] = counts.get(op, 0) + count
-    if not lengths:
-        raise InsufficientDataError("no successful transactions")
-    mean_length = sum(lengths) / len(lengths)
-    return StandardContract.from_counts(mean_length, counts)
 
 
 def _weighted_sum(n: float, models: Mapping[str, ScalarModel],

@@ -17,7 +17,7 @@ import json
 import math
 import random
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,25 +38,22 @@ def bic_score(rss: float, n_points: int, n_coefficients: int) -> float:
     return n_points * math.log(rss / n_points) + n_coefficients * math.log(n_points)
 
 
-def _split_indices(n: int, split: float, seed: int) -> tuple[list[int], list[int]]:
+def _split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
-    cut = max(1, min(n - 1, int(round(n * split))))
+    cut = max(1, min(n - 1, int(round(n * DEFAULT_SPLIT))))
     return sorted(indices[:cut]), sorted(indices[cut:])
 
 
 def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
-                   degrees: Iterable[int] = DEFAULT_DEGREES,
-                   split: float = DEFAULT_SPLIT, seed: int = 0) -> ScalarModel:
+                   seed: int = 0) -> ScalarModel:
     """Fit and select a polynomial time model for one opcode."""
-    heights, means, _ = mean_time_series(windows, opcode)
+    heights, means = mean_time_series(windows, opcode)
     if len(heights) < MIN_FIT_WINDOWS:
         raise InsufficientDataError(
             f"{opcode}: {len(heights)} usable windows, need {MIN_FIT_WINDOWS}")
-    if not 0 < split < 1:
-        raise ValueError("split must be in (0, 1)")
 
-    train_idx, val_idx = _split_indices(len(heights), split, seed)
+    train_idx, val_idx = _split_indices(len(heights), seed)
     xs = np.asarray(heights, dtype=float)
     ys = np.asarray(means, dtype=float)
 
@@ -67,9 +64,7 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
     xs_std = (xs - center) / scale
 
     best: tuple[float, int, tuple[float, ...], float] | None = None
-    for degree in sorted(set(degrees)):
-        if degree < 1:
-            raise ValueError("polynomial degrees start at 1")
+    for degree in DEFAULT_DEGREES:
         if len(train_idx) < degree + 1:
             continue
         try:
@@ -110,7 +105,7 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
 def constant_model(windows: Sequence[WindowAggregate],
                    opcode: str) -> ScalarModel:
     """Mean-time constant model (used for height-independent opcodes)."""
-    heights, means, _ = mean_time_series(windows, opcode)
+    heights, means = mean_time_series(windows, opcode)
     if not heights:
         raise InsufficientDataError(f"{opcode}: no usable windows")
     mean = sum(means) / len(means)
@@ -124,8 +119,6 @@ def constant_model(windows: Sequence[WindowAggregate],
 
 def build_time_models(windows: Sequence[WindowAggregate],
                       classification: ClassificationResult,
-                      degrees: Iterable[int] = DEFAULT_DEGREES,
-                      split: float = DEFAULT_SPLIT,
                       seed: int = 0) -> dict[str, ScalarModel]:
     """Models for every observed opcode.
 
@@ -136,9 +129,9 @@ def build_time_models(windows: Sequence[WindowAggregate],
     models: dict[str, ScalarModel] = {}
     for op in opcodes:
         label = classification.labels.get(op)
-        heights, _, _ = mean_time_series(windows, op)
+        heights, _ = mean_time_series(windows, op)
         if label == DEPENDENT and len(heights) >= MIN_FIT_WINDOWS:
-            models[op] = fit_time_model(windows, op, degrees, split, seed)
+            models[op] = fit_time_model(windows, op, seed)
         elif heights:
             models[op] = constant_model(windows, op)
     return models

@@ -27,6 +27,7 @@ from ..model.base import InsufficientDataError
 EXTRAPOLATION_FACTOR = 1.25
 DEFAULT_CHI_BINS = 20
 EARLY_WINDOWS = 5
+TOP_TIME_SHARE = 6
 
 
 @dataclass
@@ -79,8 +80,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
                     threshold: float = 0.7,
                     target_tpg: float = 5.0,
                     split_seed: int = 0,
-                    contract_length: Optional[float] = None,
-                    top_time_share: int = 6) -> AnalysisResult:
+                    contract_length: Optional[float] = None) -> AnalysisResult:
     """Run the full analysis over micro (and optionally macro) windows."""
     if not micro:
         raise InsufficientDataError("no micro windows to analyze")
@@ -134,7 +134,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
     for w in micro:
         for op, stat in w.instructions.items():
             totals[op] = totals.get(op, 0) + stat.time_ns
-    top_ops = sorted(totals, key=lambda op: (-totals[op], op))[:top_time_share]
+    top_ops = sorted(totals, key=lambda op: (-totals[op], op))[:TOP_TIME_SHARE]
     share_rows = []
     for w in micro:
         window_total = w.instruction_time_total()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .clock import Work
 from .keccak import keccak_256
 from . import rlp
 
@@ -79,15 +80,15 @@ class NodeStore:
 
     It holds committed nodes only: the trie puts nodes here when
     `MerklePatriciaTrie.root_hash()` hashes its pending mutations.
-    Re-inserting an identical node is a no-op. Reads and writes are counted
-    and reported to an optional work meter.
+    Re-inserting an identical node is a no-op. The store is archive-style:
+    a node superseded by a later commit is never dropped, so the store
+    grows with every write, not with the live state. `work` holds the run's
+    work counters (see `gaslab.clock`); reads and writes count there.
     """
 
-    def __init__(self, meter=None):
+    def __init__(self):
         self._data: dict[bytes, bytes] = {}
-        self.meter = meter
-        self.reads = 0
-        self.writes = 0
+        self.work = Work()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -96,20 +97,18 @@ class NodeStore:
         return self._data.keys()
 
     def get(self, key: bytes) -> bytes:
-        self.reads += 1
         try:
             value = self._data[key]
         except KeyError:
             raise CorruptStoreError(key.hex()) from None
-        if self.meter is not None:
-            self.meter.node_read()
+        self.work.node_reads += 1
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        self.writes += 1
+        work = self.work
+        work.node_writes += 1
+        work.node_write_bytes += len(value)
         self._data[key] = value
-        if self.meter is not None:
-            self.meter.node_write(len(value))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,6 @@ class MerklePatriciaTrie:
         self.store = store if store is not None else NodeStore()
         self.secure = secure
         self._key_path_cache: dict[bytes, list[int]] = {}
-        self.last_lookup_depth = 0
         self.key_count = 0
         if root_hash is None or root_hash == EMPTY_ROOT:
             self._root_ref: rlp.RlpItem = EMPTY_REF
@@ -151,12 +149,13 @@ class MerklePatriciaTrie:
         return self._root_ref
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Value last inserted for key, or None. Sets `last_lookup_depth`."""
+        """Value last inserted for key, or None.
+
+        Each level of the walk is one `store.get`, so the lookup's depth is
+        the change in `store.work.node_reads` across the call.
+        """
         self.root_hash()  # lookups walk committed nodes only
-        reads_before = self.store.reads
-        value = self._get(self._root_ref, self._path_of(key))
-        self.last_lookup_depth = self.store.reads - reads_before
-        return value
+        return self._get(self._root_ref, self._path_of(key))
 
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert or update; an empty value is a delete request."""
@@ -185,8 +184,7 @@ class MerklePatriciaTrie:
             if len(self._key_path_cache) >= _KEY_PATH_CACHE_CAP:
                 self._key_path_cache.clear()
             self._key_path_cache[key] = path
-        if self.store.meter is not None:
-            self.store.meter.key_hash()
+        self.store.work.key_hashes += 1
         return path
 
     def _resolve(self, ref: rlp.RlpItem) -> Optional[list]:

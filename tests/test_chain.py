@@ -1,12 +1,17 @@
 """Chain driver invariants: determinism, containment, conservation."""
 
+from importlib import resources
+
 import pytest
 
+import gaslab.chain
 from gaslab.chain import VerificationError, run_chain, verify_block
-from gaslab.clock import VirtualClock
+from gaslab.clock import Work
 from gaslab.evm.schedule import default_schedule
 from gaslab.model import classify_opcode
-from gaslab.workload import Block, Transaction, WorkloadGenerator, WorkloadSpec
+from gaslab.trie import NodeStore
+from gaslab.workload import (Block, Transaction, WorkloadGenerator,
+                             WorkloadSpec, load_workload)
 
 SCHED = default_schedule()
 
@@ -17,8 +22,8 @@ MIXED = WorkloadSpec(
 
 
 def virtual_run(spec, blocks, window, **kwargs):
-    return run_chain(spec, blocks, SCHED, window_size=window,
-                     clock=VirtualClock(), **kwargs)
+    return run_chain(spec, blocks, SCHED, window_size=window, virtual=True,
+                     **kwargs)
 
 
 def test_replay_determinism_static_behavior():
@@ -29,6 +34,28 @@ def test_replay_determinism_static_behavior():
     for wa, wb in zip(rep_a.windows, rep_b.windows):
         assert wa.instructions == wb.instructions
         assert wa.categories == wb.categories
+
+
+def test_work_counts_do_not_depend_on_the_clock(monkeypatch):
+    stores = []
+
+    class RecordingStore(NodeStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(gaslab.chain, "NodeStore", RecordingStore)
+    spec = load_workload(resources.files("gaslab").joinpath(
+        "data", "workloads", "mixed_fig8.json"))
+    counts = {}
+    for virtual in (False, True):
+        report = run_chain(spec, 30, SCHED, window_size=10, virtual=virtual)
+        assert report.clock_mode == ("virtual" if virtual else "wall")
+        work = stores[-1].work
+        counts[virtual] = {name: getattr(work, name)
+                           for name in Work.__slots__}
+    assert counts[False] == counts[True]
+    assert all(counts[True].values()), counts[True]
 
 
 def test_all_transactions_succeed_and_windows_cover_run():

@@ -165,6 +165,20 @@ def test_analyze_malformed_row_reports_line_number(tmp_path, capsys):
     assert ":3:" in err  # the offending line number
 
 
+def test_analyze_receipts_without_a_success_is_exit_2(tmp_path, capsys):
+    receipts = tmp_path / "receipts.csv"
+    receipts.write_text("height,tx_index,status,gas_used,gas_limit,"
+                        "instructions\n"
+                        "0,0,out-of-gas,50000,50000,7\n"
+                        "1,0,invalid-op,30000,30000,2\n")
+    assert run_cli("analyze", "--micro", TABLE3,
+                   "--receipts", str(receipts),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "no successful transactions" in err
+    assert "Traceback" not in err
+
+
 def test_plot_unknown_figure_is_exit_2(tmp_path):
     sim = simulate(tmp_path / "sim", blocks=200, window=50)
     out = tmp_path / "an"

@@ -128,10 +128,10 @@ def test_committed_transaction_leaves_nothing_dirty():
                   Opcode.PUSH1, 2, Opcode.PUSH1, 6, Opcode.SSTORE])
     receipt = run(code, trie=trie, commit=True)
     assert receipt.status is TxStatus.SUCCESS
-    nodes, writes = len(trie.store), trie.store.writes
+    nodes, writes = len(trie.store), trie.store.work.node_writes
     assert nodes > 0
     trie.root_hash()  # the transaction already hashed its writes
-    assert (len(trie.store), trie.store.writes) == (nodes, writes)
+    assert (len(trie.store), trie.store.work.node_writes) == (nodes, writes)
 
 
 def test_failed_transaction_commits_nothing():
@@ -408,9 +408,8 @@ def test_block_height_polynomial_schedule():
 
 def test_virtual_clock_gives_deterministic_durations():
     def durations():
-        clock = VirtualClock()
         trie = MerklePatriciaTrie()
-        trie.store.meter = clock.meter
+        clock = VirtualClock(trie.store.work)
         code = bytes([Opcode.PUSH1, 3, Opcode.PUSH1, 9, Opcode.SSTORE,
                       Opcode.PUSH1, 9, Opcode.SLOAD, Opcode.POP, Opcode.STOP])
         receipt = execute_transaction(code, trie, 100_000, 0, SCHED,

@@ -100,20 +100,6 @@ def test_windows_with_zero_count_are_excluded():
     assert r == pytest.approx(1.0)
 
 
-def test_count_weighted_correlation_option():
-    # one huge flat window dominates when weighting by count
-    windows = [
-        WindowAggregate(0, {"OP": InstructionStat(1, 3, 10)}, {}),
-        WindowAggregate(1, {"OP": InstructionStat(1, 3, 20)}, {}),
-        WindowAggregate(2, {"OP": InstructionStat(10_000, 30_000, 150_000)},
-                        {}),
-        WindowAggregate(3, {"OP": InstructionStat(1, 3, 40)}, {}),
-    ]
-    unweighted, _ = classify_opcode(windows, "OP")
-    weighted, _ = classify_opcode(windows, "OP", count_weighted=True)
-    assert unweighted != weighted
-
-
 @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
                 min_size=3, max_size=40),
        st.floats(0.01, 100), st.floats(-1e3, 1e3),

@@ -1,16 +1,10 @@
-import math
 import random
 
 import pytest
 
-from gaslab.evm.machine import TxStatus, execute_transaction
-from gaslab.evm.opcodes import Opcode
-from gaslab.evm.schedule import default_schedule
-from gaslab.model import (InsufficientDataError, MissingModelError,
-                          ScalarModel, StandardContract, UndefinedRatioError,
-                          avg_prog_gas, avg_prog_time, avg_prog_tpg,
-                          dependent_time_share, estimate_standard_contract)
-from gaslab.trie import MerklePatriciaTrie
+from gaslab.model import (MissingModelError, ScalarModel, StandardContract,
+                          UndefinedRatioError, avg_prog_gas, avg_prog_time,
+                          avg_prog_tpg, dependent_time_share)
 
 
 def constant(value):
@@ -106,52 +100,3 @@ def test_dependent_time_share_requires_coverage():
     contract = StandardContract(1.0, {"A": 1.0})
     with pytest.raises(MissingModelError):
         dependent_time_share(0, {"A": constant(1.0)}, {}, contract)
-
-
-# ---------------------------------------------------------------------------
-# estimation from receipts
-# ---------------------------------------------------------------------------
-
-def run_single_op_tx(trie, op_byte, count, sched):
-    code = bytes([op_byte, 1, Opcode.POP] if False else
-                 [Opcode.PUSH1, 1, Opcode.POP] * count)
-    return execute_transaction(code, trie, 500_000, 0, sched)
-
-
-def test_estimate_from_identical_transactions():
-    sched = default_schedule()
-    trie = MerklePatriciaTrie()
-    receipts = [run_single_op_tx(trie, Opcode.PUSH1, 6, sched)
-                for _ in range(5)]
-    contract = estimate_standard_contract(receipts)
-    assert contract.length == pytest.approx(12.0)  # 6 pushes + 6 pops
-    assert contract.frequencies == {"PUSH1": 0.5, "POP": 0.5}
-
-
-def test_estimate_blends_transaction_kinds():
-    sched = default_schedule()
-    trie = MerklePatriciaTrie()
-    add_code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
-                      Opcode.STOP])
-    mul_code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.MUL,
-                      Opcode.STOP])
-    receipts = []
-    for _ in range(10):
-        receipts.append(execute_transaction(add_code, trie, 100_000, 0, sched))
-        receipts.append(execute_transaction(mul_code, trie, 100_000, 0, sched))
-    contract = estimate_standard_contract(receipts)
-    assert contract.length == pytest.approx(4.0)
-    assert contract.frequencies["PUSH1"] == pytest.approx(0.5)
-    assert contract.frequencies["ADD"] == pytest.approx(0.125)
-    assert contract.frequencies["MUL"] == pytest.approx(0.125)
-    assert math.isclose(sum(contract.frequencies.values()), 1.0,
-                        abs_tol=1e-12)
-
-
-def test_estimate_requires_a_successful_transaction():
-    sched = default_schedule()
-    trie = MerklePatriciaTrie()
-    bad = execute_transaction(bytes([0xFE]), trie, 30_000, 0, sched)
-    assert bad.status is TxStatus.INVALID_OP
-    with pytest.raises(InsufficientDataError):
-        estimate_standard_contract([bad])

@@ -205,12 +205,18 @@ def test_content_addressing_of_stored_nodes():
         assert len(encoded) >= 32 or keccak_256(encoded) == trie.root_hash()
 
 
+def lookup_depth(trie, key):
+    """Nodes read by one `get`: the change in the store's read count."""
+    reads = trie.store.work.node_reads
+    trie.get(key)
+    return trie.store.work.node_reads - reads
+
+
 def test_lookup_depth_bounded_and_growing():
     # depth never exceeds the nibble-path length
     trie = make_trie(FIXTURE_PAIRS, secure=False)
     for key in FIXTURE_PAIRS:
-        trie.get(key)
-        assert trie.last_lookup_depth <= 2 * len(key) + 1
+        assert lookup_depth(trie, key) <= 2 * len(key) + 1
 
     # mean depth grows with key-count (4^d random keys, d = 2..5)
     rng = random.Random(5)
@@ -220,10 +226,7 @@ def test_lookup_depth_bounded_and_growing():
         keys = [rng.randbytes(8) for _ in range(4 ** exponent)]
         for key in keys:
             t.insert(key, b"v")
-        total = 0
-        for key in keys:
-            t.get(key)
-            total += t.last_lookup_depth
+        total = sum(lookup_depth(t, key) for key in keys)
         depths.append(total / len(keys))
     assert depths == sorted(depths)
     assert depths[-1] > depths[0]
@@ -303,12 +306,12 @@ def test_interleaved_mutations_gets_and_commits_match_oracle(ops):
 
 def test_mutations_touch_the_store_only_at_commit():
     trie = make_trie(FIXTURE_PAIRS)
-    assert len(trie.store) == 0 and trie.store.writes == 0
+    assert len(trie.store) == 0 and trie.store.work.node_writes == 0
     trie.root_hash()
-    writes = trie.store.writes
+    writes = trie.store.work.node_writes
     assert writes > 0
     trie.root_hash()  # nothing left dirty
-    assert trie.store.writes == writes
+    assert trie.store.work.node_writes == writes
 
 
 def test_committed_store_holds_every_reachable_node():
