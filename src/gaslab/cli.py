@@ -27,13 +27,15 @@ from pathlib import Path
 from .chain import run_chain
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
 from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
-from .metrics import (CsvFormatError, read_macro_csv, read_micro_csv,
-                      write_macro_csv, write_micro_csv)
-from .model import (InsufficientDataError, InvalidConstantError, load_models,
+from .metrics import (CsvFormatError, atomic_write_text, read_macro_csv,
+                      read_micro_csv, read_table, write_macro_csv,
+                      write_micro_csv, write_table)
+from .model import (InsufficientDataError, InvalidConstantError,
+                    ModelFileError, UndefinedRatioError, load_models,
                     materialize_schedule, propose_gas_model, save_models)
-from .report.bundle import atomic_write_text, write_manifest
-from .report.economics import (economics_table, fee_economics,
-                               read_price_csv)
+from .report.bundle import write_manifest
+from .report.economics import (ECONOMICS_HEADER, economics_table,
+                               fee_economics, price_for, read_price_csv)
 from .report.pipeline import analyze_windows
 from .report.svg import render_line_chart
 from .workload import WorkloadError, load_workload
@@ -43,6 +45,13 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 RECEIPTS_HEADER = "height,tx_index,status,gas_used,gas_limit,instructions"
+CLASSIFICATION_HEADER = "opcode,windows,correlation,label"
+DEP_SHARE_HEADER = "window_start,dependent_share,extrapolated"
+GAS_CURVES_HEADER = "window_start,current_model_gas,proposed_model_gas"
+TPG_CURVES_HEADER = ("window_start,observed_tpg,current_model_tpg,"
+                     "proposed_model_tpg,proposed_integer_tpg")
+TIME_SHARE_HEADER = "window_start,opcode,time_share"
+MACRO_MICRO_HEADER = "window_start,relative_difference"
 
 
 class InputError(Exception):
@@ -77,6 +86,9 @@ def _require_file(path: str, what: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    for flag, value in (("--blocks", args.blocks), ("--window", args.window)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
     spec_path = _require_file(args.workload, "workload spec")
     spec = load_workload(spec_path)
     if args.seed is not None:
@@ -89,11 +101,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_micro_csv(report.windows, out / "micro.csv")
     write_macro_csv(report.windows, out / "macro.csv")
-    receipt_lines = [RECEIPTS_HEADER]
-    receipt_lines += [
-        f"{r.height},{r.tx_index},{r.status},{r.gas_used},{r.gas_limit},"
-        f"{r.instructions}" for r in report.receipts]
-    atomic_write_text(out / "receipts.csv", "\n".join(receipt_lines) + "\n")
+    write_table(out / "receipts.csv", RECEIPTS_HEADER, report.receipts)
     summary = {
         "blocks": report.num_blocks,
         "window_size": report.window_size,
@@ -123,24 +131,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_receipt_length(path: Path) -> float:
-    lengths = []
-    saw_header = False
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line != RECEIPTS_HEADER:
-                raise CsvFormatError(str(path), line_no,
-                                     f"expected header {RECEIPTS_HEADER!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise CsvFormatError(str(path), line_no,
-                                 f"expected 6 fields, got {len(parts)}")
-        if parts[2] == "success":
-            lengths.append(int(parts[5]))
+    rows = read_table(path, RECEIPTS_HEADER,
+                      lambda fields: (fields[2], int(fields[5])))
+    lengths = [length for status, length in rows if status == "success"]
     if not lengths:
         raise InputError(f"{path}: no successful transactions")
     return sum(lengths) / len(lengths)
@@ -170,44 +163,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cls = result.classification
-    lines = ["opcode,windows,correlation,label"]
-    for op in sorted(cls.labels):
-        lines.append(f"{op},{cls.windows_used[op]},{cls.correlations[op]!r},"
-                     f"{cls.labels[op]}")
-    atomic_write_text(out / "classification.csv", "\n".join(lines) + "\n")
-
+    write_table(out / "classification.csv", CLASSIFICATION_HEADER,
+                ((op, cls.windows_used[op], cls.correlations[op],
+                  cls.labels[op]) for op in sorted(cls.labels)))
     save_models(result.time_models, out / "time_models.json")
     save_models(result.proposed_gas.models, out / "proposed_gas_models.json")
-
-    lines = ["window_start,dependent_share,extrapolated"]
-    lines += [f"{n},{share!r},{int(extra)}"
-              for n, share, extra in result.dep_share]
-    atomic_write_text(out / "dep_share.csv", "\n".join(lines) + "\n")
-
-    lines = ["window_start,current_model_gas,proposed_model_gas"]
-    lines += [f"{n},{result.current_model_gas[n]!r},"
-              f"{result.proposed_model_gas[n]!r}"
-              for n in result.window_heights]
-    atomic_write_text(out / "gas_curves.csv", "\n".join(lines) + "\n")
-
-    lines = ["window_start,observed_tpg,current_model_tpg,"
-             "proposed_model_tpg,proposed_integer_tpg"]
-    for n in result.window_heights:
-        observed = result.observed_tpg.get(n)
-        lines.append(
-            f"{n},{'' if observed is None else repr(observed)},"
-            f"{result.current_model_tpg[n]!r},"
-            f"{result.proposed_model_tpg[n]!r},"
-            f"{result.proposed_integer_tpg[n]!r}")
-    atomic_write_text(out / "tpg_curves.csv", "\n".join(lines) + "\n")
-
-    lines = ["window_start,opcode,time_share"]
-    lines += [f"{n},{op},{share!r}" for n, op, share in result.time_share_rows]
-    atomic_write_text(out / "time_share.csv", "\n".join(lines) + "\n")
-
-    lines = ["window_start,relative_difference"]
-    lines += [f"{n},{d!r}" for n, d in result.macro_micro]
-    atomic_write_text(out / "macro_micro.csv", "\n".join(lines) + "\n")
+    write_table(out / "dep_share.csv", DEP_SHARE_HEADER,
+                ((n, share, int(extra))
+                 for n, share, extra in result.dep_share))
+    write_table(out / "gas_curves.csv", GAS_CURVES_HEADER,
+                ((n, result.current_model_gas[n], result.proposed_model_gas[n])
+                 for n in result.window_heights))
+    write_table(out / "tpg_curves.csv", TPG_CURVES_HEADER,
+                ((n, result.observed_tpg.get(n), result.current_model_tpg[n],
+                  result.proposed_model_tpg[n], result.proposed_integer_tpg[n])
+                 for n in result.window_heights))
+    write_table(out / "time_share.csv", TIME_SHARE_HEADER,
+                result.time_share_rows)
+    write_table(out / "macro_micro.csv", MACRO_MICRO_HEADER,
+                result.macro_micro)
 
     chi_doc: dict[str, object]
     if result.chi_square is not None:
@@ -258,36 +232,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 FIGURES = {
-    "tpg-observed": ("tpg_curves.csv", "block height", "time per gas (ns)",
-                     [("observed_tpg", "observed")]),
-    "tpg-model": ("tpg_curves.csv", "block height", "time per gas (ns)",
+    "tpg-observed": ("tpg_curves.csv", TPG_CURVES_HEADER, "block height",
+                     "time per gas (ns)", [("observed_tpg", "observed")]),
+    "tpg-model": ("tpg_curves.csv", TPG_CURVES_HEADER, "block height",
+                  "time per gas (ns)",
                   [("current_model_tpg", "current schedule"),
                    ("proposed_model_tpg", "proposed schedule")]),
-    "gas-model": ("gas_curves.csv", "block height", "avg program gas",
+    "gas-model": ("gas_curves.csv", GAS_CURVES_HEADER, "block height",
+                  "avg program gas",
                   [("current_model_gas", "current schedule"),
                    ("proposed_model_gas", "proposed schedule")]),
-    "dep-share": ("dep_share.csv", "block height", "dependent time share",
+    "dep-share": ("dep_share.csv", DEP_SHARE_HEADER, "block height",
+                  "dependent time share",
                   [("dependent_share", "dependent share")]),
-    "fee-vs-infra": ("economics.csv", "window start", "USD",
+    "fee-vs-infra": ("economics.csv", ECONOMICS_HEADER, "window start", "USD",
                      [("fee_usd", "transaction fees"),
                       ("infra_usd", "infrastructure cost")]),
 }
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    rows = []
-    header: list[str] | None = None
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(line.split(","))
-    if header is None:
-        raise InputError(f"{path}: empty table")
-    return header, rows
+def _plot_row(fields: list[str]) -> list[float | None]:
+    """x, then every other cell as a number; an empty cell is None."""
+    return [float(fields[0])] + [float(cell) if cell else None
+                                 for cell in fields[1:]]
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -295,28 +262,22 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise InputError(
             f"unknown figure {args.figure!r}; available: "
             f"{', '.join(sorted(FIGURES))}")
-    table_name, x_label, y_label, columns = FIGURES[args.figure]
+    table_name, header, x_label, y_label, columns = FIGURES[args.figure]
     bundle = Path(args.bundle)
     table_path = bundle / table_name
     if not table_path.is_file():
         raise InputError(f"bundle table not found: {table_path}")
-    header, rows = _read_table(table_path)
-    x_col = header[0]
+    rows = read_table(table_path, header, _plot_row)
+    names = header.split(",")
     series = []
     for column, label in columns:
-        if column not in header:
-            raise InputError(f"{table_path}: missing column {column!r}")
-        idx = header.index(column)
-        points = []
-        for row in rows:
-            if row[idx] == "":
-                continue
-            points.append((float(row[0]), float(row[idx])))
+        idx = names.index(column)
+        points = [(row[0], row[idx]) for row in rows if row[idx] is not None]
         if points:
             series.append((label, points))
     if not series:
         raise InputError(f"{table_path}: no plottable data")
-    svg = render_line_chart(f"{args.figure} ({x_col})", x_label, y_label,
+    svg = render_line_chart(f"{args.figure} ({names[0]})", x_label, y_label,
                             series)
     out_path = (_out_dir(args.out) if args.out
                 else bundle / f"{args.figure}.svg")
@@ -331,36 +292,39 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_economics(args: argparse.Namespace) -> int:
+    if args.gas_price < 0:
+        raise InputError(f"--gas-price must be >= 0, got {args.gas_price}")
+    if args.micro and not args.macro:
+        raise InputError("table mode needs --macro: the window wall times "
+                         "come from its Total spans")
     prices_path = _require_file(args.prices, "price series")
     prices = read_price_csv(prices_path)
 
     if args.micro:
-        micro = read_micro_csv(_require_file(args.micro, "micro CSV"))
-        macro = (read_macro_csv(_require_file(args.macro, "macro CSV"))
-                 if args.macro else micro)
-        rows = economics_table(micro, macro, prices, args.gas_price)
+        micro_path = _require_file(args.micro, "micro CSV")
+        macro_path = _require_file(args.macro, "macro CSV")
+        rows = economics_table(read_micro_csv(micro_path),
+                               read_macro_csv(macro_path), prices,
+                               args.gas_price)
         out = _out_dir(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["window_start,gas,fee_usd,infra_usd,ratio"]
-        lines += [f"{r['window_start']},{r['gas']},{r['fee_usd']!r},"
-                  f"{r['infra_usd']!r},{r['ratio']!r}" for r in rows]
-        atomic_write_text(out / "economics.csv", "\n".join(lines) + "\n")
-        inputs = {"prices": prices_path, "micro": Path(args.micro)}
-        if args.macro:
-            inputs["macro"] = Path(args.macro)
+        columns = ECONOMICS_HEADER.split(",")
+        write_table(out / "economics.csv", ECONOMICS_HEADER,
+                    ([row[c] for c in columns] for row in rows))
         write_manifest(out, "economics",
                        params={"gas_price": args.gas_price},
-                       inputs=inputs, outputs=["economics.csv"])
+                       inputs={"prices": prices_path, "micro": micro_path,
+                               "macro": macro_path},
+                       outputs=["economics.csv"])
         print(f"wrote {out / 'economics.csv'}")
         return EXIT_OK
 
     if args.gas is None or args.hours is None:
         raise InputError("scalar mode needs --gas and --hours "
-                         "(or provide --micro for table mode)")
-    point = prices[0]
-    for candidate in prices:
-        if candidate.window_start <= args.window_start:
-            point = candidate
+                         "(or provide --micro and --macro for table mode)")
+    if args.gas < 0 or args.hours < 0:
+        raise InputError("--gas and --hours must be >= 0")
+    point = price_for(prices, args.window_start)
     econ = fee_economics(args.gas, args.gas_price, point.eth_usd,
                          args.hours, point.infra_usd_per_hour)
     print(f"fee_usd={econ.fee_usd!r} infra_usd={econ.infra_usd!r} "
@@ -437,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gas-price", type=int, default=20_000_000_000,
                    help="gas price in wei (default 20 gwei)")
     p.add_argument("--micro", default=None, help="micro CSV (table mode)")
-    p.add_argument("--macro", default=None, help="macro CSV for wall time")
+    p.add_argument("--macro", default=None,
+                   help="macro CSV for wall time (table mode)")
     p.add_argument("--gas", type=int, default=None, help="scalar mode: gas")
     p.add_argument("--hours", type=float, default=None,
                    help="scalar mode: wall hours")
@@ -467,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InputError, WorkloadError, CsvFormatError, ScheduleError,
-            InsufficientDataError, InvalidConstantError) as exc:
+            InsufficientDataError, InvalidConstantError, ModelFileError,
+            UndefinedRatioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:

@@ -85,23 +85,11 @@ def _arity_table() -> dict[Opcode, tuple[int, int]]:
 
 ARITY: dict[Opcode, tuple[int, int]] = _arity_table()
 
-_BY_VALUE = {op.value: op for op in Opcode}
 _BY_NAME = {op.name: op for op in Opcode}
-
-
-def from_byte(byte: int) -> Opcode | None:
-    return _BY_VALUE.get(byte)
 
 
 def from_name(name: str) -> Opcode | None:
     return _BY_NAME.get(name)
-
-
-def push_width(op: Opcode) -> int:
-    """Immediate byte width for PUSH opcodes, 0 otherwise."""
-    if Opcode.PUSH1 <= op <= Opcode.PUSH32:
-        return op - Opcode.PUSH1 + 1
-    return 0
 
 
 def push_for(value: int) -> tuple[Opcode, bytes]:

@@ -9,24 +9,33 @@ One thread records: the chain driver runs blocks in order and closes a
 window between blocks, so the open window is two plain dicts that
 `close_window` freezes and replaces.
 
-On-disk CSV formats (the interchange boundary for analysis):
+This module owns the table format of every CSV that gaslab reads or
+writes (the interchange boundary for analysis): `read_table` and
+`write_table` are the only code that splits or joins table lines. A table
+is an exact header line, then rows with the header's field count; blank
+lines and lines starting with '#' are skipped, so fixture files can carry
+their provenance inline. A malformed table raises `CsvFormatError` naming
+`path:line`. Files are written atomically (temp name, then rename).
 
     micro: window_start,opcode,count,total_gas,total_time_ns
     macro: window_start,category,total_time_ns
 
-Lines starting with '#' are treated as comments so fixture files can carry
-their provenance inline. All times are integer nanoseconds.
+All times are integer nanoseconds.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 MICRO_HEADER = "window_start,opcode,count,total_gas,total_time_ns"
 MACRO_HEADER = "window_start,category,total_time_ns"
+
+T = TypeVar("T")
 
 
 class MacroCategory(enum.Enum):
@@ -45,7 +54,7 @@ class InstructionStat(NamedTuple):
 
 
 class CsvFormatError(ValueError):
-    """Malformed instrumentation CSV; carries the offending line number."""
+    """Malformed table; carries the offending line number."""
 
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -118,96 +127,114 @@ class SampleSink:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# Tables: one reader and one writer for every CSV gaslab reads or writes
 # ---------------------------------------------------------------------------
 
-def write_micro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> None:
-    lines = [MICRO_HEADER]
-    for window in windows:
-        for op in sorted(window.instructions):
-            stat = window.instructions[op]
-            if stat.count == 0:
-                continue
-            lines.append(f"{window.start},{op},{stat.count},{stat.gas},{stat.time_ns}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write to a temp name in the target directory, then rename into place."""
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
-def write_macro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> None:
-    lines = [MACRO_HEADER]
-    for window in windows:
-        for name in sorted(window.categories):
-            lines.append(f"{window.start},{name},{window.categories[name]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_table(path: str | Path, header: str,
+                rows: Iterable[Iterable[object]]) -> None:
+    """Write header and rows atomically; cells print with str(), None as ''."""
+    lines = [header]
+    lines += [",".join("" if cell is None else str(cell) for cell in row)
+              for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
+def read_table(path: str | Path, header: str,
+               parse_row: Callable[[list[str]], T]) -> list[T]:
+    """Parse every data row of a table at path with parse_row.
+
+    Blank lines and '#' lines are skipped. The first other line must equal
+    header, every later line must have the header's field count, and there
+    must be at least one data row. A ValueError from parse_row becomes a
+    CsvFormatError naming the row's line.
+    """
+    path = Path(path)
+    width = header.count(",") + 1
+    rows: list[T] = []
+    header_line = 0
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line_no, line
+        if not header_line:
+            if line != header:
+                raise CsvFormatError(str(path), line_no,
+                                     f"expected header {header!r}")
+            header_line = line_no
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise CsvFormatError(str(path), line_no,
+                                 f"expected {width} fields, got {len(fields)}")
+        try:
+            rows.append(parse_row(fields))
+        except ValueError as exc:
+            raise CsvFormatError(str(path), line_no, str(exc)) from None
+    if not header_line:
+        raise CsvFormatError(str(path), 1, "missing header")
+    if not rows:
+        raise CsvFormatError(str(path), header_line, "no data rows")
+    return rows
+
+
+def write_micro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> None:
+    write_table(path, MICRO_HEADER, (
+        (window.start, op, *window.instructions[op])
+        for window in windows for op in sorted(window.instructions)
+        if window.instructions[op].count))
+
+
+def write_macro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> None:
+    write_table(path, MACRO_HEADER, (
+        (window.start, name, window.categories[name])
+        for window in windows for name in sorted(window.categories)))
+
+
+def _micro_row(fields: list[str]) -> tuple[int, str, InstructionStat]:
+    stat = InstructionStat(int(fields[2]), int(fields[3]), int(fields[4]))
+    if min(stat) < 0:
+        raise ValueError("negative counter")
+    return int(fields[0]), fields[1], stat
 
 
 def read_micro_csv(path: str | Path) -> list[WindowAggregate]:
     """Parse a micro CSV back into per-window aggregates, sorted by start."""
-    path = Path(path)
     per_window: dict[int, dict[str, InstructionStat]] = {}
-    saw_header = False
-    for line_no, line in _data_lines(path):
-        if not saw_header:
-            if line != MICRO_HEADER:
-                raise CsvFormatError(str(path), line_no,
-                                     f"expected header {MICRO_HEADER!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise CsvFormatError(str(path), line_no,
-                                 f"expected 5 fields, got {len(parts)}")
-        try:
-            start = int(parts[0])
-            stat = InstructionStat(int(parts[2]), int(parts[3]), int(parts[4]))
-        except ValueError as exc:
-            raise CsvFormatError(str(path), line_no, str(exc)) from None
-        if stat.count < 0 or stat.gas < 0 or stat.time_ns < 0:
-            raise CsvFormatError(str(path), line_no, "negative counter")
-        per_window.setdefault(start, {})[parts[1]] = stat
-    if not saw_header:
-        raise CsvFormatError(str(path), 1, "missing header")
-    if not per_window:
-        raise CsvFormatError(str(path), 1, "no data rows")
+    for start, op, stat in read_table(path, MICRO_HEADER, _micro_row):
+        per_window.setdefault(start, {})[op] = stat
     return [WindowAggregate(start, instrs, {})
             for start, instrs in sorted(per_window.items())]
 
 
+_CATEGORIES = frozenset(c.value for c in MacroCategory)
+
+
+def _macro_row(fields: list[str]) -> tuple[int, str, int]:
+    if fields[1] not in _CATEGORIES:
+        raise ValueError(f"unknown category {fields[1]!r}")
+    return int(fields[0]), fields[1], int(fields[2])
+
+
 def read_macro_csv(path: str | Path) -> list[WindowAggregate]:
-    path = Path(path)
-    known = {c.value for c in MacroCategory}
     per_window: dict[int, dict[str, int]] = {}
-    saw_header = False
-    for line_no, line in _data_lines(path):
-        if not saw_header:
-            if line != MACRO_HEADER:
-                raise CsvFormatError(str(path), line_no,
-                                     f"expected header {MACRO_HEADER!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(str(path), line_no,
-                                 f"expected 3 fields, got {len(parts)}")
-        if parts[1] not in known:
-            raise CsvFormatError(str(path), line_no,
-                                 f"unknown category {parts[1]!r}")
-        try:
-            start, total = int(parts[0]), int(parts[2])
-        except ValueError as exc:
-            raise CsvFormatError(str(path), line_no, str(exc)) from None
-        per_window.setdefault(start, {})[parts[1]] = total
-    if not saw_header:
-        raise CsvFormatError(str(path), 1, "missing header")
-    if not per_window:
-        raise CsvFormatError(str(path), 1, "no data rows")
+    for start, name, total in read_table(path, MACRO_HEADER, _macro_row):
+        per_window.setdefault(start, {})[name] = total
     return [WindowAggregate(start, {}, cats)
             for start, cats in sorted(per_window.items())]
 

@@ -2,8 +2,8 @@
 classification, polynomial time models, repricing, and validation."""
 
 from .base import (Extrapolation, FitError, InsufficientDataError,
-                   InvalidConstantError, MissingModelError, ScalarModel,
-                   UndefinedRatioError, extrapolate)
+                   InvalidConstantError, MissingModelError, ModelFileError,
+                   ScalarModel, UndefinedRatioError, extrapolate)
 from .classify import (DEPENDENT, INDEPENDENT, ClassificationResult,
                        classify_bh_dependence, classify_opcode,
                        mean_time_series, pearson_correlation)
@@ -22,7 +22,7 @@ __all__ = [
     "ChiSquareResult", "ClassificationResult", "DEPENDENT",
     "DEFAULT_TIME_PER_GAS", "Extrapolation", "FitError", "GasModel",
     "INDEPENDENT", "InsufficientDataError", "InvalidConstantError",
-    "MissingModelError", "ScalarModel", "StandardContract",
+    "MissingModelError", "ModelFileError", "ScalarModel", "StandardContract",
     "UndefinedRatioError", "avg_prog_gas", "avg_prog_time", "avg_prog_tpg",
     "bic_score", "build_time_models", "chi_square_decision",
     "chi_square_normality", "classify_bh_dependence", "classify_opcode",

@@ -26,6 +26,10 @@ class InvalidConstantError(ValueError):
     """The target time-per-gas constant must be positive."""
 
 
+class ModelFileError(ValueError):
+    """A time-models JSON file that does not parse into models."""
+
+
 @dataclass(frozen=True)
 class ScalarModel:
     """Per-opcode prediction, constant or polynomial in block-height.

@@ -21,8 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..metrics import WindowAggregate
-from .base import FitError, InsufficientDataError, ScalarModel
+from ..metrics import WindowAggregate, atomic_write_text
+from .base import (FitError, InsufficientDataError, ModelFileError,
+                   ScalarModel)
 from .classify import DEPENDENT, ClassificationResult, mean_time_series
 
 MIN_FIT_WINDOWS = 10
@@ -177,8 +178,14 @@ def models_from_json(text: str) -> dict[str, ScalarModel]:
 
 
 def save_models(models: Mapping[str, ScalarModel], path: str | Path) -> None:
-    Path(path).write_text(models_to_json(models))
+    atomic_write_text(path, models_to_json(models))
 
 
 def load_models(path: str | Path) -> dict[str, ScalarModel]:
-    return models_from_json(Path(path).read_text())
+    """Read a save_models file; one that does not parse is ModelFileError."""
+    try:
+        return models_from_json(Path(path).read_text())
+    except KeyError as exc:
+        raise ModelFileError(f"{path}: a model lacks {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ModelFileError(f"{path}: {exc}") from None

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..evm.opcodes import ALL_OPCODES, from_name
-from ..evm.schedule import ConstantRule, GasSchedule, round_gas
+from ..evm.opcodes import from_name
+from ..evm.schedule import (ConstantRule, GasSchedule, default_schedule,
+                             round_gas)
 from ..metrics import WindowAggregate
 from .base import InvalidConstantError, ScalarModel
 
@@ -26,9 +27,6 @@ class GasModel:
 
     models: dict[str, ScalarModel]
     target_tpg: float
-
-    def evaluate(self, opcode: str, n: float) -> float:
-        return self.models[opcode].evaluate(n)
 
     def materialized_cost(self, opcode: str, n: float) -> int:
         """Integer gas at height n: round half up, never below 1."""
@@ -78,7 +76,6 @@ def materialize_schedule(gas_model: GasModel, height: int,
     rule stays ``+mem``, so memory expansion is still charged and bounded.
     """
     if base is None:
-        from ..evm.schedule import default_schedule
         base = default_schedule()
     rules = dict(base.rules)
     for name, model in gas_model.models.items():

@@ -1,35 +1,21 @@
-"""Report bundle plumbing: atomic writes and provenance manifests.
+"""Report bundle plumbing: provenance manifests.
 
 A bundle is a directory of named tables (CSV/JSON) plus a manifest that
 records the command, its parameters, and SHA-256 hashes of every input and
 output. Identical inputs and seeds produce byte-identical bundles, so the
-manifest carries no timestamps. Files are written to a temp name in the
-target directory and renamed into place.
+manifest carries no timestamps. Files are written with
+`metrics.atomic_write_text`: a temp name in the target directory, renamed
+into place.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Mapping
 
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+from ..metrics import atomic_write_text
 
 
 def sha256_of(path: str | Path) -> str:

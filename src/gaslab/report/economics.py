@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ..metrics import CsvFormatError, WindowAggregate
+from ..metrics import WindowAggregate, read_table
 from ..model.base import UndefinedRatioError
 
 WEI_PER_ETH = 10 ** 18
 NS_PER_HOUR = 3_600_000_000_000
 
 PRICES_HEADER = "window_start,eth_usd,infra_usd_per_hour"
+ECONOMICS_HEADER = "window_start,gas,fee_usd,infra_usd,ratio"
 
 
 @dataclass(frozen=True)
@@ -51,37 +52,16 @@ def fee_economics(gas_used: float, gas_price_wei: float, eth_usd: float,
     return FeeEconomics(fee_usd, infra_usd, fee_usd / infra_usd)
 
 
+def _price_row(fields: list[str]) -> PricePoint:
+    return PricePoint(int(fields[0]), float(fields[1]), float(fields[2]))
+
+
 def read_price_csv(path: str | Path) -> list[PricePoint]:
-    path = Path(path)
-    points = []
-    saw_header = False
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line != PRICES_HEADER:
-                raise CsvFormatError(str(path), line_no,
-                                     f"expected header {PRICES_HEADER!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(str(path), line_no,
-                                 f"expected 3 fields, got {len(parts)}")
-        try:
-            points.append(PricePoint(int(parts[0]), float(parts[1]),
-                                     float(parts[2])))
-        except ValueError as exc:
-            raise CsvFormatError(str(path), line_no, str(exc)) from None
-    if not saw_header:
-        raise CsvFormatError(str(path), 1, "missing header")
-    if not points:
-        raise CsvFormatError(str(path), 1, "no data rows")
-    return sorted(points, key=lambda p: p.window_start)
+    return sorted(read_table(path, PRICES_HEADER, _price_row),
+                  key=lambda p: p.window_start)
 
 
-def _price_for(points: Sequence[PricePoint], window_start: int) -> PricePoint:
+def price_for(points: Sequence[PricePoint], window_start: int) -> PricePoint:
     """Latest price point at or before the window (first one otherwise)."""
     chosen = points[0]
     for point in points:
@@ -96,13 +76,15 @@ def economics_table(micro: Sequence[WindowAggregate],
                     macro: Sequence[WindowAggregate],
                     prices: Sequence[PricePoint],
                     gas_price_wei: int) -> list[dict]:
-    """Per-window fee vs infrastructure cost rows (the Fig-1 style table)."""
-    macro_by_start = {w.start: w for w in macro}
+    """Per-window fee vs infrastructure cost rows (the Fig-1 style table).
+
+    Each row is keyed by the columns of ECONOMICS_HEADER.
+    """
+    total_ns_by_start = {w.start: w.categories.get("Total", 0) for w in macro}
     rows = []
     for window in micro:
-        total_ns = macro_by_start.get(window.start, window).categories.get(
-            "Total", 0)
-        point = _price_for(prices, window.start)
+        total_ns = total_ns_by_start.get(window.start, 0)
+        point = price_for(prices, window.start)
         gas = window.instruction_gas_total()
         fee_usd = gas * gas_price_wei / WEI_PER_ETH * point.eth_usd
         infra_usd = total_ns / NS_PER_HOUR * point.infra_usd_per_hour

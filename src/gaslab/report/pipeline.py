@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from scipy import stats
 
-from ..metrics import WindowAggregate
+from ..metrics import WindowAggregate, merge_windows
 from ..model import (ClassificationResult, GasModel, ScalarModel,
                      StandardContract, avg_prog_gas, avg_prog_time,
                      build_time_models, chi_square_normality,
@@ -198,5 +198,4 @@ def analyze_windows(micro: Sequence[WindowAggregate],
 def _merge_for_validation(micro, macro):
     if not macro:
         return list(micro)
-    from ..metrics import merge_windows
     return merge_windows(micro, macro)

@@ -24,7 +24,7 @@ is bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import random
@@ -32,7 +32,7 @@ import random
 from .evm.opcodes import Opcode, push_for
 from .evm.schedule import GasSchedule
 from .trie import MerklePatriciaTrie
-from .evm.machine import store_code
+from .evm.machine import storage_key, store_code
 
 DEFAULT_GAS_PRICE_WEI = 20_000_000_000  # 20 gwei
 
@@ -160,7 +160,6 @@ class WorkloadGenerator:
 
     def write_genesis(self, trie: MerklePatriciaTrie) -> None:
         """Prefill initial storage slots, deploy the code library, commit."""
-        from .evm.machine import storage_key
         for slot in range(self.spec.initial_keys):
             value = (slot % 255) + 1
             trie.insert(storage_key(slot),

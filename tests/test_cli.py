@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from gaslab.cli import main
+from gaslab.cli import FIGURES, RECEIPTS_HEADER, main
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
 from gaslab.keccak import IMPLEMENTATION
+from gaslab.metrics import MACRO_HEADER, MICRO_HEADER
 from gaslab.model import ScalarModel, save_models
+from gaslab.report.economics import PRICES_HEADER
 
 DATA = resources.files("gaslab").joinpath("data")
 SLOAD_HEAVY = str(DATA / "workloads" / "sload_heavy.json")
@@ -100,6 +102,40 @@ def test_virtual_simulate_matches_golden_digests(tmp_path, workload):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN[workload]}
     assert digests == GOLDEN[workload]
+
+
+# sha256 of outputs derived from the sload_heavy run above (200 blocks,
+# window 50). Nothing on their path uses numpy or scipy, so they hold on
+# every host.
+DERIVED_GOLDEN = {
+    "an/classification.csv":
+        "eb70a7c3a95a9463c72c55efd78c8b41273acd869eccd92c41a68852a9295f54",
+    "an/time_share.csv":
+        "be5a6f9aca9ef8c96101d3fe42594d14da862ecf5e988a0fc175f5e9a1fbd836",
+    "an/macro_micro.csv":
+        "906f67082d079ba871b05b77eb31b29d1d07cba940d0618b9de248d9f40f7bab",
+    "an/standard_contract.json":
+        "cf307414e644d3bf25bdc26178620ee9298e52585d5bc49a7e28db7dc85b6b07",
+    "eco/economics.csv":
+        "803d6151bb9bd95a1d6ba50ba35b3926f142d55b53adb5e785f91c6dcdfcf425",
+    "eco/fee-vs-infra.svg":
+        "f3e1f513cbadedf159727100aba767f9515ceb5dddfec80f473af15b268a9855",
+}
+
+
+def test_derived_outputs_match_golden_digests(tmp_path):
+    sim = simulate(tmp_path / "sim", blocks=200, window=50)
+    tables = ("--micro", str(sim / "micro.csv"),
+              "--macro", str(sim / "macro.csv"))
+    assert run_cli("analyze", *tables, "--receipts", str(sim / "receipts.csv"),
+                   "--out", str(tmp_path / "an")) == 0
+    assert run_cli("economics", "--prices", PRICES, *tables,
+                   "--out", str(tmp_path / "eco")) == 0
+    assert run_cli("plot", "--bundle", str(tmp_path / "eco"),
+                   "--figure", "fee-vs-infra") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DERIVED_GOLDEN}
+    assert digests == DERIVED_GOLDEN
 
 
 def test_simulate_missing_workload_is_exit_2(tmp_path):
@@ -291,3 +327,89 @@ def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     assert run_cli("plot", "--bundle", str(bundle), "--figure", "dep-share",
                    "--out", "rooted/dep-share.svg") == 0
     assert (tmp_path / "rooted" / "dep-share.svg").is_file()
+
+
+def _plot_reader(figure):
+    table, header = FIGURES[figure][:2]
+    width = header.count(",") + 1
+    return (table, header, ",".join(["1"] * width),
+            ",".join(["1"] * (width - 1) + ["x"]),
+            lambda path, out: ["plot", "--bundle", str(Path(path).parent),
+                               "--figure", figure])
+
+
+# Every table reader: file name, header, a good row, a row with a
+# non-number cell, and the CLI arguments that read the file.
+READERS = {
+    "micro": ("micro.csv", MICRO_HEADER, "0,ADD,1,3,9", "0,ADD,1,x,9",
+              lambda path, out: ["analyze", "--micro", path, "--out", out]),
+    "macro": ("macro.csv", MACRO_HEADER, "0,Total,5", "0,Total,x",
+              lambda path, out: ["analyze", "--micro", TABLE3,
+                                 "--macro", path, "--out", out]),
+    "receipts": ("receipts.csv", RECEIPTS_HEADER,
+                 "0,0,success,21000,30000,7", "0,0,success,21000,30000,x",
+                 lambda path, out: ["analyze", "--micro", TABLE3,
+                                    "--receipts", path, "--out", out]),
+    "prices": ("prices.csv", PRICES_HEADER, "0,200.0,0.6", "0,x,0.6",
+               lambda path, out: ["economics", "--prices", path,
+                                  "--gas", "1", "--hours", "1"]),
+    **{f"plot-{table}": _plot_reader(figure)
+       for figure, (table, *_rest) in sorted(FIGURES.items())},
+}
+
+FAULTS = {  # content from (header, good row, bad row) -> faulty line
+    "header": (lambda h, good, bad: f"x{h}\n{good}\n", 1),
+    "field-count": (lambda h, good, bad: f"{h}\n{good}\n{good},1\n", 3),
+    "non-number": (lambda h, good, bad: f"{h}\n{good}\n{bad}\n", 3),
+    "no-rows": (lambda h, good, bad: f"# no rows\n{h}\n", 2),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_table_faults_exit_2_naming_the_line(tmp_path, capsys, reader, fault):
+    name, header, good, bad, argv = READERS[reader]
+    content, line = FAULTS[fault]
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    path.write_text(content(header, good, bad))
+    assert run_cli(*argv(str(path), str(tmp_path / "out"))) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:{line}:" in err
+    assert "Traceback" not in err
+
+
+def _models_file(tmp_path, text):
+    path = tmp_path / "models.json"
+    path.write_text(text)
+    return ["schedule", "materialize", "--models", str(path),
+            "--height", "1", "--out", str(tmp_path / "s.cfg")]
+
+
+BAD_INPUTS = {
+    "blocks-0": lambda tmp_path: ["simulate", "--workload", SLOAD_HEAVY,
+                                  "--blocks", "0", "--out", str(tmp_path)],
+    "window-0": lambda tmp_path: ["simulate", "--workload", SLOAD_HEAVY,
+                                  "--blocks", "5", "--window", "0",
+                                  "--out", str(tmp_path)],
+    "models-not-json": lambda tmp_path: _models_file(tmp_path, "{nope"),
+    "models-no-kind": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"coefficients": [1.0]}}'),
+    "models-cubic": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "cubic", "coefficients": [1.0]}}'),
+    "hours-0": lambda tmp_path: ["economics", "--prices", PRICES,
+                                 "--gas", "1", "--hours", "0"],
+    "gas-negative": lambda tmp_path: ["economics", "--prices", PRICES,
+                                      "--gas", "-1", "--hours", "1"],
+    "table-mode-without-macro": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--micro", TABLE3,
+        "--out", str(tmp_path / "eco")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_exit_2_without_traceback(tmp_path, capsys, case):
+    assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -5,7 +5,8 @@ import pytest
 from gaslab.metrics import (MACRO_HEADER, MICRO_HEADER, CsvFormatError,
                             InstructionStat, MacroCategory, SampleSink,
                             WindowAggregate, merge_windows, read_macro_csv,
-                            read_micro_csv, write_macro_csv, write_micro_csv)
+                            read_micro_csv, read_table, write_macro_csv,
+                            write_micro_csv, write_table)
 
 
 def test_span_additivity():
@@ -82,6 +83,15 @@ def sample_windows():
         WindowAggregate(500, {"ADD": InstructionStat(7, 21, 90)},
                         {"EVM": 450, "Total": 1100}),
     ]
+
+
+def test_table_round_trip_keeps_floats_and_empty_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "n,x,y", [(0, 0.1 + 0.2, None), (1, 2.5e-06, "z")])
+    assert path.read_text() == "n,x,y\n0,0.30000000000000004,\n1,2.5e-06,z\n"
+    assert not [p for p in tmp_path.iterdir() if p.name != "t.csv"]
+    rows = read_table(path, "n,x,y", lambda f: (int(f[0]), float(f[1]), f[2]))
+    assert rows == [(0, 0.1 + 0.2, ""), (1, 2.5e-06, "z")]
 
 
 def test_micro_csv_round_trip(tmp_path):
