@@ -140,6 +140,9 @@ def _read_receipt_length(path: Path) -> float:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0 < args.threshold <= 1:
+        raise InputError(
+            f"--threshold must be in (0, 1], got {args.threshold}")
     micro_path = _require_file(args.micro, "micro CSV")
     micro = read_micro_csv(micro_path)
     inputs = {"micro": micro_path}
@@ -337,6 +340,8 @@ def cmd_economics(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_schedule_materialize(args: argparse.Namespace) -> int:
+    if args.height < 0:
+        raise InputError(f"--height must be >= 0, got {args.height}")
     models_path = _require_file(args.models, "time models JSON")
     time_models = load_models(models_path)
     gas_model = propose_gas_model(time_models, args.tpg_constant)

@@ -7,12 +7,19 @@ trie. Writes are buffered in the executive and land in the trie only when a
 transaction succeeds.
 
 Metering contract: the gas for an instruction is deducted before its effect
-is applied. The timed region covers decode, the arity verification, dynamic
-cost evaluation, the charge, and the effect; only the interpreter loop and
-sample bookkeeping stay outside, so the summed instruction times track the
-interpreter-level span closely. Exceptional halts (out of gas, invalid
-opcode or jump target, stack faults) consume all remaining gas; samples
-cover successful instructions only.
+is applied. The dispatch loop is `Machine.run`: decode, checks, charge and
+sample bookkeeping are inline, and the effect is one handler call per
+instruction. Its timed region, between two clock reads, covers decode, the
+arity verification, dynamic cost evaluation, the charge, and the effect;
+only the loop itself and sample bookkeeping stay outside, so the summed
+instruction times track the interpreter-level span closely. Exceptional
+halts (out of gas, invalid opcode or jump target, stack faults) consume all
+remaining gas; samples cover successful instructions only.
+
+JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
+that checks a destination scans the code, inside that instruction's timed
+region, and the executive keeps the result. A transaction that never jumps
+never scans.
 
 CALLCODE is implemented in a lite form: it pops a code id, loads the code
 stored under that id in the world trie, and runs it in a child executive
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from ..clock import WallClock
@@ -96,7 +104,8 @@ class _SampleArrays:
 
     Indexed list increments keep per-instruction bookkeeping cheap enough
     that the macro EVM span and the summed samples agree within a few
-    percent on wall clocks.
+    percent on wall clocks. The receipt names each sampled byte through
+    the module's byte-to-name table, not through the `Opcode` enum.
     """
 
     __slots__ = ("counts", "gas", "times")
@@ -107,7 +116,7 @@ class _SampleArrays:
         self.times = [0] * 256
 
     def to_dict(self) -> dict[str, list[int]]:
-        return {Opcode(byte).name: [count, self.gas[byte], self.times[byte]]
+        return {_NAME_BY_BYTE[byte]: [count, self.gas[byte], self.times[byte]]
                 for byte, count in enumerate(self.counts) if count}
 
 
@@ -143,7 +152,10 @@ class Machine:
         self._samples = sample_arrays if sample_arrays is not None \
             else _SampleArrays()
         self._rules = schedule.rules_by_byte()
-        self.jumpdests = _scan_jumpdests(code)
+
+    @cached_property
+    def jumpdests(self) -> frozenset[int]:
+        return _scan_jumpdests(self.code)
 
     @property
     def samples(self) -> dict[str, list[int]]:
@@ -162,53 +174,51 @@ class Machine:
 
     # -- execution ----------------------------------------------------------
 
-    def _step(self) -> None:
-        """Hot path: execute one instruction, bookkeeping into the arrays."""
-        pc = self.pc
-        if pc >= len(self.code):
-            self.status = TxStatus.SUCCESS  # running off the end stops
-            return
-        clock = self.clock
-        try:
-            start = clock.now_ns()
-            byte = self.code[pc]
-            arity = _ARITY_BY_BYTE[byte]
-            if arity is None:
-                raise _Halt(TxStatus.INVALID_OP)
-            depth = len(self.stack)
-            if depth < arity[0] or depth - arity[0] + arity[1] > STACK_LIMIT:
-                raise _Halt(TxStatus.STACK_ERROR)
-            rule = self._rules[byte]
-            cost = rule if type(rule) is int else self._dynamic_cost(byte, rule)
-            if cost > self.gas:
-                raise _Halt(TxStatus.OUT_OF_GAS)
-            self.gas -= cost
-            self.work.instructions += 1
-            self.pc = pc + 1
-            child = _DISPATCH[byte](self)
-            duration = clock.now_ns() - start
-        except _Halt as halt:
-            self._halt(halt.status)
-            return
-
-        arrays = self._samples
-        arrays.counts[byte] += 1
-        arrays.gas[byte] += cost
-        arrays.times[byte] += duration
-
-        if child is not None:
-            self._run_child(child)
-
     def run(self) -> TxStatus:
-        step = self._step
-        while self.status is None:
-            step()
-        return self.status
+        """Hot path: execute instructions until a halt, sampling each one."""
+        code = self.code
+        end = len(code)
+        stack = self.stack
+        rules = self._rules
+        work = self.work
+        now_ns = self.clock.now_ns
+        arrays = self._samples
+        counts, gas_totals, times = arrays.counts, arrays.gas, arrays.times
+        try:
+            while self.status is None:
+                pc = self.pc
+                if pc >= end:   # running off the end stops
+                    self.status = TxStatus.SUCCESS
+                    break
+                start = now_ns()
+                byte = code[pc]
+                arity = _ARITY_BY_BYTE[byte]
+                if arity is None:
+                    raise _Halt(TxStatus.INVALID_OP)
+                depth = len(stack)
+                if depth < arity[0] or \
+                        depth - arity[0] + arity[1] > STACK_LIMIT:
+                    raise _Halt(TxStatus.STACK_ERROR)
+                rule = rules[byte]
+                cost = rule if type(rule) is int \
+                    else self._dynamic_cost(byte, rule)
+                if cost > self.gas:
+                    raise _Halt(TxStatus.OUT_OF_GAS)
+                self.gas -= cost
+                work.instructions += 1
+                self.pc = pc + 1
+                child = _DISPATCH[byte](self)
+                duration = now_ns() - start
 
-    def _halt(self, status: TxStatus) -> None:
-        self.status = status
-        self.gas = 0  # exceptional halts consume the remaining gas
-        return None
+                counts[byte] += 1
+                gas_totals[byte] += cost
+                times[byte] += duration
+                if child is not None:
+                    self._run_child(child)
+        except _Halt as halt:
+            self.status = halt.status
+            self.gas = 0  # exceptional halts consume the remaining gas
+        return self.status
 
     # -- gas ---------------------------------------------------------------
 
@@ -491,8 +501,10 @@ def _build_dispatch():
 _DISPATCH = _build_dispatch()
 
 _ARITY_BY_BYTE: list = [None] * 256
+_NAME_BY_BYTE: list = [None] * 256
 for _op, _io in ARITY.items():
     _ARITY_BY_BYTE[_op.value] = _io
+    _NAME_BY_BYTE[_op.value] = _op.name
 
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,

@@ -379,11 +379,11 @@ def test_table_faults_exit_2_naming_the_line(tmp_path, capsys, reader, fault):
     assert "Traceback" not in err
 
 
-def _models_file(tmp_path, text):
+def _models_file(tmp_path, text, height="1"):
     path = tmp_path / "models.json"
     path.write_text(text)
     return ["schedule", "materialize", "--models", str(path),
-            "--height", "1", "--out", str(tmp_path / "s.cfg")]
+            "--height", height, "--out", str(tmp_path / "s.cfg")]
 
 
 BAD_INPUTS = {
@@ -404,6 +404,15 @@ BAD_INPUTS = {
     "table-mode-without-macro": lambda tmp_path: [
         "economics", "--prices", PRICES, "--micro", TABLE3,
         "--out", str(tmp_path / "eco")],
+    "threshold-above-1": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--threshold", "2",
+        "--out", str(tmp_path / "a")],
+    "threshold-negative": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--threshold", "-1",
+        "--out", str(tmp_path / "a")],
+    "height-negative": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}',
+        height="-100"),
 }
 
 

@@ -1,10 +1,12 @@
 """Interpreter semantics, gas metering, and sampling."""
 
+import hashlib
 import random
 
 import pytest
 
 from gaslab.clock import VirtualClock
+from gaslab.evm import machine as machine_module
 from gaslab.evm.machine import (IntrinsicGasError, Machine, TxStatus,
                                 execute_transaction, storage_key, store_code)
 from gaslab.evm.opcodes import Opcode
@@ -357,16 +359,179 @@ def test_metering_completeness_on_randomized_programs():
             s[0] for s in receipt.samples.values())
 
 
-def test_gas_monotonically_decreases_across_steps():
-    machine = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
-                             Opcode.POP, Opcode.STOP]),
-                      MerklePatriciaTrie(), gas=1_000, block_height=0,
-                      schedule=SCHED)
-    last = machine.gas
-    while machine.status is None:
-        machine._step()
-        assert machine.gas <= last
-        last = machine.gas
+def test_gas_used_never_decreases_as_the_program_grows():
+    code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
+                  Opcode.POP, Opcode.STOP])
+    boundaries = [0, 2, 4, 5, 6, 7]   # the offset of each instruction
+    used = []
+    for end in boundaries:
+        receipt = run(code[:end], gas_limit=22_000)
+        assert receipt.status is TxStatus.SUCCESS
+        used.append(receipt.gas_used)
+    assert used == sorted(used)
+    assert used[0] == 21_000 and used[-1] == 21_000 + 3 + 3 + 3 + 2 + 0
+
+
+class CountingClock:
+    def __init__(self):
+        self.calls = 0
+
+    def now_ns(self):
+        self.calls += 1
+        return self.calls
+
+
+@pytest.mark.parametrize("code,status,fixed", [
+    # tx start, EVM start and end, DB start of the commit
+    (bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.STOP]),
+     TxStatus.SUCCESS, 4),
+    # tx start, EVM start and end, and the start read of the halting ADD
+    (bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.ADD]),
+     TxStatus.STACK_ERROR, 4),
+])
+def test_two_clock_reads_per_executed_instruction(code, status, fixed):
+    clock = CountingClock()
+    receipt = run(code, clock=clock)
+    assert receipt.status is status
+    assert clock.calls == 2 * receipt.instructions + fixed
+
+
+def test_jumpdest_scan_runs_only_on_the_first_jump(monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def scan(code):
+        raise Scanned
+
+    monkeypatch.setattr(machine_module, "_scan_jumpdests", scan)
+    assert run(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
+                      Opcode.STOP])).status is TxStatus.SUCCESS
+    with pytest.raises(Scanned):
+        run(bytes([Opcode.PUSH1, 3, Opcode.JUMP, Opcode.JUMPDEST]))
+
+
+@pytest.mark.parametrize("library,status", [
+    # the child's own JUMPDEST at 5 is a target; offset 5 of the caller
+    # is a PUSH1
+    (bytes([Opcode.PUSH1, 5, Opcode.JUMP, 0xFE, 0xFE, Opcode.JUMPDEST,
+            Opcode.STOP]), TxStatus.SUCCESS),
+    # offset 4 is a JUMPDEST in the caller but not in the child
+    (bytes([Opcode.PUSH1, 4, Opcode.JUMP, 0xFE, 0xFE, Opcode.JUMPDEST]),
+     TxStatus.INVALID_OP),
+])
+def test_callcode_child_jumps_within_its_own_code(library, status):
+    trie = MerklePatriciaTrie()
+    store_code(trie, 1, library)
+    code = bytes([Opcode.PUSH1, 4, Opcode.JUMP, 0xFE, Opcode.JUMPDEST,
+                  Opcode.PUSH1, 1, Opcode.CALLCODE, Opcode.STOP])
+    receipt = run(code, trie=trie)
+    assert receipt.status is status
+
+
+# Library code stored under small code ids, so that random CALLCODEs reach
+# it; ids 1 and 2 jump within their own code.
+GOLDEN_LIBRARIES = {
+    0: bytes([Opcode.PUSH1, 0x5A, Opcode.PUSH1, 2, Opcode.SSTORE,
+              Opcode.STOP]),
+    1: bytes([Opcode.PUSH1, 4, Opcode.JUMP, 0xFE, Opcode.JUMPDEST,
+              Opcode.PUSH1, 3, Opcode.SLOAD, Opcode.STOP]),
+    2: bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 6, Opcode.JUMPI, 0xFE,
+              Opcode.JUMPDEST, Opcode.PUSH1, 2, Opcode.CALLCODE,
+              Opcode.STOP]),
+    3: bytes([Opcode.PUSH1, 9, Opcode.JUMP]),   # not a JUMPDEST: halts
+}
+
+# Hand-written programs that pin the jump and call cases the random batch
+# may miss.
+GOLDEN_FIXED = [
+    # taken JUMP over an invalid byte
+    bytes([Opcode.PUSH1, 4, Opcode.JUMP, 0xFE, Opcode.JUMPDEST,
+           Opcode.PUSH1, 1, Opcode.STOP]),
+    # taken JUMP to a JUMPDEST in the last byte
+    bytes([Opcode.PUSH1, 3, Opcode.JUMP, Opcode.JUMPDEST]),
+    # untaken JUMPI falls through, taken JUMPI lands on a JUMPDEST
+    bytes([Opcode.PUSH1, 0, Opcode.PUSH1, 0xFF, Opcode.JUMPI,
+           Opcode.PUSH1, 1, Opcode.PUSH1, 12, Opcode.JUMPI, 0xFE, 0xFE,
+           Opcode.JUMPDEST, Opcode.STOP]),
+    # a 0x5B byte inside a PUSH immediate is not a jump target
+    bytes([Opcode.PUSH2, 0x5B, 0x00, Opcode.PUSH1, 1, Opcode.JUMP]),
+    # CALLCODE into each library
+    bytes([Opcode.PUSH1, 0, Opcode.CALLCODE, Opcode.PUSH1, 1,
+           Opcode.CALLCODE, Opcode.PUSH1, 2, Opcode.CALLCODE,
+           Opcode.ADD, Opcode.ADD]),
+    bytes([Opcode.PUSH1, 3, Opcode.CALLCODE, Opcode.STOP]),
+]
+
+GOLDEN_ALPHABET = [
+    Opcode.STOP, Opcode.ADD, Opcode.MUL, Opcode.SUB, Opcode.DIV, Opcode.LT,
+    Opcode.GT, Opcode.EQ, Opcode.ISZERO, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.NOT, Opcode.POP, Opcode.PC, Opcode.JUMPDEST, Opcode.JUMP,
+    Opcode.JUMPI, Opcode.MLOAD, Opcode.MSTORE, Opcode.SLOAD, Opcode.SSTORE,
+    Opcode.RETURN, Opcode.CALLCODE, Opcode.DUP1, Opcode.DUP2, Opcode.SWAP1,
+    Opcode.JUMPDEST, Opcode.JUMPDEST,   # weighted, so random jumps land
+]
+
+
+def random_byte_program(rng):
+    """A short program: a few small PUSH1s to fill the stack, then mostly
+    PUSH1s and implemented opcodes, with uniformly random bytes mixed in
+    (undefined opcodes, wide PUSHes)."""
+    length = rng.randrange(4, 60)
+    code = bytearray()
+    for _ in range(rng.randrange(8)):
+        code += bytes([Opcode.PUSH1, rng.randrange(length)])
+    while len(code) < length:
+        roll = rng.random()
+        if roll < 0.1:
+            code.append(rng.randrange(256))
+        elif roll < 0.45:
+            code += bytes([Opcode.PUSH1, rng.randrange(length)])
+        else:
+            code.append(rng.choice(GOLDEN_ALPHABET))
+    return bytes(code)
+
+
+def golden_receipts(seed=20, n_random=1000):
+    trie = MerklePatriciaTrie()
+    for code_id, code in GOLDEN_LIBRARIES.items():
+        store_code(trie, code_id, code)
+    trie.root_hash()
+    clock = VirtualClock(trie.store.work)
+    rng = random.Random(seed)
+    programs = GOLDEN_FIXED + [random_byte_program(rng)
+                               for _ in range(n_random)]
+    receipts = []
+    for height, code in enumerate(programs):
+        gas_limit = 21_000 + rng.choice([40, 400, 4_000, 40_000])
+        receipts.append(execute_transaction(code, trie, gas_limit, height,
+                                            SCHED, clock=clock))
+    return receipts, trie.root_hash()
+
+
+def receipts_digest(receipts, root):
+    h = hashlib.sha256()
+    for r in receipts:
+        samples = sorted((name, *s) for name, s in r.samples.items())
+        h.update(repr((r.status.value, r.gas_used, r.return_data.hex(),
+                       r.instructions, samples)).encode() + b"\n")
+    h.update(root)
+    return h.hexdigest()
+
+
+# sha256 of the golden batch under the virtual clock. The virtual sample
+# times pin the work done inside each instruction's timed region.
+INTERPRETER_GOLDEN = (
+    "a36130b9544a5c8c7384c609007b4443ff2407891f0703770cec67aa726a4af5")
+
+
+def test_interpreter_matches_golden_receipts():
+    receipts, root = golden_receipts()
+    statuses = {r.status for r in receipts}
+    assert statuses == set(TxStatus)
+    sampled = set().union(*(r.samples for r in receipts))
+    assert {"JUMP", "JUMPI", "CALLCODE", "SSTORE", "SLOAD",
+            "RETURN"} <= sampled
+    assert receipts_digest(receipts, root) == INTERPRETER_GOLDEN
 
 
 def test_static_behavior_deterministic_across_runs():
