@@ -19,15 +19,24 @@ rate of 1 grows by exactly the number of storage writes, and not at all
 under a rate of 0. Block content is a pure function of (spec, height, seed,
 pool state), and pool state is itself deterministic, so whole-chain replay
 is bit-reproducible.
+
+Every bounded draw follows CPython's `randrange`/`choice` exactly: with
+`k = n.bit_length()`, redraw `getrandbits(k)` until the result is below
+`n` (`Random._randbelow_with_getrandbits`). The generator makes those
+draws itself, on the block's `getrandbits` and `random`, so it skips
+`randrange`'s argument handling but consumes the same words and yields the
+same values. `tests/test_workload.py` pins this against `randrange` and
+`choice`, and against a reference assembler that calls them directly.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-
-import random
 
 from .evm.opcodes import Opcode, push_for
 from .evm.schedule import GasSchedule
@@ -35,14 +44,6 @@ from .trie import MerklePatriciaTrie
 from .evm.machine import storage_key, store_code
 
 DEFAULT_GAS_PRICE_WEI = 20_000_000_000  # 20 gwei
-
-_BINARY_OPS = {"ADD", "MUL", "SUB", "DIV", "LT", "GT", "EQ", "AND", "OR", "XOR"}
-_UNARY_OPS = {"ISZERO", "NOT"}
-
-SUPPORTED_FEATURED_OPS = sorted(
-    _BINARY_OPS | _UNARY_OPS
-    | {"PUSH1", "POP", "PC", "JUMPDEST", "MLOAD", "MSTORE",
-       "SLOAD", "SSTORE", "DUP1", "SWAP1", "CALLCODE"})
 
 # Library programs deployed at genesis, callable through CALLCODE.
 CODE_LIBRARY: dict[int, bytes] = {
@@ -53,11 +54,102 @@ CODE_LIBRARY: dict[int, bytes] = {
               Opcode.POP, Opcode.STOP]),
 }
 
-_MEMORY_OFFSETS = tuple(range(0, 256, 32))  # bounded scratch memory
+# How a snippet's bytes follow its operands: a constant tail, one of a
+# tuple of tails picked uniformly, or a slot push (read or write) and a tail.
+_TAIL, _PICK, _READ, _WRITE = range(4)
+
+
+def _ops(*names: str) -> bytes:
+    return bytes(Opcode[name] for name in names)
+
+
+def _snippet_table() -> dict[str, tuple[range, int, object]]:
+    """Featured opcode -> (operands, kind, tail or tuple of tails), where
+    `operands` is a range with one step per literal operand.
+
+    Operand scaffolding uses PUSH2..PUSH32 so that PUSH1 counts stay at the
+    featured rate (keeps its per-window mean from being swamped by scaffold
+    samples). Memory offsets stay in bounded scratch memory (0..224).
+    """
+    none, one, two = range(0), range(1), range(2)
+    table = {op: (two, _TAIL, _ops(op, "POP"))
+             for op in ("ADD", "MUL", "SUB", "DIV", "LT", "GT", "EQ",
+                        "AND", "OR", "XOR")}
+    table.update({op: (one, _TAIL, _ops(op, "POP"))
+                  for op in ("ISZERO", "NOT")})
+    offsets = range(0, 256, 32)
+    table.update(
+        PUSH1=(none, _PICK, tuple(bytes([Opcode.PUSH1, value, Opcode.POP])
+                                  for value in range(1, 256))),
+        POP=(one, _TAIL, _ops("POP")),
+        PC=(none, _TAIL, _ops("PC", "POP")),
+        JUMPDEST=(none, _TAIL, _ops("JUMPDEST")),
+        MLOAD=(none, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
+                                         Opcode.MLOAD, Opcode.POP])
+                                  for offset in offsets)),
+        MSTORE=(one, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
+                                         Opcode.MSTORE])
+                                  for offset in offsets)),
+        SLOAD=(none, _READ, _ops("SLOAD", "POP")),
+        SSTORE=(one, _WRITE, _ops("SSTORE")),
+        DUP1=(one, _TAIL, _ops("DUP1", "POP", "POP")),
+        SWAP1=(two, _TAIL, _ops("SWAP1", "POP", "POP")),
+        CALLCODE=(none, _PICK, tuple(bytes([Opcode.PUSH1, lib_id,
+                                            Opcode.CALLCODE, Opcode.POP])
+                                     for lib_id in sorted(CODE_LIBRARY))),
+    )
+    return table
+
+
+_SNIPPETS = _snippet_table()
+SUPPORTED_FEATURED_OPS = sorted(_SNIPPETS)
+
+# A literal operand is a nonzero value of random width w in 2..32 bytes:
+# w = 2 + randrange(31), then randrange(256**(w-1), 256**w). Indexed by
+# w - 2: (bits to draw, span of the value range, PUSHw opcode byte followed
+# by the range's low bound, encoded size). Word width varies the way real
+# contract operands do, which also gives arithmetic opcodes their natural
+# cost spread. Width 1 is reserved so scaffolding never inflates PUSH1
+# counts.
+_OPERANDS = tuple(
+    (8 * width, 255 << 8 * (width - 1),
+     (Opcode.PUSH1 + width - 1) << 8 * width | 1 << 8 * (width - 1),
+     width + 1)
+    for width in range(2, 33))
+
+_PUSH4_WORD = Opcode.PUSH4 << 32
+_STOP = _ops("STOP")
+
+
+def _below(getrandbits, n: int) -> int:
+    """`randrange(n)` for n >= 1, drawing exactly as CPython does."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _push_slot(slot: int) -> bytes:
+    """Fixed-width slot-index push so the companion mix stays stable."""
+    if slot >> 32:
+        op, imm = push_for(slot)
+        return bytes([op]) + imm
+    return (_PUSH4_WORD | slot).to_bytes(5, "big")
 
 
 class WorkloadError(ValueError):
     """Invalid workload description."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
 
 
 @dataclass(frozen=True)
@@ -71,21 +163,35 @@ class WorkloadSpec:
     gas_price_wei: int = DEFAULT_GAS_PRICE_WEI
 
     def __post_init__(self):
+        for name in ("transactions_per_block", "program_length", "seed",
+                     "initial_keys", "gas_price_wei"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise WorkloadError(
+                    f"{name} must be an integer, got {value!r}")
         if self.transactions_per_block < 0:
             raise WorkloadError("transactions_per_block must be >= 0")
         if self.program_length < 1:
             raise WorkloadError("program_length must be >= 1")
-        if not 0.0 <= self.fresh_key_rate <= 1.0:
+        if not (_is_real(self.fresh_key_rate)
+                and 0.0 <= self.fresh_key_rate <= 1.0):
             raise WorkloadError("fresh_key_rate must be in [0, 1]")
         if self.initial_keys < 0:
             raise WorkloadError("initial_keys must be >= 0")
+        if self.gas_price_wei < 0:
+            raise WorkloadError("gas_price_wei must be >= 0")
+        if not isinstance(self.mix, dict):
+            raise WorkloadError(
+                "mix must map featured opcodes to frequencies, "
+                f"got {self.mix!r}")
         if not self.mix:
             raise WorkloadError("mix must not be empty")
         for op, freq in self.mix.items():
-            if op not in SUPPORTED_FEATURED_OPS:
+            if op not in _SNIPPETS:
                 raise WorkloadError(f"unsupported featured opcode {op!r}")
-            if freq < 0:
-                raise WorkloadError(f"negative frequency for {op}")
+            if not (_is_real(freq) and 0 <= freq <= 1):
+                raise WorkloadError(
+                    f"frequency for {op} must be in [0, 1], got {freq!r}")
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise WorkloadError(f"mix frequencies sum to {total}, expected 1")
@@ -96,7 +202,7 @@ def load_workload(path: str | Path) -> WorkloadSpec:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise WorkloadError(f"cannot read workload spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an overlong integer
         raise WorkloadError(f"workload spec is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise WorkloadError("workload spec must be a JSON object")
@@ -109,19 +215,6 @@ def load_workload(path: str | Path) -> WorkloadSpec:
         return WorkloadSpec(**raw)
     except TypeError as exc:
         raise WorkloadError(f"incomplete workload spec: {exc}") from exc
-
-
-def save_workload(spec: WorkloadSpec, path: str | Path) -> None:
-    doc = {
-        "transactions_per_block": spec.transactions_per_block,
-        "program_length": spec.program_length,
-        "mix": dict(sorted(spec.mix.items())),
-        "fresh_key_rate": spec.fresh_key_rate,
-        "seed": spec.seed,
-        "initial_keys": spec.initial_keys,
-        "gas_price_wei": spec.gas_price_wei,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 @dataclass
@@ -147,12 +240,17 @@ class WorkloadGenerator:
         self.schedule = schedule
         self.pool_size = spec.initial_keys
         self.next_height = 0
-        self._mix_ops = sorted(spec.mix)
+        # A featured op is the first in sorted order whose cumulative
+        # frequency exceeds a `random()` draw, else the last one; the
+        # repeated last entry takes bisect's past-the-end index.
+        mix_ops = sorted(spec.mix)
         self._cumulative = []
         acc = 0.0
-        for op in self._mix_ops:
+        for op in mix_ops:
             acc += spec.mix[op]
             self._cumulative.append(acc)
+        self._snippets = [_SNIPPETS[op] for op in mix_ops + mix_ops[-1:]]
+        self._rng = random.Random()
         # Generous bound: worst featured op is an SSTORE set (20000) plus
         # a few gas of scaffolding; never triggers out-of-gas organically.
         self._gas_limit = (schedule.intrinsic_gas
@@ -174,99 +272,48 @@ class WorkloadGenerator:
                 f"blocks must be generated in order; expected height "
                 f"{self.next_height}, got {height}")
         self.next_height += 1
-        rng = random.Random((self.spec.seed << 32) ^ height)
-        txs = [Transaction(self._assemble_program(rng), self._gas_limit,
-                           self.spec.gas_price_wei)
-               for _ in range(self.spec.transactions_per_block)]
+        spec = self.spec
+        rng = self._rng
+        rng.seed((spec.seed << 32) ^ height)  # same state as a new Random
+        getrandbits, draw = rng.getrandbits, rng.random
+        snippets, cumulative = self._snippets, self._cumulative
+        fresh_key_rate, pool = spec.fresh_key_rate, self.pool_size
+        length = range(spec.program_length)
+        txs = []
+        for _ in range(spec.transactions_per_block):
+            parts = []
+            append = parts.append
+            for _ in length:
+                operands, kind, tail = snippets[bisect_right(cumulative,
+                                                             draw())]
+                for _ in operands:
+                    w = getrandbits(5)
+                    while w >= 31:
+                        w = getrandbits(5)
+                    bits, span, base, size = _OPERANDS[w]
+                    r = getrandbits(bits)
+                    while r >= span:
+                        r = getrandbits(bits)
+                    append((base + r).to_bytes(size, "big"))
+                if kind == _TAIL:
+                    append(tail)
+                elif kind == _PICK:
+                    append(tail[_below(getrandbits, len(tail))])
+                elif kind == _READ:
+                    slot = _below(getrandbits, pool) if pool else 0
+                    append(_push_slot(slot))
+                    append(tail)
+                else:
+                    # An empty pool makes no draw; `or` skips `draw()`.
+                    if pool == 0 or draw() < fresh_key_rate:
+                        slot = pool
+                        pool += 1
+                    else:
+                        slot = _below(getrandbits, pool)
+                    append(_push_slot(slot))
+                    append(tail)
+            append(_STOP)
+            txs.append(Transaction(b"".join(parts), self._gas_limit,
+                                   spec.gas_price_wei))
+        self.pool_size = pool
         return Block(height=height, transactions=txs)
-
-    # -- program assembly --------------------------------------------------
-
-    def _draw_op(self, rng: random.Random) -> str:
-        x = rng.random()
-        for op, bound in zip(self._mix_ops, self._cumulative):
-            if x < bound:
-                return op
-        return self._mix_ops[-1]
-
-    def _read_slot(self, rng: random.Random) -> int:
-        if self.pool_size == 0:
-            return 0
-        return rng.randrange(self.pool_size)
-
-    def _write_slot(self, rng: random.Random) -> int:
-        fresh = (self.pool_size == 0
-                 or rng.random() < self.spec.fresh_key_rate)
-        if fresh:
-            slot = self.pool_size
-            self.pool_size += 1
-            return slot
-        return rng.randrange(self.pool_size)
-
-    def _assemble_program(self, rng: random.Random) -> bytes:
-        parts = []
-        for _ in range(self.spec.program_length):
-            parts.append(self._snippet(self._draw_op(rng), rng))
-        parts.append(bytes([Opcode.STOP]))
-        return b"".join(parts)
-
-    def _snippet(self, featured: str, rng: random.Random) -> bytes:
-        # Operand scaffolding uses PUSH2 so that PUSH1 counts stay at the
-        # featured rate (keeps its per-window mean from being swamped by
-        # scaffold samples).
-        if featured in _BINARY_OPS:
-            return (_operand(rng) + _operand(rng)
-                    + bytes([Opcode[featured], Opcode.POP]))
-        if featured in _UNARY_OPS:
-            return _operand(rng) + bytes([Opcode[featured], Opcode.POP])
-        if featured == "PUSH1":
-            return bytes([Opcode.PUSH1, rng.randrange(1, 256), Opcode.POP])
-        if featured == "POP":
-            return _operand(rng) + bytes([Opcode.POP])
-        if featured == "PC":
-            return bytes([Opcode.PC, Opcode.POP])
-        if featured == "JUMPDEST":
-            return bytes([Opcode.JUMPDEST])
-        if featured == "MLOAD":
-            return bytes([Opcode.PUSH2, 0, rng.choice(_MEMORY_OFFSETS),
-                          Opcode.MLOAD, Opcode.POP])
-        if featured == "MSTORE":
-            return (_operand(rng)
-                    + bytes([Opcode.PUSH2, 0, rng.choice(_MEMORY_OFFSETS),
-                             Opcode.MSTORE]))
-        if featured == "SLOAD":
-            return (_push4(self._read_slot(rng))
-                    + bytes([Opcode.SLOAD, Opcode.POP]))
-        if featured == "SSTORE":
-            return (_operand(rng)
-                    + _push4(self._write_slot(rng))
-                    + bytes([Opcode.SSTORE]))
-        if featured == "DUP1":
-            return _operand(rng) + bytes([Opcode.DUP1, Opcode.POP, Opcode.POP])
-        if featured == "SWAP1":
-            return (_operand(rng) + _operand(rng)
-                    + bytes([Opcode.SWAP1, Opcode.POP, Opcode.POP]))
-        if featured == "CALLCODE":
-            lib_id = rng.choice(sorted(CODE_LIBRARY))
-            return bytes([Opcode.PUSH1, lib_id, Opcode.CALLCODE, Opcode.POP])
-        raise WorkloadError(f"unsupported featured opcode {featured!r}")
-
-
-def _operand(rng: random.Random) -> bytes:
-    """A nonzero literal operand of random width (2..32 bytes).
-
-    Word width varies the way real contract operands do, which also gives
-    arithmetic opcodes their natural cost spread. Width 1 is reserved so
-    scaffolding never inflates PUSH1 counts.
-    """
-    width = rng.randrange(2, 33)
-    value = rng.randrange(1 << (8 * (width - 1)), 1 << (8 * width))
-    return bytes([Opcode.PUSH1 + width - 1]) + value.to_bytes(width, "big")
-
-
-def _push4(value: int) -> bytes:
-    """Fixed-width slot-index push so the companion mix stays stable."""
-    if value >> 32:
-        op, imm = push_for(value)
-        return bytes([op]) + imm
-    return bytes([Opcode.PUSH4]) + value.to_bytes(4, "big")

@@ -386,6 +386,15 @@ def _models_file(tmp_path, text, height="1"):
             "--height", height, "--out", str(tmp_path / "s.cfg")]
 
 
+def _workload_file(tmp_path, text=None, **fields):
+    spec = json.loads((WORKLOADS / "add_only.json").read_text())
+    spec.update(fields)
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(spec) if text is None else text)
+    return ["simulate", "--workload", str(path), "--blocks", "5",
+            "--out", str(tmp_path / "sim")]
+
+
 BAD_INPUTS = {
     "blocks-0": lambda tmp_path: ["simulate", "--workload", SLOAD_HEAVY,
                                   "--blocks", "0", "--out", str(tmp_path)],
@@ -413,6 +422,25 @@ BAD_INPUTS = {
     "height-negative": lambda tmp_path: _models_file(
         tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}',
         height="-100"),
+    "workload-txs-float": lambda tmp_path: _workload_file(
+        tmp_path, transactions_per_block=1.5),
+    "workload-length-float": lambda tmp_path: _workload_file(
+        tmp_path, program_length=4.0),
+    "workload-keys-float": lambda tmp_path: _workload_file(
+        tmp_path, initial_keys=2.5),
+    "workload-keys-bool": lambda tmp_path: _workload_file(
+        tmp_path, initial_keys=True),
+    "workload-seed-float": lambda tmp_path: _workload_file(tmp_path, seed=1.5),
+    "workload-seed-overlong": lambda tmp_path: _workload_file(
+        tmp_path, text='{"seed": ' + "9" * 5000 + "}"),
+    "workload-mix-list": lambda tmp_path: _workload_file(
+        tmp_path, mix=["ADD"]),
+    "workload-mix-nan": lambda tmp_path: _workload_file(
+        tmp_path, mix={"ADD": float("nan")}),
+    "workload-rate-string": lambda tmp_path: _workload_file(
+        tmp_path, fresh_key_rate="0.5"),
+    "workload-price-negative": lambda tmp_path: _workload_file(
+        tmp_path, gas_price_wei=-5),
 }
 
 

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
+from gaslab.evm.opcodes import Opcode, push_for
 from gaslab.evm.schedule import default_schedule
-from gaslab.workload import (CODE_LIBRARY, WorkloadError, WorkloadGenerator,
-                             WorkloadSpec, load_workload, save_workload)
+from gaslab.workload import (CODE_LIBRARY, SUPPORTED_FEATURED_OPS,
+                             WorkloadError, WorkloadGenerator, WorkloadSpec,
+                             _below, load_workload)
 
 SCHED = default_schedule()
 
@@ -35,7 +40,7 @@ def test_unsupported_featured_opcode_rejected():
 def test_json_round_trip(tmp_path):
     spec = spec_with()
     path = tmp_path / "w.json"
-    save_workload(spec, path)
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert load_workload(path) == spec
 
 
@@ -116,3 +121,170 @@ def test_generated_programs_end_with_stop():
     block = generator.generate_block(0)
     for tx in block.transactions:
         assert tx.code[-1] == 0x00
+
+
+# -- exact draws -------------------------------------------------------------
+
+def _draw_sizes():
+    sizes = {1, 2, 31, 255, 256}
+    for k in range(1, 32):
+        sizes |= {2 ** k - 1, 2 ** k + 1, 255 * 2 ** (8 * k)}
+    sizes |= {64, 128, 250, 4096, 4097, 5000, 123_457}  # pool sizes
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n", _draw_sizes())
+def test_below_draws_exactly_as_randrange_and_choice(n):
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+        low = n * 3 + 1
+        assert (low + _below(ours.getrandbits, n)
+                == theirs.randrange(low, low + n))
+        assert ours.getstate() == theirs.getstate()
+        if n <= 4096:
+            seq = range(7, 7 + n)
+            assert seq[_below(ours.getrandbits, n)] == theirs.choice(seq)
+            assert ours.getstate() == theirs.getstate()
+
+
+class ReferenceGenerator:
+    """A snippet-by-snippet assembler that calls `randrange` and `choice`
+    directly: the oracle for `WorkloadGenerator`'s own draws."""
+
+    BINARY = {"ADD", "MUL", "SUB", "DIV", "LT", "GT", "EQ", "AND", "OR", "XOR"}
+
+    def __init__(self, spec):
+        self.spec, self.pool_size = spec, spec.initial_keys
+        self.ops = sorted(spec.mix)
+        self.bounds, acc = [], 0.0
+        for op in self.ops:
+            acc += spec.mix[op]
+            self.bounds.append(acc)
+
+    def block_codes(self, height):
+        rng = random.Random((self.spec.seed << 32) ^ height)
+        return [self.program(rng)
+                for _ in range(self.spec.transactions_per_block)]
+
+    def program(self, rng):
+        parts = []
+        for _ in range(self.spec.program_length):
+            x = rng.random()
+            op = next((op for op, bound in zip(self.ops, self.bounds)
+                       if x < bound), self.ops[-1])
+            parts.append(self.snippet(op, rng))
+        return b"".join(parts) + bytes([Opcode.STOP])
+
+    def snippet(self, op, rng):
+        code = Opcode[op]
+        if op in self.BINARY:
+            return operand(rng) + operand(rng) + bytes([code, Opcode.POP])
+        if op in ("ISZERO", "NOT"):
+            return operand(rng) + bytes([code, Opcode.POP])
+        if op == "PUSH1":
+            return bytes([code, rng.randrange(1, 256), Opcode.POP])
+        if op == "POP":
+            return operand(rng) + bytes([code])
+        if op == "PC":
+            return bytes([code, Opcode.POP])
+        if op == "JUMPDEST":
+            return bytes([code])
+        if op == "MLOAD":
+            return bytes([Opcode.PUSH2, 0, rng.choice(range(0, 256, 32)),
+                          code, Opcode.POP])
+        if op == "MSTORE":
+            return operand(rng) + bytes(
+                [Opcode.PUSH2, 0, rng.choice(range(0, 256, 32)), code])
+        if op == "SLOAD":
+            slot = rng.randrange(self.pool_size) if self.pool_size else 0
+            return push4(slot) + bytes([code, Opcode.POP])
+        if op == "SSTORE":
+            value = operand(rng)
+            if self.pool_size == 0 or rng.random() < self.spec.fresh_key_rate:
+                slot, self.pool_size = self.pool_size, self.pool_size + 1
+            else:
+                slot = rng.randrange(self.pool_size)
+            return value + push4(slot) + bytes([code])
+        if op == "DUP1":
+            return operand(rng) + bytes([code, Opcode.POP, Opcode.POP])
+        if op == "SWAP1":
+            return (operand(rng) + operand(rng)
+                    + bytes([code, Opcode.POP, Opcode.POP]))
+        assert op == "CALLCODE"
+        return bytes([Opcode.PUSH1, rng.choice(sorted(CODE_LIBRARY)), code,
+                      Opcode.POP])
+
+
+def operand(rng):
+    width = rng.randrange(2, 33)
+    value = rng.randrange(1 << (8 * (width - 1)), 1 << (8 * width))
+    return bytes([Opcode.PUSH1 + width - 1]) + value.to_bytes(width, "big")
+
+
+def push4(slot):
+    if slot >> 32:
+        op, imm = push_for(slot)
+        return bytes([op]) + imm
+    return bytes([Opcode.PUSH4]) + slot.to_bytes(4, "big")
+
+
+def _uniform_mix():
+    share = 1 / len(SUPPORTED_FEATURED_OPS)
+    return {op: share for op in SUPPORTED_FEATURED_OPS}
+
+
+def _random_spec(case):
+    rng = random.Random(case)
+    ops = rng.sample(SUPPORTED_FEATURED_OPS, rng.randint(1, 6))
+    weights = [rng.choice([0, 1, 2, 5]) for _ in ops]
+    weights[-1] = weights[-1] or 1
+    mix = {op: w / sum(weights) for op, w in zip(ops, weights)}
+    mix[ops[0]] += 1.0 - sum(mix.values())
+    return WorkloadSpec(
+        transactions_per_block=rng.randint(0, 3),
+        program_length=rng.randint(1, 12), mix=mix,
+        fresh_key_rate=rng.choice([0.0, 0.3, 1.0]),
+        seed=rng.randrange(-2 ** 40, 2 ** 40),
+        initial_keys=rng.choice([0, 1, 7, 256]))
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_generator_matches_reference_assembler(case):
+    spec = _random_spec(case)
+    if case == 0:
+        spec = dataclasses.replace(spec, mix=_uniform_mix(), initial_keys=0,
+                                   transactions_per_block=2)
+    generator = WorkloadGenerator(spec, SCHED)
+    reference = ReferenceGenerator(spec)
+    for height in range(60):
+        block = generator.generate_block(height)
+        codes = [tx.code for tx in block.transactions]
+        assert codes == reference.block_codes(height), (spec, height)
+        assert generator.pool_size == reference.pool_size
+
+
+# sha256 of every program's code over 2000 blocks and the final pool size,
+# recorded with an assembler that called `randrange` and `choice`. Keys 0
+# starts on the branches that make no draw.
+ALL_OPS_GOLDEN = {
+    8: ("3e521fc27af5fa556dcd56a0fc33b1e2e52734f12020e473cc3627058a82fc8b",
+        680),
+    0: ("6549ae4afa8ee164098a604b21ecdbbee6ddd4d12e1208c7a6cbb85cbe643fca",
+        677),
+}
+
+
+@pytest.mark.parametrize("initial_keys", sorted(ALL_OPS_GOLDEN))
+def test_all_featured_ops_generate_golden_bytes(initial_keys):
+    spec = WorkloadSpec(transactions_per_block=2, program_length=8,
+                        mix=_uniform_mix(), fresh_key_rate=0.5, seed=11,
+                        initial_keys=initial_keys)
+    generator = WorkloadGenerator(spec, SCHED)
+    digest = hashlib.sha256()
+    for height in range(2000):
+        for tx in generator.generate_block(height).transactions:
+            digest.update(tx.code)
+    assert (digest.hexdigest(), generator.pool_size) == \
+        ALL_OPS_GOLDEN[initial_keys]
