@@ -94,10 +94,6 @@ class TxReceipt:
     samples: dict[str, list[int]]
     instructions: int   # sum of the sample counts, child calls included
 
-    @property
-    def sample_gas_total(self) -> int:
-        return sum(s[1] for s in self.samples.values())
-
 
 class _SampleArrays:
     """Flat per-opcode-byte accumulators, shared by a call tree.

@@ -133,9 +133,6 @@ class GasSchedule:
             lines.append(f"{op.name} = {self.rules[op].format()}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.format())
-
     @classmethod
     def parse(cls, text: str) -> "GasSchedule":
         family: dict[str, GasRule] = {}

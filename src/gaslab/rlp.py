@@ -1,7 +1,14 @@
 """Recursive length prefix encoding for trie nodes and chain data.
 
 Items are byte strings or (arbitrarily nested) lists of items. Decoding is
-strict: non-canonical encodings and trailing bytes are rejected.
+strict: non-canonical encodings and trailing bytes are rejected, at every
+nesting level (Yellow Paper, appendix B).
+
+`decode` is the per-level cost of a trie lookup: `gaslab.trie` fully decodes
+every node it reads from its store, with no decoded-node cache. A list's
+items are decoded in one loop: single bytes and short strings (a branch
+node's hash refs and empty slots) are sliced inline, with every strictness
+check of the recursive path; long strings and nested lists recurse.
 """
 
 from __future__ import annotations
@@ -58,12 +65,26 @@ def _decode_at(data: bytes, pos: int) -> tuple[RlpItem, int]:
     length, payload_start = _read_length(data, pos, tag, 0xC0)
     end = payload_start + length
     items: list[RlpItem] = []
+    append = items.append
     cursor = payload_start
     while cursor < end:
-        item, cursor = _decode_at(data, cursor)
-        if cursor > end:
-            raise RLPError("list item overruns list payload")
-        items.append(item)
+        tag = data[cursor]
+        if tag < 0x80:
+            append(data[cursor:cursor + 1])
+            cursor += 1
+        elif tag <= 0xB7:
+            start = cursor + 1
+            cursor = start + tag - 0x80
+            if cursor > end:
+                raise RLPError("list item overruns list payload")
+            if tag == 0x81 and data[start] < 0x80:
+                raise RLPError("non-canonical single byte")
+            append(data[start:cursor])
+        else:
+            item, cursor = _decode_at(data, cursor)
+            if cursor > end:
+                raise RLPError("list item overruns list payload")
+            append(item)
     return items, end
 
 

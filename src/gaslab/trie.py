@@ -16,6 +16,12 @@ holds committed nodes only, and a batch of writes hashes its shared upper
 levels once rather than once per write. `get` commits first, so every
 lookup walks stored, hashed nodes.
 
+Lookup contract: each hash-referenced level of a `get` is exactly one
+`store.get` and one full, strict `rlp.decode` of the bytes it returns,
+reached through the module attribute `rlp` and the trie's `store`. There is
+no decoded-node cache, so a lookup's cost follows its depth (Yellow Paper,
+appendix D), and `store.work.node_reads` counts that depth.
+
 Concurrency contract: single writer, multiple readers. Mutations, and a
 `get` on a dirty trie (it commits), require exclusive access; the structure
 does no internal locking.
@@ -36,20 +42,26 @@ EMPTY_ROOT = keccak_256(rlp.encode(b""))
 # inject rehash latency spikes into lookup timings.
 _KEY_PATH_CACHE_CAP = 1 << 18
 
+_MALFORMED = "holds a node that is not a list of 2 or 17 items"
+
 
 class CorruptStoreError(KeyError):
-    """A node referenced by hash is missing from the backing store."""
+    """A node referenced by hash is missing from the backing store, or is
+    not a list of 2 or 17 items."""
 
 
 # ---------------------------------------------------------------------------
 # Nibble paths and hex-prefix encoding
 # ---------------------------------------------------------------------------
 
+_NIBBLE_PAIRS = [(b >> 4, b & 0x0F) for b in range(256)]
+
+
 def bytes_to_nibbles(data: bytes) -> list[int]:
-    out = []
+    out: list[int] = []
+    extend = out.extend
     for b in data:
-        out.append(b >> 4)
-        out.append(b & 0x0F)
+        extend(_NIBBLE_PAIRS[b])
     return out
 
 
@@ -155,7 +167,37 @@ class MerklePatriciaTrie:
         the change in `store.work.node_reads` across the call.
         """
         self.root_hash()  # lookups walk committed nodes only
-        return self._get(self._root_ref, self._path_of(key))
+        path = self._path_of(key)
+        ref = self._root_ref
+        digest = ref   # the stored node the current one was read from
+        i = 0          # nibbles of path consumed so far
+        while True:
+            if ref == EMPTY_REF:
+                return None
+            if isinstance(ref, list):
+                node = ref
+            else:
+                node = rlp.decode(self.store.get(ref))
+                if not isinstance(node, list):
+                    raise CorruptStoreError(f"{ref.hex()}: {_MALFORMED}")
+                digest = ref
+            size = len(node)
+            if size == 17:
+                if i == len(path):
+                    return node[16] if node[16] != b"" else None
+                ref = node[path[i]]
+                i += 1
+            elif size == 2:
+                node_path, is_leaf = hex_prefix_decode(node[0])
+                if is_leaf:
+                    return node[1] if node_path == path[i:] else None
+                end = i + len(node_path)
+                if path[i:end] != node_path:
+                    return None
+                ref = node[1]
+                i = end
+            else:
+                raise CorruptStoreError(f"{digest.hex()}: {_MALFORMED}")
 
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert or update; an empty value is a delete request."""
@@ -193,7 +235,8 @@ class MerklePatriciaTrie:
         if isinstance(ref, list):
             return ref
         decoded = rlp.decode(self.store.get(ref))
-        assert isinstance(decoded, list)
+        if not isinstance(decoded, list) or len(decoded) not in (2, 17):
+            raise CorruptStoreError(f"{ref.hex()}: {_MALFORMED}")
         return decoded
 
     def _commit(self, node: list) -> rlp.RlpItem:
@@ -213,21 +256,6 @@ class MerklePatriciaTrie:
         digest = keccak_256(encoded)
         self.store.put(digest, encoded)
         return digest
-
-    def _get(self, ref: rlp.RlpItem, path: list[int]) -> Optional[bytes]:
-        node = self._resolve(ref)
-        if node is None:
-            return None
-        if len(node) == 17:
-            if not path:
-                return node[16] if node[16] != b"" else None
-            return self._get(node[path[0]], path[1:])
-        node_path, is_leaf = hex_prefix_decode(node[0])
-        if is_leaf:
-            return node[1] if node_path == path else None
-        if path[:len(node_path)] != node_path:
-            return None
-        return self._get(node[1], path[len(node_path):])
 
     def _insert(self, ref: rlp.RlpItem, path: list[int],
                 value: bytes) -> tuple[rlp.RlpItem, bool]:

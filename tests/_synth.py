@@ -1,4 +1,4 @@
-"""Shared synthetic-window generator for fitting tests."""
+"""Shared test helpers: synthetic windows for fitting tests, receipt sums."""
 
 import random
 
@@ -19,3 +19,8 @@ def synth_windows(coeffs, n_windows, step, sigma, seed, opcode="OP",
             {opcode: InstructionStat(count, count * 3,
                                      int(round(mean * count)))}, {}))
     return windows
+
+
+def sample_gas_total(receipt):
+    """Gas charged across a receipt's opcode samples, child calls included."""
+    return sum(s[1] for s in receipt.samples.values())

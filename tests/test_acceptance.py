@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from _synth import sample_gas_total, synth_windows
 from scipy import stats
 
 from gaslab.chain import run_chain
@@ -117,7 +118,7 @@ def test_criterion_2_gas_accounting():
             programs.append((tx.code, receipt))
 
     exact = all(r.status.value == "success"
-                and r.gas_used == SCHED.intrinsic_gas + r.sample_gas_total
+                and r.gas_used == SCHED.intrinsic_gas + sample_gas_total(r)
                 for r in receipts)
 
     # out-of-gas boundaries: a one-lower limit consumes exactly the limit.
@@ -272,7 +273,6 @@ def test_criterion_4_classification_fixture():
 
 def test_criterion_5_bic_monte_carlo():
     started = time.perf_counter()
-    from _synth import synth_windows
     quadratic = (6000.0, 2e-3, 1.2e-9)
     selected = 0
     for trial in range(100):

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from _synth import sample_gas_total
 
 from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
@@ -288,7 +289,7 @@ def test_callcode_runs_callee_in_caller_storage():
     # callee instructions are sampled individually, CALLCODE charges G_call
     assert receipt.samples["CALLCODE"][:2] == [1, 700]
     assert receipt.samples["SSTORE"][0] == 1
-    assert receipt.gas_used == 21_000 + receipt.sample_gas_total
+    assert receipt.gas_used == 21_000 + sample_gas_total(receipt)
 
 
 def test_callcode_missing_code_pushes_failure():
@@ -354,7 +355,7 @@ def test_metering_completeness_on_randomized_programs():
     receipts = random_program_receipts(150, seed=21)
     assert all(r.status is TxStatus.SUCCESS for r in receipts)
     for receipt in receipts:
-        assert receipt.gas_used == 21_000 + receipt.sample_gas_total
+        assert receipt.gas_used == 21_000 + sample_gas_total(receipt)
         assert receipt.instructions == sum(
             s[0] for s in receipt.samples.values())
 

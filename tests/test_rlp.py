@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaslab import rlp
 
@@ -69,3 +69,122 @@ def test_round_trip(item):
 @given(st.lists(st.binary(max_size=8), min_size=60, max_size=80))
 def test_long_list_round_trip(items):
     assert rlp.decode(rlp.encode(items)) == items
+
+
+# ---------------------------------------------------------------------------
+# differential check against the plain recursive decoder
+# ---------------------------------------------------------------------------
+
+def reference_decode(data):
+    """The straightforward recursive decoder (one call per item), kept here
+    as an oracle for `rlp.decode`, which decodes list items inline."""
+    item, consumed = _ref_decode_at(data, 0)
+    if consumed != len(data):
+        raise rlp.RLPError("trailing bytes after RLP item")
+    return item
+
+
+def _ref_decode_at(data, pos):
+    if pos >= len(data):
+        raise rlp.RLPError("unexpected end of input")
+    tag = data[pos]
+    if tag < 0x80:
+        return bytes([tag]), pos + 1
+    if tag <= 0xBF:
+        length, start = _ref_read_length(data, pos, tag, 0x80)
+        payload = data[start:start + length]
+        if tag <= 0xB7 and length == 1 and payload[0] < 0x80:
+            raise rlp.RLPError("non-canonical single byte")
+        return payload, start + length
+    length, start = _ref_read_length(data, pos, tag, 0xC0)
+    end = start + length
+    items = []
+    cursor = start
+    while cursor < end:
+        item, cursor = _ref_decode_at(data, cursor)
+        if cursor > end:
+            raise rlp.RLPError("list item overruns list payload")
+        items.append(item)
+    return items, end
+
+
+def _ref_read_length(data, pos, tag, offset):
+    if tag <= offset + 55:
+        length, start = tag - offset, pos + 1
+    else:
+        n = tag - offset - 55
+        if pos + 1 + n > len(data):
+            raise rlp.RLPError("truncated length field")
+        length_bytes = data[pos + 1:pos + 1 + n]
+        if length_bytes[0] == 0:
+            raise rlp.RLPError("length field has leading zero")
+        length = int.from_bytes(length_bytes, "big")
+        if length <= 55:
+            raise rlp.RLPError("non-minimal length encoding")
+        start = pos + 1 + n
+    if start + length > len(data):
+        raise rlp.RLPError("payload extends past end of input")
+    return length, start
+
+
+def _outcome(decoder, data):
+    try:
+        return "item", decoder(data)
+    except rlp.RLPError:
+        return "error", None
+
+
+def assert_same_as_reference(data):
+    expected = _outcome(reference_decode, data)
+    assert _outcome(rlp.decode, data) == expected
+    return expected
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=400)
+def test_differential_random_bytes(data):
+    assert_same_as_reference(data)
+
+
+@given(rlp_items)
+def test_differential_valid_encodings(item):
+    assert assert_same_as_reference(rlp.encode(item)) == ("item", item)
+
+
+@given(rlp_items, st.integers(min_value=0), st.integers(0, 255))
+@settings(max_examples=400)
+def test_differential_single_byte_mutations(item, where, byte):
+    data = bytearray(rlp.encode(item))
+    data[where % len(data)] = byte
+    assert_same_as_reference(bytes(data))
+
+
+@given(rlp_items, st.integers(min_value=0))
+def test_differential_truncations(item, cut):
+    data = rlp.encode(item)
+    assert_same_as_reference(data[:cut % len(data)])
+
+
+@pytest.mark.parametrize("data", [
+    bytes.fromhex("c28105"),         # 0x05 must encode as itself in a list
+    b"\xc3\x83abc",                  # short string overruns its list
+    b"\xc2\xb8\x38" + b"a" * 56,     # long string overruns its list
+    b"\xc4\xb8\x01\x61\x62",         # non-minimal long length in a list
+    b"\xc3\xb9\x00\x38",             # leading-zero length in a list
+    b"\xc3\xc2\x81\x05",             # non-canonical byte in a nested list
+    b"\xc1\xc2\x80",                 # nested list overruns its parent
+    b"\xc2\x80\x80\x80",             # trailing bytes after a list
+    b"\xc5\x83ab",                   # list payload truncated
+])
+def test_in_list_strictness(data):
+    assert assert_same_as_reference(data)[0] == "error"
+
+
+@pytest.mark.parametrize("item", [
+    [b"\x05", b"\x80", b""],
+    [b"a" * 56, b"dog", b"b" * 300],                 # long strings in a list
+    [[b"x"], [[], [b"\x05", b"a" * 60]], b"\x7f"],   # nested lists
+    [b"\x01" * 32] * 16 + [b""],                     # a branch node's shape
+])
+def test_in_list_items_decode(item):
+    assert assert_same_as_reference(rlp.encode(item)) == ("item", item)

@@ -44,7 +44,7 @@ def test_missing_opcode_is_startup_error():
 def test_config_round_trip(tmp_path):
     sched = default_schedule()
     path = tmp_path / "sched.cfg"
-    sched.save(path)
+    path.write_text(sched.format())
     loaded = GasSchedule.load(path)
     assert loaded.rules == sched.rules
     assert loaded.intrinsic_gas == sched.intrinsic_gas

@@ -7,7 +7,9 @@ with this oracle before the trie was built and is frozen here.
 """
 
 import random
+import types
 
+import gaslab.rlp
 import gaslab.trie
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from gaslab import rlp
 from gaslab.keccak import keccak_256
 from gaslab.trie import (EMPTY_ROOT, CorruptStoreError, MerklePatriciaTrie,
-                         bytes_to_nibbles, hex_prefix_decode,
+                         NodeStore, bytes_to_nibbles, hex_prefix_decode,
                          hex_prefix_encode)
 
 # Computed with the oracle below prior to the main implementation.
@@ -241,6 +243,71 @@ def test_corrupt_store_raises():
     with pytest.raises(CorruptStoreError):
         for key in FIXTURE_PAIRS:
             trie.get(key)
+
+
+def test_each_lookup_level_is_one_store_read_and_one_decode(monkeypatch):
+    # Wrap the lookup path where `bench/tracer.py` does: the module
+    # attribute `gaslab.trie.rlp` and `NodeStore.get`.
+    events = []
+    real_get = NodeStore.get
+
+    def recorded_get(store, key):
+        value = real_get(store, key)
+        events.append(("read", value))
+        return value
+
+    def recorded_decode(data):
+        events.append(("decode", data))
+        return gaslab.rlp.decode(data)
+
+    rng = random.Random(16)
+    for size in (16, 64, 256, 1024):
+        keys = [rng.randbytes(rng.randrange(1, 12)) for _ in range(size)]
+        trie = make_trie({key: key * 2 for key in keys})
+        trie.root_hash()
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeStore, "get", recorded_get)
+            patch.setattr(gaslab.trie, "rlp", types.SimpleNamespace(
+                encode=gaslab.rlp.encode, decode=recorded_decode,
+                RlpItem=gaslab.rlp.RlpItem))
+            for key in keys + [rng.randbytes(4) for _ in range(size // 4)]:
+                events.clear()
+                reads = trie.store.work.node_reads
+                trie.get(key)
+                depth = trie.store.work.node_reads - reads
+                assert depth >= 1
+                # each level: store.get, then a decode of exactly its bytes
+                assert len(events) == 2 * depth
+                for (read, value), (decode, data) in zip(events[::2],
+                                                         events[1::2]):
+                    assert (read, decode) == ("read", "decode")
+                    assert data is value
+
+
+def _corrupt_root(bad_node):
+    trie = make_trie({i.to_bytes(2, "big"): b"v" for i in range(50)})
+    root = trie.root_hash()
+    trie.store._data[root] = rlp.encode(bad_node)
+    return trie, root
+
+
+@pytest.mark.parametrize("bad_node", [
+    [b"a", b"b", b"c"],              # a list of 3 items
+    b"x" * 40,                       # a string
+    b"s" * 17,                       # a string as long as a branch
+], ids=["list-of-3", "string", "string-of-17"])
+def test_malformed_stored_node_raises(bad_node):
+    trie, root = _corrupt_root(bad_node)
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.get(b"\x00\x01")
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.insert(b"new", b"v")   # mutations resolve nodes too
+
+
+def test_malformed_inline_node_names_its_stored_parent():
+    trie, root = _corrupt_root([[b"a", b"b", b"c"]] * 16 + [b""])
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.get(b"\x00\x01")
 
 
 def test_reinserting_identical_node_is_idempotent():
