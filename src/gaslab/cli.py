@@ -170,7 +170,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 ((op, cls.windows_used[op], cls.correlations[op],
                   cls.labels[op]) for op in sorted(cls.labels)))
     save_models(result.time_models, out / "time_models.json")
-    save_models(result.proposed_gas.models, out / "proposed_gas_models.json")
+    save_models(result.proposed_gas, out / "proposed_gas_models.json")
     write_table(out / "dep_share.csv", DEP_SHARE_HEADER,
                 ((n, share, int(extra))
                  for n, share, extra in result.dep_share))

@@ -505,8 +505,7 @@ for _op, _io in ARITY.items():
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
                         block_height: int, schedule: GasSchedule,
-                        clock=WallClock, sink=None,
-                        commit: bool = True) -> TxReceipt:
+                        clock=WallClock, sink=None) -> TxReceipt:
     """Run one transaction against the world trie.
 
     Charges the intrinsic gas first (a limit below it is rejected without
@@ -530,7 +529,7 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
         sink.record_span(MacroCategory.EVM, evm_duration)
         sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
 
-    if status is TxStatus.SUCCESS and commit:
+    if status is TxStatus.SUCCESS:
         db_start = clock.now_ns()
         trie.store.work.commits += 1
         for slot in sorted(machine.storage_buffer):

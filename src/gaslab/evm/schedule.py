@@ -106,9 +106,6 @@ class GasSchedule:
         self.intrinsic_gas = intrinsic_gas
         self._by_byte: list | None = None
 
-    def rule_for(self, op: Opcode) -> GasRule:
-        return self.rules[op]
-
     def rules_by_byte(self) -> list:
         """256-entry dispatch array for the interpreter hot path.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 class InsufficientDataError(ValueError):
@@ -63,18 +63,20 @@ class ScalarModel:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate_raw(self, n: float) -> float:
-        """Un-clamped evaluation at block-height n."""
-        if self.kind == "constant":
-            return self.coefficients[0]
-        x = (n - self.x_center) / self.x_scale
-        value = 0.0
-        for coeff in reversed(self.coefficients):
-            value = value * x + coeff
-        return value
-
     def evaluate(self, n: float) -> float:
-        return extrapolate(self, n).value
+        """Prediction at block-height n; a negative one clamps to the
+        training floor max(min_observed, 0), or 0 when that is unknown."""
+        if self.kind == "constant":
+            value = self.coefficients[0]
+        else:
+            x = (n - self.x_center) / self.x_scale
+            value = 0.0
+            for coeff in reversed(self.coefficients):
+                value = value * x + coeff
+        if value < 0:
+            floor = self.min_observed if self.min_observed is not None else 0.0
+            return max(floor, 0.0)
+        return value
 
     def scale(self, factor: float) -> "ScalarModel":
         """Model predicting factor * this; fit metadata does not carry over."""
@@ -88,16 +90,3 @@ class ScalarModel:
             train_range=self.train_range,
         )
 
-
-class Extrapolation(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def extrapolate(model: ScalarModel, n: float) -> Extrapolation:
-    """Evaluate at n; negative predictions clamp to the training minimum."""
-    value = model.evaluate_raw(n)
-    if value < 0:
-        floor = model.min_observed if model.min_observed is not None else 0.0
-        return Extrapolation(max(floor, 0.0), True)
-    return Extrapolation(value, False)

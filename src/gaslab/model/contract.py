@@ -11,7 +11,7 @@ inter-instruction effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .base import (InsufficientDataError, MissingModelError, ScalarModel,
                    UndefinedRatioError)
@@ -80,19 +80,14 @@ def avg_prog_tpg(n: float, time_models: Mapping[str, ScalarModel],
 
 
 def dependent_time_share(n: float, time_models: Mapping[str, ScalarModel],
-                         labels: Mapping[str, str],
+                         dependent: Collection[str],
                          contract: StandardContract) -> float:
-    """Fraction of standard-contract time spent in height-dependent opcodes."""
+    """Fraction of standard-contract time spent in the dependent opcodes."""
     total = avg_prog_time(n, time_models, contract)
     if total == 0:
         raise UndefinedRatioError("average program time is zero")
-    dependent = 0.0
+    dependent_time = 0.0
     for op, freq in contract.frequencies.items():
-        if freq == 0:
-            continue
-        label = labels.get(op)
-        if label is None:
-            raise MissingModelError(f"classification does not cover {op}")
-        if label == "dependent":
-            dependent += time_models[op].evaluate(n) * freq
-    return contract.length * dependent / total
+        if freq != 0 and op in dependent:
+            dependent_time += time_models[op].evaluate(n) * freq
+    return contract.length * dependent_time / total

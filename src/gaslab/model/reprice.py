@@ -5,11 +5,15 @@ unit gas), the proposed gas model is g_i(n) = t_i(n) / C. In real
 arithmetic this makes the standard contract's time-per-gas exactly C at
 every height; materializing the model into an integer schedule (round half
 up, floor 1) keeps it there within rounding error.
+
+A gas model is a plain ``dict`` from opcode name to `ScalarModel`, the same
+shape as the time models; `ScalarModel.evaluate` clamps a negative
+prediction to the training floor, so a model evaluated past its training
+range never yields a negative cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..evm.opcodes import from_name
@@ -21,29 +25,15 @@ from .base import InvalidConstantError, ScalarModel
 DEFAULT_TIME_PER_GAS = 5.0  # observed time per unit gas in early blocks
 
 
-@dataclass(frozen=True)
-class GasModel:
-    """Per-opcode gas predictions plus the target constant they encode."""
-
-    models: dict[str, ScalarModel]
-    target_tpg: float
-
-    def materialized_cost(self, opcode: str, n: float) -> int:
-        """Integer gas at height n: round half up, never below 1."""
-        return round_gas(self.models[opcode].evaluate(n))
-
-
 def propose_gas_model(time_models: Mapping[str, ScalarModel],
-                      target_tpg: float = DEFAULT_TIME_PER_GAS) -> GasModel:
+                      target_tpg: float = DEFAULT_TIME_PER_GAS
+                      ) -> dict[str, ScalarModel]:
     """g_i(n) = t_i(n) / C for every modeled opcode."""
     if target_tpg <= 0:
         raise InvalidConstantError(
             f"target time-per-gas must be positive, got {target_tpg}")
-    return GasModel(
-        models={op: model.scale(1.0 / target_tpg)
-                for op, model in time_models.items()},
-        target_tpg=target_tpg,
-    )
+    return {op: model.scale(1.0 / target_tpg)
+            for op, model in time_models.items()}
 
 
 def current_gas_model(windows: list[WindowAggregate]) -> dict[str, ScalarModel]:
@@ -66,23 +56,24 @@ def current_gas_model(windows: list[WindowAggregate]) -> dict[str, ScalarModel]:
             for op, (count, gas) in totals.items()}
 
 
-def materialize_schedule(gas_model: GasModel, height: int,
+def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
                          base: Optional[GasSchedule] = None) -> GasSchedule:
     """Concrete integer schedule at one height.
 
-    Modeled opcodes take their repriced constant; opcodes absent from the
-    model keep the base schedule's rule (the default schedule if no base is
-    given). SSTORE's tier rule collapses to the modeled scalar. A ``+mem``
-    rule stays ``+mem``, so memory expansion is still charged and bounded.
+    Modeled opcodes take `round_gas` of their gas at that height (round
+    half up, never below 1); opcodes absent from the model keep the base
+    schedule's rule (the default schedule if no base is given). SSTORE's
+    tier rule collapses to the modeled scalar. A ``+mem`` rule stays
+    ``+mem``, so memory expansion is still charged and bounded.
     """
     if base is None:
         base = default_schedule()
     rules = dict(base.rules)
-    for name, model in gas_model.models.items():
+    for name, model in gas_models.items():
         op = from_name(name)
         if op is None:
             continue
         plus_memory = getattr(rules[op], "plus_memory", False)
-        rules[op] = ConstantRule(gas_model.materialized_cost(name, height),
+        rules[op] = ConstantRule(round_gas(model.evaluate(height)),
                                  plus_memory)
     return GasSchedule(rules, base.intrinsic_gas)

@@ -88,7 +88,4 @@ def chi_square_normality(samples: Sequence[float], bins: int,
         ([-np.inf], edges, [np.inf])))[0]
     expected = n / effective_bins
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    dof = effective_bins - 3
-    critical = float(stats.chi2.ppf(1.0 - alpha, dof))
-    return ChiSquareResult(statistic=statistic, dof=dof, critical=critical,
-                           accept=statistic < critical, bins=effective_bins)
+    return chi_square_decision(statistic, effective_bins - 3, alpha)

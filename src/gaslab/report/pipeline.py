@@ -15,14 +15,15 @@ from typing import Optional, Sequence
 
 from scipy import stats
 
+from ..evm.schedule import round_gas
 from ..metrics import WindowAggregate, merge_windows
-from ..model import (ClassificationResult, GasModel, ScalarModel,
-                     StandardContract, avg_prog_gas, avg_prog_time,
-                     build_time_models, chi_square_normality,
+from ..model import (DEFAULT_TIME_PER_GAS, ChiSquareResult,
+                     ClassificationResult, InsufficientDataError,
+                     ScalarModel, StandardContract, avg_prog_gas,
+                     avg_prog_tpg, build_time_models, chi_square_normality,
                      classify_bh_dependence, current_gas_model,
                      dependent_time_share, macro_micro_differences,
                      propose_gas_model)
-from ..model.base import InsufficientDataError
 
 EXTRAPOLATION_FACTOR = 1.25
 DEFAULT_CHI_BINS = 20
@@ -34,8 +35,7 @@ TOP_TIME_SHARE = 6
 class AnalysisResult:
     classification: ClassificationResult
     time_models: dict[str, ScalarModel]
-    current_gas: dict[str, ScalarModel]
-    proposed_gas: GasModel
+    proposed_gas: dict[str, ScalarModel]
     contract: StandardContract
     window_heights: list[int]
     observed_tpg: dict[int, float]
@@ -47,7 +47,7 @@ class AnalysisResult:
     dep_share: list[tuple[int, float, bool]]   # (height, share, extrapolated)
     time_share_rows: list[tuple[int, str, float]]
     macro_micro: list[tuple[int, float]]
-    chi_square: Optional[object]
+    chi_square: Optional[ChiSquareResult]
     chi_square_error: Optional[str]
     early_tpg: Optional[float]
     kendall: dict[str, float] = field(default_factory=dict)
@@ -62,23 +62,10 @@ def _observed_tpg(windows: Sequence[WindowAggregate]) -> dict[int, float]:
     return out
 
 
-def _integerized_tpg(n: int, time_models, proposed: GasModel,
-                     contract: StandardContract) -> float:
-    gas = 0.0
-    for op, freq in contract.frequencies.items():
-        if freq == 0:
-            continue
-        gas += proposed.materialized_cost(op, n) * freq
-    gas *= contract.length
-    if gas == 0:
-        return float("nan")
-    return avg_prog_time(n, time_models, contract) / gas
-
-
 def analyze_windows(micro: Sequence[WindowAggregate],
                     macro: Sequence[WindowAggregate] = (),
                     threshold: float = 0.7,
-                    target_tpg: float = 5.0,
+                    target_tpg: float = DEFAULT_TIME_PER_GAS,
                     split_seed: int = 0,
                     contract_length: Optional[float] = None) -> AnalysisResult:
     """Run the full analysis over micro (and optionally macro) windows."""
@@ -97,28 +84,24 @@ def analyze_windows(micro: Sequence[WindowAggregate],
     contract = StandardContract.from_counts(
         contract_length if contract_length is not None else 1.0, counts)
 
-    labels = dict(classification.labels)
-    for op in contract.frequencies:
-        labels.setdefault(op, "independent")  # sparse opcodes: constant view
-
     heights = [w.start for w in micro]
     observed = _observed_tpg(micro)
     current_tpg, proposed_tpg, integer_tpg = {}, {}, {}
     current_gas_curve, proposed_gas_curve = {}, {}
     for n in heights:
-        current_tpg[n] = (avg_prog_time(n, time_models, contract)
-                          / avg_prog_gas(n, current, contract))
-        proposed_tpg[n] = (avg_prog_time(n, time_models, contract)
-                           / avg_prog_gas(n, proposed.models, contract))
-        integer_tpg[n] = _integerized_tpg(n, time_models, proposed, contract)
+        # The materialized schedule's integer gas, as constant models.
+        integer = {op: ScalarModel("constant", (round_gas(model.evaluate(n)),))
+                   for op, model in proposed.items()}
+        current_tpg[n] = avg_prog_tpg(n, time_models, current, contract)
+        proposed_tpg[n] = avg_prog_tpg(n, time_models, proposed, contract)
+        integer_tpg[n] = avg_prog_tpg(n, time_models, integer, contract)
         current_gas_curve[n] = avg_prog_gas(n, current, contract)
-        proposed_gas_curve[n] = avg_prog_gas(n, proposed.models, contract)
+        proposed_gas_curve[n] = avg_prog_gas(n, proposed, contract)
 
     # Fig-9-style dependent share, extended past the training range.
-    dep_rows: list[tuple[int, float, bool]] = []
-    for n in heights:
-        dep_rows.append((n, dependent_time_share(n, time_models, labels,
-                                                 contract), False))
+    dependent = classification.dependent_opcodes()
+    dep_rows = [(n, dependent_time_share(n, time_models, dependent, contract),
+                 False) for n in heights]
     if len(heights) >= 2:
         step = heights[-1] - heights[-2]
         if step > 0:
@@ -126,7 +109,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
             limit = int(heights[-1] * EXTRAPOLATION_FACTOR)
             while n <= limit:
                 dep_rows.append((n, dependent_time_share(
-                    n, time_models, labels, contract), True))
+                    n, time_models, dependent, contract), True))
                 n += step
 
     # Fig-8-style execution time shares for the heaviest opcodes.
@@ -146,8 +129,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
                                (stat.time_ns / window_total) if stat else 0.0))
 
     # Macro/micro agreement.
-    merged = list(macro)
-    diffs = macro_micro_differences(_merge_for_validation(micro, merged))
+    diffs = macro_micro_differences(merge_windows(micro, macro))
     chi_result = None
     chi_error = None
     if diffs:
@@ -175,7 +157,6 @@ def analyze_windows(micro: Sequence[WindowAggregate],
     return AnalysisResult(
         classification=classification,
         time_models=time_models,
-        current_gas=current,
         proposed_gas=proposed,
         contract=contract,
         window_heights=heights,
@@ -194,8 +175,3 @@ def analyze_windows(micro: Sequence[WindowAggregate],
         kendall=kendall,
     )
 
-
-def _merge_for_validation(micro, macro):
-    if not macro:
-        return list(micro)
-    return merge_windows(micro, macro)

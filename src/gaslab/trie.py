@@ -43,11 +43,13 @@ EMPTY_ROOT = keccak_256(rlp.encode(b""))
 _KEY_PATH_CACHE_CAP = 1 << 18
 
 _MALFORMED = "holds a node that is not a list of 2 or 17 items"
+_BAD_PATH = "holds a 2-item node whose path is not a hex-prefix string"
 
 
 class CorruptStoreError(KeyError):
-    """A node referenced by hash is missing from the backing store, or is
-    not a list of 2 or 17 items."""
+    """A node referenced by hash is missing from the backing store, is not
+    a list of 2 or 17 items, or is a 2-item node whose path item is not a
+    non-empty string."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +106,6 @@ class NodeStore:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def keys(self):
-        return self._data.keys()
 
     def get(self, key: bytes) -> bytes:
         try:
@@ -188,7 +187,11 @@ class MerklePatriciaTrie:
                 ref = node[path[i]]
                 i += 1
             elif size == 2:
-                node_path, is_leaf = hex_prefix_decode(node[0])
+                try:
+                    node_path, is_leaf = hex_prefix_decode(node[0])
+                except (IndexError, TypeError):   # b"" or a list as path
+                    raise CorruptStoreError(
+                        f"{digest.hex()}: {_BAD_PATH}") from None
                 if is_leaf:
                     return node[1] if node_path == path[i:] else None
                 end = i + len(node_path)
@@ -237,6 +240,9 @@ class MerklePatriciaTrie:
         decoded = rlp.decode(self.store.get(ref))
         if not isinstance(decoded, list) or len(decoded) not in (2, 17):
             raise CorruptStoreError(f"{ref.hex()}: {_MALFORMED}")
+        if len(decoded) == 2 and (isinstance(decoded[0], list)
+                                  or not decoded[0]):
+            raise CorruptStoreError(f"{ref.hex()}: {_BAD_PATH}")
         return decoded
 
     def _commit(self, node: list) -> rlp.RlpItem:

@@ -21,7 +21,7 @@ from scipy import stats
 from gaslab.chain import run_chain
 from gaslab.cli import main as cli_main
 from gaslab.evm.machine import execute_transaction
-from gaslab.evm.schedule import default_schedule
+from gaslab.evm.schedule import default_schedule, round_gas
 from gaslab.metrics import read_micro_csv
 from gaslab.model import (ScalarModel, StandardContract, avg_prog_tpg,
                           chi_square_decision, classify_bh_dependence,
@@ -122,18 +122,18 @@ def test_criterion_2_gas_accounting():
                 for r in receipts)
 
     # out-of-gas boundaries: a one-lower limit consumes exactly the limit.
-    # SSTORE tiers depend on current state, so probe today's cost first
-    # (uncommitted) and starve against that.
+    # SSTORE tiers depend on current state, so probe today's cost first on
+    # a second trie over the same archive-style store (its commit leaves
+    # `trie` as it was) and starve against that.
     boundary_ok = True
     rng = random.Random(0xC2)
     for code, _ in rng.sample(programs, 25):
-        probe = execute_transaction(code, trie, 10_000_000, 0, SCHED,
-                                    commit=False)
+        view = MerklePatriciaTrie(trie.store, root_hash=trie.root_hash())
+        probe = execute_transaction(code, view, 10_000_000, 0, SCHED)
         starved_limit = probe.gas_used - 1
         if starved_limit < SCHED.intrinsic_gas:
             continue
-        starved = execute_transaction(code, trie, starved_limit, 0, SCHED,
-                                      commit=False)
+        starved = execute_transaction(code, trie, starved_limit, 0, SCHED)
         boundary_ok &= starved.status.value == "out-of-gas"
         boundary_ok &= starved.gas_used == starved_limit
 
@@ -319,12 +319,12 @@ def test_criterion_6_repricing_closure():
         n = float(rng.randrange(0, 8_000_000))
         proposed = propose_gas_model(models, target)
 
-        tpg = avg_prog_tpg(n, models, proposed.models, contract)
+        tpg = avg_prog_tpg(n, models, proposed, contract)
         worst_real = max(worst_real, abs(tpg - target) / target)
 
         time_total = sum(models[op].evaluate(n) * freq
                          for op, freq in contract.frequencies.items())
-        gas_total = sum(proposed.materialized_cost(op, n) * freq
+        gas_total = sum(round_gas(proposed[op].evaluate(n)) * freq
                         for op, freq in contract.frequencies.items())
         worst_int = max(worst_int, abs(time_total / gas_total - target)
                         / target)

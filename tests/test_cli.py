@@ -106,7 +106,8 @@ def test_virtual_simulate_matches_golden_digests(tmp_path, workload):
 
 # sha256 of outputs derived from the sload_heavy run above (200 blocks,
 # window 50). Nothing on their path uses numpy or scipy, so they hold on
-# every host.
+# every host: the run's 4 windows are fewer than MIN_FIT_WINDOWS, so every
+# time model is a constant mean.
 DERIVED_GOLDEN = {
     "an/classification.csv":
         "eb70a7c3a95a9463c72c55efd78c8b41273acd869eccd92c41a68852a9295f54",
@@ -120,6 +121,18 @@ DERIVED_GOLDEN = {
         "803d6151bb9bd95a1d6ba50ba35b3926f142d55b53adb5e785f91c6dcdfcf425",
     "eco/fee-vs-infra.svg":
         "f3e1f513cbadedf159727100aba767f9515ceb5dddfec80f473af15b268a9855",
+    "an/dep_share.csv":
+        "b6769358dde5dc5c1c35b73ac2b89628251ca7598707dcf815542d4265b4fe44",
+    "an/gas_curves.csv":
+        "1e26ca94e1a168c3cc96a114b6cb6dae55d3f35d0d6be9c1b3cfbc2da3e6bd58",
+    "an/tpg_curves.csv":
+        "245674bc1ca0dcccc2a3b0643ce3ebd6b6a9c508fcc3bf78c191808db766fe0b",
+    "an/time_models.json":
+        "c095e6f6b2991968d65dca0e1f44a0bd6ce0ce340804e48b702cedfca68c504b",
+    "an/proposed_gas_models.json":
+        "bb35b37ff8f311c2d0636f20a16628d68d7b47713f3bee8d45cfb564c4d2b75f",
+    "repriced_200.cfg":
+        "6e34df885b0d286df6cc96b2efe151ff937cb5d03274dd90569b3059352073ae",
 }
 
 
@@ -133,6 +146,10 @@ def test_derived_outputs_match_golden_digests(tmp_path):
                    "--out", str(tmp_path / "eco")) == 0
     assert run_cli("plot", "--bundle", str(tmp_path / "eco"),
                    "--figure", "fee-vs-infra") == 0
+    assert run_cli("schedule", "materialize",
+                   "--models", str(tmp_path / "an" / "time_models.json"),
+                   "--height", "200",
+                   "--out", str(tmp_path / "repriced_200.cfg")) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DERIVED_GOLDEN}
     assert digests == DERIVED_GOLDEN
@@ -282,7 +299,7 @@ def test_schedule_materialize_round_trips(tmp_path):
                    "--models", str(out / "time_models.json"),
                    "--height", "600", "--out", str(cfg)) == 0
     schedule = GasSchedule.load(cfg)
-    assert schedule.rule_for(Opcode.SLOAD).cost >= 1
+    assert schedule.rules[Opcode.SLOAD].cost >= 1
     assert schedule.intrinsic_gas == 21_000
 
 
@@ -318,7 +335,7 @@ def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     assert run_cli("schedule", "materialize", "--models", str(models),
                    "--height", "100", "--out", "rooted/repriced.cfg") == 0
     schedule = GasSchedule.load(tmp_path / "rooted" / "repriced.cfg")
-    assert schedule.rule_for(Opcode.SLOAD).cost == 200
+    assert schedule.rules[Opcode.SLOAD].cost == 200
 
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -379,6 +396,11 @@ def test_table_faults_exit_2_naming_the_line(tmp_path, capsys, reader, fault):
     assert "Traceback" not in err
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 def _models_file(tmp_path, text, height="1"):
     path = tmp_path / "models.json"
     path.write_text(text)
@@ -415,6 +437,11 @@ BAD_INPUTS = {
         "--out", str(tmp_path / "eco")],
     "threshold-above-1": lambda tmp_path: [
         "analyze", "--micro", TABLE3, "--threshold", "2",
+        "--out", str(tmp_path / "a")],
+    "micro-all-zero-gas": lambda tmp_path: [
+        "analyze", "--micro", _write(
+            tmp_path / "micro.csv", MICRO_HEADER + "\n0,STOP,1,0,5\n"
+            "50,STOP,1,0,6\n100,STOP,1,0,7\n"),
         "--out", str(tmp_path / "a")],
     "threshold-negative": lambda tmp_path: [
         "analyze", "--micro", TABLE3, "--threshold", "-1",

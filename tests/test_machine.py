@@ -129,7 +129,7 @@ def test_committed_transaction_leaves_nothing_dirty():
     trie = MerklePatriciaTrie()
     code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 5, Opcode.SSTORE,
                   Opcode.PUSH1, 2, Opcode.PUSH1, 6, Opcode.SSTORE])
-    receipt = run(code, trie=trie, commit=True)
+    receipt = run(code, trie=trie)
     assert receipt.status is TxStatus.SUCCESS
     nodes, writes = len(trie.store), trie.store.work.node_writes
     assert nodes > 0

@@ -13,7 +13,7 @@ from _synth import synth_windows
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model import (FitError, InsufficientDataError, ScalarModel,
                           bic_score, build_time_models, classify_bh_dependence,
-                          constant_model, extrapolate, fit_time_model,
+                          constant_model, fit_time_model,
                           models_from_json, models_to_json)
 
 
@@ -108,18 +108,20 @@ def test_sparse_dependent_opcode_falls_back_to_constant():
 
 def test_extrapolation_examples():
     constant = ScalarModel("constant", (42.0,))
-    assert extrapolate(constant, 0) == (42.0, False)
-    assert extrapolate(constant, 10 ** 8) == (42.0, False)
+    assert constant.evaluate(0) == 42.0
+    assert constant.evaluate(10 ** 8) == 42.0
 
     line = ScalarModel("polynomial", (100.0, 50.0))  # 100 + 50n
-    result = extrapolate(line, 10)
-    assert result.value == pytest.approx(600.0)
-    assert not result.clamped
+    assert line.evaluate(10) == pytest.approx(600.0)
 
+    # 10 - n is -90 at n = 100: it clamps to the training floor
     falling = ScalarModel("polynomial", (10.0, -1.0), min_observed=4.0)
-    result = extrapolate(falling, 100)
-    assert result.clamped
-    assert result.value == 4.0
+    assert falling.evaluate(5) == 5.0
+    assert falling.evaluate(100) == 4.0
+    # with no recorded floor, or a negative one, it clamps to 0
+    assert ScalarModel("polynomial", (10.0, -1.0)).evaluate(100) == 0.0
+    assert ScalarModel("polynomial", (10.0, -1.0),
+                       min_observed=-3.0).evaluate(100) == 0.0
 
 
 def test_scaled_polynomial_evaluates_in_raw_heights():

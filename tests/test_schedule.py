@@ -11,25 +11,25 @@ from gaslab.evm.schedule import (ConstantRule, GasSchedule, PolynomialRule,
 def test_default_schedule_spot_values():
     sched = default_schedule()
     assert sched.intrinsic_gas == 21000
-    assert sched.rule_for(Opcode.ADD) == ConstantRule(3)
-    assert sched.rule_for(Opcode.MUL) == ConstantRule(5)
-    assert sched.rule_for(Opcode.POP) == ConstantRule(2)
-    assert sched.rule_for(Opcode.SLOAD) == ConstantRule(200)
-    assert sched.rule_for(Opcode.SSTORE) == SstoreRule(20000, 5000)
-    assert sched.rule_for(Opcode.JUMP) == ConstantRule(8)
-    assert sched.rule_for(Opcode.JUMPI) == ConstantRule(10)
-    assert sched.rule_for(Opcode.JUMPDEST) == ConstantRule(1)
-    assert sched.rule_for(Opcode.CALLCODE) == ConstantRule(700)
-    assert sched.rule_for(Opcode.MSTORE) == ConstantRule(3, plus_memory=True)
-    assert sched.rule_for(Opcode.STOP) == ConstantRule(0)
+    assert sched.rules[Opcode.ADD] == ConstantRule(3)
+    assert sched.rules[Opcode.MUL] == ConstantRule(5)
+    assert sched.rules[Opcode.POP] == ConstantRule(2)
+    assert sched.rules[Opcode.SLOAD] == ConstantRule(200)
+    assert sched.rules[Opcode.SSTORE] == SstoreRule(20000, 5000)
+    assert sched.rules[Opcode.JUMP] == ConstantRule(8)
+    assert sched.rules[Opcode.JUMPI] == ConstantRule(10)
+    assert sched.rules[Opcode.JUMPDEST] == ConstantRule(1)
+    assert sched.rules[Opcode.CALLCODE] == ConstantRule(700)
+    assert sched.rules[Opcode.MSTORE] == ConstantRule(3, plus_memory=True)
+    assert sched.rules[Opcode.STOP] == ConstantRule(0)
     for k in range(1, 33):
-        assert sched.rule_for(Opcode[f"PUSH{k}"]).cost == 3
+        assert sched.rules[Opcode[f"PUSH{k}"]].cost == 3
 
 
 def test_every_implemented_opcode_has_a_rule():
     sched = default_schedule()
     for op in ALL_OPCODES:
-        assert sched.rule_for(op) is not None
+        assert sched.rules[op] is not None
 
 
 def test_missing_opcode_is_startup_error():
@@ -55,8 +55,8 @@ def test_family_entry_with_individual_override():
     base = "\n".join(l for l in default_schedule().format().splitlines()
                      if not l.startswith("PUSH"))
     sched = GasSchedule.parse(base + "\nPUSH = 7\nPUSH1 = 9\n")
-    assert sched.rule_for(Opcode.PUSH1).cost == 9
-    assert sched.rule_for(Opcode.PUSH2).cost == 7
+    assert sched.rules[Opcode.PUSH1].cost == 9
+    assert sched.rules[Opcode.PUSH2].cost == 7
 
 
 def test_zero_cost_rejected_for_non_terminal_opcodes():
@@ -67,8 +67,8 @@ def test_zero_cost_rejected_for_non_terminal_opcodes():
 
 def test_zero_cost_allowed_for_terminal_opcodes():
     sched = default_schedule()
-    assert sched.rule_for(Opcode.STOP).cost == 0
-    assert sched.rule_for(Opcode.RETURN).cost == 0
+    assert sched.rules[Opcode.STOP].cost == 0
+    assert sched.rules[Opcode.RETURN].cost == 0
 
 
 def test_polynomial_rule_floors_at_one():
@@ -85,13 +85,13 @@ def test_polynomial_schedule_parses():
     text = default_schedule().format().replace(
         "SLOAD = 200", "SLOAD = poly:200.0,0.004")
     sched = GasSchedule.parse(text)
-    rule = sched.rule_for(Opcode.SLOAD)
+    rule = sched.rules[Opcode.SLOAD]
     assert isinstance(rule, PolynomialRule)
     assert rule.base_cost(0) == 200
     assert rule.base_cost(1_000_000) == 4200
     # and it survives the config round trip
     again = GasSchedule.parse(sched.format())
-    assert again.rule_for(Opcode.SLOAD) == rule
+    assert again.rules[Opcode.SLOAD] == rule
 
 
 def test_bad_rule_reports_line():

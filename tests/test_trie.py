@@ -199,7 +199,7 @@ def test_content_addressing_of_stored_nodes():
     trie = make_trie(FIXTURE_PAIRS)
     trie.root_hash()  # the store holds committed nodes only
     assert len(trie.store) > 0
-    for key in trie.store.keys():
+    for key in trie.store._data:
         encoded = trie.store.get(key)
         assert len(key) == 32
         assert keccak_256(encoded) == key
@@ -238,7 +238,7 @@ def test_corrupt_store_raises():
     trie = make_trie(FIXTURE_PAIRS)
     root = trie.root_hash()
     # wipe every node but the root
-    for key in [k for k in trie.store.keys() if k != root]:
+    for key in [k for k in trie.store._data if k != root]:
         del trie.store._data[key]
     with pytest.raises(CorruptStoreError):
         for key in FIXTURE_PAIRS:
@@ -295,13 +295,17 @@ def _corrupt_root(bad_node):
     [b"a", b"b", b"c"],              # a list of 3 items
     b"x" * 40,                       # a string
     b"s" * 17,                       # a string as long as a branch
-], ids=["list-of-3", "string", "string-of-17"])
+    [b"", b"x" * 40],                # a 2-item node with an empty path
+    [[b"a"], b"x" * 40],             # a 2-item node with a list as path
+], ids=["list-of-3", "string", "string-of-17", "empty-path", "list-path"])
 def test_malformed_stored_node_raises(bad_node):
     trie, root = _corrupt_root(bad_node)
     with pytest.raises(CorruptStoreError, match=root.hex()):
         trie.get(b"\x00\x01")
     with pytest.raises(CorruptStoreError, match=root.hex()):
         trie.insert(b"new", b"v")   # mutations resolve nodes too
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.delete(b"\x00\x01")
 
 
 def test_malformed_inline_node_names_its_stored_parent():
@@ -389,7 +393,7 @@ def test_committed_store_holds_every_reachable_node():
     for key, value in pairs.items():
         trie.insert(key, value)
     reachable = reachable_hashes(trie)
-    assert reachable <= set(trie.store.keys())
+    assert reachable <= set(trie.store._data)
     # one batch of distinct keys into a fresh trie stores only final nodes
     assert len(reachable) / len(trie.store) == 1
     # so a new trie over the same store opens at the committed root
@@ -402,7 +406,7 @@ def test_committed_store_holds_every_reachable_node():
         trie.insert(key, b"x")
     for key in victims[:10]:
         trie.delete(key)
-    assert reachable_hashes(trie) <= set(trie.store.keys())
+    assert reachable_hashes(trie) <= set(trie.store._data)
 
 
 def test_keccak_budget_is_one_hash_per_key_and_per_stored_node(monkeypatch):
