@@ -143,8 +143,7 @@ def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
             receipt = execute_transaction(
                 tx.code, trie, tx.gas_limit, height, schedule,
                 clock=clock, sink=sink)
-            for name, (count, gas, time_ns) in receipt.samples.items():
-                sink.record_instruction_totals(name, count, gas, time_ns)
+            sink.record_instruction_totals(receipt.samples)
             receipts.append(ReceiptRow(
                 height, tx_index, receipt.status.value, receipt.gas_used,
                 tx.gas_limit, receipt.instructions))

@@ -52,11 +52,9 @@ class Work:
 
 
 class WallClock:
-    """Monotonic wall clock."""
+    """Monotonic wall clock: `now_ns` is the bare builtin, no Python frame."""
 
-    @staticmethod
-    def now_ns() -> int:
-        return time.perf_counter_ns()
+    now_ns = staticmethod(time.perf_counter_ns)
 
 
 class VirtualClock:

@@ -7,14 +7,19 @@ trie. Writes are buffered in the executive and land in the trie only when a
 transaction succeeds.
 
 Metering contract: the gas for an instruction is deducted before its effect
-is applied. The dispatch loop is `Machine.run`: decode, checks, charge and
-sample bookkeeping are inline, and the effect is one handler call per
-instruction. Its timed region, between two clock reads, covers decode, the
-arity verification, dynamic cost evaluation, the charge, and the effect;
-only the loop itself and sample bookkeeping stay outside, so the summed
-instruction times track the interpreter-level span closely. Exceptional
-halts (out of gas, invalid opcode or jump target, stack faults) consume all
-remaining gas; samples cover successful instructions only.
+is applied. The dispatch loop is `Machine.run`, with decode, checks, charge
+and sample bookkeeping inline. As in geth's jump table, one static table
+gives each opcode byte one entry, `(need, room, push_width, handler)`: the
+stack must hold `need` to `room = STACK_LIMIT + need - out` items, and an
+undefined byte has no entry, so it halts before any stack check. PUSH1-32
+run inline, zero-padding an immediate cut off by the end of the code; every
+other effect is one handler call. Cost comes from the schedule's per-byte
+rules. The timed region, between two clock reads, covers decode, the
+stack check, dynamic cost evaluation, the charge and the effect, an inline
+PUSH's included; only the loop itself and sample bookkeeping stay outside,
+so the summed instruction times track the interpreter-level span closely.
+Exceptional halts (out of gas, invalid opcode or jump target, stack faults)
+consume all remaining gas; samples cover successful instructions only.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed
@@ -36,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 from ..clock import WallClock
@@ -100,7 +106,7 @@ class _SampleArrays:
 
     Indexed list increments keep per-instruction bookkeeping cheap enough
     that the macro EVM span and the summed samples agree within a few
-    percent on wall clocks. The receipt names each sampled byte through
+    percent on wall clocks. The receipt names each byte that ran through
     the module's byte-to-name table, not through the `Opcode` enum.
     """
 
@@ -112,8 +118,9 @@ class _SampleArrays:
         self.times = [0] * 256
 
     def to_dict(self) -> dict[str, list[int]]:
-        return {_NAME_BY_BYTE[byte]: [count, self.gas[byte], self.times[byte]]
-                for byte, count in enumerate(self.counts) if count}
+        counts, gas, times = self.counts, self.gas, self.times
+        return {_NAME_BY_BYTE[byte]: [counts[byte], gas[byte], times[byte]]
+                for byte in compress(range(256), counts)}
 
 
 class _Halt(Exception):
@@ -153,10 +160,6 @@ class Machine:
     def jumpdests(self) -> frozenset[int]:
         return _scan_jumpdests(self.code)
 
-    @property
-    def samples(self) -> dict[str, list[int]]:
-        return self._samples.to_dict()
-
     # -- storage view -----------------------------------------------------
 
     def storage_read(self, slot: int) -> int:
@@ -174,6 +177,7 @@ class Machine:
         """Hot path: execute instructions until a halt, sampling each one."""
         code = self.code
         end = len(code)
+        pc = self.pc
         stack = self.stack
         rules = self._rules
         work = self.work
@@ -182,18 +186,16 @@ class Machine:
         counts, gas_totals, times = arrays.counts, arrays.gas, arrays.times
         try:
             while self.status is None:
-                pc = self.pc
                 if pc >= end:   # running off the end stops
                     self.status = TxStatus.SUCCESS
                     break
                 start = now_ns()
                 byte = code[pc]
-                arity = _ARITY_BY_BYTE[byte]
-                if arity is None:
+                operation = _OPERATIONS[byte]
+                if operation is None:
                     raise _Halt(TxStatus.INVALID_OP)
-                depth = len(stack)
-                if depth < arity[0] or \
-                        depth - arity[0] + arity[1] > STACK_LIMIT:
+                need, room, width, handler = operation
+                if not need <= len(stack) <= room:
                     raise _Halt(TxStatus.STACK_ERROR)
                 rule = rules[byte]
                 cost = rule if type(rule) is int \
@@ -202,15 +204,30 @@ class Machine:
                     raise _Halt(TxStatus.OUT_OF_GAS)
                 self.gas -= cost
                 work.instructions += 1
-                self.pc = pc + 1
-                child = _DISPATCH[byte](self)
+                if width:
+                    pc += 1
+                    stop = pc + width
+                    value = int.from_bytes(code[pc:stop], "big")
+                    if stop > end:   # cut off by the end: zero-padded
+                        value <<= 8 * (stop - end)
+                    stack.append(value)
+                    pc = stop
+                    child = None
+                else:
+                    self.pc = pc + 1
+                    child = handler(self)
+                    pc = self.pc
                 duration = now_ns() - start
 
                 counts[byte] += 1
                 gas_totals[byte] += cost
                 times[byte] += duration
                 if child is not None:
-                    self._run_child(child)
+                    status = child.run()  # child samples land in the arrays
+                    self.gas = child.gas
+                    if status is not TxStatus.SUCCESS:
+                        raise _Halt(status)
+                    stack.append(1)
         except _Halt as halt:
             self.status = halt.status
             self.gas = 0  # exceptional halts consume the remaining gas
@@ -266,15 +283,6 @@ class Machine:
                        storage_buffer=self.storage_buffer,
                        depth=self.depth + 1, sample_arrays=self._samples)
 
-    def _run_child(self, child: "Machine") -> None:
-        status = child.run()  # child samples land in the shared arrays
-        self.gas = child.gas
-        if status is not TxStatus.SUCCESS:
-            self.status = status
-            self.gas = 0
-        else:
-            self.stack.append(1)
-
 
 def _scan_jumpdests(code: bytes) -> frozenset[int]:
     """Positions of JUMPDEST bytes that are not inside PUSH immediates."""
@@ -295,7 +303,7 @@ def _scan_jumpdests(code: bytes) -> frozenset[int]:
 #
 # Handlers run with pc already advanced past the opcode byte. The first
 # operand popped is the top of stack. Only CALLCODE returns a value (the
-# child executive).
+# child executive). PUSH has no handler: the loop runs it inline.
 # ---------------------------------------------------------------------------
 
 def _op_stop(m: Machine):
@@ -436,17 +444,6 @@ def _op_callcode(m: Machine):
     return m._spawn_child(m.stack.pop())
 
 
-def _make_push(width: int):
-    def _op_push(m: Machine):
-        pc = m.pc
-        raw = m.code[pc:pc + width]
-        if len(raw) < width:
-            raw = raw.ljust(width, b"\x00")  # immediates truncated by EOF
-        m.stack.append(int.from_bytes(raw, "big"))
-        m.pc = pc + width
-    return _op_push
-
-
 def _make_dup(k: int):
     def _op_dup(m: Machine):
         m.stack.append(m.stack[-k])
@@ -460,47 +457,35 @@ def _make_swap(k: int):
     return _op_swap
 
 
-def _build_dispatch():
-    table = [None] * 256
-    table[Opcode.STOP] = _op_stop
-    table[Opcode.ADD] = _op_add
-    table[Opcode.MUL] = _op_mul
-    table[Opcode.SUB] = _op_sub
-    table[Opcode.DIV] = _op_div
-    table[Opcode.LT] = _op_lt
-    table[Opcode.GT] = _op_gt
-    table[Opcode.EQ] = _op_eq
-    table[Opcode.ISZERO] = _op_iszero
-    table[Opcode.AND] = _op_and
-    table[Opcode.OR] = _op_or
-    table[Opcode.XOR] = _op_xor
-    table[Opcode.NOT] = _op_not
-    table[Opcode.POP] = _op_pop
-    table[Opcode.PC] = _op_pc
-    table[Opcode.JUMPDEST] = _op_jumpdest
-    table[Opcode.JUMP] = _op_jump
-    table[Opcode.JUMPI] = _op_jumpi
-    table[Opcode.MLOAD] = _op_mload
-    table[Opcode.MSTORE] = _op_mstore
-    table[Opcode.SLOAD] = _op_sload
-    table[Opcode.SSTORE] = _op_sstore
-    table[Opcode.RETURN] = _op_return
-    table[Opcode.CALLCODE] = _op_callcode
-    for width in range(1, 33):
-        table[Opcode.PUSH1 + width - 1] = _make_push(width)
+def _build_operations() -> list:
+    """One entry per opcode byte, None where the byte is undefined."""
+    handlers = {
+        Opcode.STOP: _op_stop, Opcode.ADD: _op_add, Opcode.MUL: _op_mul,
+        Opcode.SUB: _op_sub, Opcode.DIV: _op_div, Opcode.LT: _op_lt,
+        Opcode.GT: _op_gt, Opcode.EQ: _op_eq, Opcode.ISZERO: _op_iszero,
+        Opcode.AND: _op_and, Opcode.OR: _op_or, Opcode.XOR: _op_xor,
+        Opcode.NOT: _op_not, Opcode.POP: _op_pop, Opcode.PC: _op_pc,
+        Opcode.JUMPDEST: _op_jumpdest, Opcode.JUMP: _op_jump,
+        Opcode.JUMPI: _op_jumpi, Opcode.MLOAD: _op_mload,
+        Opcode.MSTORE: _op_mstore, Opcode.SLOAD: _op_sload,
+        Opcode.SSTORE: _op_sstore, Opcode.RETURN: _op_return,
+        Opcode.CALLCODE: _op_callcode,
+    }
     for k in range(1, 17):
-        table[Opcode.DUP1 + k - 1] = _make_dup(k)
-        table[Opcode.SWAP1 + k - 1] = _make_swap(k)
+        handlers[Opcode.DUP1 + k - 1] = _make_dup(k)
+        handlers[Opcode.SWAP1 + k - 1] = _make_swap(k)
+    table: list = [None] * 256
+    for op, (need, out) in ARITY.items():
+        width = op - Opcode.PUSH1 + 1 if Opcode.PUSH1 <= op <= Opcode.PUSH32 \
+            else 0
+        table[op] = (need, STACK_LIMIT + need - out, width, handlers.get(op))
     return table
 
 
-_DISPATCH = _build_dispatch()
-
-_ARITY_BY_BYTE: list = [None] * 256
+_OPERATIONS = _build_operations()
 _NAME_BY_BYTE: list = [None] * 256
-for _op, _io in ARITY.items():
-    _ARITY_BY_BYTE[_op.value] = _io
-    _NAME_BY_BYTE[_op.value] = _op.name
+for _op in ARITY:
+    _NAME_BY_BYTE[_op] = _op.name
 
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
@@ -545,8 +530,7 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
         if sink is not None:
             sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
 
-    gas_used = gas_limit - machine.gas
-    return TxReceipt(status=status, gas_used=gas_used,
-                     return_data=machine.return_data,
-                     samples=machine.samples,
-                     instructions=sum(machine._samples.counts))
+    samples = machine._samples.to_dict()
+    return TxReceipt(status=status, gas_used=gas_limit - machine.gas,
+                     return_data=machine.return_data, samples=samples,
+                     instructions=sum(s[0] for s in samples.values()))

@@ -7,7 +7,9 @@ immutable and archived.
 
 One thread records: the chain driver runs blocks in order and closes a
 window between blocks, so the open window is two plain dicts that
-`close_window` freezes and replaces.
+`close_window` freezes and replaces. Micro samples arrive once per
+transaction: `record_instruction_totals` merges a whole receipt's samples
+(opcode -> count, gas, time) into the open window in one call.
 
 This module owns the table format of every CSV that gaslab reads or
 writes (the interchange boundary for analysis): `read_table` and
@@ -91,18 +93,19 @@ class SampleSink:
         name = category.value
         categories[name] = categories.get(name, 0) + duration_ns
 
-    def record_instruction_totals(self, opcode: str, count: int, gas: int,
-                                  duration_ns: int) -> None:
-        """Merge a pre-aggregated (count, gas, time) triple, e.g. a receipt."""
-        if count == 0:
-            return
-        stat = self._instructions.get(opcode)
-        if stat is None:
-            self._instructions[opcode] = [count, gas, duration_ns]
-        else:
-            stat[0] += count
-            stat[1] += gas
-            stat[2] += duration_ns
+    def record_instruction_totals(self, samples: dict[str, list[int]]) -> None:
+        """Merge a receipt's samples, opcode -> [count, gas, time ns], in
+        one call; opcodes with a zero count are ignored."""
+        for opcode, (count, gas, duration_ns) in samples.items():
+            if count == 0:
+                continue
+            stat = self._instructions.get(opcode)
+            if stat is None:
+                self._instructions[opcode] = [count, gas, duration_ns]
+            else:
+                stat[0] += count
+                stat[1] += gas
+                stat[2] += duration_ns
 
     def close_window(self, next_start: int) -> WindowAggregate:
         """Freeze and archive the current window; open one at next_start."""

@@ -238,11 +238,8 @@ class MerklePatriciaTrie:
         if isinstance(ref, list):
             return ref
         decoded = rlp.decode(self.store.get(ref))
-        if not isinstance(decoded, list) or len(decoded) not in (2, 17):
+        if not isinstance(decoded, list):
             raise CorruptStoreError(f"{ref.hex()}: {_MALFORMED}")
-        if len(decoded) == 2 and (isinstance(decoded[0], list)
-                                  or not decoded[0]):
-            raise CorruptStoreError(f"{ref.hex()}: {_BAD_PATH}")
         return decoded
 
     def _commit(self, node: list) -> rlp.RlpItem:
@@ -263,28 +260,31 @@ class MerklePatriciaTrie:
         self.store.put(digest, encoded)
         return digest
 
-    def _insert(self, ref: rlp.RlpItem, path: list[int],
-                value: bytes) -> tuple[rlp.RlpItem, bool]:
+    def _insert(self, ref: rlp.RlpItem, path: list[int], value: bytes,
+                holder: bytes = EMPTY_REF) -> tuple[rlp.RlpItem, bool]:
         node = self._resolve(ref)
         if node is None:
             return [hex_prefix_encode(path, True), value], True
+        holder = holder if node is ref else ref   # nearest stored node
 
         if len(node) == 17:
             if not path:
                 created = node[16] == b""
                 return node[:16] + [value], created
-            child_ref, created = self._insert(node[path[0]], path[1:], value)
+            child_ref, created = self._insert(node[path[0]], path[1:], value,
+                                              holder)
             new_branch = list(node)
             new_branch[path[0]] = child_ref
             return new_branch, created
 
-        node_path, is_leaf = hex_prefix_decode(node[0])
+        node_path, is_leaf = _short_path(node, holder)
         common = _common_prefix(node_path, path)
 
         if is_leaf and common == len(node_path) == len(path):
             return [node[0], value], False
         if not is_leaf and common == len(node_path):
-            child_ref, created = self._insert(node[1], path[common:], value)
+            child_ref, created = self._insert(node[1], path[common:], value,
+                                              holder)
             return [node[0], child_ref], created
 
         # Diverge: split into a branch under the shared prefix.
@@ -315,37 +315,39 @@ class MerklePatriciaTrie:
             return [hex_prefix_encode(path[:common], False), branch], True
         return branch, True
 
-    def _delete(self, ref: rlp.RlpItem,
-                path: list[int]) -> tuple[rlp.RlpItem, bool]:
+    def _delete(self, ref: rlp.RlpItem, path: list[int],
+                holder: bytes = EMPTY_REF) -> tuple[rlp.RlpItem, bool]:
         node = self._resolve(ref)
         if node is None:
             return ref, False
+        holder = holder if node is ref else ref
 
         if len(node) == 17:
             if not path:
                 if node[16] == b"":
                     return ref, False
-                return self._normalize_branch(node[:16] + [b""]), True
-            child_ref, deleted = self._delete(node[path[0]], path[1:])
+                return self._normalize_branch(node[:16] + [b""], holder), True
+            child_ref, deleted = self._delete(node[path[0]], path[1:], holder)
             if not deleted:
                 return ref, False
             new_branch = list(node)
             new_branch[path[0]] = child_ref
-            return self._normalize_branch(new_branch), True
+            return self._normalize_branch(new_branch, holder), True
 
-        node_path, is_leaf = hex_prefix_decode(node[0])
+        node_path, is_leaf = _short_path(node, holder)
         if is_leaf:
             if node_path == path:
                 return EMPTY_REF, True
             return ref, False
         if path[:len(node_path)] != node_path:
             return ref, False
-        child_ref, deleted = self._delete(node[1], path[len(node_path):])
+        child_ref, deleted = self._delete(node[1], path[len(node_path):],
+                                          holder)
         if not deleted:
             return ref, False
-        return self._merge_extension(node_path, child_ref), True
+        return self._merge_extension(node_path, child_ref, holder), True
 
-    def _normalize_branch(self, branch: list) -> rlp.RlpItem:
+    def _normalize_branch(self, branch: list, holder: bytes) -> rlp.RlpItem:
         """Collapse a branch left with zero or one occupant after a delete."""
         live = [i for i in range(16) if branch[i] != EMPTY_REF]
         has_value = branch[16] != b""
@@ -358,10 +360,10 @@ class MerklePatriciaTrie:
             return branch
 
         idx = live[0]
-        return self._merge_extension([idx], branch[idx])
+        return self._merge_extension([idx], branch[idx], holder)
 
-    def _merge_extension(self, prefix: list[int],
-                         child_ref: rlp.RlpItem) -> rlp.RlpItem:
+    def _merge_extension(self, prefix: list[int], child_ref: rlp.RlpItem,
+                         holder: bytes) -> rlp.RlpItem:
         """Graft prefix onto child, fusing chained short nodes."""
         if child_ref == EMPTY_REF:
             return EMPTY_REF
@@ -369,8 +371,20 @@ class MerklePatriciaTrie:
         assert child is not None
         if len(child) == 17:
             return [hex_prefix_encode(prefix, False), child_ref]
-        child_path, is_leaf = hex_prefix_decode(child[0])
+        child_path, is_leaf = _short_path(
+            child, holder if child is child_ref else child_ref)
         return [hex_prefix_encode(prefix + child_path, is_leaf), child[1]]
+
+
+def _short_path(node: list, holder: bytes) -> tuple[list[int], bool]:
+    """Path and leaf flag of a node that is not a branch; a fault names
+    `holder`, the node itself if stored, else the stored node holding it."""
+    if len(node) != 2:
+        raise CorruptStoreError(f"{holder.hex()}: {_MALFORMED}")
+    try:
+        return hex_prefix_decode(node[0])
+    except (IndexError, TypeError):   # b"" or a list as path
+        raise CorruptStoreError(f"{holder.hex()}: {_BAD_PATH}") from None
 
 
 def _common_prefix(a: list[int], b: list[int]) -> int:

@@ -1,0 +1,56 @@
+"""The benchmark's span tracer still installs on, and uninstalls from, the
+program: a refactor of the names it patches would break traced bench runs.
+"""
+
+from pathlib import Path
+
+from gaslab import SampleSink, default_schedule, load_workload, run_chain
+from gaslab.clock import WallClock
+from gaslab.evm.machine import TxStatus
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOADS = Path(__file__).resolve().parent.parent / "src" / "gaslab" / \
+    "data" / "workloads"
+BLOCKS = 20
+# Clock reads outside instructions. Per block: the TOTAL start, VERIFY
+# start and end, the IMPORT start, the finalize DB span's start and end,
+# and the end read IMPORT and TOTAL share. Per committed transaction: TX
+# start, EVM start and end, TX end, and the commit's DB start and end.
+READS_PER_BLOCK = 7
+READS_PER_TX = 6
+# record_span per block: VERIFY, DB, IMPORT, TOTAL; per committed
+# transaction: EVM, TX, DB and one merge of its receipt's samples.
+RECORDS_PER_BLOCK = 4
+RECORDS_PER_TX = 4
+
+
+def test_tracer_installs_counts_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer as bench_tracer
+
+    clock_before = WallClock.__dict__["now_ns"]
+    merge_before = SampleSink.record_instruction_totals
+    spec = load_workload(WORKLOADS / "add_only.json")
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        report = tracer.wrap("chain", run_chain)(
+            spec, BLOCKS, default_schedule(), window_size=5,
+            sink=SampleSink(0))
+    finally:
+        tracer.uninstall()
+
+    assert WallClock.__dict__["now_ns"] is clock_before
+    assert SampleSink.record_instruction_totals is merge_before
+
+    receipts = report.receipts
+    assert receipts and all(r.status == TxStatus.SUCCESS.value
+                            for r in receipts)
+    counts = tracer.loop_counts()
+    assert counts["instructions"] == sum(r.instructions for r in receipts)
+    assert counts["clock_calls"] == (2 * counts["instructions"]
+                                     + READS_PER_TX * len(receipts)
+                                     + READS_PER_BLOCK * BLOCKS)
+    record = bench_tracer.SPAN_NAMES.index("metrics.record")
+    assert list(tracer.name).count(record) == (
+        RECORDS_PER_TX * len(receipts) + RECORDS_PER_BLOCK * BLOCKS)

@@ -8,9 +8,10 @@ from _synth import sample_gas_total
 
 from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
-from gaslab.evm.machine import (IntrinsicGasError, Machine, TxStatus,
-                                execute_transaction, storage_key, store_code)
-from gaslab.evm.opcodes import Opcode
+from gaslab.evm.machine import (STACK_LIMIT, IntrinsicGasError, Machine,
+                                TxStatus, execute_transaction, storage_key,
+                                store_code)
+from gaslab.evm.opcodes import ARITY, Opcode
 from gaslab.evm.schedule import GasSchedule, default_schedule
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.workload import WorkloadGenerator, WorkloadSpec
@@ -236,6 +237,65 @@ def test_invalid_opcode_consumes_all_gas():
     receipt = run(bytes([0xFE]), gas_limit=33_000)
     assert receipt.status is TxStatus.INVALID_OP
     assert receipt.gas_used == 33_000
+
+
+# ---------------------------------------------------------------------------
+# the static per-byte operation table
+# ---------------------------------------------------------------------------
+
+UNDEFINED_BYTES = [b for b in range(256) if b not in set(Opcode)]
+
+
+def run_at_depth(byte, depth):
+    """Run one instruction on a stack already `depth` zeros deep."""
+    machine = Machine(bytes([byte]), MerklePatriciaTrie(), gas=100_000,
+                      block_height=0, schedule=SCHED)
+    machine.stack = [0] * depth
+    return machine.run()
+
+
+def test_operation_table_agrees_with_arity_and_handlers():
+    widths = []
+    for byte, operation in enumerate(machine_module._OPERATIONS):
+        if byte in UNDEFINED_BYTES:
+            assert operation is None
+            continue
+        op = Opcode(byte)
+        need, room, width, handler = operation
+        assert (need, room) == (ARITY[op][0],
+                                STACK_LIMIT + ARITY[op][0] - ARITY[op][1])
+        if op.name.startswith("PUSH"):
+            assert handler is None
+            widths.append(width)
+        else:
+            assert width == 0 and callable(handler)
+    assert widths == list(range(1, 33))
+
+
+@pytest.mark.parametrize("depth", [0, STACK_LIMIT])
+def test_undefined_bytes_halt_before_any_stack_check(depth):
+    for byte in UNDEFINED_BYTES:
+        assert run_at_depth(byte, depth) is TxStatus.INVALID_OP
+
+
+@pytest.mark.parametrize("depth", [STACK_LIMIT - 1, STACK_LIMIT])
+def test_stack_room_matches_the_overflow_rule(depth):
+    for op, (need, out) in ARITY.items():
+        overflows = depth - need + out > STACK_LIMIT
+        status = run_at_depth(op, depth)
+        assert (status is TxStatus.STACK_ERROR) == overflows, op.name
+
+
+def test_schedules_in_turn_each_charge_their_own_costs():
+    poly = GasSchedule.parse(default_schedule().format().replace(
+        "SLOAD = 200", "SLOAD = poly:100.0,0.5"))
+    code = bytes([Opcode.PUSH1, 0, Opcode.SLOAD, Opcode.POP, Opcode.STOP])
+    trie = MerklePatriciaTrie()
+    for schedule, charged in [(SCHED, 200), (poly, 600), (SCHED, 200),
+                              (poly, 600)]:
+        receipt = run(code, trie=trie, height=1000, schedule=schedule)
+        assert receipt.samples["SLOAD"][1] == charged
+        assert receipt.gas_used == 21_000 + 3 + charged + 2
 
 
 def test_mstore_mload_and_memory_expansion_charges():
@@ -533,6 +593,45 @@ def test_interpreter_matches_golden_receipts():
     assert {"JUMP", "JUMPI", "CALLCODE", "SSTORE", "SLOAD",
             "RETURN"} <= sampled
     assert receipts_digest(receipts, root) == INTERPRETER_GOLDEN
+
+
+def charged_and_sampled(code, trie, **kwargs):
+    before = trie.store.work.instructions
+    receipt = run(code, trie=trie, **kwargs)
+    return trie.store.work.instructions - before, receipt
+
+
+def test_receipt_instructions_match_the_work_count():
+    """Receipts count sampled instructions, child calls included, and the
+    work counters count charged ones: the two differ only by a JUMP or
+    JUMPI whose target check halts after its charge."""
+    trie = MerklePatriciaTrie()
+    for code_id, code in GOLDEN_LIBRARIES.items():
+        store_code(trie, code_id, code)
+    rng = random.Random(3)
+    programs = GOLDEN_FIXED + [random_byte_program(rng) for _ in range(300)]
+    for height, code in enumerate(programs):
+        charged, receipt = charged_and_sampled(
+            code, trie, height=height,
+            gas_limit=21_000 + rng.choice([40, 400, 1_000, 4_000]))
+        if receipt.status is TxStatus.INVALID_OP:
+            assert charged - receipt.instructions in (0, 1)
+        else:
+            assert charged == receipt.instructions
+    # library 0 runs 4 instructions; library 3 runs 1, then its JUMP halts
+    call = bytes([Opcode.PUSH1, 0, Opcode.CALLCODE])
+    for code, gas, status, sampled, charged in [
+            (call + bytes([Opcode.STOP]), 200_000, TxStatus.SUCCESS, 7, 7),
+            (call, 21_000 + 1_000, TxStatus.OUT_OF_GAS, 4, 4),
+            (call + bytes([Opcode.ADD]), 200_000, TxStatus.STACK_ERROR, 6, 6),
+            (call + bytes([0xFE]), 200_000, TxStatus.INVALID_OP, 6, 6),
+            (bytes([Opcode.PUSH1, 9, Opcode.JUMP]), 200_000,
+             TxStatus.INVALID_OP, 1, 2),
+            (bytes([Opcode.PUSH1, 3, Opcode.CALLCODE, Opcode.STOP]), 200_000,
+             TxStatus.INVALID_OP, 3, 4)]:
+        work, receipt = charged_and_sampled(code, trie, gas_limit=gas)
+        assert receipt.status is status
+        assert (receipt.instructions, work) == (sampled, charged)
 
 
 def test_static_behavior_deterministic_across_runs():

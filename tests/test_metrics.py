@@ -27,9 +27,8 @@ def test_span_isolation_between_categories():
 
 def test_instruction_accumulation():
     sink = SampleSink()
-    sink.record_instruction_totals("ADD", 1, 3, 11)
-    sink.record_instruction_totals("ADD", 1, 3, 9)
-    sink.record_instruction_totals("SLOAD", 1, 200, 1000)
+    sink.record_instruction_totals({"ADD": [1, 3, 11]})
+    sink.record_instruction_totals({"ADD": [1, 3, 9], "SLOAD": [1, 200, 1000]})
     window = sink.close_window(10)
     assert window.instructions["ADD"] == InstructionStat(2, 6, 20)
     assert window.instructions["SLOAD"] == InstructionStat(1, 200, 1000)
@@ -45,9 +44,9 @@ def test_close_empty_window_is_all_zero():
 
 def test_two_windows_archive_in_order():
     sink = SampleSink()
-    sink.record_instruction_totals("ADD", 1, 3, 5)
+    sink.record_instruction_totals({"ADD": [1, 3, 5]})
     sink.close_window(100)
-    sink.record_instruction_totals("MUL", 1, 5, 7)
+    sink.record_instruction_totals({"MUL": [1, 5, 7]})
     sink.close_window(200)
     assert [w.start for w in sink.archive] == [0, 100]
     assert sink.archive[0].instructions["ADD"].count == 1
@@ -63,12 +62,14 @@ def test_close_window_requires_increasing_start():
 
 def test_pre_aggregated_totals_merge():
     sink = SampleSink()
-    sink.record_instruction_totals("SLOAD", 4, 800, 4000)
-    sink.record_instruction_totals("SLOAD", 1, 200, 900)
-    sink.record_instruction_totals("NOPE", 0, 0, 0)  # zero-count ignored
+    receipt = {"SLOAD": [4, 800, 4000]}
+    sink.record_instruction_totals(receipt)
+    sink.record_instruction_totals({"SLOAD": [1, 200, 900],
+                                    "NOPE": [0, 0, 0]})  # zero-count ignored
     window = sink.close_window(10)
     assert window.instructions["SLOAD"] == InstructionStat(5, 1000, 4900)
     assert "NOPE" not in window.instructions
+    assert receipt == {"SLOAD": [4, 800, 4000]}   # merged, not aliased
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,17 @@ def test_malformed_stored_node_raises(bad_node):
 
 
 def test_malformed_inline_node_names_its_stored_parent():
-    trie, root = _corrupt_root([[b"a", b"b", b"c"]] * 16 + [b""])
-    with pytest.raises(CorruptStoreError, match=root.hex()):
-        trie.get(b"\x00\x01")
+    # A stored root branch whose 16 children are the same malformed inline
+    # node: a list of 3 items, or a 2-item node whose path item is empty
+    # or a list. Every key walks into one.
+    for inline in ([b"a", b"b", b"c"], [b"", b"v"], [[b"a"], b"v"]):
+        trie, root = _corrupt_root([inline] * 16 + [b""])
+        with pytest.raises(CorruptStoreError, match=root.hex()):
+            trie.get(b"\x00\x01")
+        with pytest.raises(CorruptStoreError, match=root.hex()):
+            trie.insert(b"new", b"v")
+        with pytest.raises(CorruptStoreError, match=root.hex()):
+            trie.delete(b"\x00\x01")
 
 
 def test_reinserting_identical_node_is_idempotent():
