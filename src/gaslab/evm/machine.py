@@ -19,7 +19,8 @@ stack check, dynamic cost evaluation, the charge and the effect, an inline
 PUSH's included; only the loop itself and sample bookkeeping stay outside,
 so the summed instruction times track the interpreter-level span closely.
 Exceptional halts (out of gas, invalid opcode or jump target, stack faults)
-consume all remaining gas; samples cover successful instructions only.
+consume all remaining gas. Samples, and the instruction count in the run's
+work counters, cover successful instructions only.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed
@@ -69,18 +70,8 @@ class IntrinsicGasError(ValueError):
     """Gas limit below the intrinsic transaction charge; not executed."""
 
 
-_SLOT_KEY_CACHE: dict[int, bytes] = {}
-_SLOT_KEY_CACHE_CAP = 1 << 17
-
-
 def storage_key(slot: int) -> bytes:
-    key = _SLOT_KEY_CACHE.get(slot)
-    if key is None:
-        if len(_SLOT_KEY_CACHE) >= _SLOT_KEY_CACHE_CAP:
-            _SLOT_KEY_CACHE.clear()
-        key = STORAGE_PREFIX + slot.to_bytes(32, "big")
-        _SLOT_KEY_CACHE[slot] = key
-    return key
+    return STORAGE_PREFIX + slot.to_bytes(32, "big")
 
 
 def code_key(code_id: int) -> bytes:
@@ -203,7 +194,6 @@ class Machine:
                 if cost > self.gas:
                     raise _Halt(TxStatus.OUT_OF_GAS)
                 self.gas -= cost
-                work.instructions += 1
                 if width:
                     pc += 1
                     stop = pc + width
@@ -217,6 +207,7 @@ class Machine:
                     self.pc = pc + 1
                     child = handler(self)
                     pc = self.pc
+                work.instructions += 1   # after the effect, which may halt
                 duration = now_ns() - start
 
                 counts[byte] += 1

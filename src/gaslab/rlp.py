@@ -4,6 +4,13 @@ Items are byte strings or (arbitrarily nested) lists of items. Decoding is
 strict: non-canonical encodings and trailing bytes are rejected, at every
 nesting level (Yellow Paper, appendix B).
 
+`encode` is the trie's commit cost: each dirty node is one call. A list's
+payload is built in one loop: a `bytes` item shorter than 56 bytes (a
+branch node's hash refs and empty slots, a leaf's path and short value)
+gets its one-byte prefix from a precomputed table, and a single byte below
+0x80 is its own encoding; `bytearray`s, long strings and nested lists
+recurse. A short list's own prefix comes from a second table.
+
 `decode` is the per-level cost of a trie lookup: `gaslab.trie` fully decodes
 every node it reads from its store, with no decoded-node cache. A list's
 items are decoded in one loop: single bytes and short strings (a branch
@@ -20,6 +27,11 @@ class RLPError(ValueError):
     """Raised for undecodable or non-canonical RLP input."""
 
 
+# The one-byte prefixes of strings and lists with payloads under 56 bytes.
+_SHORT_STRING = [bytes([0x80 + length]) for length in range(56)]
+_SHORT_LIST = [bytes([0xC0 + length]) for length in range(56)]
+
+
 def encode(item: RlpItem) -> bytes:
     if isinstance(item, (bytes, bytearray)):
         payload = bytes(item)
@@ -27,7 +39,20 @@ def encode(item: RlpItem) -> bytes:
             return payload
         return _length_prefix(len(payload), 0x80) + payload
     if isinstance(item, (list, tuple)):
-        payload = b"".join(encode(sub) for sub in item)
+        parts: list[bytes] = []
+        append = parts.append
+        for sub in item:
+            if type(sub) is bytes:
+                length = len(sub)
+                if length < 56:
+                    if length != 1 or sub[0] >= 0x80:
+                        append(_SHORT_STRING[length])
+                    append(sub)
+                    continue
+            append(encode(sub))
+        payload = b"".join(parts)
+        if len(payload) < 56:
+            return _SHORT_LIST[len(payload)] + payload
         return _length_prefix(len(payload), 0xC0) + payload
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 

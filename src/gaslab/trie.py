@@ -29,6 +29,7 @@ does no internal locking.
 
 from __future__ import annotations
 
+from binascii import hexlify, unhexlify
 from typing import Optional
 
 from .clock import Work
@@ -54,31 +55,33 @@ class CorruptStoreError(KeyError):
 
 # ---------------------------------------------------------------------------
 # Nibble paths and hex-prefix encoding
+#
+# A nibble path is immutable `bytes` holding one nibble (0-15) per byte, so
+# building, slicing and comparing paths runs in C. A path is converted
+# through its hex digits: `hexlify` spells each byte as two ASCII digits and
+# `_FROM_HEX` maps each digit to its nibble; `_TO_HEX` and `unhexlify` go
+# back. A byte above 15 maps to a non-digit, which `unhexlify` rejects.
 # ---------------------------------------------------------------------------
 
-_NIBBLE_PAIRS = [(b >> 4, b & 0x0F) for b in range(256)]
+_HEX_DIGITS = b"0123456789abcdef"
+_FROM_HEX = bytes(_HEX_DIGITS.find(c) & 0xFF for c in range(256))
+_TO_HEX = _HEX_DIGITS + b"g" * 240
+# Hex digits of the flag nibbles, by 2 * is_leaf + (odd path length).
+_HEX_PREFIX_FLAGS = (b"00", b"1", b"20", b"3")
 
 
-def bytes_to_nibbles(data: bytes) -> list[int]:
-    out: list[int] = []
-    extend = out.extend
-    for b in data:
-        extend(_NIBBLE_PAIRS[b])
-    return out
+def bytes_to_nibbles(data: bytes) -> bytes:
+    """The nibbles of data, high nibble first, one per byte."""
+    return hexlify(data).translate(_FROM_HEX)
 
 
-def hex_prefix_encode(nibbles: list[int], is_leaf: bool) -> bytes:
+def hex_prefix_encode(nibbles: bytes, is_leaf: bool) -> bytes:
     """Canonical Ethereum hex-prefix encoding of a partial path."""
-    flag = 2 if is_leaf else 0
-    if len(nibbles) % 2:
-        prefixed = [flag + 1] + list(nibbles)
-    else:
-        prefixed = [flag, 0] + list(nibbles)
-    return bytes((prefixed[i] << 4) | prefixed[i + 1]
-                 for i in range(0, len(prefixed), 2))
+    flags = _HEX_PREFIX_FLAGS[2 * is_leaf + (len(nibbles) & 1)]
+    return unhexlify(flags + nibbles.translate(_TO_HEX))
 
 
-def hex_prefix_decode(data: bytes) -> tuple[list[int], bool]:
+def hex_prefix_decode(data: bytes) -> tuple[bytes, bool]:
     nibbles = bytes_to_nibbles(data)
     flag = nibbles[0]
     rest = nibbles[1:] if flag & 1 else nibbles[2:]
@@ -133,7 +136,7 @@ class MerklePatriciaTrie:
                  root_hash: Optional[bytes] = None):
         self.store = store if store is not None else NodeStore()
         self.secure = secure
-        self._key_path_cache: dict[bytes, list[int]] = {}
+        self._key_path_cache: dict[bytes, bytes] = {}
         self.key_count = 0
         if root_hash is None or root_hash == EMPTY_ROOT:
             self._root_ref: rlp.RlpItem = EMPTY_REF
@@ -220,7 +223,7 @@ class MerklePatriciaTrie:
 
     # -- internals ----------------------------------------------------------
 
-    def _path_of(self, key: bytes) -> list[int]:
+    def _path_of(self, key: bytes) -> bytes:
         if not self.secure:
             return bytes_to_nibbles(key)
         path = self._key_path_cache.get(key)
@@ -260,7 +263,7 @@ class MerklePatriciaTrie:
         self.store.put(digest, encoded)
         return digest
 
-    def _insert(self, ref: rlp.RlpItem, path: list[int], value: bytes,
+    def _insert(self, ref: rlp.RlpItem, path: bytes, value: bytes,
                 holder: bytes = EMPTY_REF) -> tuple[rlp.RlpItem, bool]:
         node = self._resolve(ref)
         if node is None:
@@ -315,7 +318,7 @@ class MerklePatriciaTrie:
             return [hex_prefix_encode(path[:common], False), branch], True
         return branch, True
 
-    def _delete(self, ref: rlp.RlpItem, path: list[int],
+    def _delete(self, ref: rlp.RlpItem, path: bytes,
                 holder: bytes = EMPTY_REF) -> tuple[rlp.RlpItem, bool]:
         node = self._resolve(ref)
         if node is None:
@@ -355,14 +358,14 @@ class MerklePatriciaTrie:
         if not live and not has_value:
             return EMPTY_REF
         if not live:
-            return [hex_prefix_encode([], True), branch[16]]
+            return [hex_prefix_encode(b"", True), branch[16]]
         if len(live) > 1 or has_value:
             return branch
 
         idx = live[0]
-        return self._merge_extension([idx], branch[idx], holder)
+        return self._merge_extension(bytes((idx,)), branch[idx], holder)
 
-    def _merge_extension(self, prefix: list[int], child_ref: rlp.RlpItem,
+    def _merge_extension(self, prefix: bytes, child_ref: rlp.RlpItem,
                          holder: bytes) -> rlp.RlpItem:
         """Graft prefix onto child, fusing chained short nodes."""
         if child_ref == EMPTY_REF:
@@ -376,7 +379,7 @@ class MerklePatriciaTrie:
         return [hex_prefix_encode(prefix + child_path, is_leaf), child[1]]
 
 
-def _short_path(node: list, holder: bytes) -> tuple[list[int], bool]:
+def _short_path(node: list, holder: bytes) -> tuple[bytes, bool]:
     """Path and leaf flag of a node that is not a branch; a fault names
     `holder`, the node itself if stored, else the stored node holding it."""
     if len(node) != 2:
@@ -387,7 +390,7 @@ def _short_path(node: list, holder: bytes) -> tuple[list[int], bool]:
         raise CorruptStoreError(f"{holder.hex()}: {_BAD_PATH}") from None
 
 
-def _common_prefix(a: list[int], b: list[int]) -> int:
+def _common_prefix(a: bytes, b: bytes) -> int:
     n = min(len(a), len(b))
     for i in range(n):
         if a[i] != b[i]:

@@ -603,7 +603,7 @@ def charged_and_sampled(code, trie, **kwargs):
 
 def test_receipt_instructions_match_the_work_count():
     """Receipts count sampled instructions, child calls included, and the
-    work counters count charged ones: the two differ only by a JUMP or
+    work counters count completed ones: the two agree, also for a JUMP or
     JUMPI whose target check halts after its charge."""
     trie = MerklePatriciaTrie()
     for code_id, code in GOLDEN_LIBRARIES.items():
@@ -614,10 +614,7 @@ def test_receipt_instructions_match_the_work_count():
         charged, receipt = charged_and_sampled(
             code, trie, height=height,
             gas_limit=21_000 + rng.choice([40, 400, 1_000, 4_000]))
-        if receipt.status is TxStatus.INVALID_OP:
-            assert charged - receipt.instructions in (0, 1)
-        else:
-            assert charged == receipt.instructions
+        assert charged == receipt.instructions
     # library 0 runs 4 instructions; library 3 runs 1, then its JUMP halts
     call = bytes([Opcode.PUSH1, 0, Opcode.CALLCODE])
     for code, gas, status, sampled, charged in [
@@ -626,9 +623,9 @@ def test_receipt_instructions_match_the_work_count():
             (call + bytes([Opcode.ADD]), 200_000, TxStatus.STACK_ERROR, 6, 6),
             (call + bytes([0xFE]), 200_000, TxStatus.INVALID_OP, 6, 6),
             (bytes([Opcode.PUSH1, 9, Opcode.JUMP]), 200_000,
-             TxStatus.INVALID_OP, 1, 2),
+             TxStatus.INVALID_OP, 1, 1),
             (bytes([Opcode.PUSH1, 3, Opcode.CALLCODE, Opcode.STOP]), 200_000,
-             TxStatus.INVALID_OP, 3, 4)]:
+             TxStatus.INVALID_OP, 3, 3)]:
         work, receipt = charged_and_sampled(code, trie, gas_limit=gas)
         assert receipt.status is status
         assert (receipt.instructions, work) == (sampled, charged)

@@ -72,6 +72,76 @@ def test_long_list_round_trip(items):
 
 
 # ---------------------------------------------------------------------------
+# differential check against the plain recursive encoder
+# ---------------------------------------------------------------------------
+
+def reference_encode(item):
+    """The straightforward recursive encoder (one call per item), kept here
+    as an oracle for `rlp.encode`, which prefixes short list items inline."""
+    if isinstance(item, (bytes, bytearray)):
+        if len(item) == 1 and item[0] < 0x80:
+            return bytes(item)
+        return _ref_length_prefix(len(item), 0x80) + bytes(item)
+    if isinstance(item, (list, tuple)):
+        payload = b"".join(reference_encode(sub) for sub in item)
+        return _ref_length_prefix(len(payload), 0xC0) + payload
+    raise TypeError(f"cannot RLP-encode {type(item).__name__}")
+
+
+def _ref_length_prefix(length, offset):
+    if length <= 55:
+        return bytes([offset + length])
+    length_bytes = length.to_bytes((length.bit_length() + 7) // 8, "big")
+    return bytes([offset + 55 + len(length_bytes)]) + length_bytes
+
+
+# Strings of every length class (0, 1, 55, 56 and more), single bytes on
+# both sides of 0x80, as bytes or bytearray; lists and tuples of them.
+_edge_strings = st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from([0, 1, 55, 56, 57]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)),
+    st.integers(0x70, 0x8F).map(lambda b: bytes([b])),
+)
+encodable_items = st.recursive(
+    st.one_of(_edge_strings, _edge_strings.map(bytearray)),
+    lambda children: st.one_of(st.lists(children, max_size=6),
+                               st.lists(children, max_size=6).map(tuple)),
+    max_leaves=24,
+)
+# A branch node: 16 child slots (empty, 32-byte hash refs or inline nodes)
+# and a value slot.
+_child_refs = st.one_of(st.just(b""), st.binary(min_size=32, max_size=32),
+                        st.lists(_edge_strings, min_size=2, max_size=2))
+branch_nodes = st.tuples(st.lists(_child_refs, min_size=16, max_size=16),
+                         _edge_strings).map(lambda t: t[0] + [t[1]])
+
+
+@given(encodable_items)
+@settings(max_examples=400)
+def test_encode_matches_reference(item):
+    assert rlp.encode(item) == reference_encode(item)
+
+
+@given(branch_nodes)
+def test_encode_branch_nodes_matches_reference(node):
+    encoded = rlp.encode(node)
+    assert encoded == reference_encode(node)
+    assert rlp.decode(encoded) == node
+
+
+@pytest.mark.parametrize("item", [
+    5, "dog", [b"a", 5], [b"a", "dog"], [[b"a", [b"b", 5]]], (b"a", ["x"]),
+    [b"a", None], [[[[1.5]]]],
+])
+def test_encode_rejects_ints_and_strings_at_any_depth(item):
+    with pytest.raises(TypeError):
+        rlp.encode(item)
+    with pytest.raises(TypeError):
+        reference_encode(item)
+
+
+# ---------------------------------------------------------------------------
 # differential check against the plain recursive decoder
 # ---------------------------------------------------------------------------
 

@@ -53,7 +53,7 @@ def _oracle_ref(node):
 def _oracle_build(paths):
     if len(paths) == 1:
         ((path, value),) = paths.items()
-        return [hex_prefix_encode(list(path), True), value]
+        return [hex_prefix_encode(bytes(path), True), value]
     prefix = []
     while True:
         idx = len(prefix)
@@ -64,7 +64,7 @@ def _oracle_build(paths):
             break
     if prefix:
         stripped = {p[len(prefix):]: v for p, v in paths.items()}
-        return [hex_prefix_encode(prefix, False),
+        return [hex_prefix_encode(bytes(prefix), False),
                 _oracle_ref(_oracle_build(stripped))]
     branch = [b""] * 17
     for nibble in range(16):
@@ -87,11 +87,15 @@ def make_trie(mapping, secure=True, **kwargs):
 # hex-prefix encoding
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("nibbles,is_leaf", [
-    ([], False), ([], True),
-    ([1], False), ([1], True),
-    ([1, 2, 3], False), ([0xF, 0xE, 0xD, 0xC], True),
-])
+_ROUND_TRIP_PATHS = [
+    (b"", False), (b"", True),
+    (b"\x01", False), (b"\x01", True),
+    (b"\x01\x02\x03", False), (b"\x0f\x0e\x0d\x0c", True),
+]
+
+
+@pytest.mark.parametrize("nibbles,is_leaf", _ROUND_TRIP_PATHS, ids=[
+    f"nibbles{i}-{is_leaf}" for i, (_, is_leaf) in enumerate(_ROUND_TRIP_PATHS)])
 def test_hex_prefix_round_trip(nibbles, is_leaf):
     assert hex_prefix_decode(hex_prefix_encode(nibbles, is_leaf)) == (
         nibbles, is_leaf)
@@ -99,9 +103,50 @@ def test_hex_prefix_round_trip(nibbles, is_leaf):
 
 def test_nibble_path_shape():
     path = bytes_to_nibbles(b"\x12\xab")
-    assert path == [1, 2, 0xA, 0xB]
+    assert path == bytes([1, 2, 0xA, 0xB])
     assert all(0 <= n <= 15 for n in path)
     assert len(path) == 2 * 2
+
+
+def reference_nibbles(data):
+    """The plain per-byte split, kept as an oracle for `bytes_to_nibbles`."""
+    return [n for b in data for n in (b >> 4, b & 0x0F)]
+
+
+def reference_hex_prefix(nibbles, is_leaf):
+    """Yellow Paper appendix C, pair by pair, as an oracle for
+    `hex_prefix_encode`."""
+    flag = 2 if is_leaf else 0
+    prefixed = [flag + 1] + nibbles if len(nibbles) % 2 else [flag, 0] + nibbles
+    return bytes((prefixed[i] << 4) | prefixed[i + 1]
+                 for i in range(0, len(prefixed), 2))
+
+
+@pytest.mark.parametrize("nibbles,is_leaf,encoded", [
+    ([1, 2, 3, 4, 5], False, "112345"),
+    ([0, 1, 2, 3, 4, 5], False, "00012345"),
+    ([0, 0xF, 1, 0xC, 0xB, 8], True, "200f1cb8"),
+    ([0xF, 1, 0xC, 0xB, 8], True, "3f1cb8"),
+])
+def test_hex_prefix_known_encodings(nibbles, is_leaf, encoded):
+    assert hex_prefix_encode(bytes(nibbles), is_leaf).hex() == encoded
+    assert reference_hex_prefix(nibbles, is_leaf).hex() == encoded
+
+
+@given(st.binary(max_size=40), st.booleans())
+def test_nibble_paths_match_the_per_byte_reference(data, is_leaf):
+    path = bytes_to_nibbles(data)
+    assert list(path) == reference_nibbles(data)
+    for cut in {0, 1, len(path) // 2, len(path)}:
+        part = path[cut:]
+        encoded = hex_prefix_encode(part, is_leaf)
+        assert encoded == reference_hex_prefix(list(part), is_leaf)
+        assert hex_prefix_decode(encoded) == (part, is_leaf)
+
+
+def test_hex_prefix_rejects_a_byte_that_is_not_a_nibble():
+    with pytest.raises(ValueError):
+        hex_prefix_encode(b"\x01\x10", True)
 
 
 # ---------------------------------------------------------------------------
