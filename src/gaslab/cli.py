@@ -30,28 +30,23 @@ from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
 from .metrics import (CsvFormatError, atomic_write_text, read_macro_csv,
                       read_micro_csv, read_table, write_macro_csv,
                       write_micro_csv, write_table)
-from .model import (InsufficientDataError, InvalidConstantError,
+from .model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
+                    InsufficientDataError, InvalidConstantError,
                     ModelFileError, UndefinedRatioError, load_models,
-                    materialize_schedule, propose_gas_model, save_models)
+                    materialize_schedule, propose_gas_model)
 from .report.bundle import write_manifest
 from .report.economics import (ECONOMICS_HEADER, economics_table,
                                fee_economics, price_for, read_price_csv)
-from .report.pipeline import analyze_windows
+from .report.pipeline import (DEP_SHARE_TABLE, GAS_CURVES_TABLE,
+                              TPG_CURVES_TABLE, analyze_windows)
 from .report.svg import render_line_chart
-from .workload import WorkloadError, load_workload
+from .workload import DEFAULT_GAS_PRICE_WEI, WorkloadError, load_workload
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 
 RECEIPTS_HEADER = "height,tx_index,status,gas_used,gas_limit,instructions"
-CLASSIFICATION_HEADER = "opcode,windows,correlation,label"
-DEP_SHARE_HEADER = "window_start,dependent_share,extrapolated"
-GAS_CURVES_HEADER = "window_start,current_model_gas,proposed_model_gas"
-TPG_CURVES_HEADER = ("window_start,observed_tpg,current_model_tpg,"
-                     "proposed_model_tpg,proposed_integer_tpg")
-TIME_SHARE_HEADER = "window_start,opcode,time_share"
-MACRO_MICRO_HEADER = "window_start,relative_difference"
 
 
 class InputError(Exception):
@@ -164,69 +159,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    cls = result.classification
-    write_table(out / "classification.csv", CLASSIFICATION_HEADER,
-                ((op, cls.windows_used[op], cls.correlations[op],
-                  cls.labels[op]) for op in sorted(cls.labels)))
-    save_models(result.time_models, out / "time_models.json")
-    save_models(result.proposed_gas, out / "proposed_gas_models.json")
-    write_table(out / "dep_share.csv", DEP_SHARE_HEADER,
-                ((n, share, int(extra))
-                 for n, share, extra in result.dep_share))
-    write_table(out / "gas_curves.csv", GAS_CURVES_HEADER,
-                ((n, result.current_model_gas[n], result.proposed_model_gas[n])
-                 for n in result.window_heights))
-    write_table(out / "tpg_curves.csv", TPG_CURVES_HEADER,
-                ((n, result.observed_tpg.get(n), result.current_model_tpg[n],
-                  result.proposed_model_tpg[n], result.proposed_integer_tpg[n])
-                 for n in result.window_heights))
-    write_table(out / "time_share.csv", TIME_SHARE_HEADER,
-                result.time_share_rows)
-    write_table(out / "macro_micro.csv", MACRO_MICRO_HEADER,
-                result.macro_micro)
-
-    chi_doc: dict[str, object]
-    if result.chi_square is not None:
-        chi_doc = {"statistic": result.chi_square.statistic,
-                   "dof": result.chi_square.dof,
-                   "critical": result.chi_square.critical,
-                   "accept": result.chi_square.accept,
-                   "bins": result.chi_square.bins}
-    else:
-        chi_doc = {"error": result.chi_square_error or "no macro data"}
-    atomic_write_text(out / "chi_square.json",
-                      json.dumps(chi_doc, indent=2, sort_keys=True) + "\n")
-
-    contract_doc = {"length": result.contract.length,
-                    "frequencies": dict(sorted(
-                        result.contract.frequencies.items()))}
-    atomic_write_text(out / "standard_contract.json",
-                      json.dumps(contract_doc, indent=2, sort_keys=True) + "\n")
-
-    summary = {
-        "threshold": args.threshold,
-        "target_tpg": args.tpg_constant,
-        "split_seed": args.split_seed,
-        "dependent_opcodes": cls.dependent_opcodes(),
-        "skipped_opcodes": dict(sorted(cls.skipped.items())),
-        "early_window_observed_tpg": result.early_tpg,
-        "kendall": dict(sorted(result.kendall.items())),
-    }
-    atomic_write_text(out / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    outputs = ["classification.csv", "time_models.json",
-               "proposed_gas_models.json", "dep_share.csv", "gas_curves.csv",
-               "tpg_curves.csv", "time_share.csv", "macro_micro.csv",
-               "chi_square.json", "standard_contract.json", "summary.json"]
+    for name, (header, rows) in result.tables.items():
+        write_table(out / name, header, rows)
+    for name, text in result.documents.items():
+        atomic_write_text(out / name, text)
     write_manifest(out, "analyze",
                    params={"threshold": args.threshold,
                            "tpg_constant": args.tpg_constant,
                            "split_seed": args.split_seed},
-                   inputs=inputs, outputs=outputs)
+                   inputs=inputs,
+                   outputs=[*result.tables, *result.documents])
     print(f"analysis of {len(micro)} windows -> {out}")
-    print(f"dependent opcodes: {', '.join(cls.dependent_opcodes()) or 'none'}")
+    dependent = result.classification.dependent_opcodes()
+    print(f"dependent opcodes: {', '.join(dependent) or 'none'}")
     return EXIT_OK
 
 
@@ -235,18 +180,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 FIGURES = {
-    "tpg-observed": ("tpg_curves.csv", TPG_CURVES_HEADER, "block height",
-                     "time per gas (ns)", [("observed_tpg", "observed")]),
-    "tpg-model": ("tpg_curves.csv", TPG_CURVES_HEADER, "block height",
-                  "time per gas (ns)",
+    "tpg-observed": (*TPG_CURVES_TABLE, "block height", "time per gas (ns)",
+                     [("observed_tpg", "observed")]),
+    "tpg-model": (*TPG_CURVES_TABLE, "block height", "time per gas (ns)",
                   [("current_model_tpg", "current schedule"),
                    ("proposed_model_tpg", "proposed schedule")]),
-    "gas-model": ("gas_curves.csv", GAS_CURVES_HEADER, "block height",
-                  "avg program gas",
+    "gas-model": (*GAS_CURVES_TABLE, "block height", "avg program gas",
                   [("current_model_gas", "current schedule"),
                    ("proposed_model_gas", "proposed schedule")]),
-    "dep-share": ("dep_share.csv", DEP_SHARE_HEADER, "block height",
-                  "dependent time share",
+    "dep-share": (*DEP_SHARE_TABLE, "block height", "dependent time share",
                   [("dependent_share", "dependent share")]),
     "fee-vs-infra": ("economics.csv", ECONOMICS_HEADER, "window start", "USD",
                      [("fee_usd", "transaction fees"),
@@ -311,9 +253,7 @@ def cmd_economics(args: argparse.Namespace) -> int:
                                args.gas_price)
         out = _out_dir(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        columns = ECONOMICS_HEADER.split(",")
-        write_table(out / "economics.csv", ECONOMICS_HEADER,
-                    ([row[c] for c in columns] for row in rows))
+        write_table(out / "economics.csv", ECONOMICS_HEADER, rows)
         write_manifest(out, "economics",
                        params={"gas_price": args.gas_price},
                        inputs={"prices": prices_path, "micro": micro_path,
@@ -385,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro", default=None)
     p.add_argument("--receipts", default=None,
                    help="receipts CSV for the contract length estimate")
-    p.add_argument("--threshold", type=float, default=0.7,
-                   help="dependence correlation threshold (default 0.7)")
-    p.add_argument("--tpg-constant", type=float, default=5.0,
-                   help="target time per unit gas C (default 5)")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="dependence correlation threshold "
+                        "(default %(default)s)")
+    p.add_argument("--tpg-constant", type=float, default=DEFAULT_TIME_PER_GAS,
+                   help="target time per unit gas C (default %(default)s)")
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -403,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("economics", help="fee vs infrastructure cost")
     p.add_argument("--prices", required=True,
                    help="CSV: window_start,eth_usd,infra_usd_per_hour")
-    p.add_argument("--gas-price", type=int, default=20_000_000_000,
-                   help="gas price in wei (default 20 gwei)")
+    p.add_argument("--gas-price", type=int, default=DEFAULT_GAS_PRICE_WEI,
+                   help="gas price in wei (default %(default)s)")
     p.add_argument("--micro", default=None, help="micro CSV (table mode)")
     p.add_argument("--macro", default=None,
                    help="macro CSV for wall time (table mode)")
@@ -422,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="integer schedule at a height")
     m.add_argument("--models", required=True, help="time models JSON")
     m.add_argument("--height", type=int, required=True)
-    m.add_argument("--tpg-constant", type=float, default=5.0)
+    m.add_argument("--tpg-constant", type=float, default=DEFAULT_TIME_PER_GAS,
+                   help="target time per unit gas C (default %(default)s)")
     m.add_argument("--base", default=None,
                    help="base schedule for unmodeled opcodes")
     m.add_argument("--out", required=True)

@@ -124,10 +124,6 @@ class SampleSink:
         self._categories = {}
         return aggregate
 
-    @property
-    def window_start(self) -> int:
-        return self._window_start
-
 
 # ---------------------------------------------------------------------------
 # Tables: one reader and one writer for every CSV gaslab reads or writes

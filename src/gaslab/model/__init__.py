@@ -9,14 +9,15 @@ prediction to the model's training floor.
 from .base import (FitError, InsufficientDataError, InvalidConstantError,
                    MissingModelError, ModelFileError, ScalarModel,
                    UndefinedRatioError)
-from .classify import (DEPENDENT, INDEPENDENT, ClassificationResult,
-                       classify_bh_dependence, classify_opcode,
-                       mean_time_series, pearson_correlation)
+from .classify import (DEFAULT_THRESHOLD, DEPENDENT, INDEPENDENT,
+                       ClassificationResult, classify_bh_dependence,
+                       classify_opcode, mean_time_series,
+                       pearson_correlation)
 from .contract import (StandardContract, avg_prog_gas, avg_prog_time,
                        avg_prog_tpg, dependent_time_share)
 from .fit import (bic_score, build_time_models, constant_model,
                   fit_time_model, load_models, models_from_json,
-                  models_to_json, save_models)
+                  models_to_json)
 from .reprice import (DEFAULT_TIME_PER_GAS, current_gas_model,
                       materialize_schedule, propose_gas_model)
 from .validate import (ChiSquareResult, chi_square_decision,
@@ -24,8 +25,8 @@ from .validate import (ChiSquareResult, chi_square_decision,
                        relative_difference)
 
 __all__ = [
-    "ChiSquareResult", "ClassificationResult", "DEPENDENT",
-    "DEFAULT_TIME_PER_GAS", "FitError", "INDEPENDENT",
+    "ChiSquareResult", "ClassificationResult", "DEFAULT_THRESHOLD",
+    "DEFAULT_TIME_PER_GAS", "DEPENDENT", "FitError", "INDEPENDENT",
     "InsufficientDataError", "InvalidConstantError", "MissingModelError",
     "ModelFileError", "ScalarModel", "StandardContract",
     "UndefinedRatioError", "avg_prog_gas", "avg_prog_time", "avg_prog_tpg",
@@ -35,5 +36,5 @@ __all__ = [
     "fit_time_model", "load_models", "macro_micro_differences",
     "materialize_schedule", "mean_time_series", "models_from_json",
     "models_to_json", "pearson_correlation", "propose_gas_model",
-    "relative_difference", "save_models",
+    "relative_difference",
 ]

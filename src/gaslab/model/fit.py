@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..metrics import WindowAggregate, atomic_write_text
+from ..metrics import WindowAggregate
 from .base import (FitError, InsufficientDataError, ModelFileError,
                    ScalarModel)
 from .classify import DEPENDENT, ClassificationResult, mean_time_series
@@ -177,12 +177,9 @@ def models_from_json(text: str) -> dict[str, ScalarModel]:
     return models
 
 
-def save_models(models: Mapping[str, ScalarModel], path: str | Path) -> None:
-    atomic_write_text(path, models_to_json(models))
-
-
 def load_models(path: str | Path) -> dict[str, ScalarModel]:
-    """Read a save_models file; one that does not parse is ModelFileError."""
+    """Read a `models_to_json` file; one that does not parse is
+    ModelFileError."""
     try:
         return models_from_json(Path(path).read_text())
     except KeyError as exc:

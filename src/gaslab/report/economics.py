@@ -39,14 +39,22 @@ class FeeEconomics:
     ratio: float
 
 
+def _costs(gas_used: float, gas_price_wei: float, eth_usd: float,
+           wall_hours: float,
+           infra_usd_per_hour: float) -> tuple[float, float]:
+    """Fee and infrastructure cost, both in USD."""
+    return (gas_used * gas_price_wei / WEI_PER_ETH * eth_usd,
+            wall_hours * infra_usd_per_hour)
+
+
 def fee_economics(gas_used: float, gas_price_wei: float, eth_usd: float,
                   wall_hours: float, infra_usd_per_hour: float) -> FeeEconomics:
     """Scalar fee-vs-infrastructure comparison."""
     if min(gas_used, gas_price_wei, eth_usd, wall_hours,
            infra_usd_per_hour) < 0:
         raise ValueError("economics inputs must be non-negative")
-    fee_usd = gas_used * gas_price_wei / WEI_PER_ETH * eth_usd
-    infra_usd = wall_hours * infra_usd_per_hour
+    fee_usd, infra_usd = _costs(gas_used, gas_price_wei, eth_usd, wall_hours,
+                                infra_usd_per_hour)
     if infra_usd == 0:
         raise UndefinedRatioError("infrastructure cost is zero")
     return FeeEconomics(fee_usd, infra_usd, fee_usd / infra_usd)
@@ -75,24 +83,20 @@ def price_for(points: Sequence[PricePoint], window_start: int) -> PricePoint:
 def economics_table(micro: Sequence[WindowAggregate],
                     macro: Sequence[WindowAggregate],
                     prices: Sequence[PricePoint],
-                    gas_price_wei: int) -> list[dict]:
-    """Per-window fee vs infrastructure cost rows (the Fig-1 style table).
-
-    Each row is keyed by the columns of ECONOMICS_HEADER.
+                    gas_price_wei: int) -> list[tuple]:
+    """Per-window fee vs infrastructure cost rows (the Fig-1 style table),
+    each in ECONOMICS_HEADER order; a window without infrastructure cost
+    has a NaN ratio.
     """
     total_ns_by_start = {w.start: w.categories.get("Total", 0) for w in macro}
     rows = []
     for window in micro:
-        total_ns = total_ns_by_start.get(window.start, 0)
         point = price_for(prices, window.start)
         gas = window.instruction_gas_total()
-        fee_usd = gas * gas_price_wei / WEI_PER_ETH * point.eth_usd
-        infra_usd = total_ns / NS_PER_HOUR * point.infra_usd_per_hour
-        rows.append({
-            "window_start": window.start,
-            "gas": gas,
-            "fee_usd": fee_usd,
-            "infra_usd": infra_usd,
-            "ratio": fee_usd / infra_usd if infra_usd else float("nan"),
-        })
+        fee_usd, infra_usd = _costs(
+            gas, gas_price_wei, point.eth_usd,
+            total_ns_by_start.get(window.start, 0) / NS_PER_HOUR,
+            point.infra_usd_per_hour)
+        rows.append((window.start, gas, fee_usd, infra_usd,
+                     fee_usd / infra_usd if infra_usd else float("nan")))
     return rows

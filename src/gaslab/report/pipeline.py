@@ -1,70 +1,70 @@
-"""End-to-end log analysis: from instrumentation CSVs to report tables.
+"""End-to-end log analysis: from instrumentation CSVs to the `analyze`
+bundle.
 
 Steps: classify height dependence per opcode, fit time models (BIC-selected
 polynomials for dependent opcodes, means for the rest), estimate the
 standard contract, derive the current-schedule gas view and the repriced
-gas model, then evaluate the comparison curves per window. Also validates
-macro against micro timings (relative difference plus chi-square normality)
-when macro data is present.
+gas model, then evaluate the time-per-gas and gas curves once per window.
+Also validates macro against micro timings (relative difference plus
+chi-square normality) when macro data is present.
+
+Every output is built here: `AnalysisResult.tables` maps each CSV's file
+name to its header and rows, and `AnalysisResult.documents` maps each JSON
+file's name to its text. The summary's Kendall statistics and early-window
+time per gas are read from the curve rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from scipy import stats
 
 from ..evm.schedule import round_gas
 from ..metrics import WindowAggregate, merge_windows
-from ..model import (DEFAULT_TIME_PER_GAS, ChiSquareResult,
+from ..model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
                      ClassificationResult, InsufficientDataError,
                      ScalarModel, StandardContract, avg_prog_gas,
                      avg_prog_tpg, build_time_models, chi_square_normality,
                      classify_bh_dependence, current_gas_model,
                      dependent_time_share, macro_micro_differences,
-                     propose_gas_model)
+                     models_to_json, propose_gas_model)
 
 EXTRAPOLATION_FACTOR = 1.25
 DEFAULT_CHI_BINS = 20
 EARLY_WINDOWS = 5
 TOP_TIME_SHARE = 6
 
+# The bundle's tables, each as (file name, header).
+CLASSIFICATION_TABLE = ("classification.csv",
+                        "opcode,windows,correlation,label")
+DEP_SHARE_TABLE = ("dep_share.csv",
+                   "window_start,dependent_share,extrapolated")
+GAS_CURVES_TABLE = ("gas_curves.csv",
+                    "window_start,current_model_gas,proposed_model_gas")
+TPG_CURVES_TABLE = ("tpg_curves.csv",
+                    "window_start,observed_tpg,current_model_tpg,"
+                    "proposed_model_tpg,proposed_integer_tpg")
+TIME_SHARE_TABLE = ("time_share.csv", "window_start,opcode,time_share")
+MACRO_MICRO_TABLE = ("macro_micro.csv", "window_start,relative_difference")
+
 
 @dataclass
 class AnalysisResult:
     classification: ClassificationResult
-    time_models: dict[str, ScalarModel]
-    proposed_gas: dict[str, ScalarModel]
-    contract: StandardContract
-    window_heights: list[int]
-    observed_tpg: dict[int, float]
-    current_model_tpg: dict[int, float]
-    proposed_model_tpg: dict[int, float]
-    proposed_integer_tpg: dict[int, float]
-    current_model_gas: dict[int, float]
-    proposed_model_gas: dict[int, float]
-    dep_share: list[tuple[int, float, bool]]   # (height, share, extrapolated)
-    time_share_rows: list[tuple[int, str, float]]
-    macro_micro: list[tuple[int, float]]
-    chi_square: Optional[ChiSquareResult]
-    chi_square_error: Optional[str]
-    early_tpg: Optional[float]
-    kendall: dict[str, float] = field(default_factory=dict)
+    tables: dict[str, tuple[str, list[tuple]]]   # name -> (header, rows)
+    documents: dict[str, str]                    # name -> JSON text
 
 
-def _observed_tpg(windows: Sequence[WindowAggregate]) -> dict[int, float]:
-    out = {}
-    for w in windows:
-        gas = w.instruction_gas_total()
-        if gas > 0:
-            out[w.start] = w.instruction_time_total() / gas
-    return out
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def analyze_windows(micro: Sequence[WindowAggregate],
                     macro: Sequence[WindowAggregate] = (),
-                    threshold: float = 0.7,
+                    threshold: float = DEFAULT_THRESHOLD,
                     target_tpg: float = DEFAULT_TIME_PER_GAS,
                     split_seed: int = 0,
                     contract_length: Optional[float] = None) -> AnalysisResult:
@@ -84,24 +84,26 @@ def analyze_windows(micro: Sequence[WindowAggregate],
     contract = StandardContract.from_counts(
         contract_length if contract_length is not None else 1.0, counts)
 
-    heights = [w.start for w in micro]
-    observed = _observed_tpg(micro)
-    current_tpg, proposed_tpg, integer_tpg = {}, {}, {}
-    current_gas_curve, proposed_gas_curve = {}, {}
-    for n in heights:
+    tpg_rows, gas_rows = [], []
+    for w in micro:
+        n = w.start
+        gas = w.instruction_gas_total()
         # The materialized schedule's integer gas, as constant models.
         integer = {op: ScalarModel("constant", (round_gas(model.evaluate(n)),))
                    for op, model in proposed.items()}
-        current_tpg[n] = avg_prog_tpg(n, time_models, current, contract)
-        proposed_tpg[n] = avg_prog_tpg(n, time_models, proposed, contract)
-        integer_tpg[n] = avg_prog_tpg(n, time_models, integer, contract)
-        current_gas_curve[n] = avg_prog_gas(n, current, contract)
-        proposed_gas_curve[n] = avg_prog_gas(n, proposed, contract)
+        tpg_rows.append((
+            n, w.instruction_time_total() / gas if gas > 0 else None,
+            avg_prog_tpg(n, time_models, current, contract),
+            avg_prog_tpg(n, time_models, proposed, contract),
+            avg_prog_tpg(n, time_models, integer, contract)))
+        gas_rows.append((n, avg_prog_gas(n, current, contract),
+                         avg_prog_gas(n, proposed, contract)))
 
     # Fig-9-style dependent share, extended past the training range.
+    heights = [w.start for w in micro]
     dependent = classification.dependent_opcodes()
     dep_rows = [(n, dependent_time_share(n, time_models, dependent, contract),
-                 False) for n in heights]
+                 0) for n in heights]
     if len(heights) >= 2:
         step = heights[-1] - heights[-2]
         if step > 0:
@@ -109,7 +111,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
             limit = int(heights[-1] * EXTRAPOLATION_FACTOR)
             while n <= limit:
                 dep_rows.append((n, dependent_time_share(
-                    n, time_models, dependent, contract), True))
+                    n, time_models, dependent, contract), 1))
                 n += step
 
     # Fig-8-style execution time shares for the heaviest opcodes.
@@ -130,48 +132,53 @@ def analyze_windows(micro: Sequence[WindowAggregate],
 
     # Macro/micro agreement.
     diffs = macro_micro_differences(merge_windows(micro, macro))
-    chi_result = None
-    chi_error = None
+    chi_doc: dict[str, object] = {"error": "no macro data"}
     if diffs:
         try:
-            chi_result = chi_square_normality([d for _, d in diffs],
-                                              bins=DEFAULT_CHI_BINS)
+            chi_doc = asdict(chi_square_normality(
+                [d for _, d in diffs], bins=DEFAULT_CHI_BINS))
         except (InsufficientDataError, ValueError) as exc:
-            chi_error = str(exc)
+            chi_doc = {"error": str(exc)}
 
-    early = [observed[n] for n in heights[:EARLY_WINDOWS] if n in observed]
+    # Columns 1 and 2 of a tpg row: observed and current-model time per gas.
+    early = [row[1] for row in tpg_rows[:EARLY_WINDOWS] if row[1] is not None]
     early_tpg = sum(early) / len(early) if early else None
-
     kendall = {}
-    if len(heights) >= 3:
-        xs = heights
-        for name, series in (("current_model_tpg", current_tpg),
-                             ("observed_tpg", observed)):
-            pairs = [(n, series[n]) for n in xs if n in series]
-            if len(pairs) >= 3:
-                tau, p = stats.kendalltau([a for a, _ in pairs],
-                                          [b for _, b in pairs])
-                kendall[f"{name}_tau"] = float(tau)
-                kendall[f"{name}_p"] = float(p)
+    for name, col in (("current_model_tpg", 2), ("observed_tpg", 1)):
+        pairs = [(row[0], row[col]) for row in tpg_rows
+                 if row[col] is not None]
+        if len(pairs) >= 3:
+            tau, p = stats.kendalltau([a for a, _ in pairs],
+                                      [b for _, b in pairs])
+            kendall[f"{name}_tau"] = float(tau)
+            kendall[f"{name}_p"] = float(p)
 
-    return AnalysisResult(
-        classification=classification,
-        time_models=time_models,
-        proposed_gas=proposed,
-        contract=contract,
-        window_heights=heights,
-        observed_tpg=observed,
-        current_model_tpg=current_tpg,
-        proposed_model_tpg=proposed_tpg,
-        proposed_integer_tpg=integer_tpg,
-        current_model_gas=current_gas_curve,
-        proposed_model_gas=proposed_gas_curve,
-        dep_share=dep_rows,
-        time_share_rows=share_rows,
-        macro_micro=diffs,
-        chi_square=chi_result,
-        chi_square_error=chi_error,
-        early_tpg=early_tpg,
-        kendall=kendall,
-    )
+    summary = {
+        "threshold": threshold,
+        "target_tpg": target_tpg,
+        "split_seed": split_seed,
+        "dependent_opcodes": dependent,
+        "skipped_opcodes": classification.skipped,
+        "early_window_observed_tpg": early_tpg,
+        "kendall": kendall,
+    }
 
+    tables = {name: (header, rows) for (name, header), rows in (
+        (CLASSIFICATION_TABLE, [
+            (op, classification.windows_used[op],
+             classification.correlations[op], classification.labels[op])
+            for op in sorted(classification.labels)]),
+        (DEP_SHARE_TABLE, dep_rows),
+        (GAS_CURVES_TABLE, gas_rows),
+        (TPG_CURVES_TABLE, tpg_rows),
+        (TIME_SHARE_TABLE, share_rows),
+        (MACRO_MICRO_TABLE, diffs),
+    )}
+    documents = {
+        "time_models.json": models_to_json(time_models),
+        "proposed_gas_models.json": models_to_json(proposed),
+        "chi_square.json": _json_text(chi_doc),
+        "standard_contract.json": _json_text(asdict(contract)),
+        "summary.json": _json_text(summary),
+    }
+    return AnalysisResult(classification, tables, documents)

@@ -50,7 +50,7 @@ _BAD_PATH = "holds a 2-item node whose path is not a hex-prefix string"
 class CorruptStoreError(KeyError):
     """A node referenced by hash is missing from the backing store, is not
     a list of 2 or 17 items, or is a 2-item node whose path item is not a
-    non-empty string."""
+    hex-prefix string."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,12 @@ _FROM_HEX = bytes(_HEX_DIGITS.find(c) & 0xFF for c in range(256))
 _TO_HEX = _HEX_DIGITS + b"g" * 240
 # Hex digits of the flag nibbles, by 2 * is_leaf + (odd path length).
 _HEX_PREFIX_FLAGS = (b"00", b"1", b"20", b"3")
+# By the first byte of a hex-prefix string: (nibbles before the path,
+# is_leaf), or None when the flag nibble is above 3 or an even path's
+# padding nibble is not 0.
+_HEX_PREFIX_HEADS = tuple(
+    (2 - (b >> 4 & 1), b >= 0x20) if b >> 4 in (1, 3) or b in (0x00, 0x20)
+    else None for b in range(256))
 
 
 def bytes_to_nibbles(data: bytes) -> bytes:
@@ -82,10 +88,13 @@ def hex_prefix_encode(nibbles: bytes, is_leaf: bool) -> bytes:
 
 
 def hex_prefix_decode(data: bytes) -> tuple[bytes, bool]:
-    nibbles = bytes_to_nibbles(data)
-    flag = nibbles[0]
-    rest = nibbles[1:] if flag & 1 else nibbles[2:]
-    return rest, bool(flag & 2)
+    """Path and leaf flag of a hex-prefix string; ValueError unless it is
+    the canonical encoding of some path."""
+    head = _HEX_PREFIX_HEADS[data[0]]
+    if head is None:
+        raise ValueError(f"not a hex-prefix string: {data.hex()}")
+    start, is_leaf = head
+    return bytes_to_nibbles(data)[start:], is_leaf
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ class MerklePatriciaTrie:
             elif size == 2:
                 try:
                     node_path, is_leaf = hex_prefix_decode(node[0])
-                except (IndexError, TypeError):   # b"" or a list as path
+                except (IndexError, TypeError, ValueError):  # b"", list, flags
                     raise CorruptStoreError(
                         f"{digest.hex()}: {_BAD_PATH}") from None
                 if is_leaf:
@@ -386,7 +395,7 @@ def _short_path(node: list, holder: bytes) -> tuple[bytes, bool]:
         raise CorruptStoreError(f"{holder.hex()}: {_MALFORMED}")
     try:
         return hex_prefix_decode(node[0])
-    except (IndexError, TypeError):   # b"" or a list as path
+    except (IndexError, TypeError, ValueError):  # b"", list, flags
         raise CorruptStoreError(f"{holder.hex()}: {_BAD_PATH}") from None
 
 

@@ -229,7 +229,6 @@ class Block:
     height: int
     transactions: list[Transaction]
     parent_root: bytes | None = None
-    post_root: bytes | None = None
 
 
 class WorkloadGenerator:
@@ -237,7 +236,6 @@ class WorkloadGenerator:
 
     def __init__(self, spec: WorkloadSpec, schedule: GasSchedule):
         self.spec = spec
-        self.schedule = schedule
         self.pool_size = spec.initial_keys
         self.next_height = 0
         # A featured op is the first in sorted order whose cumulative

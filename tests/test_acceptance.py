@@ -211,14 +211,16 @@ def test_criterion_7_constant_tpg_under_proposed_schedule(phenomenon_run):
     analysis = analyze_windows(report.windows, report.windows,
                                threshold=0.7, target_tpg=5.0, split_seed=0)
 
-    heights = [h for h in analysis.window_heights
-               if h in analysis.observed_tpg]
-    observed = [analysis.observed_tpg[h] for h in heights]
+    header, table = analysis.tables["tpg_curves.csv"]
+    rows = [dict(zip(header.split(","), row, strict=True)) for row in table]
+    rows = [row for row in rows if row["observed_tpg"] is not None]
+    heights = [row["window_start"] for row in rows]
+    observed = [row["observed_tpg"] for row in rows]
     tau, p_value = stats.kendalltau(heights, observed)
 
-    integer_tpg = [analysis.proposed_integer_tpg[h] for h in heights]
+    integer_tpg = [row["proposed_integer_tpg"] for row in rows]
     integer_ok = all(abs(t - 5.0) / 5.0 <= 0.10 for t in integer_tpg)
-    real_tpg = [analysis.proposed_model_tpg[h] for h in heights]
+    real_tpg = [row["proposed_model_tpg"] for row in rows]
     real_ok = all(abs(t - 5.0) / 5.0 <= 1e-9 for t in real_tpg)
 
     ok = tau > 0 and p_value < 0.05 and integer_ok and real_ok

@@ -12,7 +12,7 @@ from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
 from gaslab.keccak import IMPLEMENTATION
 from gaslab.metrics import MACRO_HEADER, MICRO_HEADER
-from gaslab.model import ScalarModel, save_models
+from gaslab.model import ScalarModel, models_to_json
 from gaslab.report.economics import PRICES_HEADER
 
 DATA = resources.files("gaslab").joinpath("data")
@@ -201,6 +201,17 @@ def test_analyze_is_deterministic(tmp_path):
             child.name
 
 
+def test_analyze_manifest_names_every_file_written(tmp_path):
+    sim = simulate(tmp_path / "sim", blocks=200, window=50)
+    out = tmp_path / "an"
+    assert run_cli("analyze", "--micro", str(sim / "micro.csv"),
+                   "--macro", str(sim / "macro.csv"), "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {child.name for child in out.iterdir()} - {"manifest.json"}
+    assert set(manifest["outputs"]) == written
+    assert len(written) == 11
+
+
 def test_analyze_empty_micro_is_exit_2(tmp_path):
     empty = tmp_path / "micro.csv"
     empty.write_text("window_start,opcode,count,total_gas,total_time_ns\n")
@@ -331,7 +342,8 @@ def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     assert (tmp_path / "rooted" / "micro.csv").is_file()
 
     models = tmp_path / "time_models.json"
-    save_models({"SLOAD": ScalarModel("constant", (1000.0,))}, models)
+    models.write_text(
+        models_to_json({"SLOAD": ScalarModel("constant", (1000.0,))}))
     assert run_cli("schedule", "materialize", "--models", str(models),
                    "--height", "100", "--out", "rooted/repriced.cfg") == 0
     schedule = GasSchedule.load(tmp_path / "rooted" / "repriced.cfg")

@@ -1,6 +1,7 @@
 """Economics arithmetic, SVG determinism, and bundle plumbing."""
 
 import json
+import math
 import random
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model.base import UndefinedRatioError
 from gaslab.report.bundle import atomic_write_text, sha256_of, write_manifest
-from gaslab.report.economics import (PricePoint, economics_table,
-                                     fee_economics, read_price_csv)
+from gaslab.report.economics import (ECONOMICS_HEADER, PricePoint,
+                                     economics_table, fee_economics,
+                                     read_price_csv)
 from gaslab.report.svg import render_line_chart
 
 
@@ -70,14 +72,20 @@ def test_price_csv_round_trip(tmp_path):
 
 
 def test_economics_table_matches_scalar_path():
-    micro = [WindowAggregate(0, {"SLOAD": InstructionStat(5, 1000, 50)}, {})]
+    micro = [WindowAggregate(0, {"SLOAD": InstructionStat(5, 1000, 50)}, {}),
+             WindowAggregate(50, {"SLOAD": InstructionStat(1, 200, 9)}, {})]
     macro = [WindowAggregate(0, {}, {"Total": 3_600_000_000_000})]  # 1 hour
     prices = [PricePoint(0, 200.0, 0.624)]
     rows = economics_table(micro, macro, prices, gas_price_wei=20_000_000_000)
+    row = dict(zip(ECONOMICS_HEADER.split(","), rows[0], strict=True))
     scalar = fee_economics(1000, 20_000_000_000, 200.0, 1.0, 0.624)
-    assert rows[0]["fee_usd"] == pytest.approx(scalar.fee_usd)
-    assert rows[0]["infra_usd"] == pytest.approx(scalar.infra_usd)
-    assert rows[0]["ratio"] == pytest.approx(scalar.ratio)
+    assert row["window_start"] == 0 and row["gas"] == 1000
+    assert row["fee_usd"] == pytest.approx(scalar.fee_usd)
+    assert row["infra_usd"] == pytest.approx(scalar.infra_usd)
+    assert row["ratio"] == pytest.approx(scalar.ratio)
+    # no wall time for the second window: no infrastructure cost, NaN ratio
+    assert rows[1][:4] == (50, 200, pytest.approx(0.0008), 0.0)
+    assert math.isnan(rows[1][4])
 
 
 # ---------------------------------------------------------------------------

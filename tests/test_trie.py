@@ -144,6 +144,20 @@ def test_nibble_paths_match_the_per_byte_reference(data, is_leaf):
         assert hex_prefix_decode(encoded) == (part, is_leaf)
 
 
+def test_hex_prefix_decode_accepts_only_canonical_first_bytes():
+    # Canonical: a flag nibble of 0-3, and a padding nibble of 0 after an
+    # even path's flag (0 or 2).
+    for first in range(256):
+        flag, low = first >> 4, first & 0x0F
+        data = bytes([first, 0xAB])
+        if flag in (1, 3) or (flag in (0, 2) and low == 0):
+            path = bytes([low, 0xA, 0xB] if flag & 1 else [0xA, 0xB])
+            assert hex_prefix_decode(data) == (path, flag >= 2)
+        else:
+            with pytest.raises(ValueError):
+                hex_prefix_decode(data)
+
+
 def test_hex_prefix_rejects_a_byte_that_is_not_a_nibble():
     with pytest.raises(ValueError):
         hex_prefix_encode(b"\x01\x10", True)
@@ -353,11 +367,32 @@ def test_malformed_stored_node_raises(bad_node):
         trie.delete(b"\x00\x01")
 
 
+@pytest.mark.parametrize("path", [b"\xc0\x00", b"\x0f\x00"],
+                         ids=["flag-12", "even-padding-f"])
+def test_non_canonical_stored_path_raises(path):
+    # The root over raw keys 0x0000-0x0031 is an extension with path 0, 0.
+    # Unchecked, the flag nibble 12 or the padding nibble f would decode to
+    # that same path and the walk would go on to the real child.
+    trie = make_trie({i.to_bytes(2, "big"): b"v" for i in range(50)},
+                     secure=False)
+    root = trie.root_hash()
+    extension_path, child = rlp.decode(trie.store._data[root])
+    assert extension_path == hex_prefix_encode(b"\x00\x00", False)
+    trie.store._data[root] = rlp.encode([path, child])
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.get(b"\x00\x01")
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.insert(b"\x00\x01", b"w")
+    with pytest.raises(CorruptStoreError, match=root.hex()):
+        trie.delete(b"\x00\x01")
+
+
 def test_malformed_inline_node_names_its_stored_parent():
     # A stored root branch whose 16 children are the same malformed inline
-    # node: a list of 3 items, or a 2-item node whose path item is empty
-    # or a list. Every key walks into one.
-    for inline in ([b"a", b"b", b"c"], [b"", b"v"], [[b"a"], b"v"]):
+    # node: a list of 3 items, or a 2-item node whose path item is empty,
+    # a list, or has flag nibble 4. Every key walks into one.
+    for inline in ([b"a", b"b", b"c"], [b"", b"v"], [[b"a"], b"v"],
+                   [b"\x40", b"v"]):
         trie, root = _corrupt_root([inline] * 16 + [b""])
         with pytest.raises(CorruptStoreError, match=root.hex()):
             trie.get(b"\x00\x01")
