@@ -15,8 +15,7 @@ from .evm.opcodes import Opcode
 from .evm.schedule import GasSchedule, default_schedule
 from .keccak import keccak_256
 from .metrics import (MacroCategory, SampleSink, WindowAggregate,
-                      read_macro_csv, read_micro_csv, write_macro_csv,
-                      write_micro_csv)
+                      read_windows, write_macro_csv, write_micro_csv)
 from .trie import MerklePatriciaTrie, NodeStore
 from .workload import WorkloadSpec, load_workload
 
@@ -27,6 +26,6 @@ __all__ = [
     "MacroCategory", "MerklePatriciaTrie", "NodeStore", "Opcode",
     "SampleSink", "TxReceipt", "TxStatus", "VirtualClock", "WallClock",
     "WindowAggregate", "Work", "WorkloadSpec", "default_schedule",
-    "execute_transaction", "keccak_256", "load_workload", "read_macro_csv",
-    "read_micro_csv", "run_chain", "write_macro_csv", "write_micro_csv",
+    "execute_transaction", "keccak_256", "load_workload", "read_windows",
+    "run_chain", "write_macro_csv", "write_micro_csv",
 ]

@@ -1,9 +1,8 @@
 """Synthetic chain driver: generate, verify, and import blocks in order.
 
-Each block goes through a structural verification (height continuity,
-parent-root linkage, gas limits) and a strictly serialized import that
-executes every transaction against the world trie and commits storage
-writes. Spans land in the macro categories of the instrumentation module:
+Each block goes through a structural verification (height continuity, gas
+limits) and a strictly serialized import that executes every transaction
+against the world trie and commits storage writes. Spans land in the macro categories of the instrumentation module:
 Total wraps verify plus import, TX wraps each transaction's execution, EVM
 the interpreter loop inside it, and DB the storage commits (per transaction
 plus a per-block finalize). Verification is structural only — signature and
@@ -53,13 +52,11 @@ class ChainRunReport:
     clock_mode: str
 
 
-def verify_block(block: Block, expected_height: int, parent_root: bytes,
+def verify_block(block: Block, expected_height: int,
                  schedule: GasSchedule) -> None:
     if block.height != expected_height:
         raise VerificationError(
             f"expected height {expected_height}, got {block.height}")
-    if block.parent_root is not None and block.parent_root != parent_root:
-        raise VerificationError("parent root does not link to current state")
     for i, tx in enumerate(block.transactions):
         if tx.gas_limit < schedule.intrinsic_gas:
             raise VerificationError(
@@ -101,8 +98,8 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
     gc.collect()
     gc.disable()
     try:
-        _run_blocks(spec, num_blocks, schedule, window_size, clock,
-                    trie, generator, sink, receipts)
+        _run_blocks(num_blocks, schedule, window_size, clock, trie,
+                    generator, sink, receipts)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -119,22 +116,20 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
     )
 
 
-def _run_blocks(spec, num_blocks, schedule, window_size, clock, trie,
-                generator, sink, receipts):
+def _run_blocks(num_blocks, schedule, window_size, clock, trie, generator,
+                sink, receipts):
     work = trie.store.work
     for height in range(num_blocks):
         if height and height % window_size == 0:
             sink.close_window(height)
 
         block = generator.generate_block(height)
-        parent_root = trie.root_hash()
 
         total_start = clock.now_ns()
         verify_start = clock.now_ns()
-        verify_block(block, height, parent_root, schedule)
+        verify_block(block, height, schedule)
         work.spans += 1
         sink.record_span(MacroCategory.VERIFY, clock.now_ns() - verify_start)
-        block.parent_root = parent_root
 
         import_start = clock.now_ns()
         for tx_index, tx in enumerate(block.transactions):

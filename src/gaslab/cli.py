@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,9 +28,9 @@ from pathlib import Path
 from .chain import run_chain
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
 from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
-from .metrics import (CsvFormatError, atomic_write_text, read_macro_csv,
-                      read_micro_csv, read_table, write_macro_csv,
-                      write_micro_csv, write_table)
+from .metrics import (CsvFormatError, atomic_write_text, read_table,
+                      read_windows, write_macro_csv, write_micro_csv,
+                      write_table)
 from .model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
                     InsufficientDataError, InvalidConstantError,
                     ModelFileError, UndefinedRatioError, load_models,
@@ -138,21 +139,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not 0 < args.threshold <= 1:
         raise InputError(
             f"--threshold must be in (0, 1], got {args.threshold}")
-    micro_path = _require_file(args.micro, "micro CSV")
-    micro = read_micro_csv(micro_path)
-    inputs = {"micro": micro_path}
-    macro = []
+    inputs = {"micro": _require_file(args.micro, "micro CSV")}
     if args.macro:
-        macro_path = _require_file(args.macro, "macro CSV")
-        macro = read_macro_csv(macro_path)
-        inputs["macro"] = macro_path
+        inputs["macro"] = _require_file(args.macro, "macro CSV")
+    windows = read_windows(inputs["micro"], inputs.get("macro"))
     length = None
     if args.receipts:
         receipts_path = _require_file(args.receipts, "receipts CSV")
         length = _read_receipt_length(receipts_path)
         inputs["receipts"] = receipts_path
 
-    result = analyze_windows(micro, macro, threshold=args.threshold,
+    result = analyze_windows(windows, threshold=args.threshold,
                              target_tpg=args.tpg_constant,
                              split_seed=args.split_seed,
                              contract_length=length)
@@ -169,7 +166,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                            "split_seed": args.split_seed},
                    inputs=inputs,
                    outputs=[*result.tables, *result.documents])
-    print(f"analysis of {len(micro)} windows -> {out}")
+    sampled = sum(1 for w in windows if w.instructions)
+    print(f"analysis of {sampled} windows -> {out}")
     dependent = result.classification.dependent_opcodes()
     print(f"dependent opcodes: {', '.join(dependent) or 'none'}")
     return EXIT_OK
@@ -248,8 +246,7 @@ def cmd_economics(args: argparse.Namespace) -> int:
     if args.micro:
         micro_path = _require_file(args.micro, "micro CSV")
         macro_path = _require_file(args.macro, "macro CSV")
-        rows = economics_table(read_micro_csv(micro_path),
-                               read_macro_csv(macro_path), prices,
+        rows = economics_table(read_windows(micro_path, macro_path), prices,
                                args.gas_price)
         out = _out_dir(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -265,8 +262,8 @@ def cmd_economics(args: argparse.Namespace) -> int:
     if args.gas is None or args.hours is None:
         raise InputError("scalar mode needs --gas and --hours "
                          "(or provide --micro and --macro for table mode)")
-    if args.gas < 0 or args.hours < 0:
-        raise InputError("--gas and --hours must be >= 0")
+    if args.gas < 0 or not 0 <= args.hours < math.inf:
+        raise InputError("--gas and --hours must be finite and >= 0")
     point = price_for(prices, args.window_start)
     econ = fee_economics(args.gas, args.gas_price, point.eth_usd,
                          args.hours, point.infra_usd_per_hour)

@@ -48,7 +48,7 @@ from typing import Optional
 from ..clock import WallClock
 from ..metrics import MacroCategory
 from ..trie import MerklePatriciaTrie
-from .opcodes import ARITY, Opcode
+from .opcodes import ARITY, MEMORY_OPCODES, Opcode
 from .schedule import GasSchedule, SstoreRule, memory_expansion_cost
 
 WORD_MASK = (1 << 256) - 1
@@ -232,7 +232,7 @@ class Machine:
             current = self.storage_read(slot)
             return rule.set_cost if current == 0 and value != 0 else rule.reset_cost
         cost = rule.base_cost(self.block_height)
-        if rule.plus_memory:
+        if byte in MEMORY_OPCODES:
             offset = self.stack[-1]
             size = 32 if byte in (Opcode.MLOAD, Opcode.MSTORE) \
                 else self.stack[-2]

@@ -2,8 +2,7 @@
 
 A rule is one of:
 
-* a constant cost, optionally flagged ``+mem`` to add the quadratic
-  memory-expansion delta (MLOAD/MSTORE/RETURN);
+* a constant cost;
 * SSTORE's two-tier rule (set a zero slot vs write a non-zero slot);
 * a polynomial in block-height, used by repriced schedules. Polynomial
   costs are rounded half-up and floored at 1 when evaluated.
@@ -21,8 +20,10 @@ overrides its family. Example::
 On load, every implemented opcode must end up with a rule, and every
 non-terminal opcode must cost at least one gas at any height (keeps all
 executions finite); STOP and RETURN may cost zero. Each rule must fit its
-opcode: MLOAD, MSTORE and RETURN carry ``+mem`` and no other opcode does,
-and only SSTORE may take the ``sstore:`` tier rule.
+opcode: only SSTORE may take the ``sstore:`` tier rule, and the rules of
+MLOAD, MSTORE and RETURN, and of no other opcode, carry ``+mem``. The
+marker is part of the file format only: those three opcodes always add the
+quadratic memory-expansion delta to their rule's cost.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ def round_gas(value: float) -> int:
 @dataclass(frozen=True)
 class ConstantRule:
     cost: int
-    plus_memory: bool = False
 
     def base_cost(self, block_height: int) -> int:
         return self.cost
 
     def format(self) -> str:
-        return f"{self.cost} +mem" if self.plus_memory else str(self.cost)
+        return str(self.cost)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class PolynomialRule:
     """Cost = round-half-up of a polynomial in block-height, min 1."""
 
     coefficients: tuple[float, ...]  # ascending powers
-    plus_memory: bool = False
 
     def base_cost(self, block_height: int) -> int:
         value = 0.0
@@ -83,8 +82,7 @@ class PolynomialRule:
         return round_gas(value)
 
     def format(self) -> str:
-        body = "poly:" + ",".join(repr(c) for c in self.coefficients)
-        return body + " +mem" if self.plus_memory else body
+        return "poly:" + ",".join(repr(c) for c in self.coefficients)
 
 
 GasRule = ConstantRule | SstoreRule | PolynomialRule
@@ -115,7 +113,8 @@ class GasSchedule:
         if self._by_byte is None:
             table: list = [None] * 256
             for op, rule in self.rules.items():
-                if isinstance(rule, ConstantRule) and not rule.plus_memory:
+                if (isinstance(rule, ConstantRule)
+                        and op not in MEMORY_OPCODES):
                     table[op.value] = rule.cost
                 else:
                     table[op.value] = rule
@@ -127,7 +126,8 @@ class GasSchedule:
     def format(self) -> str:
         lines = [f"intrinsic = {self.intrinsic_gas}"]
         for op in ALL_OPCODES:
-            lines.append(f"{op.name} = {self.rules[op].format()}")
+            mem = " +mem" if op in MEMORY_OPCODES else ""
+            lines.append(f"{op.name} = {self.rules[op].format()}{mem}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -150,7 +150,10 @@ class GasSchedule:
                     raise ScheduleError(f"line {line_no}: bad intrinsic gas: "
                                         f"{value!r}") from None
                 continue
-            rule = _parse_rule(name, value, line_no)
+            plus_memory = value.endswith("+mem")
+            rule = _parse_rule(name, value.removesuffix("+mem").strip(),
+                               line_no)
+            op = None   # a family has no memory opcode
             if name in ("PUSH", "DUP", "SWAP"):
                 family[name] = rule
             else:
@@ -158,6 +161,12 @@ class GasSchedule:
                 if op is None:
                     raise ScheduleError(f"line {line_no}: unknown opcode {name!r}")
                 individual[op] = rule
+            if plus_memory != (op in MEMORY_OPCODES):
+                raise ScheduleError(
+                    f"line {line_no}: {name}: +mem is required"
+                    if op in MEMORY_OPCODES else
+                    f"line {line_no}: {name}: +mem applies to MLOAD, MSTORE "
+                    f"and RETURN only")
         rules: dict[Opcode, GasRule] = {}
         for prefix, rule in family.items():
             for op in ALL_OPCODES:
@@ -172,21 +181,14 @@ class GasSchedule:
 
 
 def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
-    plus_memory = False
-    if value.endswith("+mem"):
-        plus_memory = True
-        value = value[: -len("+mem")].strip()
-    if plus_memory and value.startswith("sstore:"):
-        raise ScheduleError(f"line {line_no}: {name}: +mem does not apply to "
-                            f"an sstore: rule")
     try:
         if value.startswith("sstore:"):
             set_cost, reset_cost = value[len("sstore:"):].split(",")
             return SstoreRule(int(set_cost), int(reset_cost))
         if value.startswith("poly:"):
             coeffs = tuple(float(c) for c in value[len("poly:"):].split(","))
-            return PolynomialRule(coeffs, plus_memory)
-        return ConstantRule(int(value), plus_memory)
+            return PolynomialRule(coeffs)
+        return ConstantRule(int(value))
     except (ValueError, TypeError):
         raise ScheduleError(f"line {line_no}: bad rule for {name}: {value!r}") from None
 
@@ -194,11 +196,6 @@ def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
 def _validate_rule(op: Opcode, rule: GasRule) -> None:
     if isinstance(rule, SstoreRule) and op is not Opcode.SSTORE:
         raise ScheduleError(f"{op.name}: sstore: tiers apply to SSTORE only")
-    plus_memory = getattr(rule, "plus_memory", False)
-    if plus_memory != (op in MEMORY_OPCODES):
-        raise ScheduleError(
-            f"{op.name}: +mem is required" if op in MEMORY_OPCODES
-            else f"{op.name}: +mem applies to MLOAD, MSTORE and RETURN only")
     if isinstance(rule, ConstantRule):
         minimum = 0 if op in TERMINAL_OPCODES else 1
         if rule.cost < minimum:

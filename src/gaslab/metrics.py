@@ -22,7 +22,10 @@ their provenance inline. A malformed table raises `CsvFormatError` naming
     micro: window_start,opcode,count,total_gas,total_time_ns
     macro: window_start,category,total_time_ns
 
-All times are integer nanoseconds.
+All times are integer nanoseconds. Every number in these two tables is a
+non-negative counter that fits a signed 64-bit integer. `read_windows`
+reads both tables back into one window list, joined on window_start, so
+analysis sees the windows `SampleSink` archived.
 """
 
 from __future__ import annotations
@@ -205,49 +208,42 @@ def write_macro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> Non
         for window in windows for name in sorted(window.categories)))
 
 
-def _micro_row(fields: list[str]) -> tuple[int, str, InstructionStat]:
-    stat = InstructionStat(int(fields[2]), int(fields[3]), int(fields[4]))
-    if min(stat) < 0:
-        raise ValueError("negative counter")
-    return int(fields[0]), fields[1], stat
-
-
-def read_micro_csv(path: str | Path) -> list[WindowAggregate]:
-    """Parse a micro CSV back into per-window aggregates, sorted by start."""
-    per_window: dict[int, dict[str, InstructionStat]] = {}
-    for start, op, stat in read_table(path, MICRO_HEADER, _micro_row):
-        per_window.setdefault(start, {})[op] = stat
-    return [WindowAggregate(start, instrs, {})
-            for start, instrs in sorted(per_window.items())]
-
-
 _CATEGORIES = frozenset(c.value for c in MacroCategory)
+_COUNTER_MAX = 2 ** 63 - 1   # every counter fits a signed 64-bit integer
+
+
+def _counter(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError("negative counter")
+    if value > _COUNTER_MAX:
+        raise ValueError("counter above 2^63 - 1")
+    return value
+
+
+def _micro_row(fields: list[str]) -> tuple[int, str, InstructionStat]:
+    return _counter(fields[0]), fields[1], InstructionStat(
+        _counter(fields[2]), _counter(fields[3]), _counter(fields[4]))
 
 
 def _macro_row(fields: list[str]) -> tuple[int, str, int]:
     if fields[1] not in _CATEGORIES:
         raise ValueError(f"unknown category {fields[1]!r}")
-    return int(fields[0]), fields[1], int(fields[2])
+    return _counter(fields[0]), fields[1], _counter(fields[2])
 
 
-def read_macro_csv(path: str | Path) -> list[WindowAggregate]:
-    per_window: dict[int, dict[str, int]] = {}
-    for start, name, total in read_table(path, MACRO_HEADER, _macro_row):
-        per_window.setdefault(start, {})[name] = total
-    return [WindowAggregate(start, {}, cats)
-            for start, cats in sorted(per_window.items())]
+def read_windows(micro_path: str | Path,
+                 macro_path: str | Path | None = None) -> list[WindowAggregate]:
+    """Read a micro table, and optionally a macro table, back into windows.
 
-
-def merge_windows(micro: Iterable[WindowAggregate],
-                  macro: Iterable[WindowAggregate]) -> list[WindowAggregate]:
-    """Join micro and macro aggregates on window start height."""
-    merged: dict[int, WindowAggregate] = {
-        w.start: WindowAggregate(w.start, dict(w.instructions), {})
-        for w in micro}
-    for w in macro:
-        base = merged.get(w.start)
-        if base is None:
-            merged[w.start] = WindowAggregate(w.start, {}, dict(w.categories))
-        else:
-            base.categories.update(w.categories)
-    return [merged[start] for start in sorted(merged)]
+    The two tables join on window_start: a start found in only one of them
+    keeps the other part empty. Windows come back sorted by start.
+    """
+    windows: dict[int, WindowAggregate] = {}
+    for start, op, stat in read_table(micro_path, MICRO_HEADER, _micro_row):
+        windows.setdefault(start, WindowAggregate(start)).instructions[op] = stat
+    macro = (read_table(macro_path, MACRO_HEADER, _macro_row)
+             if macro_path is not None else [])
+    for start, name, total in macro:
+        windows.setdefault(start, WindowAggregate(start)).categories[name] = total
+    return [windows[start] for start in sorted(windows)]

@@ -14,6 +14,7 @@ range never yields a negative cost.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional
 
 from ..evm.opcodes import from_name
@@ -28,10 +29,11 @@ DEFAULT_TIME_PER_GAS = 5.0  # observed time per unit gas in early blocks
 def propose_gas_model(time_models: Mapping[str, ScalarModel],
                       target_tpg: float = DEFAULT_TIME_PER_GAS
                       ) -> dict[str, ScalarModel]:
-    """g_i(n) = t_i(n) / C for every modeled opcode."""
-    if target_tpg <= 0:
+    """g_i(n) = t_i(n) / C for every modeled opcode; C must be finite."""
+    if not 0 < target_tpg < math.inf:
         raise InvalidConstantError(
-            f"target time-per-gas must be positive, got {target_tpg}")
+            f"target time-per-gas must be finite and positive, "
+            f"got {target_tpg}")
     return {op: model.scale(1.0 / target_tpg)
             for op, model in time_models.items()}
 
@@ -63,8 +65,8 @@ def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
     Modeled opcodes take `round_gas` of their gas at that height (round
     half up, never below 1); opcodes absent from the model keep the base
     schedule's rule (the default schedule if no base is given). SSTORE's
-    tier rule collapses to the modeled scalar. A ``+mem`` rule stays
-    ``+mem``, so memory expansion is still charged and bounded.
+    tier rule collapses to the modeled scalar. MLOAD, MSTORE and RETURN
+    still charge memory expansion, which belongs to the opcode.
     """
     if base is None:
         base = default_schedule()
@@ -73,7 +75,5 @@ def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
         op = from_name(name)
         if op is None:
             continue
-        plus_memory = getattr(rules[op], "plus_memory", False)
-        rules[op] = ConstantRule(round_gas(model.evaluate(height)),
-                                 plus_memory)
+        rules[op] = ConstantRule(round_gas(model.evaluate(height)))
     return GasSchedule(rules, base.intrinsic_gas)

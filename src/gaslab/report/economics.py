@@ -7,6 +7,7 @@ rate is always user-supplied input (price files), never hardcoded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,8 +29,9 @@ class PricePoint:
     infra_usd_per_hour: float
 
     def __post_init__(self):
-        if self.eth_usd < 0 or self.infra_usd_per_hour < 0:
-            raise ValueError("prices must be non-negative")
+        if not (0 <= self.eth_usd < math.inf
+                and 0 <= self.infra_usd_per_hour < math.inf):
+            raise ValueError("prices must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -80,22 +82,23 @@ def price_for(points: Sequence[PricePoint], window_start: int) -> PricePoint:
     return chosen
 
 
-def economics_table(micro: Sequence[WindowAggregate],
-                    macro: Sequence[WindowAggregate],
+def economics_table(windows: Sequence[WindowAggregate],
                     prices: Sequence[PricePoint],
                     gas_price_wei: int) -> list[tuple]:
     """Per-window fee vs infrastructure cost rows (the Fig-1 style table),
-    each in ECONOMICS_HEADER order; a window without infrastructure cost
-    has a NaN ratio.
+    each in ECONOMICS_HEADER order, for every window with instruction
+    samples; the wall time is the window's own Total span, and a window
+    without infrastructure cost has a NaN ratio.
     """
-    total_ns_by_start = {w.start: w.categories.get("Total", 0) for w in macro}
     rows = []
-    for window in micro:
+    for window in windows:
+        if not window.instructions:
+            continue
         point = price_for(prices, window.start)
         gas = window.instruction_gas_total()
         fee_usd, infra_usd = _costs(
             gas, gas_price_wei, point.eth_usd,
-            total_ns_by_start.get(window.start, 0) / NS_PER_HOUR,
+            window.categories.get("Total", 0) / NS_PER_HOUR,
             point.infra_usd_per_hour)
         rows.append((window.start, gas, fee_usd, infra_usd,
                      fee_usd / infra_usd if infra_usd else float("nan")))

@@ -5,8 +5,10 @@ Steps: classify height dependence per opcode, fit time models (BIC-selected
 polynomials for dependent opcodes, means for the rest), estimate the
 standard contract, derive the current-schedule gas view and the repriced
 gas model, then evaluate the time-per-gas and gas curves once per window.
-Also validates macro against micro timings (relative difference plus
-chi-square normality) when macro data is present.
+All of these run over the windows that carry instruction samples. Macro is
+validated against micro timings (relative difference plus chi-square
+normality) over every window with an EVM span, so a window found only in
+the macro table still counts there.
 
 Every output is built here: `AnalysisResult.tables` maps each CSV's file
 name to its header and rows, and `AnalysisResult.documents` maps each JSON
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 from scipy import stats
 
 from ..evm.schedule import round_gas
-from ..metrics import WindowAggregate, merge_windows
+from ..metrics import WindowAggregate
 from ..model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
                      ClassificationResult, InsufficientDataError,
                      ScalarModel, StandardContract, avg_prog_gas,
@@ -62,13 +64,14 @@ def _json_text(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def analyze_windows(micro: Sequence[WindowAggregate],
-                    macro: Sequence[WindowAggregate] = (),
+def analyze_windows(windows: Sequence[WindowAggregate],
                     threshold: float = DEFAULT_THRESHOLD,
                     target_tpg: float = DEFAULT_TIME_PER_GAS,
                     split_seed: int = 0,
                     contract_length: Optional[float] = None) -> AnalysisResult:
-    """Run the full analysis over micro (and optionally macro) windows."""
+    """Run the full analysis over windows sorted by start, as
+    `read_windows` returns them."""
+    micro = [w for w in windows if w.instructions]
     if not micro:
         raise InsufficientDataError("no micro windows to analyze")
 
@@ -131,7 +134,7 @@ def analyze_windows(micro: Sequence[WindowAggregate],
                                (stat.time_ns / window_total) if stat else 0.0))
 
     # Macro/micro agreement.
-    diffs = macro_micro_differences(merge_windows(micro, macro))
+    diffs = macro_micro_differences(windows)
     chi_doc: dict[str, object] = {"error": "no macro data"}
     if diffs:
         try:

@@ -228,7 +228,6 @@ class Transaction:
 class Block:
     height: int
     transactions: list[Transaction]
-    parent_root: bytes | None = None
 
 
 class WorkloadGenerator:

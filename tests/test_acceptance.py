@@ -22,7 +22,7 @@ from gaslab.chain import run_chain
 from gaslab.cli import main as cli_main
 from gaslab.evm.machine import execute_transaction
 from gaslab.evm.schedule import default_schedule, round_gas
-from gaslab.metrics import read_micro_csv
+from gaslab.metrics import read_windows
 from gaslab.model import (ScalarModel, StandardContract, avg_prog_tpg,
                           chi_square_decision, classify_bh_dependence,
                           classify_opcode, fit_time_model,
@@ -208,8 +208,8 @@ def test_criterion_3_phenomenon_reproduction(phenomenon_run):
 
 def test_criterion_7_constant_tpg_under_proposed_schedule(phenomenon_run):
     report, _ = phenomenon_run
-    analysis = analyze_windows(report.windows, report.windows,
-                               threshold=0.7, target_tpg=5.0, split_seed=0)
+    analysis = analyze_windows(report.windows, threshold=0.7, target_tpg=5.0,
+                               split_seed=0)
 
     header, table = analysis.tables["tpg_curves.csv"]
     rows = [dict(zip(header.split(","), row, strict=True)) for row in table]
@@ -258,7 +258,7 @@ def test_criterion_8_macro_micro_consistency(phenomenon_run):
 
 def test_criterion_4_classification_fixture():
     started = time.perf_counter()
-    windows = read_micro_csv(DATA / "fixtures" / "table3_micro.csv")
+    windows = read_windows(DATA / "fixtures" / "table3_micro.csv")
     result = classify_bh_dependence(windows, threshold=0.7)
     expected = {"SLOAD": "dependent", "SSTORE": "dependent",
                 "PUSH1": "independent", "MSTORE": "independent"}

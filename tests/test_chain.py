@@ -170,17 +170,13 @@ def test_out_of_gas_transactions_recorded_not_aborting():
             assert row.gas_used == row.gas_limit
 
 
-def test_verify_block_rejects_bad_linkage():
-    block = Block(height=0, transactions=[])
-    block.parent_root = b"\x00" * 32
-    with pytest.raises(VerificationError, match="parent root"):
-        verify_block(block, 0, b"\x11" * 32, SCHED)
+def test_verify_block_rejects_bad_height_and_gas_limit():
     with pytest.raises(VerificationError, match="height"):
-        verify_block(Block(height=3, transactions=[]), 0, b"", SCHED)
+        verify_block(Block(height=3, transactions=[]), 0, SCHED)
     starved = Block(height=0, transactions=[
         Transaction(b"\x00", SCHED.intrinsic_gas - 1, 1)])
     with pytest.raises(VerificationError, match="intrinsic"):
-        verify_block(starved, 0, b"", SCHED)
+        verify_block(starved, 0, SCHED)
 
 
 def test_blocks_link_parent_to_post_roots():

@@ -480,6 +480,48 @@ BAD_INPUTS = {
         tmp_path, fresh_key_rate="0.5"),
     "workload-price-negative": lambda tmp_path: _workload_file(
         tmp_path, gas_price_wei=-5),
+    "micro-counter-overlong": lambda tmp_path: [
+        "analyze", "--micro", _write(
+            tmp_path / "micro.csv", MICRO_HEADER + "\n0,ADD,1,3,9\n"
+            "50,ADD,1,3," + "9" * 400 + "\n"),
+        "--out", str(tmp_path / "a")],
+    "micro-start-overlong": lambda tmp_path: [
+        "analyze", "--micro", _write(
+            tmp_path / "micro.csv", MICRO_HEADER + "\n0,ADD,1,3,9\n"
+            + "9" * 400 + ",ADD,1,3,9\n"),
+        "--out", str(tmp_path / "a")],
+    "macro-total-negative": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,Total,-5\n"),
+        "--out", str(tmp_path / "eco")],
+    "macro-total-overlong": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,Total," + "9" * 400
+            + "\n"),
+        "--out", str(tmp_path / "eco")],
+    "analyze-tpg-nan": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--tpg-constant", "nan",
+        "--out", str(tmp_path / "a")],
+    "materialize-tpg-nan": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}'
+    ) + ["--tpg-constant", "nan"],
+    "materialize-tpg-inf": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}'
+    ) + ["--tpg-constant", "inf"],
+    "hours-nan": lambda tmp_path: ["economics", "--prices", PRICES,
+                                   "--gas", "1", "--hours", "nan"],
+    "hours-inf": lambda tmp_path: ["economics", "--prices", PRICES,
+                                   "--gas", "1", "--hours", "inf"],
+    "prices-nan-scalar": lambda tmp_path: [
+        "economics", "--prices", _write(
+            tmp_path / "prices.csv", PRICES_HEADER + "\n0,nan,0.6\n"),
+        "--gas", "1", "--hours", "1"],
+    "prices-nan-table": lambda tmp_path: [
+        "economics", "--prices", _write(
+            tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,nan\n"),
+        "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,Total,5\n"),
+        "--out", str(tmp_path / "eco")],
 }
 
 

@@ -1,12 +1,19 @@
 """Sample sink accumulation, window lifecycle, and CSV round-trips."""
 
+from importlib import resources
+
 import pytest
 
+from gaslab.chain import run_chain
+from gaslab.evm.schedule import default_schedule
 from gaslab.metrics import (MACRO_HEADER, MICRO_HEADER, CsvFormatError,
                             InstructionStat, MacroCategory, SampleSink,
-                            WindowAggregate, merge_windows, read_macro_csv,
-                            read_micro_csv, read_table, write_macro_csv,
-                            write_micro_csv, write_table)
+                            WindowAggregate, read_table, read_windows,
+                            write_macro_csv, write_micro_csv, write_table)
+from gaslab.report.pipeline import analyze_windows
+from gaslab.workload import load_workload
+
+WORKLOADS = resources.files("gaslab").joinpath("data", "workloads")
 
 
 def test_span_additivity():
@@ -99,35 +106,64 @@ def test_micro_csv_round_trip(tmp_path):
     path = tmp_path / "micro.csv"
     write_micro_csv(sample_windows(), path)
     assert path.read_text().splitlines()[0] == MICRO_HEADER
-    back = read_micro_csv(path)
+    back = read_windows(path)
     assert [w.start for w in back] == [0, 500]
     assert back[0].instructions == sample_windows()[0].instructions
+    assert all(w.categories == {} for w in back)
 
 
 def test_macro_csv_round_trip(tmp_path):
-    path = tmp_path / "macro.csv"
-    write_macro_csv(sample_windows(), path)
-    assert path.read_text().splitlines()[0] == MACRO_HEADER
-    back = read_macro_csv(path)
+    micro, macro = tmp_path / "micro.csv", tmp_path / "macro.csv"
+    write_micro_csv(sample_windows(), micro)
+    write_macro_csv(sample_windows(), macro)
+    assert macro.read_text().splitlines()[0] == MACRO_HEADER
+    back = read_windows(micro, macro)
     assert back[0].categories == {"EVM": 999, "Total": 2000}
     assert back[1].categories == {"EVM": 450, "Total": 1100}
+    assert back == sample_windows()
 
 
-def test_merge_windows_joins_on_start():
-    micro = [WindowAggregate(0, {"ADD": InstructionStat(1, 3, 9)}, {})]
-    macro = [WindowAggregate(0, {}, {"EVM": 10}),
-             WindowAggregate(500, {}, {"EVM": 20})]
-    merged = merge_windows(micro, macro)
-    assert merged[0].instructions["ADD"].count == 1
-    assert merged[0].categories["EVM"] == 10
-    assert merged[1].categories["EVM"] == 20
+@pytest.mark.parametrize("workload", ["add_only", "mixed_fig8",
+                                      "sload_heavy"])
+def test_read_windows_gives_back_the_run_windows(tmp_path, workload):
+    spec = load_workload(WORKLOADS / f"{workload}.json")
+    report = run_chain(spec, 120, default_schedule(), window_size=25,
+                       virtual=True)
+    write_micro_csv(report.windows, tmp_path / "micro.csv")
+    write_macro_csv(report.windows, tmp_path / "macro.csv")
+    assert read_windows(tmp_path / "micro.csv",
+                        tmp_path / "macro.csv") == report.windows
+
+
+def test_macro_only_window_counts_only_in_macro_micro(tmp_path):
+    micro, macro = tmp_path / "micro.csv", tmp_path / "macro.csv"
+    spec = load_workload(WORKLOADS / "sload_heavy.json")
+    report = run_chain(spec, 120, default_schedule(), window_size=25,
+                       virtual=True)
+    write_micro_csv(report.windows, micro)
+    write_macro_csv(report.windows, macro)
+    with macro.open("a") as fp:
+        fp.write("500,EVM,20\n")
+    windows = read_windows(micro, macro)
+    assert [w.start for w in windows] == [0, 25, 50, 75, 100, 500]
+    assert windows[0].instructions == report.windows[0].instructions
+    assert windows[0].categories == report.windows[0].categories
+    assert windows[-1] == WindowAggregate(500, {}, {"EVM": 20})
+
+    tables = analyze_windows(windows).tables
+    _, diffs = tables["macro_micro.csv"]
+    assert diffs[-1] == (500, 1.0)
+    assert [start for start, _ in diffs[:-1]] == [0, 25, 50, 75, 100]
+    for name in ("tpg_curves.csv", "gas_curves.csv"):
+        _, rows = tables[name]
+        assert [row[0] for row in rows] == [0, 25, 50, 75, 100]
 
 
 def test_comment_lines_are_ignored(tmp_path):
     path = tmp_path / "micro.csv"
     path.write_text("# provenance note\n" + MICRO_HEADER +
                     "\n0,ADD,1,3,9\n# trailing comment\n")
-    windows = read_micro_csv(path)
+    windows = read_windows(path)
     assert windows[0].instructions["ADD"] == InstructionStat(1, 3, 9)
 
 
@@ -136,6 +172,8 @@ def test_comment_lines_are_ignored(tmp_path):
     (MICRO_HEADER + "\n0,ADD,1,3\n", "expected 5 fields"),
     (MICRO_HEADER + "\n0,ADD,x,3,9\n", "invalid literal"),
     (MICRO_HEADER + "\n0,ADD,-1,3,9\n", "negative"),
+    (MICRO_HEADER + "\n0,ADD,1,3," + "9" * 400 + "\n", "above 2^63 - 1"),
+    (MICRO_HEADER + "\n" + "9" * 400 + ",ADD,1,3,9\n", "above 2^63 - 1"),
     (MICRO_HEADER + "\n", "no data rows"),
     ("", "missing header"),
 ])
@@ -143,16 +181,23 @@ def test_micro_csv_errors_carry_line_numbers(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(CsvFormatError) as excinfo:
-        read_micro_csv(path)
+        read_windows(path)
     assert fragment in str(excinfo.value)
     assert excinfo.value.line_no >= 1
 
 
 def test_macro_csv_rejects_unknown_category(tmp_path):
-    path = tmp_path / "bad.csv"
+    micro, path = tmp_path / "micro.csv", tmp_path / "bad.csv"
+    write_micro_csv(sample_windows(), micro)
     path.write_text(MACRO_HEADER + "\n0,Bogus,5\n")
     with pytest.raises(CsvFormatError, match="unknown category"):
-        read_macro_csv(path)
+        read_windows(micro, path)
+    path.write_text(MACRO_HEADER + "\n0,Total,5\n0,Total," + "9" * 400 + "\n")
+    with pytest.raises(CsvFormatError, match=r"bad.csv:3: counter above"):
+        read_windows(micro, path)
+    path.write_text(MACRO_HEADER + "\n0,Total,5\n0,EVM,-3\n")
+    with pytest.raises(CsvFormatError, match=r"bad.csv:3: negative counter"):
+        read_windows(micro, path)
 
 
 def test_window_aggregate_totals():

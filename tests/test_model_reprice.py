@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaslab.evm.machine import TxStatus, execute_transaction
-from gaslab.evm.opcodes import Opcode
+from gaslab.evm.opcodes import MEMORY_OPCODES, Opcode
 from gaslab.evm.schedule import ConstantRule, default_schedule, round_gas
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.metrics import InstructionStat, WindowAggregate
@@ -111,8 +111,7 @@ def test_materialize_schedule_rounds_half_up_and_keeps_base():
     assert schedule.intrinsic_gas == 21_000
 
 
-MEM_OPS = [op for op, rule in default_schedule().rules.items()
-           if getattr(rule, "plus_memory", False)]
+MEM_OPS = sorted(MEMORY_OPCODES)
 
 
 def _push(value):
@@ -148,8 +147,9 @@ def test_materialized_schedule_charges_memory_expansion(costs, height,
                    for op, cost in costs.items()}
     schedule = materialize_schedule(propose_gas_model(time_models, 5.0),
                                     height)
+    lines = schedule.format().splitlines()
     for op in MEM_OPS:
-        assert schedule.rules[op].plus_memory
+        assert f"{op.name} = {schedule.rules[op].cost} +mem" in lines
         assert (_expansion_charged(op, schedule, offset, size)
                 == _expansion_charged(op, default_schedule(), offset, size))
 

@@ -72,11 +72,11 @@ def test_price_csv_round_trip(tmp_path):
 
 
 def test_economics_table_matches_scalar_path():
-    micro = [WindowAggregate(0, {"SLOAD": InstructionStat(5, 1000, 50)}, {}),
-             WindowAggregate(50, {"SLOAD": InstructionStat(1, 200, 9)}, {})]
-    macro = [WindowAggregate(0, {}, {"Total": 3_600_000_000_000})]  # 1 hour
+    windows = [WindowAggregate(0, {"SLOAD": InstructionStat(5, 1000, 50)},
+                               {"Total": 3_600_000_000_000}),  # 1 hour
+               WindowAggregate(50, {"SLOAD": InstructionStat(1, 200, 9)}, {})]
     prices = [PricePoint(0, 200.0, 0.624)]
-    rows = economics_table(micro, macro, prices, gas_price_wei=20_000_000_000)
+    rows = economics_table(windows, prices, gas_price_wei=20_000_000_000)
     row = dict(zip(ECONOMICS_HEADER.split(","), rows[0], strict=True))
     scalar = fee_economics(1000, 20_000_000_000, 200.0, 1.0, 0.624)
     assert row["window_start"] == 0 and row["gas"] == 1000

@@ -20,7 +20,8 @@ def test_default_schedule_spot_values():
     assert sched.rules[Opcode.JUMPI] == ConstantRule(10)
     assert sched.rules[Opcode.JUMPDEST] == ConstantRule(1)
     assert sched.rules[Opcode.CALLCODE] == ConstantRule(700)
-    assert sched.rules[Opcode.MSTORE] == ConstantRule(3, plus_memory=True)
+    assert sched.rules[Opcode.MSTORE] == ConstantRule(3)
+    assert "MSTORE = 3 +mem" in sched.format().splitlines()
     assert sched.rules[Opcode.STOP] == ConstantRule(0)
     for k in range(1, 33):
         assert sched.rules[Opcode[f"PUSH{k}"]].cost == 3
