@@ -61,8 +61,6 @@ def verify_block(block: Block, expected_height: int,
         if tx.gas_limit < schedule.intrinsic_gas:
             raise VerificationError(
                 f"tx {i}: gas limit {tx.gas_limit} below intrinsic")
-        if tx.gas_price < 0:
-            raise VerificationError(f"tx {i}: negative gas price")
 
 
 def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
@@ -136,7 +134,6 @@ def _run_blocks(num_blocks, schedule, window_size, clock, trie, generator,
             receipt = execute_transaction(
                 tx.code, trie, tx.gas_limit, height, schedule,
                 clock=clock, sink=sink)
-            sink.record_instruction_totals(receipt.samples)
             receipts.append(ReceiptRow(
                 height, tx_index, receipt.status.value, receipt.gas_used,
                 tx.gas_limit, receipt.instructions))

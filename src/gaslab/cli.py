@@ -195,9 +195,13 @@ FIGURES = {
 
 
 def _plot_row(fields: list[str]) -> list[float | None]:
-    """x, then every other cell as a number; an empty cell is None."""
-    return [float(fields[0])] + [float(cell) if cell else None
-                                 for cell in fields[1:]]
+    """x, then every other cell as a number; an empty cell is None, and a
+    non-finite one is a ValueError."""
+    row = [float(fields[0])] + [float(cell) if cell else None
+                                for cell in fields[1:]]
+    if not all(math.isfinite(value) for value in row if value is not None):
+        raise ValueError("non-finite cell")
+    return row
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

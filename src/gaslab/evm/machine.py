@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from typing import Optional
 
 from ..clock import WallClock
@@ -87,18 +86,18 @@ class TxReceipt:
     status: TxStatus
     gas_used: int
     return_data: bytes
-    # opcode name -> [count, total gas, total time ns]
-    samples: dict[str, list[int]]
-    instructions: int   # sum of the sample counts, child calls included
+    instructions: int   # instructions completed, child calls included
 
 
 class _SampleArrays:
-    """Flat per-opcode-byte accumulators, shared by a call tree.
+    """Per-opcode-byte accumulators for a run with no `SampleSink`.
 
-    Indexed list increments keep per-instruction bookkeeping cheap enough
-    that the macro EVM span and the summed samples agree within a few
-    percent on wall clocks. The receipt names each byte that ran through
-    the module's byte-to-name table, not through the `Opcode` enum.
+    A sink's open window has the same three lists (`counts`, `gas`,
+    `times`, 256 entries each), and the interpreter adds each instruction's
+    sample into whichever set it was given; indexed list increments keep
+    that bookkeeping cheap enough that the macro EVM span and the summed
+    samples agree within a few percent on wall clocks. Without a sink the
+    samples land here and are dropped with the machine.
     """
 
     __slots__ = ("counts", "gas", "times")
@@ -107,11 +106,6 @@ class _SampleArrays:
         self.counts = [0] * 256
         self.gas = [0] * 256
         self.times = [0] * 256
-
-    def to_dict(self) -> dict[str, list[int]]:
-        counts, gas, times = self.counts, self.gas, self.times
-        return {_NAME_BY_BYTE[byte]: [counts[byte], gas[byte], times[byte]]
-                for byte in compress(range(256), counts)}
 
 
 class _Halt(Exception):
@@ -125,7 +119,7 @@ class Machine:
     def __init__(self, code: bytes, trie: MerklePatriciaTrie, gas: int,
                  block_height: int, schedule: GasSchedule,
                  clock=WallClock, storage_buffer: Optional[dict] = None,
-                 depth: int = 0, sample_arrays: Optional[_SampleArrays] = None):
+                 depth: int = 0, sample_arrays=None):
         self.code = code
         self.trie = trie
         self.gas = gas
@@ -142,7 +136,7 @@ class Machine:
             storage_buffer if storage_buffer is not None else {})
         self.return_data = b""
         self.status: Optional[TxStatus] = None
-        # shared across the whole call tree of one transaction
+        # `counts`, `gas` and `times` lists, shared by the whole call tree
         self._samples = sample_arrays if sample_arrays is not None \
             else _SampleArrays()
         self._rules = schedule.rules_by_byte()
@@ -474,9 +468,6 @@ def _build_operations() -> list:
 
 
 _OPERATIONS = _build_operations()
-_NAME_BY_BYTE: list = [None] * 256
-for _op in ARITY:
-    _NAME_BY_BYTE[_op] = _op.name
 
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
@@ -488,16 +479,21 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
     execution), then interprets the code. Storage writes are buffered and
     committed to the trie, and hashed, only on success. When a sink is
     given, the execution is recorded as TX/EVM spans and the commit as a DB
-    span; the per-opcode samples (which exclude the intrinsic charge) travel
-    on the receipt, and the chain driver decides how to sink them.
+    span, and the interpreter adds each instruction's (count, gas, time)
+    sample, which excludes the intrinsic charge, straight into the sink's
+    open window; without one the samples go to a throwaway array set. The
+    receipt's instruction count is the change in the run's work counter.
     """
     if gas_limit < schedule.intrinsic_gas:
         raise IntrinsicGasError(
             f"gas limit {gas_limit} below intrinsic {schedule.intrinsic_gas}")
 
+    work = trie.store.work
+    instructions_before = work.instructions
     tx_start = clock.now_ns()
     machine = Machine(code, trie, gas_limit - schedule.intrinsic_gas,
-                      block_height, schedule, clock=clock)
+                      block_height, schedule, clock=clock,
+                      sample_arrays=sink)
     evm_start = clock.now_ns()
     status = machine.run()
     evm_duration = clock.now_ns() - evm_start
@@ -507,7 +503,7 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
 
     if status is TxStatus.SUCCESS:
         db_start = clock.now_ns()
-        trie.store.work.commits += 1
+        work.commits += 1
         for slot in sorted(machine.storage_buffer):
             value = machine.storage_buffer[slot]
             if value == 0:
@@ -521,7 +517,6 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
         if sink is not None:
             sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
 
-    samples = machine._samples.to_dict()
     return TxReceipt(status=status, gas_used=gas_limit - machine.gas,
-                     return_data=machine.return_data, samples=samples,
-                     instructions=sum(s[0] for s in samples.values()))
+                     return_data=machine.return_data,
+                     instructions=work.instructions - instructions_before)

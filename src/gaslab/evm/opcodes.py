@@ -86,6 +86,11 @@ def _arity_table() -> dict[Opcode, tuple[int, int]]:
 ARITY: dict[Opcode, tuple[int, int]] = _arity_table()
 
 _BY_NAME = {op.name: op for op in Opcode}
+_NAMES = {op.value: op.name for op in Opcode}
+
+# Each byte's opcode name; None where the byte is undefined.
+NAME_BY_BYTE: tuple[str | None, ...] = tuple(
+    _NAMES.get(byte) for byte in range(256))
 
 
 def from_name(name: str) -> Opcode | None:

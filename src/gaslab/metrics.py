@@ -6,10 +6,13 @@ into the window that owns the current block-height range; closed windows are
 immutable and archived.
 
 One thread records: the chain driver runs blocks in order and closes a
-window between blocks, so the open window is two plain dicts that
-`close_window` freezes and replaces. Micro samples arrive once per
-transaction: `record_instruction_totals` merges a whole receipt's samples
-(opcode -> count, gas, time) into the open window in one call.
+window between blocks. The open window is a dict of span totals and three
+lists indexed by opcode byte (`counts`, `gas`, `times`), and the
+interpreter adds each instruction's sample straight into those lists, so
+no sample exists per transaction. `close_window` names the bytes that ran
+once per window, through `evm.opcodes.NAME_BY_BYTE`, freezes the window
+and opens fresh lists. `record_instruction_totals` merges totals that are
+already aggregated by opcode name into the same lists.
 
 This module owns the table format of every CSV that gaslab reads or
 writes (the interchange boundary for analysis): `read_table` and
@@ -34,8 +37,11 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
+
+from .evm.opcodes import NAME_BY_BYTE, from_name
 
 MICRO_HEADER = "window_start,opcode,count,total_gas,total_time_ns"
 MACRO_HEADER = "window_start,category,total_time_ns"
@@ -83,11 +89,18 @@ class WindowAggregate:
 
 
 class SampleSink:
-    """Windowed collector for macro spans and micro instruction samples."""
+    """Windowed collector for macro spans and micro instruction samples.
+
+    `counts`, `gas` and `times` hold the open window's per-opcode-byte
+    totals; the interpreter adds into them directly (see
+    `evm.machine.execute_transaction`).
+    """
 
     def __init__(self, window_start: int = 0):
         self._window_start = window_start
-        self._instructions: dict[str, list[int]] = {}
+        self.counts = [0] * 256
+        self.gas = [0] * 256
+        self.times = [0] * 256
         self._categories: dict[str, int] = {}
         self.archive: list[WindowAggregate] = []
 
@@ -97,18 +110,23 @@ class SampleSink:
         categories[name] = categories.get(name, 0) + duration_ns
 
     def record_instruction_totals(self, samples: dict[str, list[int]]) -> None:
-        """Merge a receipt's samples, opcode -> [count, gas, time ns], in
-        one call; opcodes with a zero count are ignored."""
-        for opcode, (count, gas, duration_ns) in samples.items():
+        """Merge pre-aggregated samples, opcode name -> [count, gas, time
+        ns], into the open window. Names with a zero count are ignored; an
+        unknown name with a non-zero count raises ValueError, and then
+        nothing is merged."""
+        merged = []
+        for name, (count, gas, duration_ns) in samples.items():
             if count == 0:
                 continue
-            stat = self._instructions.get(opcode)
-            if stat is None:
-                self._instructions[opcode] = [count, gas, duration_ns]
-            else:
-                stat[0] += count
-                stat[1] += gas
-                stat[2] += duration_ns
+            opcode = from_name(name)
+            if opcode is None:
+                raise ValueError(f"unknown opcode {name!r}")
+            merged.append((opcode, count, gas, duration_ns))
+        counts, gas_totals, times = self.counts, self.gas, self.times
+        for byte, count, gas, duration_ns in merged:
+            counts[byte] += count
+            gas_totals[byte] += gas
+            times[byte] += duration_ns
 
     def close_window(self, next_start: int) -> WindowAggregate:
         """Freeze and archive the current window; open one at next_start."""
@@ -116,14 +134,18 @@ class SampleSink:
             raise ValueError(
                 f"next_start {next_start} must exceed current window "
                 f"start {self._window_start}")
+        counts, gas, times = self.counts, self.gas, self.times
         aggregate = WindowAggregate(
             self._window_start,
-            {op: InstructionStat(*stat)
-             for op, stat in self._instructions.items()},
+            {NAME_BY_BYTE[byte]: InstructionStat(
+                counts[byte], gas[byte], times[byte])
+             for byte in compress(range(256), counts)},
             self._categories)
         self.archive.append(aggregate)
         self._window_start = next_start
-        self._instructions = {}
+        self.counts = [0] * 256
+        self.gas = [0] * 256
+        self.times = [0] * 256
         self._categories = {}
         return aggregate
 

@@ -160,6 +160,8 @@ class WorkloadSpec:
     fresh_key_rate: float
     seed: int
     initial_keys: int = 64
+    # Checked on load but read by nothing: fees are priced by `economics
+    # --gas-price`. Kept because shipped workload files carry the field.
     gas_price_wei: int = DEFAULT_GAS_PRICE_WEI
 
     def __post_init__(self):
@@ -221,7 +223,6 @@ def load_workload(path: str | Path) -> WorkloadSpec:
 class Transaction:
     code: bytes
     gas_limit: int
-    gas_price: int
 
 
 @dataclass
@@ -310,7 +311,6 @@ class WorkloadGenerator:
                     append(_push_slot(slot))
                     append(tail)
             append(_STOP)
-            txs.append(Transaction(b"".join(parts), self._gas_limit,
-                                   spec.gas_price_wei))
+            txs.append(Transaction(b"".join(parts), self._gas_limit))
         self.pool_size = pool
         return Block(height=height, transactions=txs)

@@ -1,8 +1,10 @@
-"""Shared test helpers: synthetic windows for fitting tests, receipt sums."""
+"""Shared test helpers: synthetic windows for fitting tests, and one
+transaction's samples read back through a sink."""
 
 import random
 
-from gaslab.metrics import InstructionStat, WindowAggregate
+from gaslab.evm.machine import execute_transaction
+from gaslab.metrics import InstructionStat, SampleSink, WindowAggregate
 
 
 def synth_windows(coeffs, n_windows, step, sigma, seed, opcode="OP",
@@ -21,6 +23,21 @@ def synth_windows(coeffs, n_windows, step, sigma, seed, opcode="OP",
     return windows
 
 
-def sample_gas_total(receipt):
-    """Gas charged across a receipt's opcode samples, child calls included."""
-    return sum(s[1] for s in receipt.samples.values())
+def transaction_samples(code, trie, gas_limit, height, schedule, **kwargs):
+    """Run one transaction into a fresh `SampleSink`.
+
+    Returns the receipt and the sink's closed window as {opcode name:
+    [count, gas, time ns]}: the transaction's own samples, child calls
+    included.
+    """
+    sink = SampleSink()
+    receipt = execute_transaction(code, trie, gas_limit, height, schedule,
+                                  sink=sink, **kwargs)
+    window = sink.close_window(1)
+    return receipt, {name: list(stat)
+                     for name, stat in window.instructions.items()}
+
+
+def sample_gas_total(samples):
+    """Gas charged across a transaction's samples, child calls included."""
+    return sum(s[1] for s in samples.values())

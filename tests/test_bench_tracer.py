@@ -19,9 +19,10 @@ BLOCKS = 20
 READS_PER_BLOCK = 7
 READS_PER_TX = 6
 # record_span per block: VERIFY, DB, IMPORT, TOTAL; per committed
-# transaction: EVM, TX, DB and one merge of its receipt's samples.
+# transaction: EVM, TX and DB. Instruction samples go straight into the
+# sink's open window, with no record call.
 RECORDS_PER_BLOCK = 4
-RECORDS_PER_TX = 4
+RECORDS_PER_TX = 3
 
 
 def test_tracer_installs_counts_and_restores(monkeypatch):

@@ -148,8 +148,7 @@ def test_out_of_gas_transactions_recorded_not_aborting():
         def generate_block(self, height):
             block = self.inner.generate_block(height)
             starved = Transaction(code=bytes([0x60, 1, 0x60, 2, 0x01, 0x00]),
-                                  gas_limit=SCHED.intrinsic_gas + 3,
-                                  gas_price=1)
+                                  gas_limit=SCHED.intrinsic_gas + 3)
             block.transactions.append(starved)
             return block
 
@@ -174,7 +173,7 @@ def test_verify_block_rejects_bad_height_and_gas_limit():
     with pytest.raises(VerificationError, match="height"):
         verify_block(Block(height=3, transactions=[]), 0, SCHED)
     starved = Block(height=0, transactions=[
-        Transaction(b"\x00", SCHED.intrinsic_gas - 1, 1)])
+        Transaction(b"\x00", SCHED.intrinsic_gas - 1)])
     with pytest.raises(VerificationError, match="intrinsic"):
         verify_block(starved, 0, SCHED)
 

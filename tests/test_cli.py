@@ -391,6 +391,10 @@ FAULTS = {  # content from (header, good row, bad row) -> faulty line
     "field-count": (lambda h, good, bad: f"{h}\n{good}\n{good},1\n", 3),
     "non-number": (lambda h, good, bad: f"{h}\n{good}\n{bad}\n", 3),
     "no-rows": (lambda h, good, bad: f"# no rows\n{h}\n", 2),
+    "nan-cell": (lambda h, good, bad:
+                 f"{h}\n{good}\n{good.rsplit(',', 1)[0]},nan\n", 3),
+    "inf-cell": (lambda h, good, bad:
+                 f"{h}\n{good}\n{good.rsplit(',', 1)[0]},inf\n", 3),
 }
 
 
@@ -516,6 +520,11 @@ BAD_INPUTS = {
         "economics", "--prices", _write(
             tmp_path / "prices.csv", PRICES_HEADER + "\n0,nan,0.6\n"),
         "--gas", "1", "--hours", "1"],
+    "plot-nan-cell": lambda tmp_path: [
+        "plot", "--bundle", str(Path(_write(
+            tmp_path / "dep_share.csv",
+            "window_start,dependent_share,extrapolated\n0,nan,0\n"
+            "50,0.6,0\n100,inf,0\n")).parent), "--figure", "dep-share"],
     "prices-nan-table": lambda tmp_path: [
         "economics", "--prices", _write(
             tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,nan\n"),

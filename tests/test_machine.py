@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from _synth import sample_gas_total
+from _synth import sample_gas_total, transaction_samples
 
 from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
@@ -22,6 +22,13 @@ SCHED = default_schedule()
 def run(code, trie=None, gas_limit=200_000, height=0, schedule=SCHED,
         **kwargs):
     return execute_transaction(code, trie or MerklePatriciaTrie(), gas_limit,
+                               height, schedule, **kwargs)
+
+
+def run_sampled(code, trie=None, gas_limit=200_000, height=0,
+                schedule=SCHED, **kwargs):
+    """`run` into a fresh sink: the receipt and the transaction's samples."""
+    return transaction_samples(code, trie or MerklePatriciaTrie(), gas_limit,
                                height, schedule, **kwargs)
 
 
@@ -46,7 +53,7 @@ def test_push_step_sample_and_stack():
     assert machine.run() is TxStatus.SUCCESS
     assert machine.stack == [0x2A]
     assert machine.gas == 97
-    count, gas, duration_ns = run(code).samples["PUSH1"]
+    count, gas, duration_ns = run_sampled(code)[1]["PUSH1"]
     assert (count, gas) == (1, 3)
     assert duration_ns >= 0
 
@@ -72,11 +79,11 @@ def test_step_out_of_gas_boundary():
 # ---------------------------------------------------------------------------
 
 def test_empty_code_costs_exactly_intrinsic_gas():
-    receipt = run(b"", gas_limit=21_000)
+    receipt, samples = run_sampled(b"", gas_limit=21_000)
     assert receipt.status is TxStatus.SUCCESS
     assert receipt.gas_used == 21_000
     assert receipt.instructions == 0
-    assert receipt.samples == {}
+    assert samples == {}
 
 
 def test_k_pushes_exhaust_limit_exactly():
@@ -109,12 +116,12 @@ def test_sstore_then_sload_reads_the_write():
 
 def test_sstore_tiers_set_vs_reset():
     trie = MerklePatriciaTrie()
-    set_rcpt = run(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 5, Opcode.SSTORE]),
-                   trie=trie)
-    assert set_rcpt.samples["SSTORE"][1] == 20_000
-    reset_rcpt = run(bytes([Opcode.PUSH1, 2, Opcode.PUSH1, 5, Opcode.SSTORE]),
-                     trie=trie)
-    assert reset_rcpt.samples["SSTORE"][1] == 5_000
+    _, set_samples = run_sampled(
+        bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 5, Opcode.SSTORE]), trie=trie)
+    assert set_samples["SSTORE"][1] == 20_000
+    _, reset_samples = run_sampled(
+        bytes([Opcode.PUSH1, 2, Opcode.PUSH1, 5, Opcode.SSTORE]), trie=trie)
+    assert reset_samples["SSTORE"][1] == 5_000
 
 
 def test_sstore_zero_deletes_and_restores_root():
@@ -293,8 +300,9 @@ def test_schedules_in_turn_each_charge_their_own_costs():
     trie = MerklePatriciaTrie()
     for schedule, charged in [(SCHED, 200), (poly, 600), (SCHED, 200),
                               (poly, 600)]:
-        receipt = run(code, trie=trie, height=1000, schedule=schedule)
-        assert receipt.samples["SLOAD"][1] == charged
+        receipt, samples = run_sampled(code, trie=trie, height=1000,
+                                       schedule=schedule)
+        assert samples["SLOAD"][1] == charged
         assert receipt.gas_used == 21_000 + 3 + charged + 2
 
 
@@ -304,18 +312,18 @@ def test_mstore_mload_and_memory_expansion_charges():
         Opcode.PUSH1, 0x11, Opcode.PUSH1, 0, Opcode.MSTORE,
         Opcode.PUSH1, 0, Opcode.MLOAD,
     ]))
-    receipt = run(code)
+    receipt, samples = run_sampled(code)
     assert returned_word(receipt) == 0x11
     # first MSTORE expands 0 -> 1 word (3 + 3); the return-path MSTORE
     # writes into already-paid memory (3 + 0)
-    assert receipt.samples["MSTORE"][:2] == [2, (3 + 3) + 3]
+    assert samples["MSTORE"][:2] == [2, (3 + 3) + 3]
 
     code = bytes([Opcode.PUSH1, 0x11, Opcode.PUSH2, 0x10, 0x00,
                   Opcode.MSTORE])  # offset 4096 -> 129 words
-    receipt = run(code)
+    _, samples = run_sampled(code)
     words = (4096 + 32 + 31) // 32
     expected = 3 + 3 * words + words * words // 512
-    assert receipt.samples["MSTORE"][1] == expected
+    assert samples["MSTORE"][1] == expected
 
 
 @pytest.mark.parametrize("offset", [10 ** 6, 2 ** 255 - 1])
@@ -343,13 +351,13 @@ def make_trie_with_library():
 def test_callcode_runs_callee_in_caller_storage():
     trie = make_trie_with_library()
     code = bytes([Opcode.PUSH1, 1, Opcode.CALLCODE, Opcode.STOP])
-    receipt = run(code, trie=trie)
+    receipt, samples = run_sampled(code, trie=trie)
     assert receipt.status is TxStatus.SUCCESS
     assert trie.get(storage_key(2)) == b"\x5a"
     # callee instructions are sampled individually, CALLCODE charges G_call
-    assert receipt.samples["CALLCODE"][:2] == [1, 700]
-    assert receipt.samples["SSTORE"][0] == 1
-    assert receipt.gas_used == 21_000 + sample_gas_total(receipt)
+    assert samples["CALLCODE"][:2] == [1, 700]
+    assert samples["SSTORE"][0] == 1
+    assert receipt.gas_used == 21_000 + sample_gas_total(samples)
 
 
 def test_callcode_missing_code_pushes_failure():
@@ -372,9 +380,9 @@ def test_callcode_depth_limit_fails_cleanly():
     store_code(trie, 0, bytes([Opcode.PUSH1, 0, Opcode.CALLCODE,
                                Opcode.POP, Opcode.STOP]))
     code = bytes([Opcode.PUSH1, 0, Opcode.CALLCODE, Opcode.POP, Opcode.STOP])
-    receipt = run(code, trie=trie, gas_limit=500_000)
+    receipt, samples = run_sampled(code, trie=trie, gas_limit=500_000)
     assert receipt.status is TxStatus.SUCCESS
-    assert receipt.samples["CALLCODE"][0] == 16
+    assert samples["CALLCODE"][0] == 16
 
 
 def test_callcode_child_out_of_gas_fails_transaction():
@@ -392,7 +400,8 @@ def test_callcode_child_out_of_gas_fails_transaction():
 # ---------------------------------------------------------------------------
 
 def random_program_receipts(n_programs, seed):
-    """Valid random programs via the workload assembler, on a shared trie."""
+    """Valid random programs via the workload assembler, on a shared trie:
+    each transaction's receipt and samples."""
     spec = WorkloadSpec(
         transactions_per_block=1, program_length=10,
         mix={"SLOAD": 0.2, "SSTORE": 0.15, "ADD": 0.1, "MUL": 0.05,
@@ -406,18 +415,17 @@ def random_program_receipts(n_programs, seed):
     for height in range(n_programs):
         block = generator.generate_block(height)
         for tx in block.transactions:
-            receipts.append(execute_transaction(
+            receipts.append(transaction_samples(
                 tx.code, trie, tx.gas_limit, height, SCHED))
     return receipts
 
 
 def test_metering_completeness_on_randomized_programs():
     receipts = random_program_receipts(150, seed=21)
-    assert all(r.status is TxStatus.SUCCESS for r in receipts)
-    for receipt in receipts:
-        assert receipt.gas_used == 21_000 + sample_gas_total(receipt)
-        assert receipt.instructions == sum(
-            s[0] for s in receipt.samples.values())
+    assert all(r.status is TxStatus.SUCCESS for r, _ in receipts)
+    for receipt, samples in receipts:
+        assert receipt.gas_used == 21_000 + sample_gas_total(samples)
+        assert receipt.instructions == sum(s[0] for s in samples.values())
 
 
 def test_gas_used_never_decreases_as_the_program_grows():
@@ -564,15 +572,15 @@ def golden_receipts(seed=20, n_random=1000):
     receipts = []
     for height, code in enumerate(programs):
         gas_limit = 21_000 + rng.choice([40, 400, 4_000, 40_000])
-        receipts.append(execute_transaction(code, trie, gas_limit, height,
+        receipts.append(transaction_samples(code, trie, gas_limit, height,
                                             SCHED, clock=clock))
     return receipts, trie.root_hash()
 
 
 def receipts_digest(receipts, root):
     h = hashlib.sha256()
-    for r in receipts:
-        samples = sorted((name, *s) for name, s in r.samples.items())
+    for r, samples in receipts:
+        samples = sorted((name, *s) for name, s in samples.items())
         h.update(repr((r.status.value, r.gas_used, r.return_data.hex(),
                        r.instructions, samples)).encode() + b"\n")
     h.update(root)
@@ -587,34 +595,38 @@ INTERPRETER_GOLDEN = (
 
 def test_interpreter_matches_golden_receipts():
     receipts, root = golden_receipts()
-    statuses = {r.status for r in receipts}
+    statuses = {r.status for r, _ in receipts}
     assert statuses == set(TxStatus)
-    sampled = set().union(*(r.samples for r in receipts))
+    sampled = set().union(*(samples for _, samples in receipts))
     assert {"JUMP", "JUMPI", "CALLCODE", "SSTORE", "SLOAD",
             "RETURN"} <= sampled
     assert receipts_digest(receipts, root) == INTERPRETER_GOLDEN
 
 
 def charged_and_sampled(code, trie, **kwargs):
+    """Instructions the work counter counted, the receipt, and the sampled
+    instruction count."""
     before = trie.store.work.instructions
-    receipt = run(code, trie=trie, **kwargs)
-    return trie.store.work.instructions - before, receipt
+    receipt, samples = run_sampled(code, trie=trie, **kwargs)
+    return (trie.store.work.instructions - before, receipt,
+            sum(s[0] for s in samples.values()))
 
 
 def test_receipt_instructions_match_the_work_count():
-    """Receipts count sampled instructions, child calls included, and the
-    work counters count completed ones: the two agree, also for a JUMP or
-    JUMPI whose target check halts after its charge."""
+    """Samples count sampled instructions, child calls included, and the
+    work counters, which the receipt reports, count completed ones: the two
+    agree, also for a JUMP or JUMPI whose target check halts after its
+    charge."""
     trie = MerklePatriciaTrie()
     for code_id, code in GOLDEN_LIBRARIES.items():
         store_code(trie, code_id, code)
     rng = random.Random(3)
     programs = GOLDEN_FIXED + [random_byte_program(rng) for _ in range(300)]
     for height, code in enumerate(programs):
-        charged, receipt = charged_and_sampled(
+        charged, receipt, sampled = charged_and_sampled(
             code, trie, height=height,
             gas_limit=21_000 + rng.choice([40, 400, 1_000, 4_000]))
-        assert charged == receipt.instructions
+        assert charged == receipt.instructions == sampled
     # library 0 runs 4 instructions; library 3 runs 1, then its JUMP halts
     call = bytes([Opcode.PUSH1, 0, Opcode.CALLCODE])
     for code, gas, status, sampled, charged in [
@@ -626,20 +638,21 @@ def test_receipt_instructions_match_the_work_count():
              TxStatus.INVALID_OP, 1, 1),
             (bytes([Opcode.PUSH1, 3, Opcode.CALLCODE, Opcode.STOP]), 200_000,
              TxStatus.INVALID_OP, 3, 3)]:
-        work, receipt = charged_and_sampled(code, trie, gas_limit=gas)
+        work, receipt, count = charged_and_sampled(code, trie, gas_limit=gas)
         assert receipt.status is status
-        assert (receipt.instructions, work) == (sampled, charged)
+        assert (count, work) == (sampled, charged)
+        assert receipt.instructions == work
 
 
 def test_static_behavior_deterministic_across_runs():
     spec_receipts = random_program_receipts(40, seed=5)
     again = random_program_receipts(40, seed=5)
-    for a, b in zip(spec_receipts, again):
+    for (a, a_samples), (b, b_samples) in zip(spec_receipts, again):
         assert a.status == b.status
         assert a.gas_used == b.gas_used
         assert a.return_data == b.return_data
-        assert {k: v[:2] for k, v in a.samples.items()} == \
-               {k: v[:2] for k, v in b.samples.items()}
+        assert {k: v[:2] for k, v in a_samples.items()} == \
+               {k: v[:2] for k, v in b_samples.items()}
 
 
 def test_fixture_program_gas_matches_hand_sum():
@@ -662,10 +675,10 @@ def test_block_height_polynomial_schedule():
         "SLOAD = 200", "SLOAD = poly:100.0,0.5")
     sched = GasSchedule.parse(text)
     code = bytes([Opcode.PUSH1, 0, Opcode.SLOAD, Opcode.POP, Opcode.STOP])
-    low = run(code, height=0, schedule=sched)
-    high = run(code, height=1000, schedule=sched)
-    assert low.samples["SLOAD"][1] == 100
-    assert high.samples["SLOAD"][1] == 600
+    _, low = run_sampled(code, height=0, schedule=sched)
+    _, high = run_sampled(code, height=1000, schedule=sched)
+    assert low["SLOAD"][1] == 100
+    assert high["SLOAD"][1] == 600
 
 
 def test_virtual_clock_gives_deterministic_durations():
@@ -674,7 +687,6 @@ def test_virtual_clock_gives_deterministic_durations():
         clock = VirtualClock(trie.store.work)
         code = bytes([Opcode.PUSH1, 3, Opcode.PUSH1, 9, Opcode.SSTORE,
                       Opcode.PUSH1, 9, Opcode.SLOAD, Opcode.POP, Opcode.STOP])
-        receipt = execute_transaction(code, trie, 100_000, 0, SCHED,
-                                      clock=clock)
-        return receipt.samples
+        return transaction_samples(code, trie, 100_000, 0, SCHED,
+                                   clock=clock)[1]
     assert durations() == durations()

@@ -3,17 +3,23 @@
 from importlib import resources
 
 import pytest
+from _synth import transaction_samples
 
 from gaslab.chain import run_chain
+from gaslab.clock import VirtualClock, WallClock
+from gaslab.evm.machine import TxStatus, execute_transaction, store_code
+from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import default_schedule
 from gaslab.metrics import (MACRO_HEADER, MICRO_HEADER, CsvFormatError,
                             InstructionStat, MacroCategory, SampleSink,
                             WindowAggregate, read_table, read_windows,
                             write_macro_csv, write_micro_csv, write_table)
 from gaslab.report.pipeline import analyze_windows
+from gaslab.trie import MerklePatriciaTrie
 from gaslab.workload import load_workload
 
 WORKLOADS = resources.files("gaslab").joinpath("data", "workloads")
+SCHED = default_schedule()
 
 
 def test_span_additivity():
@@ -77,6 +83,149 @@ def test_pre_aggregated_totals_merge():
     assert window.instructions["SLOAD"] == InstructionStat(5, 1000, 4900)
     assert "NOPE" not in window.instructions
     assert receipt == {"SLOAD": [4, 800, 4000]}   # merged, not aliased
+
+
+def test_unknown_opcode_with_a_count_is_rejected_whole():
+    sink = SampleSink()
+    with pytest.raises(ValueError, match="NOPE"):
+        sink.record_instruction_totals({"ADD": [1, 3, 9], "NOPE": [1, 1, 1]})
+    assert sink.close_window(10).instructions == {}
+
+
+# ---------------------------------------------------------------------------
+# Direct window totals against the per-receipt merge
+# ---------------------------------------------------------------------------
+
+def merge_receipt_samples(window, samples):
+    """Reference merge: one transaction's samples, opcode name -> [count,
+    gas, time ns], added into a name-keyed window; zero counts are
+    ignored."""
+    for opcode, (count, gas, duration_ns) in samples.items():
+        if count == 0:
+            continue
+        stat = window.get(opcode)
+        if stat is None:
+            window[opcode] = [count, gas, duration_ns]
+        else:
+            stat[0] += count
+            stat[1] += gas
+            stat[2] += duration_ns
+
+
+class RecordingClock:
+    """The wall clock, keeping every reading."""
+
+    def __init__(self):
+        self.readings = []
+
+    def now_ns(self):
+        reading = WallClock.now_ns()
+        self.readings.append(reading)
+        return reading
+
+
+class ReplayClock:
+    """Gives back another run's readings in order."""
+
+    def __init__(self, readings):
+        self.readings = readings
+        self.reads = 0
+
+    def now_ns(self):
+        self.reads += 1
+        return self.readings[self.reads - 1]
+
+
+def _push(value):
+    return bytes([Opcode.PUSH1, value])
+
+
+# Per block: a CALLCODE whose child stores, jumps and calls a grandchild;
+# an SSTORE starved of gas; a JUMP to a non-JUMPDEST; a CALLCODE whose
+# child halts on a bad jump; and a plain ADD.
+DIFFERENTIAL_LIBRARY = {
+    1: bytes([Opcode.PUSH1, 0x5A, Opcode.PUSH1, 2, Opcode.SSTORE,
+              Opcode.PUSH1, 9, Opcode.JUMP, 0xFE, Opcode.JUMPDEST,
+              Opcode.PUSH1, 2, Opcode.CALLCODE, Opcode.STOP]),
+    2: bytes([Opcode.PUSH1, 3, Opcode.SLOAD, Opcode.POP, Opcode.STOP]),
+    3: bytes([Opcode.PUSH1, 9, Opcode.JUMP]),
+}
+
+
+def differential_block(height):
+    return [
+        (_push(1) + bytes([Opcode.CALLCODE, Opcode.POP]) + _push(height)
+         + _push(height + 8) + bytes([Opcode.SSTORE, Opcode.STOP]), 200_000),
+        (_push(1) + _push(height + 40) + bytes([Opcode.SSTORE]),
+         21_000 + 3 + 3 + 100),
+        (_push(3) + bytes([Opcode.JUMP]) + _push(1), 50_000),
+        (_push(3) + bytes([Opcode.CALLCODE, Opcode.STOP]), 50_000),
+        (_push(2) + _push(3) + bytes([Opcode.ADD, Opcode.POP]), 30_000),
+    ]
+
+
+def differential_trie():
+    trie = MerklePatriciaTrie()
+    for code_id, code in DIFFERENTIAL_LIBRARY.items():
+        store_code(trie, code_id, code)
+    trie.root_hash()
+    return trie
+
+
+BLOCKS, WINDOW = 7, 3
+
+
+def direct_windows(clock_for):
+    """One sink for the whole run: the interpreter adds into its window."""
+    trie = differential_trie()
+    clock = clock_for(trie)
+    sink = SampleSink()
+    statuses = set()
+    for height in range(BLOCKS):
+        if height and height % WINDOW == 0:
+            sink.close_window(height)
+        for code, gas in differential_block(height):
+            statuses.add(execute_transaction(
+                code, trie, gas, height, SCHED, clock=clock,
+                sink=sink).status)
+    sink.close_window(BLOCKS)
+    return ([(w.start, {op: list(stat) for op, stat in w.instructions.items()})
+             for w in sink.archive], statuses)
+
+
+def merged_windows(clock_for):
+    """Each transaction into its own sink, merged into the window by name."""
+    trie = differential_trie()
+    clock = clock_for(trie)
+    windows = []
+    for height in range(BLOCKS):
+        if height % WINDOW == 0:
+            windows.append((height, {}))
+        for code, gas in differential_block(height):
+            _, samples = transaction_samples(code, trie, gas, height, SCHED,
+                                             clock=clock)
+            merge_receipt_samples(windows[-1][1], samples)
+    return windows
+
+
+def test_direct_window_totals_match_the_per_receipt_merge_virtual():
+    direct, statuses = direct_windows(lambda trie: VirtualClock(trie.store.work))
+    merged = merged_windows(lambda trie: VirtualClock(trie.store.work))
+    assert statuses == {TxStatus.SUCCESS, TxStatus.OUT_OF_GAS,
+                        TxStatus.INVALID_OP}
+    assert [start for start, _ in direct] == [0, 3, 6]
+    assert {"CALLCODE", "SSTORE", "SLOAD", "JUMP", "JUMPDEST"} <= set(
+        direct[0][1])
+    assert direct == merged
+
+
+def test_direct_window_totals_match_the_per_receipt_merge_wall():
+    recorder = RecordingClock()
+    direct, _ = direct_windows(lambda trie: recorder)
+    replay = ReplayClock(recorder.readings)
+    merged = merged_windows(lambda trie: replay)
+    assert replay.reads == len(recorder.readings)
+    assert direct == merged
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from _synth import transaction_samples
 from hypothesis import given, settings, strategies as st
 
-from gaslab.evm.machine import TxStatus, execute_transaction
+from gaslab.evm.machine import TxStatus
 from gaslab.evm.opcodes import MEMORY_OPCODES, Opcode
 from gaslab.evm.schedule import ConstantRule, default_schedule, round_gas
 from gaslab.trie import MerklePatriciaTrie
@@ -129,10 +130,10 @@ def _memory_program(op, offset, size):
 
 def _expansion_charged(op, schedule, offset, size):
     """Status and the gas op was charged beyond its base cost."""
-    receipt = execute_transaction(_memory_program(op, offset, size),
-                                  MerklePatriciaTrie(), 3_000_000, 0,
-                                  schedule)
-    charged = receipt.samples.get(op.name, [0, 0])[1]
+    receipt, samples = transaction_samples(
+        _memory_program(op, offset, size), MerklePatriciaTrie(), 3_000_000,
+        0, schedule)
+    charged = samples.get(op.name, [0, 0])[1]
     return receipt.status, charged - schedule.rules[op].cost
 
 
