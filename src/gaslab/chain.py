@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .clock import VirtualClock, WallClock
-from .evm.machine import execute_transaction
+from .evm.machine import TxStatus, execute_transaction
 from .evm.schedule import GasSchedule
-from .metrics import MacroCategory, SampleSink, WindowAggregate
+from .metrics import (MacroCategory, SampleSink, WindowAggregate, _counter,
+                      read_table)
 from .trie import MerklePatriciaTrie, NodeStore
 from .workload import Block, WorkloadGenerator, WorkloadSpec
 
@@ -31,13 +33,35 @@ class VerificationError(ValueError):
     """Block failed the structural verification check."""
 
 
+RECEIPTS_HEADER = "height,tx_index,status,gas_used,gas_limit,instructions"
+
+
 class ReceiptRow(NamedTuple):
     height: int
     tx_index: int
-    status: str
+    status: str          # a TxStatus value
     gas_used: int
     gas_limit: int
     instructions: int
+
+
+_STATUSES = frozenset(status.value for status in TxStatus)
+
+
+def _receipt_row(fields: list[str]) -> ReceiptRow:
+    height, tx_index, status, gas_used, gas_limit, instructions = fields
+    if status not in _STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    return ReceiptRow(_counter(height), _counter(tx_index), status,
+                      _counter(gas_used), _counter(gas_limit),
+                      _counter(instructions))
+
+
+def read_receipts(path: str | Path) -> list[ReceiptRow]:
+    """Rows of a receipts table as `simulate` writes it; a row whose status
+    is not a TxStatus value, or whose number is not a counter (see
+    `gaslab.metrics`), raises CsvFormatError naming its line."""
+    return read_table(path, RECEIPTS_HEADER, _receipt_row)
 
 
 @dataclass

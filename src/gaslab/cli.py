@@ -25,9 +25,8 @@ import os
 import sys
 from pathlib import Path
 
-from .chain import run_chain
+from .chain import RECEIPTS_HEADER, read_receipts, run_chain
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
-from .keccak import IMPLEMENTATION as KECCAK_IMPLEMENTATION
 from .metrics import (CsvFormatError, atomic_write_text, read_table,
                       read_windows, write_macro_csv, write_micro_csv,
                       write_table)
@@ -35,9 +34,11 @@ from .model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
                     InsufficientDataError, InvalidConstantError,
                     ModelFileError, UndefinedRatioError, load_models,
                     materialize_schedule, propose_gas_model)
+from .native import IMPLEMENTATION as NATIVE_IMPLEMENTATION
 from .report.bundle import write_manifest
 from .report.economics import (ECONOMICS_HEADER, economics_table,
-                               fee_economics, price_for, read_price_csv)
+                               fee_economics, gas_paid_by_window, price_for,
+                               read_price_csv)
 from .report.pipeline import (DEP_SHARE_TABLE, GAS_CURVES_TABLE,
                               TPG_CURVES_TABLE, analyze_windows)
 from .report.svg import render_line_chart
@@ -46,8 +47,6 @@ from .workload import DEFAULT_GAS_PRICE_WEI, WorkloadError, load_workload
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
-
-RECEIPTS_HEADER = "height,tx_index,status,gas_used,gas_limit,instructions"
 
 
 class InputError(Exception):
@@ -113,7 +112,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_manifest(out, "simulate",
                    params={"blocks": args.blocks, "window": args.window,
                            "seed": spec.seed, "clock": args.clock,
-                           "keccak": KECCAK_IMPLEMENTATION},
+                           "native": NATIVE_IMPLEMENTATION},
                    inputs={"workload": spec_path},
                    outputs=["micro.csv", "macro.csv", "receipts.csv",
                             "run.json"])
@@ -127,11 +126,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_receipt_length(path: Path) -> float:
-    rows = read_table(path, RECEIPTS_HEADER,
-                      lambda fields: (fields[2], int(fields[5])))
-    lengths = [length for status, length in rows if status == "success"]
+    lengths = [receipt.instructions for receipt in read_receipts(path)
+               if receipt.status == "success"]
     if not lengths:
         raise InputError(f"{path}: no successful transactions")
+    if not any(lengths):
+        raise InputError(f"{path}: successful transactions ran no "
+                         "instructions")
     return sum(lengths) / len(lengths)
 
 
@@ -248,21 +249,31 @@ def cmd_economics(args: argparse.Namespace) -> int:
     prices = read_price_csv(prices_path)
 
     if args.micro:
-        micro_path = _require_file(args.micro, "micro CSV")
-        macro_path = _require_file(args.macro, "macro CSV")
-        rows = economics_table(read_windows(micro_path, macro_path), prices,
-                               args.gas_price)
+        inputs = {"prices": prices_path,
+                  "micro": _require_file(args.micro, "micro CSV"),
+                  "macro": _require_file(args.macro, "macro CSV")}
+        windows = read_windows(inputs["micro"], inputs["macro"])
+        gas_paid = None
+        if args.receipts:
+            inputs["receipts"] = _require_file(args.receipts, "receipts CSV")
+            receipts = read_receipts(inputs["receipts"])
+            try:
+                gas_paid = gas_paid_by_window(
+                    receipts, [window.start for window in windows])
+            except ValueError as exc:
+                raise InputError(f"{inputs['receipts']}: {exc}") from None
+        rows = economics_table(windows, prices, args.gas_price, gas_paid)
         out = _out_dir(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_table(out / "economics.csv", ECONOMICS_HEADER, rows)
         write_manifest(out, "economics",
                        params={"gas_price": args.gas_price},
-                       inputs={"prices": prices_path, "micro": micro_path,
-                               "macro": macro_path},
-                       outputs=["economics.csv"])
+                       inputs=inputs, outputs=["economics.csv"])
         print(f"wrote {out / 'economics.csv'}")
         return EXIT_OK
 
+    if args.receipts:
+        raise InputError("--receipts needs table mode (--micro and --macro)")
     if args.gas is None or args.hours is None:
         raise InputError("scalar mode needs --gas and --hours "
                          "(or provide --micro and --macro for table mode)")
@@ -350,6 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--micro", default=None, help="micro CSV (table mode)")
     p.add_argument("--macro", default=None,
                    help="macro CSV for wall time (table mode)")
+    p.add_argument("--receipts", default=None,
+                   help="receipts CSV: take each window's gas from the gas "
+                        "its transactions paid (table mode)")
     p.add_argument("--gas", type=int, default=None, help="scalar mode: gas")
     p.add_argument("--hours", type=float, default=None,
                    help="scalar mode: wall hours")

@@ -1,19 +1,10 @@
 """Keccak-256 for trie node hashing.
 
-`keccak_256` is a small C sponge, `_keccak.c` next to this module, loaded
-as a CPython extension module. The first import builds it with the local
-`cc` against the running interpreter's headers and writes two files into
-`_build/` next to this module: `_keccak` plus the interpreter's extension
-suffix, so no other Python loads it, and a copy of the source it was built
-from. Later imports load that library, and rebuild it whenever the shipped
-source differs from the copy. Each file is written under a temporary name
-and moved into place, the library first.
-
-If the build cannot happen (no compiler, no `Python.h`, a directory that
-cannot be written), `keccak_256` is the pure-Python sponge below, which is
-also the tests' reference. `IMPLEMENTATION` names the one that runs: "c" or
-"python". Both compute the Keccak-256 that the Ethereum Yellow Paper hashes
-trie nodes with (appendix D), so roots do not depend on which one ran.
+`keccak_256` is the C sponge of the native extension (`gaslab.native`)
+when that builds, and otherwise the pure-Python sponge below, which is
+also the tests' reference. Both compute the Keccak-256 that the Ethereum
+Yellow Paper hashes trie nodes with (appendix D), so roots do not depend
+on which one ran.
 
 The Python sponge takes the padding's domain byte: 0x01 is the original
 Keccak padding that Ethereum uses, and 0x06 is NIST SHA3, which lets the
@@ -22,10 +13,7 @@ tests check the permutation against hashlib's sha3_256.
 
 from __future__ import annotations
 
-import os
-import sys
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from . import native
 
 M = (1 << 64) - 1
 
@@ -99,63 +87,5 @@ def _keccak_256_python(data: bytes) -> bytes:
     return _sponge_256(data, 0x01)
 
 
-def _compile(code: bytes, build_dir: str, library: str,
-             built_from: str) -> None:
-    """Build `code` into `library` and record it as `built_from`.
-
-    Raises OSError when a file cannot be written or the compiler is
-    missing, and ImportError when the compiler rejects the source.
-    """
-    import subprocess
-    import sysconfig
-
-    os.makedirs(build_dir, exist_ok=True)
-    staged = os.path.join(build_dir, f".{os.getpid()}")
-    staged_source = staged + "_keccak.c"
-    staged_library = staged + os.path.basename(library)
-    link = (["-bundle", "-undefined", "dynamic_lookup"]
-            if sys.platform == "darwin" else ["-shared"])
-    try:
-        with open(staged_source, "wb") as fp:
-            fp.write(code)
-        proc = subprocess.run(
-            ["cc", "-O3", "-fPIC", *link,
-             "-I", sysconfig.get_paths()["include"],
-             "-o", staged_library, staged_source],
-            capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise ImportError(proc.stderr)
-        os.replace(staged_library, library)
-        os.replace(staged_source, built_from)
-    finally:
-        for path in (staged_source, staged_library):
-            if os.path.exists(path):
-                os.remove(path)
-
-
-def _load(source: str, build_dir: str):
-    """(keccak_256, implementation): the C function built from `source`
-    into `build_dir`, else the Python sponge when it cannot be built or
-    loaded."""
-    library = os.path.join(build_dir, "_keccak" + EXTENSION_SUFFIXES[0])
-    built_from = os.path.join(build_dir, "_keccak.c")
-    try:
-        with open(source, "rb") as fp:
-            code = fp.read()
-        try:
-            with open(built_from, "rb") as fp:
-                current = fp.read() == code and os.path.exists(library)
-        except FileNotFoundError:
-            current = False
-        if not current:
-            _compile(code, build_dir, library, built_from)
-        module = module_from_spec(
-            spec_from_file_location("gaslab._keccak", library))
-    except (OSError, ImportError):
-        return _keccak_256_python, "python"
-    return module.keccak_256, "c"
-
-
-_HERE = os.path.dirname(os.path.abspath(__file__))
-keccak_256, IMPLEMENTATION = _load(os.path.join(_HERE, "_keccak.c"),
-                                   os.path.join(_HERE, "_build"))
+keccak_256 = (_keccak_256_python if native.module is None
+              else native.module.keccak_256)

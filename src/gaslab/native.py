@@ -1,0 +1,87 @@
+"""Build and load gaslab's native extension module, `gaslab._native`.
+
+`_native.c` next to this module holds the trie commit path's byte work in
+C: the Keccak-256 sponge (`keccak_256`) and the RLP encoder (`rlp_encode`).
+The first import builds it with the local `cc` against the running
+interpreter's headers and writes two files into `_build/` next to this
+module: `_native` plus the interpreter's extension suffix, so no other
+Python loads it, and a copy of the source it was built from. Later imports
+load that library, and rebuild it whenever the shipped source differs from
+the copy. Each file is written under a temporary name and moved into
+place, the library first. A load that needs no build opens files only: the
+compile-path modules are imported by `_compile` alone.
+
+If the build cannot happen (no compiler, no `Python.h`, a directory that
+cannot be written), `module` is None and `gaslab.keccak` and `gaslab.rlp`
+bind their pure-Python functions, which compute the same bytes.
+`IMPLEMENTATION` names the one that runs: "c" or "python".
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+
+
+def _compile(code: bytes, build_dir: str, library: str,
+             built_from: str) -> None:
+    """Build `code` into `library` and record it as `built_from`.
+
+    Raises OSError when a file cannot be written or the compiler is
+    missing, and ImportError when the compiler rejects the source.
+    """
+    import subprocess
+    import sysconfig
+
+    os.makedirs(build_dir, exist_ok=True)
+    staged = os.path.join(build_dir, f".{os.getpid()}")
+    staged_source = staged + "_native.c"
+    staged_library = staged + os.path.basename(library)
+    link = (["-bundle", "-undefined", "dynamic_lookup"]
+            if sys.platform == "darwin" else ["-shared"])
+    try:
+        with open(staged_source, "wb") as fp:
+            fp.write(code)
+        proc = subprocess.run(
+            ["cc", "-O3", "-fPIC", *link,
+             "-I", sysconfig.get_paths()["include"],
+             "-o", staged_library, staged_source],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise ImportError(proc.stderr)
+        os.replace(staged_library, library)
+        os.replace(staged_source, built_from)
+    finally:
+        for path in (staged_source, staged_library):
+            if os.path.exists(path):
+                os.remove(path)
+
+
+def _load(source: str, build_dir: str):
+    """(module, implementation): the extension built from `source` into
+    `build_dir` and "c", else (None, "python") when it cannot be built or
+    loaded."""
+    library = os.path.join(build_dir, "_native" + EXTENSION_SUFFIXES[0])
+    built_from = os.path.join(build_dir, "_native.c")
+    try:
+        with open(source, "rb") as fp:
+            code = fp.read()
+        try:
+            with open(built_from, "rb") as fp:
+                current = fp.read() == code and os.path.exists(library)
+        except FileNotFoundError:
+            current = False
+        if not current:
+            _compile(code, build_dir, library, built_from)
+        module = module_from_spec(
+            spec_from_file_location("gaslab._native", library))
+    except (OSError, ImportError):
+        return None, "python"
+    return module, "c"
+
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+module, IMPLEMENTATION = _load(os.path.join(_HERE, "_native.c"),
+                               os.path.join(_HERE, "_build"))

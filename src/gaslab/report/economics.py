@@ -8,9 +8,10 @@ rate is always user-supplied input (price files), never hardcoded.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..metrics import WindowAggregate, read_table
 from ..model.base import UndefinedRatioError
@@ -82,20 +83,42 @@ def price_for(points: Sequence[PricePoint], window_start: int) -> PricePoint:
     return chosen
 
 
+def gas_paid_by_window(receipts: Iterable,
+                       starts: Sequence[int]) -> dict[int, int]:
+    """Summed `gas_used` of receipts (`gaslab.chain.ReceiptRow`) per
+    window start: a window holds start <= height < next start, and the
+    last one every later height. A receipt before the first start raises
+    ValueError."""
+    paid = dict.fromkeys(starts, 0)
+    for receipt in receipts:
+        index = bisect_right(starts, receipt.height) - 1
+        if index < 0:
+            raise ValueError(f"receipt at height {receipt.height} precedes "
+                             f"the first window (start {starts[0]})")
+        paid[starts[index]] += receipt.gas_used
+    return paid
+
+
 def economics_table(windows: Sequence[WindowAggregate],
                     prices: Sequence[PricePoint],
-                    gas_price_wei: int) -> list[tuple]:
+                    gas_price_wei: int,
+                    gas_paid: Optional[Mapping[int, int]] = None
+                    ) -> list[tuple]:
     """Per-window fee vs infrastructure cost rows (the Fig-1 style table),
     each in ECONOMICS_HEADER order, for every window with instruction
     samples; the wall time is the window's own Total span, and a window
-    without infrastructure cost has a NaN ratio.
+    without infrastructure cost has a NaN ratio. A window's gas is its
+    instruction gas, or, given `gas_paid` (window start -> gas used, see
+    `gas_paid_by_window`), the gas its transactions paid, intrinsic gas
+    included.
     """
     rows = []
     for window in windows:
         if not window.instructions:
             continue
         point = price_for(prices, window.start)
-        gas = window.instruction_gas_total()
+        gas = (window.instruction_gas_total() if gas_paid is None
+               else gas_paid[window.start])
         fee_usd, infra_usd = _costs(
             gas, gas_price_wei, point.eth_usd,
             window.categories.get("Total", 0) / NS_PER_HOUR,

@@ -4,21 +4,27 @@ Items are byte strings or (arbitrarily nested) lists of items. Decoding is
 strict: non-canonical encodings and trailing bytes are rejected, at every
 nesting level (Yellow Paper, appendix B).
 
-`encode` is the trie's commit cost: each dirty node is one call. A list's
-payload is built in one loop: a `bytes` item shorter than 56 bytes (a
-branch node's hash refs and empty slots, a leaf's path and short value)
-gets its one-byte prefix from a precomputed table, and a single byte below
-0x80 is its own encoding; `bytearray`s, long strings and nested lists
-recurse. A short list's own prefix comes from a second table.
+`encode` is the trie's commit cost: each dirty node is one call. It is the
+C encoder of the native extension (`gaslab.native`) when that builds, and
+otherwise `_encode_python` below, which gives the same bytes and is the
+tests' reference. Its list loop gives a `bytes` item shorter than 56 bytes
+(a branch node's hash refs and empty slots, a leaf's path and short value)
+its one-byte prefix from a precomputed table, and a single byte below 0x80
+is its own encoding; `bytearray`s, long strings and nested lists recurse.
+A short list's own prefix comes from a second table.
 
 `decode` is the per-level cost of a trie lookup: `gaslab.trie` fully decodes
-every node it reads from its store, with no decoded-node cache. A list's
-items are decoded in one loop: single bytes and short strings (a branch
-node's hash refs and empty slots) are sliced inline, with every strictness
-check of the recursive path; long strings and nested lists recurse.
+every node it reads from its store, with no decoded-node cache. It stays
+Python in every build, because the lookup walk is what gaslab measures
+(see the lookup contract in `gaslab.trie`). A list's items are decoded in
+one loop: single bytes and short strings (a branch node's hash refs and
+empty slots) are sliced inline, with every strictness check of the
+recursive path; long strings and nested lists recurse.
 """
 
 from __future__ import annotations
+
+from . import native
 
 RlpItem = bytes | list  # list elements are themselves RlpItem
 
@@ -32,7 +38,7 @@ _SHORT_STRING = [bytes([0x80 + length]) for length in range(56)]
 _SHORT_LIST = [bytes([0xC0 + length]) for length in range(56)]
 
 
-def encode(item: RlpItem) -> bytes:
+def _encode_python(item: RlpItem) -> bytes:
     if isinstance(item, (bytes, bytearray)):
         payload = bytes(item)
         if len(payload) == 1 and payload[0] < 0x80:
@@ -49,12 +55,16 @@ def encode(item: RlpItem) -> bytes:
                         append(_SHORT_STRING[length])
                     append(sub)
                     continue
-            append(encode(sub))
+            append(_encode_python(sub))
         payload = b"".join(parts)
         if len(payload) < 56:
             return _SHORT_LIST[len(payload)] + payload
         return _length_prefix(len(payload), 0xC0) + payload
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
+
+
+encode = (_encode_python if native.module is None
+          else native.module.rlp_encode)
 
 
 def _length_prefix(length: int, offset: int) -> bytes:

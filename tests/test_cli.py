@@ -10,9 +10,9 @@ import pytest
 from gaslab.cli import FIGURES, RECEIPTS_HEADER, main
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
-from gaslab.keccak import IMPLEMENTATION
 from gaslab.metrics import MACRO_HEADER, MICRO_HEADER
 from gaslab.model import ScalarModel, models_to_json
+from gaslab.native import IMPLEMENTATION
 from gaslab.report.economics import PRICES_HEADER
 
 DATA = resources.files("gaslab").joinpath("data")
@@ -42,10 +42,12 @@ def test_simulate_writes_bundle(tmp_path):
     run_doc = json.loads((out / "run.json").read_text())
     assert run_doc["blocks"] == 400
     assert run_doc["clock"] == "virtual"
-    # Which Keccak ran is provenance: in the manifest, never in run.json.
+    # Which native build ran is provenance: in the manifest, never in
+    # run.json.
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parameters"]["keccak"] == IMPLEMENTATION
-    assert "keccak" not in run_doc
+    assert manifest["parameters"]["native"] == IMPLEMENTATION
+    assert "keccak" not in manifest["parameters"]
+    assert "native" not in run_doc
 
 
 def test_simulate_is_byte_identical_under_virtual_clock(tmp_path):
@@ -525,6 +527,34 @@ BAD_INPUTS = {
             tmp_path / "dep_share.csv",
             "window_start,dependent_share,extrapolated\n0,nan,0\n"
             "50,0.6,0\n100,inf,0\n")).parent), "--figure", "dep-share"],
+    "receipts-negative-count": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--receipts", _write(
+            tmp_path / "receipts.csv", RECEIPTS_HEADER
+            + "\n0,0,success,21000,30000,7\n"
+            "1,0,success,21000,30000,-999999\n"),
+        "--out", str(tmp_path / "a")],
+    "receipts-unknown-status": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--receipts", _write(
+            tmp_path / "receipts.csv", RECEIPTS_HEADER
+            + "\n0,0,success,21000,30000,7\n1,0,reverted,21000,30000,7\n"),
+        "--out", str(tmp_path / "a")],
+    "receipts-no-instructions": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--receipts", _write(
+            tmp_path / "receipts.csv", RECEIPTS_HEADER
+            + "\n0,0,success,21000,30000,0\n"),
+        "--out", str(tmp_path / "a")],
+    "economics-receipt-before-first-window": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--micro", _write(
+            tmp_path / "micro.csv", MICRO_HEADER + "\n50,ADD,1,3,9\n"),
+        "--macro", _write(tmp_path / "macro.csv",
+                          MACRO_HEADER + "\n50,Total,5\n"),
+        "--receipts", _write(tmp_path / "receipts.csv", RECEIPTS_HEADER
+                             + "\n49,0,success,21003,30000,1\n"),
+        "--out", str(tmp_path / "eco")],
+    "economics-receipts-scalar-mode": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--gas", "1", "--hours", "1",
+        "--receipts", _write(tmp_path / "receipts.csv", RECEIPTS_HEADER
+                             + "\n0,0,success,21003,30000,1\n")],
     "prices-nan-table": lambda tmp_path: [
         "economics", "--prices", _write(
             tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,nan\n"),
@@ -540,3 +570,40 @@ def test_bad_input_is_exit_2_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["receipts-negative-count",
+                                  "receipts-unknown-status"])
+def test_bad_receipt_row_names_its_line(tmp_path, capsys, case):
+    assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
+    assert f"error: {tmp_path / 'receipts.csv'}:3: " in capsys.readouterr().err
+
+
+def test_economics_receipts_price_intrinsic_gas(tmp_path):
+    sim = simulate(tmp_path / "sim", blocks=2000, window=500)
+    tables = ("--micro", str(sim / "micro.csv"),
+              "--macro", str(sim / "macro.csv"))
+    assert run_cli("economics", "--prices", PRICES, *tables,
+                   "--out", str(tmp_path / "plain")) == 0
+    assert run_cli("economics", "--prices", PRICES, *tables,
+                   "--receipts", str(sim / "receipts.csv"),
+                   "--out", str(tmp_path / "paid")) == 0
+
+    def gas_by_start(name):
+        rows = (tmp_path / name / "economics.csv").read_text().splitlines()
+        return {int(row.split(",")[0]): int(row.split(",")[1])
+                for row in rows[1:]}
+
+    txs = dict.fromkeys(range(0, 2000, 500), 0)
+    for row in (sim / "receipts.csv").read_text().splitlines()[1:]:
+        txs[int(row.split(",")[0]) // 500 * 500] += 1
+    instruction_gas = gas_by_start("plain")
+    assert sorted(instruction_gas) == [0, 500, 1000, 1500]
+    assert gas_by_start("paid") == {
+        start: gas + 21000 * txs[start]
+        for start, gas in instruction_gas.items()}
+    manifest = json.loads((tmp_path / "paid" / "manifest.json").read_text())
+    assert manifest["inputs"]["receipts"]["path"] == \
+        str(sim / "receipts.csv")
+    assert "receipts" not in json.loads(
+        (tmp_path / "plain" / "manifest.json").read_text())["inputs"]

@@ -1,12 +1,15 @@
-"""Keccak digest checks and the C build's loader.
+"""Keccak digest checks and the loader of the native build.
 
 The NIST SHA3-256 variant shares everything with keccak-256 except the
 domain byte, so hashlib acts as an independent oracle for the Python
 sponge's permutation; the keccak-side digests are pinned to well-known
 constants, and the C build must agree with the Python sponge everywhere.
+The loader tests build `_native.c`, which also holds the RLP encoder
+(tested in test_rlp.py).
 """
 
 import hashlib
+import json
 import os
 import random
 import shutil
@@ -18,13 +21,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-import gaslab.keccak
-from gaslab.keccak import (IMPLEMENTATION, _keccak_256_python, _load,
-                           _sponge_256, keccak_256)
+import gaslab.native
+from gaslab.keccak import _keccak_256_python, _sponge_256, keccak_256
+from gaslab.native import IMPLEMENTATION, _load
 
-SOURCE = Path(gaslab.keccak.__file__).with_name("_keccak.c")
-SRC_ROOT = str(Path(gaslab.__file__).resolve().parent.parent)
-MODULE_DOC = b"Keccak-256 sponge in C for gaslab's trie hashing."
+PACKAGE = Path(gaslab.native.__file__).parent
+SOURCE = PACKAGE / "_native.c"
+SRC_ROOT = str(PACKAGE.resolve().parent)
+MODULE_DOC = b"Keccak-256 and RLP encoding in C for gaslab's trie commits."
 
 # Well-known digests: the empty-input hash, the "abc" test vector, and the
 # hashes of the canonical RLP encodings of the empty string / empty list.
@@ -81,33 +85,72 @@ def test_digest_shape_and_determinism():
 # The loader: build on first use, fall back, rebuild on a changed source
 # ---------------------------------------------------------------------------
 
+# The root of the 16 fixture pairs in a non-secure trie, frozen with the
+# structural oracle of tests/test_trie.py (FIXTURE_ROOT_RAW there).
+FIXTURE_ROOT_RAW = (
+    "ae65879ed4f8035acd099fe0f62a07f7fe42cacc9d02904ec01d6670c2b4df20")
+
+# Run in a fresh interpreter against a copy of the package: which functions
+# were bound, the known digests, and the fixture trie's root.
+_BINDINGS = """
+import json, sys
+from gaslab import keccak, native, rlp
+from gaslab.trie import MerklePatriciaTrie
+trie = MerklePatriciaTrie(secure=False)
+for i in range(16):
+    trie.insert(f"key-{i:02d}".encode(), f"value-{i:02d}".encode())
+print(json.dumps({
+    "implementation": native.IMPLEMENTATION,
+    "no_module": native.module is None,
+    "python_keccak_256": keccak.keccak_256 is keccak._keccak_256_python,
+    "python_encode": rlp.encode is rlp._encode_python,
+    "digests": [keccak.keccak_256(bytes.fromhex(data)).hex()
+                for data in sys.argv[1:]],
+    "root": trie.root_hash().hex()}))
+"""
+
+
 @pytest.mark.parametrize("case", ["no compiler", "build dir is a file",
                                   "source does not compile"])
 def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
                                                       case):
-    source, build = tmp_path / "_keccak.c", tmp_path / "build"
-    source.write_bytes(SOURCE.read_bytes())
+    # A copy of the package without its build, so importing it builds.
+    package = tmp_path / "src" / "gaslab"
+    shutil.copytree(PACKAGE, package,
+                    ignore=shutil.ignore_patterns("_build", "__pycache__"))
+    build = package / "_build"
     if case == "no compiler":
         monkeypatch.setenv("PATH", str(tmp_path))
     elif case == "build dir is a file":
         build.write_text("")
     else:
-        source.write_bytes(b"this is not C\n")
-    hash_fn, implementation = _load(str(source), str(build))
-    assert implementation == "python"
-    assert hash_fn is _keccak_256_python
-    for data, digest in KNOWN_VECTORS:
-        assert hash_fn(data).hex() == digest
+        (package / "_native.c").write_bytes(b"this is not C\n")
+    proc = subprocess.run([sys.executable, "-c", _BINDINGS,
+                           *(data.hex() for data, _ in KNOWN_VECTORS)],
+                          cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(package.parent)),
+                          capture_output=True, text=True, check=True)
+    bound = json.loads(proc.stdout)
+    assert bound["implementation"] == "python"
+    assert bound["no_module"]
+    assert bound["python_keccak_256"]
+    assert bound["python_encode"]
+    assert bound["digests"] == [digest for _, digest in KNOWN_VECTORS]
+    assert bound["root"] == FIXTURE_ROOT_RAW
     if build.is_dir():   # a failed build leaves no library behind
         assert not list(build.glob("*" + EXTENSION_SUFFIXES[0]))
+
+    # The loader itself, in this process.
+    module, implementation = _load(str(package / "_native.c"), str(build))
+    assert (module, implementation) == (None, "python")
 
 
 def _load_in_fresh_interpreter(source: Path, build: Path) -> list[str]:
     """(implementation, module docstring) from `_load` in a new process,
     which has no library of `build` loaded yet."""
-    code = ("import sys; from gaslab.keccak import _load; "
-            "fn, impl = _load(sys.argv[1], sys.argv[2]); "
-            "print(impl, fn.__self__.__doc__)")
+    code = ("import sys; from gaslab.native import _load; "
+            "module, impl = _load(sys.argv[1], sys.argv[2]); "
+            "print(impl, module.__doc__)")
     proc = subprocess.run([sys.executable, "-c", code, str(source),
                            str(build)], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC_ROOT),
@@ -117,13 +160,13 @@ def _load_in_fresh_interpreter(source: Path, build: Path) -> list[str]:
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 def test_changed_source_is_rebuilt_before_it_is_loaded(tmp_path):
-    source, build = tmp_path / "_keccak.c", tmp_path / "build"
+    source, build = tmp_path / "_native.c", tmp_path / "build"
     source.write_bytes(SOURCE.read_bytes())
     assert MODULE_DOC in source.read_bytes()
-    hash_fn, implementation = _load(str(source), str(build))
+    module, implementation = _load(str(source), str(build))
     assert implementation == "c"
-    assert hash_fn.__self__.__doc__ == MODULE_DOC.decode()
-    library = build / ("_keccak" + EXTENSION_SUFFIXES[0])
+    assert module.__doc__ == MODULE_DOC.decode()
+    library = build / ("_native" + EXTENSION_SUFFIXES[0])
     built = library.stat().st_ino, library.stat().st_mtime_ns
 
     # The same source again: the library is loaded as it was built.
@@ -134,7 +177,7 @@ def test_changed_source_is_rebuilt_before_it_is_loaded(tmp_path):
     # A changed source: rebuilt, and only the new library is loaded.
     source.write_bytes(source.read_bytes().replace(MODULE_DOC, b"rebuilt"))
     assert _load_in_fresh_interpreter(source, build) == ["c", "rebuilt\n"]
-    assert (build / "_keccak.c").read_bytes() == source.read_bytes()
+    assert (build / "_native.c").read_bytes() == source.read_bytes()
     assert (library.stat().st_ino, library.stat().st_mtime_ns) != built
 
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaslab import rlp
+from gaslab import native, rlp
 
 
 def test_empty_string_encodes_to_0x80():
@@ -258,3 +260,75 @@ def test_in_list_strictness(data):
 ])
 def test_in_list_items_decode(item):
     assert assert_same_as_reference(rlp.encode(item)) == ("item", item)
+
+
+# ---------------------------------------------------------------------------
+# the C encoder of the native build against the Python one
+# ---------------------------------------------------------------------------
+
+needs_c = pytest.mark.skipif(native.module is None,
+                             reason="native build unavailable")
+
+
+def _random_item(rng, depth=0):
+    """A random nesting of bytes, bytearrays, lists and tuples: strings of
+    0-57 bytes around the 1-byte and 56-byte prefix edges, single bytes on
+    both sides of 0x80, and the odd 70000-byte string."""
+    roll = rng.random()
+    if depth < 4 and roll < 0.3:
+        items = [_random_item(rng, depth + 1)
+                 for _ in range(rng.randrange(0, 18))]
+        return items if rng.random() < 0.7 else tuple(items)
+    if roll < 0.4:
+        string = bytes([rng.choice((0x00, 0x7F, 0x80, 0xFF))])
+    elif roll < 0.41:
+        string = rng.randbytes(70000)
+    else:
+        string = rng.randbytes(rng.randrange(0, 58))
+    return string if rng.random() < 0.8 else bytearray(string)
+
+
+@needs_c
+def test_c_encoder_matches_python_on_random_nestings():
+    rng = random.Random(28)
+    for _ in range(3000):
+        item = _random_item(rng)
+        assert native.module.rlp_encode(item) == rlp._encode_python(item)
+
+
+@needs_c
+@pytest.mark.parametrize("item", [
+    b"", b"\x00", b"\x7f", b"\x80", b"\xff", bytearray(b"\x7f"),
+    bytearray(b"\x80"), bytearray(), b"a" * 55, b"a" * 56, b"a" * 57,
+    b"a" * 255, b"a" * 256, b"a" * 70000, bytearray(b"a" * 70000),
+    [], (), [[]], ((),), [b"a" * 55], [b"a" * 54], (b"\x01",) * 56,
+    [bytearray(b"\x05"), (b"dog", bytearray(b"cat")), [b"a" * 70000]],
+])
+def test_c_encoder_matches_python_at_length_edges(item):
+    encoded = native.module.rlp_encode(item)
+    assert type(encoded) is bytes
+    assert encoded == rlp._encode_python(item) == reference_encode(item)
+
+
+@needs_c
+@pytest.mark.parametrize("item,name", [
+    (5, "int"), ("dog", "str"), ([b"a", None], "NoneType"),
+    ((b"a", [memoryview(b"x")]), "memoryview"), ([[[[1.5]]]], "float"),
+])
+def test_c_encoder_rejects_other_types_by_name(item, name):
+    for encode in (native.module.rlp_encode, rlp._encode_python):
+        with pytest.raises(TypeError, match=f"^cannot RLP-encode {name}$"):
+            encode(item)
+
+
+@needs_c
+def test_c_encoder_deep_nesting_raises_recursion_error():
+    item = []
+    for _ in range(100000):
+        item = [item]
+    with pytest.raises(RecursionError):
+        native.module.rlp_encode(item)
+    shallow = []
+    for _ in range(100):
+        shallow = (shallow,)
+    assert native.module.rlp_encode(shallow) == rlp._encode_python(shallow)

@@ -9,13 +9,14 @@ with this oracle before the trie was built and is frozen here.
 import random
 import types
 
+import gaslab.keccak
 import gaslab.rlp
 import gaslab.trie
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaslab import rlp
+from gaslab import native, rlp
 from gaslab.keccak import keccak_256
 from gaslab.trie import (EMPTY_ROOT, CorruptStoreError, MerklePatriciaTrie,
                          NodeStore, bytes_to_nibbles, hex_prefix_decode,
@@ -341,6 +342,68 @@ def test_each_lookup_level_is_one_store_read_and_one_decode(monkeypatch):
                                                          events[1::2]):
                     assert (read, decode) == ("read", "decode")
                     assert data is value
+
+
+def test_lookup_decode_is_python_and_commit_work_is_native():
+    # The lookup walk is what gaslab measures, so its decode is the Python
+    # function of gaslab/rlp.py in every build; the commit path's encode and
+    # hash are the native functions whenever the native build loaded.
+    for decode in (gaslab.rlp.decode, gaslab.trie.rlp.decode):
+        assert isinstance(decode, types.FunctionType)
+        assert decode.__code__.co_filename == gaslab.rlp.__file__
+        assert decode is gaslab.rlp.decode
+    assert gaslab.trie.rlp is gaslab.rlp
+    if native.IMPLEMENTATION == "c":
+        assert gaslab.rlp.encode is native.module.rlp_encode
+        assert gaslab.keccak.keccak_256 is native.module.keccak_256
+        assert gaslab.trie.keccak_256 is native.module.keccak_256
+    else:
+        assert gaslab.rlp.encode is gaslab.rlp._encode_python
+        assert gaslab.keccak.keccak_256 is gaslab.keccak._keccak_256_python
+
+
+def _commit_history(monkeypatch, encode):
+    """Roots after each commit of one seeded run of inserts, updates and
+    deletes over short non-secure keys (inline nodes, short roots), and the
+    store it leaves, with `gaslab.trie.rlp.encode` bound to `encode`."""
+    monkeypatch.setattr(gaslab.trie, "rlp", types.SimpleNamespace(
+        encode=encode, decode=gaslab.rlp.decode, RlpItem=gaslab.rlp.RlpItem))
+    rng = random.Random(28)
+    trie = MerklePatriciaTrie(secure=False)
+    live, roots = set(), []
+    for batch in range(60):
+        if batch % 10 == 9:   # drain to one key: a short root
+            for key in sorted(live)[1:]:
+                trie.delete(key)
+            live = set(sorted(live)[:1])
+            roots.append(trie.root_hash())
+        for _ in range(rng.randrange(1, 12)):
+            roll = rng.random()
+            if live and roll < 0.3:
+                key = rng.choice(sorted(live))
+                trie.delete(key)
+                live.discard(key)
+            else:
+                key = (rng.choice(sorted(live)) if live and roll < 0.5
+                       else rng.randbytes(rng.randrange(1, 4)))
+                trie.insert(key, rng.randbytes(rng.choice((1, 2, 5, 40))))
+                live.add(key)
+        roots.append(trie.root_hash())
+    return roots, dict(trie.store._data)
+
+
+@pytest.mark.skipif(native.module is None, reason="native build unavailable")
+def test_c_and_python_encoders_commit_identical_tries(monkeypatch):
+    with monkeypatch.context() as patch:
+        c_run = _commit_history(patch, native.module.rlp_encode)
+    with monkeypatch.context() as patch:
+        python_run = _commit_history(patch, gaslab.rlp._encode_python)
+    assert c_run == python_run
+    roots, data = c_run
+    assert len(set(roots)) > 40
+    assert any(len(encoded) < 32 for encoded in data.values())  # short root
+    assert any(any(isinstance(item, list) for item in rlp.decode(encoded))
+               for encoded in data.values())   # inline child nodes
 
 
 def _corrupt_root(bad_node):
