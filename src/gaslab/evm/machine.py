@@ -1,10 +1,11 @@
 """Stack-machine interpreter with per-instruction gas metering and timing.
 
-Each transaction runs in its own executive: a `Machine` confined to one
-thread, holding the program counter, a 256-bit word stack (max depth 1024),
-byte-addressed memory, the remaining gas, and a storage view over the world
-trie. Writes are buffered in the executive and land in the trie only when a
-transaction succeeds.
+Each transaction runs in its own executive: a `Machine` holding the
+program counter, a 256-bit word stack (max depth 1024), byte-addressed
+memory, the remaining gas, and a storage view over the world trie. Writes
+are buffered in the executive and land in the trie only when a transaction
+succeeds, each through `write_slot`, the one slot-value codec (minimal
+big-endian bytes; zero is the empty value, which deletes the key).
 
 Metering contract: the gas for an instruction is deducted before its effect
 is applied. The dispatch loop is `Machine.run`, with decode, checks, charge
@@ -14,13 +15,22 @@ stack must hold `need` to `room = STACK_LIMIT + need - out` items, and an
 undefined byte has no entry, so it halts before any stack check. PUSH1-32
 run inline, zero-padding an immediate cut off by the end of the code; every
 other effect is one handler call. Cost comes from the schedule's per-byte
-rules. The timed region, between two clock reads, covers decode, the
-stack check, dynamic cost evaluation, the charge and the effect, an inline
-PUSH's included; only the loop itself and sample bookkeeping stay outside,
-so the summed instruction times track the interpreter-level span closely.
-Exceptional halts (out of gas, invalid opcode or jump target, stack faults)
-consume all remaining gas. Samples, and the instruction count in the run's
-work counters, cover successful instructions only.
+table, `GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory
+once, in the cost step: it adds the expansion to the rule's cost and, only
+if the whole charge is affordable, grows `memory`, so the handlers read and
+write memory that is already there. The timed region, between two clock
+reads, covers decode, the stack check, dynamic cost evaluation, the charge
+and the effect, an inline PUSH's included; only the loop itself and sample
+bookkeeping stay outside, so the summed instruction times track the
+interpreter-level span closely. Exceptional halts (out of gas, invalid
+opcode or jump target, stack faults) consume all remaining gas. Samples,
+and the instruction count in the run's work counters, cover successful
+instructions only.
+
+Every run samples into a `SampleSink`: the interpreter adds each
+instruction's (count, gas, time) into the sink's open-window lists, and
+`execute_transaction` records the EVM, TX and DB spans there. A caller
+that gives no sink gets a fresh one, so there is one path for every run.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed
@@ -29,12 +39,12 @@ never scans.
 
 CALLCODE is implemented in a lite form: it pops a code id, loads the code
 stored under that id in the world trie, and runs it in a child executive
-that shares the caller's storage buffer and receives all remaining gas.
-Its own sample covers code resolution and child setup; the child's
-instructions are sampled individually, so no gas or time is double-counted.
-A child that halts exceptionally fails the whole transaction (all gas was
-forwarded, so nothing usable survives anyway); beyond the depth limit the
-call is skipped and pushes failure.
+that shares the caller's storage buffer and sink and receives all
+remaining gas. Its own sample covers code resolution and child setup; the
+child's instructions are sampled individually, so no gas or time is
+double-counted. A child that halts exceptionally fails the whole
+transaction (all gas was forwarded, so nothing usable survives anyway);
+beyond the depth limit the call is skipped and pushes failure.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from functools import cached_property
 from typing import Optional
 
 from ..clock import WallClock
-from ..metrics import MacroCategory
+from ..metrics import MacroCategory, SampleSink
 from ..trie import MerklePatriciaTrie
 from .opcodes import ARITY, MEMORY_OPCODES, Opcode
 from .schedule import GasSchedule, SstoreRule, memory_expansion_cost
@@ -81,31 +91,18 @@ def store_code(trie: MerklePatriciaTrie, code_id: int, code: bytes) -> None:
     trie.insert(code_key(code_id), code)
 
 
+def write_slot(trie: MerklePatriciaTrie, slot: int, value: int) -> None:
+    """Store a slot value as minimal big-endian bytes; 0 is b"", a delete."""
+    trie.insert(storage_key(slot),
+                value.to_bytes((value.bit_length() + 7) // 8, "big"))
+
+
 @dataclass
 class TxReceipt:
     status: TxStatus
     gas_used: int
     return_data: bytes
     instructions: int   # instructions completed, child calls included
-
-
-class _SampleArrays:
-    """Per-opcode-byte accumulators for a run with no `SampleSink`.
-
-    A sink's open window has the same three lists (`counts`, `gas`,
-    `times`, 256 entries each), and the interpreter adds each instruction's
-    sample into whichever set it was given; indexed list increments keep
-    that bookkeeping cheap enough that the macro EVM span and the summed
-    samples agree within a few percent on wall clocks. Without a sink the
-    samples land here and are dropped with the machine.
-    """
-
-    __slots__ = ("counts", "gas", "times")
-
-    def __init__(self) -> None:
-        self.counts = [0] * 256
-        self.gas = [0] * 256
-        self.times = [0] * 256
 
 
 class _Halt(Exception):
@@ -119,7 +116,7 @@ class Machine:
     def __init__(self, code: bytes, trie: MerklePatriciaTrie, gas: int,
                  block_height: int, schedule: GasSchedule,
                  clock=WallClock, storage_buffer: Optional[dict] = None,
-                 depth: int = 0, sample_arrays=None):
+                 depth: int = 0, sink: Optional[SampleSink] = None):
         self.code = code
         self.trie = trie
         self.gas = gas
@@ -136,10 +133,8 @@ class Machine:
             storage_buffer if storage_buffer is not None else {})
         self.return_data = b""
         self.status: Optional[TxStatus] = None
-        # `counts`, `gas` and `times` lists, shared by the whole call tree
-        self._samples = sample_arrays if sample_arrays is not None \
-            else _SampleArrays()
-        self._rules = schedule.rules_by_byte()
+        # one sink for the whole call tree; its open window takes the samples
+        self.sink = sink if sink is not None else SampleSink()
 
     @cached_property
     def jumpdests(self) -> frozenset[int]:
@@ -153,9 +148,6 @@ class Machine:
         raw = self.trie.get(storage_key(slot))
         return int.from_bytes(raw, "big") if raw else 0
 
-    def storage_write(self, slot: int, value: int) -> None:
-        self.storage_buffer[slot] = value
-
     # -- execution ----------------------------------------------------------
 
     def run(self) -> TxStatus:
@@ -164,11 +156,11 @@ class Machine:
         end = len(code)
         pc = self.pc
         stack = self.stack
-        rules = self._rules
+        rules = self.schedule.by_byte
         work = self.work
         now_ns = self.clock.now_ns
-        arrays = self._samples
-        counts, gas_totals, times = arrays.counts, arrays.gas, arrays.times
+        sink = self.sink
+        counts, gas_totals, times = sink.counts, sink.gas, sink.times
         try:
             while self.status is None:
                 if pc >= end:   # running off the end stops
@@ -208,7 +200,7 @@ class Machine:
                 gas_totals[byte] += cost
                 times[byte] += duration
                 if child is not None:
-                    status = child.run()  # child samples land in the arrays
+                    status = child.run()  # child samples land in the sink
                     self.gas = child.gas
                     if status is not TxStatus.SUCCESS:
                         raise _Halt(status)
@@ -226,32 +218,23 @@ class Machine:
             current = self.storage_read(slot)
             return rule.set_cost if current == 0 and value != 0 else rule.reset_cost
         cost = rule.base_cost(self.block_height)
-        if byte in MEMORY_OPCODES:
-            offset = self.stack[-1]
-            size = 32 if byte in (Opcode.MLOAD, Opcode.MSTORE) \
-                else self.stack[-2]
-            cost += self._memory_expansion(offset, size)
-        return cost
-
-    def _memory_expansion(self, offset: int, size: int) -> int:
-        if size == 0:
-            return 0
-        if offset + size > 2 ** 32:   # desk-scale sanity bound
-            raise _Halt(TxStatus.OUT_OF_GAS)
-        new_words = (offset + size + 31) // 32
-        delta = memory_expansion_cost(self.memory_words, new_words)
-        if delta:
-            self.work.memory_words += new_words - self.memory_words
-        return delta
-
-    def _grow_memory(self, offset: int, size: int) -> None:
-        if size == 0:   # a zero-size access touches no memory and costs none
-            return
+        if byte not in MEMORY_OPCODES:
+            return cost
+        offset = self.stack[-1]
+        size = 32 if byte != Opcode.RETURN else self.stack[-2]
+        if size == 0:   # a zero-size access touches no memory
+            return cost
         end = offset + size
-        if end > len(self.memory):
-            new_words = (end + 31) // 32
-            self.memory.extend(bytes(new_words * 32 - len(self.memory)))
-            self.memory_words = new_words
+        if end > 2 ** 32:   # desk-scale sanity bound
+            raise _Halt(TxStatus.OUT_OF_GAS)
+        words, new_words = self.memory_words, (end + 31) // 32
+        if new_words > words:
+            cost += memory_expansion_cost(words, new_words)
+            self.work.memory_words += new_words - words
+            if cost <= self.gas:   # grow only memory that is paid for
+                self.memory.extend(bytes(32 * (new_words - words)))
+                self.memory_words = new_words
+        return cost
 
     # -- CALLCODE-lite -------------------------------------------------------
 
@@ -266,7 +249,7 @@ class Machine:
         return Machine(code, self.trie, self.gas, self.block_height,
                        self.schedule, clock=self.clock,
                        storage_buffer=self.storage_buffer,
-                       depth=self.depth + 1, sample_arrays=self._samples)
+                       depth=self.depth + 1, sink=self.sink)
 
 
 def _scan_jumpdests(code: bytes) -> frozenset[int]:
@@ -395,14 +378,12 @@ def _op_jumpi(m: Machine):
 
 def _op_mload(m: Machine):
     offset = m.stack.pop()
-    m._grow_memory(offset, 32)
     m.stack.append(int.from_bytes(m.memory[offset:offset + 32], "big"))
 
 
 def _op_mstore(m: Machine):
     s = m.stack
     offset, value = s.pop(), s.pop()
-    m._grow_memory(offset, 32)
     m.memory[offset:offset + 32] = value.to_bytes(32, "big")
 
 
@@ -413,14 +394,13 @@ def _op_sload(m: Machine):
 
 def _op_sstore(m: Machine):
     s = m.stack
-    slot, value = s.pop(), s.pop()
-    m.storage_write(slot, value)
+    slot = s.pop()
+    m.storage_buffer[slot] = s.pop()
 
 
 def _op_return(m: Machine):
     s = m.stack
     offset, size = s.pop(), s.pop()
-    m._grow_memory(offset, size)
     m.return_data = bytes(m.memory[offset:offset + size])
     m.status = TxStatus.SUCCESS
 
@@ -472,17 +452,18 @@ _OPERATIONS = _build_operations()
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
                         block_height: int, schedule: GasSchedule,
-                        clock=WallClock, sink=None) -> TxReceipt:
+                        clock=WallClock,
+                        sink: Optional[SampleSink] = None) -> TxReceipt:
     """Run one transaction against the world trie.
 
     Charges the intrinsic gas first (a limit below it is rejected without
     execution), then interprets the code. Storage writes are buffered and
-    committed to the trie, and hashed, only on success. When a sink is
-    given, the execution is recorded as TX/EVM spans and the commit as a DB
-    span, and the interpreter adds each instruction's (count, gas, time)
-    sample, which excludes the intrinsic charge, straight into the sink's
-    open window; without one the samples go to a throwaway array set. The
-    receipt's instruction count is the change in the run's work counter.
+    committed to the trie, and hashed, only on success. The execution is
+    recorded in `sink` (a fresh `SampleSink` when none is given) as TX and
+    EVM spans and the commit as a DB span, and the interpreter adds each
+    instruction's (count, gas, time) sample, which excludes the intrinsic
+    charge, straight into the sink's open window. The receipt's instruction
+    count is the change in the run's work counter.
     """
     if gas_limit < schedule.intrinsic_gas:
         raise IntrinsicGasError(
@@ -492,30 +473,22 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
     instructions_before = work.instructions
     tx_start = clock.now_ns()
     machine = Machine(code, trie, gas_limit - schedule.intrinsic_gas,
-                      block_height, schedule, clock=clock,
-                      sample_arrays=sink)
+                      block_height, schedule, clock=clock, sink=sink)
+    sink = machine.sink
     evm_start = clock.now_ns()
     status = machine.run()
-    evm_duration = clock.now_ns() - evm_start
-    if sink is not None:
-        sink.record_span(MacroCategory.EVM, evm_duration)
-        sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
+    sink.record_span(MacroCategory.EVM, clock.now_ns() - evm_start)
+    sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
 
     if status is TxStatus.SUCCESS:
         db_start = clock.now_ns()
         work.commits += 1
         for slot in sorted(machine.storage_buffer):
-            value = machine.storage_buffer[slot]
-            if value == 0:
-                trie.delete(storage_key(slot))
-            else:
-                width = (value.bit_length() + 7) // 8
-                trie.insert(storage_key(slot), value.to_bytes(width, "big"))
+            write_slot(trie, slot, machine.storage_buffer[slot])
         # Hash the writes inside the DB span, so that no commit lands in a
         # later transaction's SLOAD or SSTORE timing.
         trie.root_hash()
-        if sink is not None:
-            sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
+        sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
 
     return TxReceipt(status=status, gas_used=gas_limit - machine.gas,
                      return_data=machine.return_data,

@@ -5,7 +5,9 @@ A rule is one of:
 * a constant cost;
 * SSTORE's two-tier rule (set a zero slot vs write a non-zero slot);
 * a polynomial in block-height, used by repriced schedules. Polynomial
-  costs are rounded half-up and floored at 1 when evaluated.
+  costs are rounded half-up and floored at 1 when evaluated; coefficients
+  must be finite, and a value past float range at some height is a cost
+  no transaction can pay there, so the instruction halts out of gas.
 
 Config files are line-oriented ``NAME = rule`` text. Family names PUSH,
 DUP and SWAP assign every member opcode at once; an individual entry
@@ -28,6 +30,7 @@ quadratic memory-expansion delta to their rule's cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -69,17 +72,18 @@ class SstoreRule:
 
 @dataclass(frozen=True)
 class PolynomialRule:
-    """Cost = round-half-up of a polynomial in block-height, min 1."""
+    """Cost = round-half-up of a polynomial in block-height, min 1; a
+    value that is not finite costs `math.inf`, more than any budget."""
 
     coefficients: tuple[float, ...]  # ascending powers
 
-    def base_cost(self, block_height: int) -> int:
+    def base_cost(self, block_height: int) -> int | float:
         value = 0.0
         power = 1.0
         for coeff in self.coefficients:
             value += coeff * power
             power *= block_height
-        return round_gas(value)
+        return round_gas(value) if math.isfinite(value) else math.inf
 
     def format(self) -> str:
         return "poly:" + ",".join(repr(c) for c in self.coefficients)
@@ -102,24 +106,12 @@ class GasSchedule:
             _validate_rule(op, rule)
         self.rules = dict(rules)
         self.intrinsic_gas = intrinsic_gas
-        self._by_byte: list | None = None
-
-    def rules_by_byte(self) -> list:
-        """256-entry dispatch array for the interpreter hot path.
-
-        Simple constant costs collapse to plain ints; dynamic rules keep
-        their rule object; unimplemented bytes are None.
-        """
-        if self._by_byte is None:
-            table: list = [None] * 256
-            for op, rule in self.rules.items():
-                if (isinstance(rule, ConstantRule)
-                        and op not in MEMORY_OPCODES):
-                    table[op.value] = rule.cost
-                else:
-                    table[op.value] = rule
-            self._by_byte = table
-        return self._by_byte
+        # The interpreter's per-byte cost table: a plain int for a constant
+        # cost, the rule for a dynamic one, None for an unimplemented byte.
+        self.by_byte: list = [None] * 256
+        for op, rule in self.rules.items():
+            self.by_byte[op] = (rule.cost if isinstance(rule, ConstantRule)
+                                and op not in MEMORY_OPCODES else rule)
 
     # -- config round-trip ----------------------------------------------
 
@@ -187,6 +179,8 @@ def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
             return SstoreRule(int(set_cost), int(reset_cost))
         if value.startswith("poly:"):
             coeffs = tuple(float(c) for c in value[len("poly:"):].split(","))
+            if not all(map(math.isfinite, coeffs)):
+                raise ValueError("non-finite coefficient")
             return PolynomialRule(coeffs)
         return ConstantRule(int(value))
     except (ValueError, TypeError):

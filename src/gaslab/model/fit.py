@@ -160,10 +160,12 @@ def models_to_json(models: Mapping[str, ScalarModel]) -> str:
 
 
 def models_from_json(text: str) -> dict[str, ScalarModel]:
+    """Models from `models_to_json` text. Every number must be finite,
+    except `bic`, which is -inf for an exact fit."""
     doc = json.loads(text)
     models = {}
     for op, entry in doc.items():
-        models[op] = ScalarModel(
+        model = models[op] = ScalarModel(
             kind=entry["kind"],
             coefficients=tuple(entry["coefficients"]),
             x_center=entry.get("x_center", 0.0),
@@ -174,6 +176,11 @@ def models_from_json(text: str) -> dict[str, ScalarModel]:
             train_range=(tuple(entry["train_range"])
                          if entry.get("train_range") else None),
         )
+        optional = (model.min_observed, model.rss, *(model.train_range or ()))
+        numbers = (*model.coefficients, model.x_center, model.x_scale,
+                   *(value for value in optional if value is not None))
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{op}: a model number is not finite")
     return models
 
 
@@ -184,5 +191,5 @@ def load_models(path: str | Path) -> dict[str, ScalarModel]:
         return models_from_json(Path(path).read_text())
     except KeyError as exc:
         raise ModelFileError(f"{path}: a model lacks {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None

@@ -18,8 +18,8 @@ import math
 from typing import Mapping, Optional
 
 from ..evm.opcodes import from_name
-from ..evm.schedule import (ConstantRule, GasSchedule, default_schedule,
-                             round_gas)
+from ..evm.schedule import (ConstantRule, GasSchedule, ScheduleError,
+                             default_schedule, round_gas)
 from ..metrics import WindowAggregate
 from .base import InvalidConstantError, ScalarModel
 
@@ -66,7 +66,8 @@ def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
     half up, never below 1); opcodes absent from the model keep the base
     schedule's rule (the default schedule if no base is given). SSTORE's
     tier rule collapses to the modeled scalar. MLOAD, MSTORE and RETURN
-    still charge memory expansion, which belongs to the opcode.
+    still charge memory expansion, which belongs to the opcode. A gas that
+    is not finite at `height` raises ScheduleError.
     """
     if base is None:
         base = default_schedule()
@@ -75,5 +76,9 @@ def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
         op = from_name(name)
         if op is None:
             continue
-        rules[op] = ConstantRule(round_gas(model.evaluate(height)))
+        gas = model.evaluate(height)
+        if not math.isfinite(gas):
+            raise ScheduleError(
+                f"{name}: gas at height {height} is not finite ({gas})")
+        rules[op] = ConstantRule(round_gas(gas))
     return GasSchedule(rules, base.intrinsic_gas)

@@ -41,7 +41,7 @@ from pathlib import Path
 from .evm.opcodes import Opcode, push_for
 from .evm.schedule import GasSchedule
 from .trie import MerklePatriciaTrie
-from .evm.machine import storage_key, store_code
+from .evm.machine import store_code, write_slot
 
 DEFAULT_GAS_PRICE_WEI = 20_000_000_000  # 20 gwei
 
@@ -257,9 +257,7 @@ class WorkloadGenerator:
     def write_genesis(self, trie: MerklePatriciaTrie) -> None:
         """Prefill initial storage slots, deploy the code library, commit."""
         for slot in range(self.spec.initial_keys):
-            value = (slot % 255) + 1
-            trie.insert(storage_key(slot),
-                        value.to_bytes((value.bit_length() + 7) // 8, "big"))
+            write_slot(trie, slot, (slot % 255) + 1)
         for code_id, code in CODE_LIBRARY.items():
             store_code(trie, code_id, code)
         trie.root_hash()  # hash genesis once, inside genesis

@@ -338,6 +338,25 @@ def test_schedule_rule_unfit_for_its_opcode_is_exit_2(tmp_path, capsys):
     assert "MSTORE" in err and "Traceback" not in err
 
 
+def test_non_finite_schedule_and_model_errors_name_their_source(tmp_path,
+                                                                capsys):
+    assert run_cli(*BAD_INPUTS["schedule-poly-nan"](tmp_path)) == 2
+    assert "line 32: bad rule for SLOAD: 'poly:nan'" in capsys.readouterr().err
+    assert run_cli(*BAD_INPUTS["models-gas-overflows-at-height"](
+        tmp_path)) == 2
+    assert "SLOAD: gas at height 100 is not finite" in \
+        capsys.readouterr().err
+
+
+def test_sload_gas_past_float_range_halts_out_of_gas(tmp_path):
+    # Finite coefficients whose value is past float range from height 2
+    # on: there SLOAD costs more than any budget, and the run goes on.
+    assert run_cli(*_schedule_file(tmp_path, "poly:1e308,1e308")) == 0
+    receipts = (tmp_path / "sim" / "receipts.csv").read_text()
+    statuses = [line.split(",")[2] for line in receipts.splitlines()[1:]]
+    assert len(statuses) == 5 and set(statuses) == {"out-of-gas"}
+
+
 def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     monkeypatch.setenv("GASLAB_OUT", str(tmp_path))
     simulate("rooted", blocks=100, window=50)
@@ -424,6 +443,15 @@ def _models_file(tmp_path, text, height="1"):
     path.write_text(text)
     return ["schedule", "materialize", "--models", str(path),
             "--height", height, "--out", str(tmp_path / "s.cfg")]
+
+
+def _schedule_file(tmp_path, sload_rule):
+    path = tmp_path / "schedule.cfg"
+    path.write_text((DATA / "gas_schedule_default.cfg").read_text().replace(
+        "SLOAD = 200", f"SLOAD = {sload_rule}"))
+    return ["simulate", "--workload", SLOAD_HEAVY, "--blocks", "5",
+            "--clock", "virtual", "--schedule", str(path),
+            "--out", str(tmp_path / "sim")]
 
 
 def _workload_file(tmp_path, text=None, **fields):
@@ -514,6 +542,13 @@ BAD_INPUTS = {
     "materialize-tpg-inf": lambda tmp_path: _models_file(
         tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}'
     ) + ["--tpg-constant", "inf"],
+    "models-coefficient-nan": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [NaN]}}'),
+    "models-gas-overflows-at-height": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "polynomial", '
+        '"coefficients": [1e308, 1e308]}}', height="100"),
+    "schedule-poly-nan": lambda tmp_path: _schedule_file(tmp_path, "poly:nan"),
+    "schedule-poly-inf": lambda tmp_path: _schedule_file(tmp_path, "poly:inf"),
     "hours-nan": lambda tmp_path: ["economics", "--prices", PRICES,
                                    "--gas", "1", "--hours", "nan"],
     "hours-inf": lambda tmp_path: ["economics", "--prices", PRICES,

@@ -10,8 +10,8 @@ from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
 from gaslab.evm.machine import (STACK_LIMIT, IntrinsicGasError, Machine,
                                 TxStatus, execute_transaction, storage_key,
-                                store_code)
-from gaslab.evm.opcodes import ARITY, Opcode
+                                store_code, write_slot)
+from gaslab.evm.opcodes import ARITY, Opcode, push_for
 from gaslab.evm.schedule import GasSchedule, default_schedule
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.workload import WorkloadGenerator, WorkloadSpec
@@ -131,6 +131,19 @@ def test_sstore_zero_deletes_and_restores_root():
     assert trie.root_hash() != before
     run(bytes([Opcode.PUSH1, 0, Opcode.PUSH1, 3, Opcode.SSTORE]), trie=trie)
     assert trie.root_hash() == before
+
+
+def test_sstore_zero_removes_an_existing_key():
+    trie, without = MerklePatriciaTrie(), MerklePatriciaTrie()
+    for slot, value in [(1, 7), (2, 9)]:
+        write_slot(trie, slot, value)
+    write_slot(without, 1, 7)
+    receipt = run(bytes([Opcode.PUSH1, 0, Opcode.PUSH1, 2, Opcode.SSTORE]),
+                  trie=trie)
+    assert receipt.status is TxStatus.SUCCESS
+    assert trie.key_count == without.key_count == 1
+    assert trie.get(storage_key(2)) is None
+    assert trie.root_hash() == without.root_hash()
 
 
 def test_committed_transaction_leaves_nothing_dirty():
@@ -337,6 +350,64 @@ def test_zero_size_return_touches_no_memory(offset):
     assert machine.gas == 100 - 3 - 3  # two pushes; RETURN costs 0 + C(0)
 
 
+def push(value):
+    op, immediate = push_for(value)
+    return bytes([op]) + immediate
+
+
+def mstore(offset):
+    return push(0x11) + push(offset) + bytes([Opcode.MSTORE])
+
+
+def mload(offset):
+    return push(offset) + bytes([Opcode.MLOAD, Opcode.POP])
+
+
+def ret(offset, size):
+    return push(size) + push(offset) + bytes([Opcode.RETURN])
+
+
+# program, gas, status, words held after the run, words counted in the
+# run's work (every expansion priced, paid or not)
+MEMORY_CASES = [
+    (mstore(0) + mload(64) + ret(3906, 0), 1_000, TxStatus.SUCCESS, 3, 3),
+    (ret(0, 200), 100, TxStatus.SUCCESS, 7, 7),
+    (mstore(32) + ret(0, 64) + mstore(0), 1_000, TxStatus.SUCCESS, 2, 2),
+    # MLOAD at 0 costs 3 + C(1) = 6 after the push: affordable to the last
+    # gas, then not
+    (push(0) + bytes([Opcode.MLOAD]), 3 + 6, TxStatus.SUCCESS, 1, 1),
+    (push(0) + bytes([Opcode.MLOAD]), 3 + 5, TxStatus.OUT_OF_GAS, 0, 1),
+    # an expansion to 2049 words that the gas left cannot pay
+    (mstore(0) + mload(0x10000), 1_000, TxStatus.OUT_OF_GAS, 1, 2049),
+    # 4 GiB less 32 bytes: priced, never allocated
+    (mload(0xFFFFFFC0), 10 ** 6, TxStatus.OUT_OF_GAS, 0, 0x7FFFFFF),
+    # past the 2^32 bound: halts before it is priced
+    (mload(0xFFFFFFF0), 10 ** 6, TxStatus.OUT_OF_GAS, 0, 0),
+]
+
+
+@pytest.mark.parametrize("code,gas,status,words,counted", MEMORY_CASES)
+def test_memory_grows_only_when_its_expansion_is_paid(code, gas, status,
+                                                      words, counted):
+    trie = MerklePatriciaTrie()
+    machine = Machine(code, trie, gas=gas, block_height=0, schedule=SCHED)
+    assert machine.run() is status
+    assert machine.memory_words == words
+    assert len(machine.memory) == 32 * words
+    assert trie.store.work.memory_words == counted
+
+
+def test_memory_holds_exactly_its_paid_words_on_random_programs():
+    rng = random.Random(11)
+    trie = MerklePatriciaTrie()
+    for _ in range(400):
+        code = random_byte_program(rng)
+        machine = Machine(code, trie, gas=rng.choice([40, 400, 4_000]),
+                          block_height=0, schedule=SCHED)
+        machine.run()
+        assert len(machine.memory) == 32 * machine.memory_words
+
+
 # ---------------------------------------------------------------------------
 # CALLCODE-lite
 # ---------------------------------------------------------------------------
@@ -451,12 +522,13 @@ class CountingClock:
 
 
 @pytest.mark.parametrize("code,status,fixed", [
-    # tx start, EVM start and end, DB start of the commit
+    # tx start, EVM start and end, TX end, DB start and end of the commit
     (bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.STOP]),
-     TxStatus.SUCCESS, 4),
-    # tx start, EVM start and end, and the start read of the halting ADD
+     TxStatus.SUCCESS, 6),
+    # tx start, EVM start and end, TX end, and the start read of the
+    # halting ADD; a failed transaction commits nothing
     (bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.ADD]),
-     TxStatus.STACK_ERROR, 4),
+     TxStatus.STACK_ERROR, 5),
 ])
 def test_two_clock_reads_per_executed_instruction(code, status, fixed):
     clock = CountingClock()
@@ -679,6 +751,16 @@ def test_block_height_polynomial_schedule():
     _, high = run_sampled(code, height=1000, schedule=sched)
     assert low["SLOAD"][1] == 100
     assert high["SLOAD"][1] == 600
+
+
+def test_polynomial_past_float_range_halts_out_of_gas():
+    sched = GasSchedule.parse(default_schedule().format().replace(
+        "SLOAD = 200", "SLOAD = poly:1e308,1e308"))
+    code = bytes([Opcode.PUSH1, 0, Opcode.SLOAD, Opcode.POP, Opcode.STOP])
+    receipt, samples = run_sampled(code, height=2, schedule=sched)
+    assert receipt.status is TxStatus.OUT_OF_GAS
+    assert receipt.gas_used == 200_000
+    assert "SLOAD" not in samples
 
 
 def test_virtual_clock_gives_deterministic_durations():
