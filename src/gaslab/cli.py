@@ -30,10 +30,12 @@ from .evm.schedule import GasSchedule, ScheduleError, default_schedule
 from .metrics import (CsvFormatError, atomic_write_text, read_table,
                       read_windows, write_macro_csv, write_micro_csv,
                       write_table)
-from .model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
-                    InsufficientDataError, InvalidConstantError,
-                    ModelFileError, UndefinedRatioError, load_models,
-                    materialize_schedule, propose_gas_model)
+from .model.base import (InsufficientDataError, InvalidConstantError,
+                         ModelFileError, UndefinedRatioError)
+from .model.classify import DEFAULT_THRESHOLD
+from .model.fit import load_models
+from .model.reprice import (DEFAULT_TIME_PER_GAS, materialize_schedule,
+                            propose_gas_model)
 from .native import IMPLEMENTATION as NATIVE_IMPLEMENTATION
 from .report.bundle import write_manifest
 from .report.economics import (ECONOMICS_HEADER, economics_table,

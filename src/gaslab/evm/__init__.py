@@ -1,13 +1,1 @@
-from .machine import (IntrinsicGasError, Machine, TxReceipt, TxStatus,
-                      execute_transaction, store_code, storage_key)
-from .opcodes import ALL_OPCODES, Opcode
-from .schedule import (ConstantRule, GasSchedule, PolynomialRule,
-                       ScheduleError, SstoreRule, default_schedule,
-                       memory_expansion_cost)
-
-__all__ = [
-    "ALL_OPCODES", "ConstantRule", "GasSchedule", "IntrinsicGasError",
-    "Machine", "Opcode", "PolynomialRule", "ScheduleError", "SstoreRule",
-    "TxReceipt", "TxStatus", "default_schedule", "execute_transaction",
-    "memory_expansion_cost", "storage_key", "store_code",
-]
+"""The gas-metered interpreter: opcodes, gas schedules and the machine."""

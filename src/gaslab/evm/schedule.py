@@ -5,9 +5,10 @@ A rule is one of:
 * a constant cost;
 * SSTORE's two-tier rule (set a zero slot vs write a non-zero slot);
 * a polynomial in block-height, used by repriced schedules. Polynomial
-  costs are rounded half-up and floored at 1 when evaluated; coefficients
-  must be finite, and a value past float range at some height is a cost
-  no transaction can pay there, so the instruction halts out of gas.
+  costs are evaluated by Horner's rule, rounded half-up and floored at 1;
+  coefficients must be finite, so at a height >= 0 the value is never NaN,
+  and a value past float range at some height is a cost no transaction
+  can pay there, so the instruction halts out of gas.
 
 Config files are line-oriented ``NAME = rule`` text. Family names PUSH,
 DUP and SWAP assign every member opcode at once; an individual entry
@@ -72,17 +73,16 @@ class SstoreRule:
 
 @dataclass(frozen=True)
 class PolynomialRule:
-    """Cost = round-half-up of a polynomial in block-height, min 1; a
-    value that is not finite costs `math.inf`, more than any budget."""
+    """Cost = round-half-up of a polynomial in block-height, min 1,
+    evaluated by Horner's rule; a value that is not finite costs
+    `math.inf`, more than any budget."""
 
     coefficients: tuple[float, ...]  # ascending powers
 
     def base_cost(self, block_height: int) -> int | float:
         value = 0.0
-        power = 1.0
-        for coeff in self.coefficients:
-            value += coeff * power
-            power *= block_height
+        for coeff in reversed(self.coefficients):
+            value = value * block_height + coeff
         return round_gas(value) if math.isfinite(value) else math.inf
 
     def format(self) -> str:

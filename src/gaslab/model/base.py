@@ -1,4 +1,9 @@
-"""Shared model types and errors for the cost-model package."""
+"""Shared model types and errors for the cost-model package.
+
+Time and gas models are plain dicts from opcode name to `ScalarModel`.
+`ScalarModel.evaluate` is the one evaluator: it clamps a negative
+prediction to the model's training floor.
+"""
 
 from __future__ import annotations
 

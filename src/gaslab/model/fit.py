@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -143,19 +144,7 @@ def build_time_models(windows: Sequence[WindowAggregate],
 # ---------------------------------------------------------------------------
 
 def models_to_json(models: Mapping[str, ScalarModel]) -> str:
-    doc = {}
-    for op in sorted(models):
-        m = models[op]
-        doc[op] = {
-            "kind": m.kind,
-            "coefficients": list(m.coefficients),
-            "x_center": m.x_center,
-            "x_scale": m.x_scale,
-            "min_observed": m.min_observed,
-            "rss": m.rss,
-            "bic": m.bic,
-            "train_range": list(m.train_range) if m.train_range else None,
-        }
+    doc = {op: asdict(model) for op, model in models.items()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,11 +1,1 @@
-from .bundle import atomic_write_text, sha256_of, write_manifest
-from .economics import (FeeEconomics, PricePoint, economics_table,
-                        fee_economics, read_price_csv)
-from .pipeline import AnalysisResult, analyze_windows
-from .svg import render_line_chart
-
-__all__ = [
-    "AnalysisResult", "FeeEconomics", "PricePoint", "analyze_windows",
-    "atomic_write_text", "economics_table", "fee_economics",
-    "read_price_csv", "render_line_chart", "sha256_of", "write_manifest",
-]
+"""The `analyze` bundle, manifests, fee economics and SVG charts."""

@@ -26,13 +26,15 @@ from scipy import stats
 
 from ..evm.schedule import round_gas
 from ..metrics import WindowAggregate
-from ..model import (DEFAULT_THRESHOLD, DEFAULT_TIME_PER_GAS,
-                     ClassificationResult, InsufficientDataError,
-                     ScalarModel, StandardContract, avg_prog_gas,
-                     avg_prog_tpg, build_time_models, chi_square_normality,
-                     classify_bh_dependence, current_gas_model,
-                     dependent_time_share, macro_micro_differences,
-                     models_to_json, propose_gas_model)
+from ..model.base import InsufficientDataError, ScalarModel
+from ..model.classify import (DEFAULT_THRESHOLD, ClassificationResult,
+                              classify_bh_dependence)
+from ..model.contract import (StandardContract, avg_prog_gas, avg_prog_tpg,
+                              dependent_time_share)
+from ..model.fit import build_time_models, models_to_json
+from ..model.reprice import (DEFAULT_TIME_PER_GAS, current_gas_model,
+                             propose_gas_model)
+from ..model.validate import chi_square_normality, macro_micro_differences
 
 EXTRAPOLATION_FACTOR = 1.25
 DEFAULT_CHI_BINS = 20

@@ -6,12 +6,10 @@ nesting level (Yellow Paper, appendix B).
 
 `encode` is the trie's commit cost: each dirty node is one call. It is the
 C encoder of the native extension (`gaslab.native`) when that builds, and
-otherwise `_encode_python` below, which gives the same bytes and is the
-tests' reference. Its list loop gives a `bytes` item shorter than 56 bytes
-(a branch node's hash refs and empty slots, a leaf's path and short value)
-its one-byte prefix from a precomputed table, and a single byte below 0x80
-is its own encoding; `bytearray`s, long strings and nested lists recurse.
-A short list's own prefix comes from a second table.
+otherwise `_encode_python` below, which gives the same bytes. That is a
+plain recursive reference with no speed tricks: it runs only when the
+native module did not build, and then the Python Keccak of each node costs
+hundreds of times more than its encoding.
 
 `decode` is the per-level cost of a trie lookup: `gaslab.trie` fully decodes
 every node it reads from its store, with no decoded-node cache. It stays
@@ -33,32 +31,13 @@ class RLPError(ValueError):
     """Raised for undecodable or non-canonical RLP input."""
 
 
-# The one-byte prefixes of strings and lists with payloads under 56 bytes.
-_SHORT_STRING = [bytes([0x80 + length]) for length in range(56)]
-_SHORT_LIST = [bytes([0xC0 + length]) for length in range(56)]
-
-
 def _encode_python(item: RlpItem) -> bytes:
     if isinstance(item, (bytes, bytearray)):
-        payload = bytes(item)
-        if len(payload) == 1 and payload[0] < 0x80:
-            return payload
-        return _length_prefix(len(payload), 0x80) + payload
+        if len(item) == 1 and item[0] < 0x80:
+            return bytes(item)
+        return _length_prefix(len(item), 0x80) + bytes(item)
     if isinstance(item, (list, tuple)):
-        parts: list[bytes] = []
-        append = parts.append
-        for sub in item:
-            if type(sub) is bytes:
-                length = len(sub)
-                if length < 56:
-                    if length != 1 or sub[0] >= 0x80:
-                        append(_SHORT_STRING[length])
-                    append(sub)
-                    continue
-            append(_encode_python(sub))
-        payload = b"".join(parts)
-        if len(payload) < 56:
-            return _SHORT_LIST[len(payload)] + payload
+        payload = b"".join(_encode_python(sub) for sub in item)
         return _length_prefix(len(payload), 0xC0) + payload
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 

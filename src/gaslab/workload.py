@@ -35,7 +35,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .evm.opcodes import Opcode, push_for
@@ -208,9 +208,7 @@ def load_workload(path: str | Path) -> WorkloadSpec:
         raise WorkloadError(f"workload spec is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise WorkloadError("workload spec must be a JSON object")
-    known = {"transactions_per_block", "program_length", "mix",
-             "fresh_key_rate", "seed", "initial_keys", "gas_price_wei"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {field.name for field in fields(WorkloadSpec)}
     if unknown:
         raise WorkloadError(f"unknown workload fields: {sorted(unknown)}")
     try:

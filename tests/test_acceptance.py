@@ -23,11 +23,13 @@ from gaslab.cli import main as cli_main
 from gaslab.evm.machine import execute_transaction
 from gaslab.evm.schedule import default_schedule, round_gas
 from gaslab.metrics import read_windows
-from gaslab.model import (ScalarModel, StandardContract, avg_prog_tpg,
-                          chi_square_decision, classify_bh_dependence,
-                          classify_opcode, fit_time_model,
-                          propose_gas_model)
-from gaslab.model.validate import macro_micro_differences
+from gaslab.model.base import ScalarModel
+from gaslab.model.classify import classify_bh_dependence, classify_opcode
+from gaslab.model.contract import StandardContract, avg_prog_tpg
+from gaslab.model.fit import fit_time_model
+from gaslab.model.reprice import propose_gas_model
+from gaslab.model.validate import (chi_square_decision,
+                                   macro_micro_differences)
 from gaslab.report.pipeline import analyze_windows
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.workload import WorkloadGenerator, WorkloadSpec, load_workload

@@ -8,7 +8,7 @@ import gaslab.chain
 from gaslab.chain import VerificationError, run_chain, verify_block
 from gaslab.clock import Work
 from gaslab.evm.schedule import default_schedule
-from gaslab.model import classify_opcode
+from gaslab.model.classify import classify_opcode
 from gaslab.trie import NodeStore
 from gaslab.workload import (Block, Transaction, WorkloadGenerator,
                              WorkloadSpec, load_workload)

@@ -11,7 +11,8 @@ from gaslab.cli import FIGURES, RECEIPTS_HEADER, main
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule
 from gaslab.metrics import MACRO_HEADER, MICRO_HEADER
-from gaslab.model import ScalarModel, models_to_json
+from gaslab.model.base import ScalarModel
+from gaslab.model.fit import models_to_json
 from gaslab.native import IMPLEMENTATION
 from gaslab.report.economics import PRICES_HEADER
 
@@ -316,6 +317,22 @@ def test_schedule_materialize_round_trips(tmp_path):
     assert schedule.intrinsic_gas == 21_000
 
 
+def test_schedule_materialize_keeps_base_rules_for_unmodeled_opcodes(
+        tmp_path):
+    base = tmp_path / "base.cfg"
+    base.write_text((DATA / "gas_schedule_default.cfg").read_text()
+                    .replace("MUL = 5", "MUL = 7")
+                    .replace("intrinsic = 21000", "intrinsic = 30000"))
+    argv = _models_file(
+        tmp_path, models_to_json({"SLOAD": ScalarModel("constant", (1000.0,))}),
+        height="100")
+    assert run_cli(*argv, "--base", str(base)) == 0
+    schedule = GasSchedule.load(tmp_path / "s.cfg")
+    assert schedule.rules[Opcode.MUL].cost == 7
+    assert schedule.rules[Opcode.SLOAD].cost == 200
+    assert schedule.intrinsic_gas == 30_000
+
+
 def test_schedule_parse_error_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     default = (DATA / "gas_schedule_default.cfg").read_text()
@@ -542,6 +559,9 @@ BAD_INPUTS = {
     "materialize-tpg-inf": lambda tmp_path: _models_file(
         tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}'
     ) + ["--tpg-constant", "inf"],
+    "materialize-base-missing": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}'
+    ) + ["--base", str(tmp_path / "missing.cfg")],
     "models-coefficient-nan": lambda tmp_path: _models_file(
         tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [NaN]}}'),
     "models-gas-overflows-at-height": lambda tmp_path: _models_file(

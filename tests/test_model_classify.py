@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gaslab.metrics import InstructionStat, WindowAggregate
-from gaslab.model import (InsufficientDataError, classify_bh_dependence,
-                          classify_opcode, pearson_correlation)
+from gaslab.model.base import InsufficientDataError
+from gaslab.model.classify import (classify_bh_dependence, classify_opcode,
+                                   pearson_correlation)
 
 # Published mean execution times (ns) per million-block window, 0..8M.
 PUBLISHED_SERIES = {

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from gaslab.model import (MissingModelError, ScalarModel, StandardContract,
-                          UndefinedRatioError, avg_prog_gas, avg_prog_time,
-                          avg_prog_tpg, dependent_time_share)
+from gaslab.model.base import (MissingModelError, ScalarModel,
+                               UndefinedRatioError)
+from gaslab.model.contract import (StandardContract, avg_prog_gas,
+                                   avg_prog_time, avg_prog_tpg,
+                                   dependent_time_share)
 
 
 def constant(value):

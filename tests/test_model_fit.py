@@ -11,10 +11,11 @@ import pytest
 
 from _synth import synth_windows
 from gaslab.metrics import InstructionStat, WindowAggregate
-from gaslab.model import (FitError, InsufficientDataError, ScalarModel,
-                          bic_score, build_time_models, classify_bh_dependence,
-                          constant_model, fit_time_model,
-                          models_from_json, models_to_json)
+from gaslab.model.base import FitError, InsufficientDataError, ScalarModel
+from gaslab.model.classify import classify_bh_dependence
+from gaslab.model.fit import (bic_score, build_time_models, constant_model,
+                              fit_time_model, models_from_json,
+                              models_to_json)
 
 
 def test_noiseless_linear_selects_degree_one_with_zero_rss():

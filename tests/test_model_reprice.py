@@ -11,9 +11,10 @@ from gaslab.evm.opcodes import MEMORY_OPCODES, Opcode
 from gaslab.evm.schedule import ConstantRule, default_schedule, round_gas
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.metrics import InstructionStat, WindowAggregate
-from gaslab.model import (InvalidConstantError, ScalarModel, StandardContract,
-                          avg_prog_tpg, current_gas_model,
-                          materialize_schedule, propose_gas_model)
+from gaslab.model.base import InvalidConstantError, ScalarModel
+from gaslab.model.contract import StandardContract, avg_prog_tpg
+from gaslab.model.reprice import (current_gas_model, materialize_schedule,
+                                  propose_gas_model)
 
 
 def test_linear_time_model_reprices_linearly():

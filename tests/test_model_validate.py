@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gaslab.metrics import InstructionStat, WindowAggregate
-from gaslab.model import (InsufficientDataError, UndefinedRatioError,
-                          chi_square_decision, chi_square_normality,
-                          macro_micro_differences, relative_difference)
+from gaslab.model.base import InsufficientDataError, UndefinedRatioError
+from gaslab.model.validate import (chi_square_decision, chi_square_normality,
+                                   macro_micro_differences,
+                                   relative_difference)
 
 
 def test_relative_difference_examples():

@@ -79,7 +79,7 @@ def test_long_list_round_trip(items):
 
 def reference_encode(item):
     """The straightforward recursive encoder (one call per item), kept here
-    as an oracle for `rlp.encode`, which prefixes short list items inline."""
+    as an oracle independent of both `rlp.encode` builds."""
     if isinstance(item, (bytes, bytearray)):
         if len(item) == 1 and item[0] < 0x80:
             return bytes(item)

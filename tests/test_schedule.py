@@ -1,3 +1,4 @@
+import math
 from importlib import resources
 
 import pytest
@@ -80,6 +81,13 @@ def test_polynomial_rule_floors_at_one():
     assert growing.base_cost(100) == 60
     # round half up
     assert PolynomialRule((2.5,)).base_cost(0) == 3
+
+
+def test_polynomial_rule_zero_high_coefficients_stay_finite():
+    # h**1100 overflows a float, and 0 * inf would be NaN.
+    padded = PolynomialRule((5.0,) + (0.0,) * 1100)
+    assert [padded.base_cost(h) for h in (1, 2, 10 ** 6)] == [5, 5, 5]
+    assert PolynomialRule((5.0, 0.0, 1.0)).base_cost(10 ** 200) == math.inf
 
 
 def test_polynomial_schedule_parses():
