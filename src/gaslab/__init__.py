@@ -5,27 +5,19 @@ a synthetic chain driver that grows world state with block height, windowed
 macro/micro instrumentation, and an analysis toolkit that classifies
 height-dependent instructions, fits per-opcode time models, and derives a
 repriced gas schedule with constant time-per-gas.
+
+Importing the package loads none of its modules; import each name from the
+module that defines it. The five names below load their module on first use.
 """
 
-from .chain import ChainRunReport, run_chain
-from .clock import VirtualClock, WallClock, Work
-from .evm.machine import (IntrinsicGasError, Machine, TxReceipt, TxStatus,
-                          execute_transaction)
-from .evm.opcodes import Opcode
-from .evm.schedule import GasSchedule, default_schedule
-from .keccak import keccak_256
-from .metrics import (MacroCategory, SampleSink, WindowAggregate,
-                      read_windows, write_macro_csv, write_micro_csv)
-from .trie import MerklePatriciaTrie, NodeStore
-from .workload import WorkloadSpec, load_workload
+from importlib import import_module
 
-__version__ = "0.1.0"
+_HOMES = {"MacroCategory": "metrics", "SampleSink": "metrics",
+          "default_schedule": "evm.schedule", "load_workload": "workload",
+          "run_chain": "chain"}
 
-__all__ = [
-    "ChainRunReport", "GasSchedule", "IntrinsicGasError", "Machine",
-    "MacroCategory", "MerklePatriciaTrie", "NodeStore", "Opcode",
-    "SampleSink", "TxReceipt", "TxStatus", "VirtualClock", "WallClock",
-    "WindowAggregate", "Work", "WorkloadSpec", "default_schedule",
-    "execute_transaction", "keccak_256", "load_workload", "read_windows",
-    "run_chain", "write_macro_csv", "write_micro_csv",
-]
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)

@@ -1,12 +1,13 @@
 """Synthetic chain driver: generate, verify, and import blocks in order.
 
-Each block goes through a structural verification (height continuity, gas
-limits) and a strictly serialized import that executes every transaction
-against the world trie and commits storage writes. Spans land in the macro categories of the instrumentation module:
-Total wraps verify plus import, TX wraps each transaction's execution, EVM
-the interpreter loop inside it, and DB the storage commits (per transaction
-plus a per-block finalize). Verification is structural only — signature and
-proof-of-work checking live outside this laboratory's scope.
+A `Chain` owns one chain's state and `Chain.step` runs one block: a
+structural verification (height continuity, gas limits; signatures and
+proof of work are out of scope), then a strictly serialized import that
+executes every transaction against the world trie and commits storage
+writes. `run_chain` steps one chain through a run. Spans land in the macro
+categories of `gaslab.metrics`: Total wraps verify plus import, TX each
+transaction's execution, EVM the interpreter loop inside it, and DB the
+storage commits (per transaction plus a per-block finalize).
 
 Timing runs on a wall or virtual clock (see `gaslab.clock`); everything
 else — gas totals, roots, receipts — is identical across clocks and runs,
@@ -16,7 +17,6 @@ which is what the replay-determinism guarantee rests on.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -25,7 +25,7 @@ from .evm.machine import TxStatus, execute_transaction
 from .evm.schedule import GasSchedule
 from .metrics import (MacroCategory, SampleSink, WindowAggregate, _counter,
                       read_table)
-from .trie import MerklePatriciaTrie, NodeStore
+from .trie import MerklePatriciaTrie
 from .workload import Block, WorkloadGenerator, WorkloadSpec
 
 
@@ -64,16 +64,12 @@ def read_receipts(path: str | Path) -> list[ReceiptRow]:
     return read_table(path, RECEIPTS_HEADER, _receipt_row)
 
 
-@dataclass
-class ChainRunReport:
+class ChainRunReport(NamedTuple):
     windows: list[WindowAggregate]
     receipts: list[ReceiptRow]
     final_root: bytes
     initial_keys: int
     final_keys: int
-    num_blocks: int
-    window_size: int
-    clock_mode: str
 
 
 def verify_block(block: Block, expected_height: int,
@@ -87,29 +83,69 @@ def verify_block(block: Block, expected_height: int,
                 f"tx {i}: gas limit {tx.gas_limit} below intrinsic")
 
 
+class Chain:
+    """One chain's state, genesis written: its trie and node store, clock,
+    block generator, sample sink and receipts. Under `virtual` the clock is
+    a `VirtualClock` over this chain's own `trie.store.work`, so chains
+    stepped in turn in one process each time only their own work."""
+
+    def __init__(self, spec: WorkloadSpec, schedule: GasSchedule,
+                 virtual: bool = False,
+                 sink: Optional[SampleSink] = None) -> None:
+        self.schedule = schedule
+        self.trie = MerklePatriciaTrie()
+        self.clock = (VirtualClock(self.trie.store.work) if virtual
+                      else WallClock)
+        self.generator = WorkloadGenerator(spec, schedule)
+        self.generator.write_genesis(self.trie)
+        self.initial_keys = self.trie.key_count
+        self.sink = SampleSink(0) if sink is None else sink
+        self.receipts: list[ReceiptRow] = []
+
+    def step(self, height: int) -> None:
+        """Generate, verify and import the block at height."""
+        clock, trie, schedule, sink = (self.clock, self.trie, self.schedule,
+                                       self.sink)
+        now_ns, record_span = clock.now_ns, sink.record_span
+        work, append = trie.store.work, self.receipts.append
+        block = self.generator.generate_block(height)
+
+        total_start = now_ns()
+        verify_start = now_ns()
+        verify_block(block, height, schedule)
+        work.spans += 1
+        record_span(MacroCategory.VERIFY, now_ns() - verify_start)
+
+        import_start = now_ns()
+        for tx_index, tx in enumerate(block.transactions):
+            receipt = execute_transaction(
+                tx.code, trie, tx.gas_limit, height, schedule,
+                clock=clock, sink=sink)
+            append(ReceiptRow(
+                height, tx_index, receipt.status.value, receipt.gas_used,
+                tx.gas_limit, receipt.instructions))
+
+        finalize_start = now_ns()
+        work.commits += 1
+        trie.root_hash()  # commit the block's writes inside the DB span
+        record_span(MacroCategory.DB, now_ns() - finalize_start)
+
+        now = now_ns()
+        record_span(MacroCategory.IMPORT, now - import_start)
+        record_span(MacroCategory.TOTAL, now - total_start)
+
+
 def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
               window_size: int = 500, virtual: bool = False,
               sink: Optional[SampleSink] = None) -> ChainRunReport:
-    """Drive num_blocks synthetic blocks through the interpreter and trie.
-
-    Timing runs on the wall clock, or with `virtual` on a `VirtualClock`
-    over the run's own work counters (`store.work`).
-    """
+    """Drive num_blocks synthetic blocks through one `Chain`, closing a
+    sample window every window_size blocks."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-
-    store = NodeStore()
-    clock = VirtualClock(store.work) if virtual else WallClock
-    trie = MerklePatriciaTrie(store=store)
-    generator = WorkloadGenerator(spec, schedule)
-    generator.write_genesis(trie)
-    initial_keys = trie.key_count
-
-    if sink is None:
-        sink = SampleSink(0)
-    receipts: list[ReceiptRow] = []
+    chain = Chain(spec, schedule, virtual, sink)
+    step, close_window = chain.step, chain.sink.close_window
 
     # The cyclic collector's full passes scan the whole heap, which grows
     # with the node store; those pauses land inside instruction timings and
@@ -120,55 +156,16 @@ def run_chain(spec: WorkloadSpec, num_blocks: int, schedule: GasSchedule,
     gc.collect()
     gc.disable()
     try:
-        _run_blocks(num_blocks, schedule, window_size, clock, trie,
-                    generator, sink, receipts)
+        for height in range(num_blocks):
+            if height and height % window_size == 0:
+                close_window(height)
+            step(height)
+        close_window(num_blocks)
     finally:
         if gc_was_enabled:
             gc.enable()
 
     return ChainRunReport(
-        windows=list(sink.archive),
-        receipts=receipts,
-        final_root=trie.root_hash(),
-        initial_keys=initial_keys,
-        final_keys=trie.key_count,
-        num_blocks=num_blocks,
-        window_size=window_size,
-        clock_mode="virtual" if virtual else "wall",
-    )
-
-
-def _run_blocks(num_blocks, schedule, window_size, clock, trie, generator,
-                sink, receipts):
-    work = trie.store.work
-    for height in range(num_blocks):
-        if height and height % window_size == 0:
-            sink.close_window(height)
-
-        block = generator.generate_block(height)
-
-        total_start = clock.now_ns()
-        verify_start = clock.now_ns()
-        verify_block(block, height, schedule)
-        work.spans += 1
-        sink.record_span(MacroCategory.VERIFY, clock.now_ns() - verify_start)
-
-        import_start = clock.now_ns()
-        for tx_index, tx in enumerate(block.transactions):
-            receipt = execute_transaction(
-                tx.code, trie, tx.gas_limit, height, schedule,
-                clock=clock, sink=sink)
-            receipts.append(ReceiptRow(
-                height, tx_index, receipt.status.value, receipt.gas_used,
-                tx.gas_limit, receipt.instructions))
-
-        finalize_start = clock.now_ns()
-        work.commits += 1
-        trie.root_hash()  # commit the block's writes inside the DB span
-        sink.record_span(MacroCategory.DB, clock.now_ns() - finalize_start)
-
-        now = clock.now_ns()
-        sink.record_span(MacroCategory.IMPORT, now - import_start)
-        sink.record_span(MacroCategory.TOTAL, now - total_start)
-
-    sink.close_window(num_blocks)
+        windows=list(chain.sink.archive), receipts=chain.receipts,
+        final_root=chain.trie.root_hash(), initial_keys=chain.initial_keys,
+        final_keys=chain.trie.key_count)

@@ -66,9 +66,7 @@ def _out_dir(raw: str) -> Path:
 def _load_schedule(path: str | None) -> GasSchedule:
     if path is None:
         return default_schedule()
-    if not Path(path).exists():
-        raise InputError(f"schedule file not found: {path}")
-    return GasSchedule.load(path)
+    return GasSchedule.load(_require_file(path, "schedule file"))
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -100,9 +98,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_macro_csv(report.windows, out / "macro.csv")
     write_table(out / "receipts.csv", RECEIPTS_HEADER, report.receipts)
     summary = {
-        "blocks": report.num_blocks,
-        "window_size": report.window_size,
-        "clock": report.clock_mode,
+        "blocks": args.blocks,
+        "window_size": args.window,
+        "clock": args.clock,
         "seed": spec.seed,
         "final_state_root": report.final_root.hex(),
         "initial_keys": report.initial_keys,
@@ -118,7 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    inputs={"workload": spec_path},
                    outputs=["micro.csv", "macro.csv", "receipts.csv",
                             "run.json"])
-    print(f"simulated {report.num_blocks} blocks "
+    print(f"simulated {args.blocks} blocks "
           f"({len(report.receipts)} transactions) -> {out}")
     return EXIT_OK
 

@@ -169,7 +169,12 @@ class GasSchedule:
 
     @classmethod
     def load(cls, path: str | Path) -> "GasSchedule":
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ScheduleError(
+                f"{path}: not UTF-8 text at byte {exc.start}") from None
+        return cls.parse(text)
 
 
 def _parse_rule(name: str, value: str, line_no: int) -> GasRule:

@@ -185,14 +185,19 @@ def read_table(path: str | Path, header: str,
 
     Blank lines and '#' lines are skipped. The first other line must equal
     header, every later line must have the header's field count, and there
-    must be at least one data row. A ValueError from parse_row becomes a
-    CsvFormatError naming the row's line.
+    must be at least one data row. A ValueError from parse_row, or a byte
+    that is not UTF-8, becomes a CsvFormatError naming its line.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(str(path), line_no, "not UTF-8 text") from None
     width = header.count(",") + 1
     rows: list[T] = []
     header_line = 0
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -171,8 +171,9 @@ def phenomenon_run():
     """One 50,000-block wall-clock run, shared by criteria 3, 7, and 8.
 
     Pinned to a single CPU while it runs, warmed up first, and aggregated
-    in 1000-block windows so each window mean spans about 2.5 s of wall
-    time, averaging over short bursts of host noise.
+    in 1000-block windows, so each window mean averages over short bursts
+    of host noise. A window's wall span follows host speed: about 0.26 s
+    with the native build on a 2-vCPU Xeon.
     """
     spec = load_workload(DATA / "workloads" / "sload_heavy.json")
     original_affinity = None

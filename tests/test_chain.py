@@ -1,17 +1,15 @@
 """Chain driver invariants: determinism, containment, conservation."""
 
+import dataclasses
 from importlib import resources
 
 import pytest
 
-import gaslab.chain
-from gaslab.chain import VerificationError, run_chain, verify_block
-from gaslab.clock import Work
+from gaslab.chain import Chain, VerificationError, run_chain, verify_block
+from gaslab.clock import WallClock, Work
 from gaslab.evm.schedule import default_schedule
 from gaslab.model.classify import classify_opcode
-from gaslab.trie import NodeStore
-from gaslab.workload import (Block, Transaction, WorkloadGenerator,
-                             WorkloadSpec, load_workload)
+from gaslab.workload import Block, Transaction, WorkloadSpec, load_workload
 
 SCHED = default_schedule()
 
@@ -36,22 +34,20 @@ def test_replay_determinism_static_behavior():
         assert wa.categories == wb.categories
 
 
-def test_work_counts_do_not_depend_on_the_clock(monkeypatch):
-    stores = []
+def shipped(name):
+    return load_workload(resources.files("gaslab").joinpath(
+        "data", "workloads", name))
 
-    class RecordingStore(NodeStore):
-        def __init__(self):
-            super().__init__()
-            stores.append(self)
 
-    monkeypatch.setattr(gaslab.chain, "NodeStore", RecordingStore)
-    spec = load_workload(resources.files("gaslab").joinpath(
-        "data", "workloads", "mixed_fig8.json"))
+def test_work_counts_do_not_depend_on_the_clock():
+    spec = shipped("mixed_fig8.json")
     counts = {}
     for virtual in (False, True):
-        report = run_chain(spec, 30, SCHED, window_size=10, virtual=virtual)
-        assert report.clock_mode == ("virtual" if virtual else "wall")
-        work = stores[-1].work
+        chain = Chain(spec, SCHED, virtual=virtual)
+        assert (chain.clock is WallClock) is not virtual
+        for height in range(30):
+            chain.step(height)
+        work = chain.trie.store.work
         counts[virtual] = {name: getattr(work, name)
                            for name in Work.__slots__}
     assert counts[False] == counts[True]
@@ -136,35 +132,24 @@ def test_out_of_gas_transactions_recorded_not_aborting():
     # hand-build blocks whose second tx always runs out of gas
     spec = WorkloadSpec(transactions_per_block=1, program_length=2,
                         mix={"ADD": 1.0}, fresh_key_rate=0.0, seed=2)
-    generator = WorkloadGenerator(spec, SCHED)
+    chain = Chain(spec, SCHED, virtual=True)
+    generate_block = chain.generator.generate_block
 
-    class StarvedGenerator:
-        def __init__(self, inner):
-            self.inner = inner
+    def starved_block(height):
+        block = generate_block(height)
+        block.transactions.append(Transaction(
+            code=bytes([0x60, 1, 0x60, 2, 0x01, 0x00]),
+            gas_limit=SCHED.intrinsic_gas + 3))
+        return block
 
-        def write_genesis(self, trie):
-            self.inner.write_genesis(trie)
+    chain.generator.generate_block = starved_block
+    for height in range(6):
+        chain.step(height)
 
-        def generate_block(self, height):
-            block = self.inner.generate_block(height)
-            starved = Transaction(code=bytes([0x60, 1, 0x60, 2, 0x01, 0x00]),
-                                  gas_limit=SCHED.intrinsic_gas + 3)
-            block.transactions.append(starved)
-            return block
-
-    import gaslab.chain as chain_mod
-    original = chain_mod.WorkloadGenerator
-    chain_mod.WorkloadGenerator = lambda s, sch: StarvedGenerator(
-        original(s, sch))
-    try:
-        report = virtual_run(spec, 6, 3)
-    finally:
-        chain_mod.WorkloadGenerator = original
-
-    statuses = [r.status for r in report.receipts]
+    statuses = [r.status for r in chain.receipts]
     assert statuses.count("out-of-gas") == 6
     assert statuses.count("success") == 6
-    for row in report.receipts:
+    for row in chain.receipts:
         if row.status == "out-of-gas":
             assert row.gas_used == row.gas_limit
 
@@ -181,4 +166,27 @@ def test_verify_block_rejects_bad_height_and_gas_limit():
 def test_blocks_link_parent_to_post_roots():
     report = virtual_run(MIXED, 5, 5)
     assert report.final_root is not None
-    assert report.clock_mode == "virtual"
+
+
+def test_interleaved_chains_each_match_a_solo_run():
+    # Two chains that differ only in state size, stepped alternately with
+    # the order reversed each round, as a cross-sectional run steps them.
+    specs = [dataclasses.replace(shipped("sload_heavy.json"),
+                                 initial_keys=keys) for keys in (250, 2048)]
+    blocks, window = 120, 40
+    chains = [Chain(spec, SCHED, virtual=True) for spec in specs]
+    for height in range(blocks):
+        for chain in chains if height % 2 else chains[::-1]:
+            if height and height % window == 0:
+                chain.sink.close_window(height)
+            chain.step(height)
+    for chain, spec in zip(chains, specs):
+        chain.sink.close_window(blocks)
+        assert chain.clock.work is chain.trie.store.work
+        solo = virtual_run(spec, blocks, window)
+        assert chain.initial_keys == solo.initial_keys
+        assert chain.sink.archive == solo.windows
+        assert chain.receipts == solo.receipts
+        assert chain.trie.root_hash() == solo.final_root
+    assert chains[0].initial_keys < chains[1].initial_keys
+    assert chains[0].sink.archive != chains[1].sink.archive

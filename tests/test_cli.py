@@ -450,6 +450,44 @@ def test_table_faults_exit_2_naming_the_line(tmp_path, capsys, reader, fault):
     assert "Traceback" not in err
 
 
+# Every reader of a user file: the file's name and the CLI arguments that
+# read it.
+FILE_READERS = {
+    **{reader: (name, argv)
+       for reader, (name, _header, _good, _bad, argv) in READERS.items()},
+    "schedule": ("schedule.cfg", lambda path, out: [
+        "simulate", "--workload", SLOAD_HEAVY, "--blocks", "5",
+        "--clock", "virtual", "--schedule", path, "--out", out]),
+    "base": ("base.cfg", lambda path, out: _models_file(
+        Path(path).parent,
+        '{"SLOAD": {"kind": "constant", "coefficients": [1.0]}}')
+        + ["--base", path]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FILE_READERS))
+def test_non_utf8_file_is_exit_2_naming_the_path(tmp_path, capsys, reader):
+    name, argv = FILE_READERS[reader]
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert run_cli(*argv(str(path), str(tmp_path / "out"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:")
+    assert "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader", ["schedule", "base"])
+def test_directory_as_schedule_is_exit_2(tmp_path, capsys, reader):
+    name, argv = FILE_READERS[reader]
+    path = tmp_path / "in" / name
+    path.mkdir(parents=True)
+    assert run_cli(*argv(str(path), str(tmp_path / "out"))) == 2
+    assert f"error: schedule file not found: {path}" in \
+        capsys.readouterr().err
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)

@@ -1,5 +1,6 @@
 """Every gaslab module imports on its own, in a fresh interpreter: none
-relies on another import having loaded something first."""
+relies on another import having loaded something first, and the package
+root loads none of them."""
 
 import os
 import pkgutil
@@ -32,3 +33,18 @@ def test_every_module_imports_in_a_fresh_interpreter():
     failed = {module: run.stderr for module, run in runs.items()
               if run.returncode != 0}
     assert not failed
+
+
+def test_package_root_loads_no_module():
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, gaslab; print(sorted("
+         "m for m in sys.modules if m.startswith('gaslab.')))"],
+        capture_output=True, text=True, env=ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_package_root_serves_only_the_benchmark_names():
+    from gaslab import (MacroCategory, SampleSink,  # noqa: F401
+                        default_schedule, load_workload, run_chain)
+    assert not hasattr(gaslab, "WorkloadSpec")
