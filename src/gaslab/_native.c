@@ -1,5 +1,4 @@
-/* The trie commit path's byte work in C: a CPython extension module with
- * two functions.
+/* gaslab's byte work in C: a CPython extension module with three functions.
  *
  *   keccak_256(data) -> 32-byte digest, with the original Keccak padding
  *       (domain byte 0x01), as Ethereum uses it. Lanes are read and written
@@ -7,10 +6,14 @@
  *       host's byte order.
  *   rlp_encode(item) -> the RLP encoding of a byte string (bytes or
  *       bytearray) or of an arbitrarily nested list or tuple of them.
+ *   assemble(seed, snippets, cumulative, transactions, length,
+ *            fresh_key_rate, pool) -> (codes, pool): one block's programs,
+ *       drawn from a Mersenne Twister seeded and read exactly as CPython's
+ *       random.Random; gaslab.workload._assemble_python is the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
- * gaslab.keccak and gaslab.rlp keep their pure-Python functions, and the two
- * implementations must agree on every input.
+ * gaslab.keccak, gaslab.rlp and gaslab.workload keep their pure-Python
+ * functions, and the two implementations must agree on every input.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -247,21 +250,437 @@ static PyObject *rlp_encode(PyObject *module, PyObject *item)
     return encoded;
 }
 
+/* Block assembly (gaslab.workload). The draws come from MT19937 (Matsumoto
+ * and Nishimura, ACM TOMACS 1998), seeded and read as CPython's
+ * Modules/_randommodule.c does, so each one equals random.Random's for the
+ * same seed. */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t state[MT_N];
+    int index;
+} Twister;
+
+/* The state after init_genrand(19650218), where every seeding starts; set
+ * once by PyInit__native. */
+static uint32_t mt_start[MT_N];
+
+/* init_by_array over `key`, as Random.seed does for an int. */
+static void mt_seed(Twister *mt, const uint32_t *key, size_t length)
+{
+    uint32_t *s = mt->state;
+    size_t i = 1, j = 0, k;
+
+    memcpy(s, mt_start, sizeof mt_start);
+    for (k = MT_N > length ? MT_N : length; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525U))
+               + key[j] + (uint32_t)j;
+        if (++i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+        if (++j >= length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1566083941U))
+               - (uint32_t)i;
+        if (++i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+    }
+    s[0] = 0x80000000U;
+    mt->index = MT_N;
+}
+
+#define TWIST(a, b, c) \
+    ((c) ^ ((((a) & 0x80000000U) | ((b) & 0x7fffffffU)) >> 1) \
+     ^ ((b) & 1U ? 0x9908b0dfU : 0U))
+
+/* The next 32-bit output (genrand_uint32). */
+static uint32_t mt_next(Twister *mt)
+{
+    uint32_t *s = mt->state, y;
+    if (mt->index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++)
+            s[kk] = TWIST(s[kk], s[kk + 1], s[kk + MT_M]);
+        for (; kk < MT_N - 1; kk++)
+            s[kk] = TWIST(s[kk], s[kk + 1], s[kk + MT_M - MT_N]);
+        s[MT_N - 1] = TWIST(s[MT_N - 1], s[0], s[MT_M - 1]);
+        mt->index = 0;
+    }
+    y = s[mt->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* getrandbits(k) for 1 <= k <= 64: words fill the result from its least
+ * significant end, and the last one is shifted right to the bits left. */
+static uint64_t mt_bits(Twister *mt, int k)
+{
+    if (k <= 32)
+        return mt_next(mt) >> (32 - k);
+    uint64_t low = mt_next(mt);
+    return low | (uint64_t)(mt_next(mt) >> (64 - k)) << 32;
+}
+
+/* random(): 53 bits from two outputs. */
+static double mt_random(Twister *mt)
+{
+    uint32_t a = mt_next(mt) >> 5;
+    uint32_t b = mt_next(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* randrange(n) for 1 <= n < 2**64: getrandbits(n.bit_length()) until the
+ * draw is below n (Random._randbelow_with_getrandbits). */
+static uint64_t mt_below(Twister *mt, uint64_t n)
+{
+    int k = 0;
+    uint64_t r;
+    for (uint64_t left = n; left; left >>= 1)
+        k++;
+    do
+        r = mt_bits(mt, k);
+    while (r >= n);
+    return r;
+}
+
+/* Seeds `mt` as Random.seed(seed) does for an int: init_by_array over the
+ * 32-bit words of abs(seed), least significant first, where zero gives the
+ * key [0]. Returns -1 with an exception set on failure. */
+static int seed_twister(Twister *mt, PyObject *seed)
+{
+    /* An exact int, so that abs, bit_length and to_bytes are int's own. */
+    if (!PyLong_CheckExact(seed)) {
+        PyErr_SetString(PyExc_TypeError, "seed must be an int");
+        return -1;
+    }
+    PyObject *n = PyNumber_Absolute(seed);
+    if (n == NULL)
+        return -1;
+    unsigned long long small = PyLong_AsUnsignedLongLong(n);
+    if (!(small == (unsigned long long)-1 && PyErr_Occurred())) {
+        uint32_t key[2] = {(uint32_t)small, (uint32_t)(small >> 32)};
+        Py_DECREF(n);
+        mt_seed(mt, key, key[1] ? 2 : 1);
+        return 0;
+    }
+    /* At least 2**64: the words come from int.to_bytes. */
+    PyErr_Clear();
+    Py_ssize_t words = 0;
+    PyObject *data = NULL, *bits = PyObject_CallMethod(n, "bit_length", NULL);
+    if (bits != NULL) {
+        words = (PyLong_AsSsize_t(bits) + 31) / 32;
+        data = PyObject_CallMethod(n, "to_bytes", "ns", 4 * words, "little");
+        Py_DECREF(bits);
+    }
+    Py_DECREF(n);
+    if (data == NULL)
+        return -1;
+    uint32_t *key = PyMem_Malloc(words * sizeof *key);
+    if (key == NULL) {
+        Py_DECREF(data);
+        PyErr_NoMemory();
+        return -1;
+    }
+    const unsigned char *b = (const unsigned char *)PyBytes_AS_STRING(data);
+    for (Py_ssize_t i = 0; i < words; i++, b += 4)
+        key[i] = b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+                 | (uint32_t)b[3] << 24;
+    Py_DECREF(data);
+    mt_seed(mt, key, (size_t)words);
+    PyMem_Free(key);
+    return 0;
+}
+
+/* One program's bytes, grown as needed. */
+typedef struct {
+    unsigned char *data;
+    size_t size, capacity;
+} Buffer;
+
+/* Room for `more` bytes at the end of `buf`, or NULL with MemoryError
+ * set. */
+static unsigned char *reserve(Buffer *buf, size_t more)
+{
+    if (buf->data == NULL || buf->size + more > buf->capacity) {
+        size_t capacity = buf->capacity ? buf->capacity : 1024;
+        while (capacity < buf->size + more)
+            capacity *= 2;
+        unsigned char *data = PyMem_Realloc(buf->data, capacity);
+        if (data == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        buf->data = data;
+        buf->capacity = capacity;
+    }
+    return buf->data + buf->size;
+}
+
+static int append(Buffer *buf, PyObject *bytes)
+{
+    Py_ssize_t size = PyBytes_GET_SIZE(bytes);
+    unsigned char *out = reserve(buf, (size_t)size);
+    if (out == NULL)
+        return -1;
+    memcpy(out, PyBytes_AS_STRING(bytes), (size_t)size);
+    buf->size += (size_t)size;
+    return 0;
+}
+
+#define PUSH1 0x60
+
+/* A literal operand (_OPERANDS): PUSHw and w bytes, w = 2 +
+ * randrange(31), value = randrange(256**(w-1), 256**w). */
+static int push_operand(Twister *mt, Buffer *buf)
+{
+    unsigned char r[32]; /* getrandbits(8 * w), little-endian */
+    uint32_t w;
+    do
+        w = mt_next(mt) >> 27; /* getrandbits(5) */
+    while (w >= 31);
+    int width = (int)w + 2;
+    /* The value less its low bound, redrawn while at or above
+     * 255 * 256**(w-1), that is while its top byte is 0xFF. */
+    do {
+        for (int i = 0, left = 8 * width; left > 0; i += 4, left -= 32) {
+            uint32_t word = mt_next(mt);
+            if (left < 32)
+                word >>= 32 - left;
+            r[i] = (unsigned char)word;
+            r[i + 1] = (unsigned char)(word >> 8);
+            r[i + 2] = (unsigned char)(word >> 16);
+            r[i + 3] = (unsigned char)(word >> 24);
+        }
+    } while (r[width - 1] == 0xFF);
+    unsigned char *out = reserve(buf, 1 + (size_t)width);
+    if (out == NULL)
+        return -1;
+    out[0] = (unsigned char)(PUSH1 + width - 1);
+    out[1] = (unsigned char)(r[width - 1] + 1); /* adds the low bound */
+    for (int i = 2; i <= width; i++)
+        out[i] = r[width - i];
+    buf->size += 1 + (size_t)width;
+    return 0;
+}
+
+/* _push_slot: PUSH4 below 2**32, else the smallest PUSH that holds the
+ * slot (push_for). */
+static int push_slot(Buffer *buf, uint64_t slot)
+{
+    int width = 4;
+    while (width < 8 && slot >> 8 * width)
+        width++;
+    unsigned char *out = reserve(buf, 1 + (size_t)width);
+    if (out == NULL)
+        return -1;
+    out[0] = (unsigned char)(PUSH1 + width - 1);
+    for (int i = width; i > 0; i--, slot >>= 8)
+        out[i] = (unsigned char)slot;
+    buf->size += 1 + (size_t)width;
+    return 0;
+}
+
+/* gaslab.workload's snippet kinds. */
+enum { TAIL, PICK, READ, WRITE };
+
+typedef struct {
+    Py_ssize_t operands;
+    long kind;
+    PyObject *tail; /* bytes; for PICK a non-empty tuple of them */
+} Snippet;
+
+#define POOL_LIMIT "the storage pool must stay below 2**64"
+
+/* assemble(seed, snippets, cumulative, transactions, length,
+ * fresh_key_rate, pool): gaslab.workload._assemble_python in C. The pool
+ * must stay below 2**64: a pool at that size, or a fresh write that would
+ * take it there, raises OverflowError. */
+static PyObject *assemble(PyObject *module, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "assemble takes 7 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    Twister mt;
+    Py_ssize_t transactions = PyLong_AsSsize_t(args[3]);
+    Py_ssize_t length = PyLong_AsSsize_t(args[4]);
+    double rate = PyFloat_AsDouble(args[5]);
+    if (PyErr_Occurred() || seed_twister(&mt, args[0]) < 0)
+        return NULL;
+    if (!PyLong_Check(args[6])) {
+        PyErr_SetString(PyExc_TypeError, "pool must be an int");
+        return NULL;
+    }
+    unsigned long long pool = PyLong_AsUnsignedLongLong(args[6]);
+    if (pool == (unsigned long long)-1 && PyErr_Occurred()) {
+        PyErr_SetString(PyExc_OverflowError, POOL_LIMIT);
+        return NULL;
+    }
+
+    /* Everything that can run Python code (the conversions above, and
+     * allocating the list) happens before the tables are read, so they
+     * cannot change while borrowed. */
+    PyObject *codes = PyList_New(transactions > 0 ? transactions : 0);
+    PyObject *snippets = PySequence_Fast(args[1], "snippets must be a list");
+    PyObject *cumulative = PySequence_Fast(args[2],
+                                           "cumulative must be a list");
+    Snippet *table = NULL;
+    double *bounds = NULL;
+    Buffer buf = {NULL, 0, 0};
+    if (codes == NULL || snippets == NULL || cumulative == NULL)
+        goto fail;
+    Py_ssize_t n_bounds = PySequence_Fast_GET_SIZE(cumulative);
+    Py_ssize_t n_snippets = PySequence_Fast_GET_SIZE(snippets);
+    if (n_snippets <= n_bounds) {
+        PyErr_SetString(PyExc_ValueError,
+                        "snippets needs an entry past the last bound");
+        goto fail;
+    }
+    table = PyMem_Malloc(n_snippets * sizeof *table);
+    bounds = PyMem_Malloc((n_bounds + 1) * sizeof *bounds);
+    if (table == NULL || bounds == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < n_bounds; i++) {
+        PyObject *bound = PySequence_Fast_GET_ITEM(cumulative, i);
+        if (!PyFloat_Check(bound)) {
+            PyErr_SetString(PyExc_TypeError, "cumulative must hold floats");
+            goto fail;
+        }
+        bounds[i] = PyFloat_AS_DOUBLE(bound);
+    }
+    for (Py_ssize_t i = 0; i < n_snippets; i++) {
+        PyObject *entry = PySequence_Fast_GET_ITEM(snippets, i);
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3
+                || !PyLong_Check(PyTuple_GET_ITEM(entry, 0))
+                || !PyLong_Check(PyTuple_GET_ITEM(entry, 1))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a snippet is (operands, kind, tail)");
+            goto fail;
+        }
+        Snippet *snippet = &table[i];
+        snippet->operands = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 0));
+        snippet->kind = PyLong_AsLong(PyTuple_GET_ITEM(entry, 1));
+        snippet->tail = PyTuple_GET_ITEM(entry, 2);
+        if (PyErr_Occurred())
+            goto fail;
+        if (snippet->kind == PICK
+                ? !PyTuple_Check(snippet->tail)
+                  || PyTuple_GET_SIZE(snippet->tail) == 0
+                : !PyBytes_Check(snippet->tail)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a snippet's tail is bytes, or a non-empty "
+                            "tuple of bytes to pick from");
+            goto fail;
+        }
+    }
+
+    for (Py_ssize_t t = 0; t < transactions; t++) {
+        buf.size = 0;
+        for (Py_ssize_t p = 0; p < length; p++) {
+            /* bisect_right(cumulative, random()) */
+            double x = mt_random(&mt);
+            Py_ssize_t lo = 0, hi = n_bounds;
+            while (lo < hi) {
+                Py_ssize_t mid = (lo + hi) / 2;
+                if (x < bounds[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            Snippet *snippet = &table[lo];
+            for (Py_ssize_t i = 0; i < snippet->operands; i++)
+                if (push_operand(&mt, &buf) < 0)
+                    goto fail;
+            PyObject *tail = snippet->tail;
+            if (snippet->kind == PICK) {
+                tail = PyTuple_GET_ITEM(tail, mt_below(
+                    &mt, (uint64_t)PyTuple_GET_SIZE(tail)));
+                if (!PyBytes_Check(tail)) {
+                    PyErr_SetString(PyExc_TypeError,
+                                    "a picked tail is not bytes");
+                    goto fail;
+                }
+            } else if (snippet->kind != TAIL) {
+                uint64_t slot;
+                if (snippet->kind == READ)
+                    slot = pool ? mt_below(&mt, pool) : 0;
+                else if (pool == 0 || mt_random(&mt) < rate) {
+                    /* An empty pool makes no draw. */
+                    if (pool == UINT64_MAX) {
+                        PyErr_SetString(PyExc_OverflowError, POOL_LIMIT);
+                        goto fail;
+                    }
+                    slot = pool++;
+                } else
+                    slot = mt_below(&mt, pool);
+                if (push_slot(&buf, slot) < 0)
+                    goto fail;
+            }
+            if (append(&buf, tail) < 0)
+                goto fail;
+        }
+        unsigned char *stop = reserve(&buf, 1);
+        if (stop == NULL)
+            goto fail;
+        *stop = 0x00;
+        PyObject *code = PyBytes_FromStringAndSize((const char *)buf.data,
+                                                   (Py_ssize_t)buf.size + 1);
+        if (code == NULL)
+            goto fail;
+        PyList_SET_ITEM(codes, t, code);
+    }
+    PyMem_Free(buf.data);
+    PyMem_Free(table);
+    PyMem_Free(bounds);
+    Py_DECREF(snippets);
+    Py_DECREF(cumulative);
+    return Py_BuildValue("NK", codes, pool);
+
+fail:
+    PyMem_Free(buf.data);
+    PyMem_Free(table);
+    PyMem_Free(bounds);
+    Py_XDECREF(codes);
+    Py_XDECREF(snippets);
+    Py_XDECREF(cumulative);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"keccak_256", keccak_256, METH_O,
      "32-byte Keccak-256 digest (original padding, as used by Ethereum)."},
     {"rlp_encode", rlp_encode, METH_O,
      "RLP encoding of bytes, bytearray, or nested lists and tuples of them."},
+    {"assemble", (PyCFunction)(void (*)(void))assemble, METH_FASTCALL,
+     "One block's programs and the pool size after them, drawn exactly as "
+     "gaslab.workload._assemble_python draws them."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_native",
-    "Keccak-256 and RLP encoding in C for gaslab's trie commits.", -1,
+    "Keccak-256, RLP encoding and block assembly in C for gaslab.", -1,
     methods,
 };
 
 PyMODINIT_FUNC PyInit__native(void)
 {
+    mt_start[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++)
+        mt_start[i] = 1812433253U * (mt_start[i - 1] ^ (mt_start[i - 1] >> 30))
+                      + (uint32_t)i;
     return PyModule_Create(&module_def);
 }

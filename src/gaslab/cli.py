@@ -69,10 +69,11 @@ def _load_schedule(path: str | None) -> GasSchedule:
     return GasSchedule.load(_require_file(path, "schedule file"))
 
 
-def _require_file(path: str, what: str) -> Path:
+def _require_file(path: str | Path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise InputError(f"{what} not found: {path}")
+        problem = "is not a file" if p.exists() else "not found"
+        raise InputError(f"{what} {problem}: {path}")
     return p
 
 
@@ -212,9 +213,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(FIGURES))}")
     table_name, header, x_label, y_label, columns = FIGURES[args.figure]
     bundle = Path(args.bundle)
-    table_path = bundle / table_name
-    if not table_path.is_file():
-        raise InputError(f"bundle table not found: {table_path}")
+    table_path = _require_file(bundle / table_name, "bundle table")
     rows = read_table(table_path, header, _plot_row)
     names = header.split(",")
     series = []

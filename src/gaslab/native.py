@@ -1,8 +1,10 @@
 """Build and load gaslab's native extension module, `gaslab._native`.
 
-`_native.c` next to this module holds the trie commit path's byte work in
-C: the Keccak-256 sponge (`keccak_256`) and the RLP encoder (`rlp_encode`).
-The first import builds it with the local `cc` against the running
+`_native.c` next to this module holds gaslab's C code: the trie commit
+path's Keccak-256 sponge (`keccak_256`) and RLP encoder (`rlp_encode`),
+and the block assembler (`assemble`), which draws each block's programs
+from a Mersenne Twister that matches `random.Random` bit for bit. The
+first import builds it with the local `cc` against the running
 interpreter's headers and writes two files into `_build/` next to this
 module: `_native` plus the interpreter's extension suffix, so no other
 Python loads it, and a copy of the source it was built from. Later imports
@@ -15,9 +17,9 @@ interpreters' libraries. A load that needs no build opens files only: the
 compile-path modules are imported by `_compile` alone.
 
 If the build cannot happen (no compiler, no `Python.h`, a directory that
-cannot be written), `module` is None and `gaslab.keccak` and `gaslab.rlp`
-bind their pure-Python functions, which compute the same bytes.
-`IMPLEMENTATION` names the one that runs: "c" or "python".
+cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp` and
+`gaslab.workload` bind their pure-Python functions, which compute the same
+bytes. `IMPLEMENTATION` names the one that runs: "c" or "python".
 """
 
 from __future__ import annotations

@@ -20,13 +20,20 @@ under a rate of 0. Block content is a pure function of (spec, height, seed,
 pool state), and pool state is itself deterministic, so whole-chain replay
 is bit-reproducible.
 
-Every bounded draw follows CPython's `randrange`/`choice` exactly: with
-`k = n.bit_length()`, redraw `getrandbits(k)` until the result is below
-`n` (`Random._randbelow_with_getrandbits`). The generator makes those
-draws itself, on the block's `getrandbits` and `random`, so it skips
-`randrange`'s argument handling but consumes the same words and yields the
-same values. `tests/test_workload.py` pins this against `randrange` and
-`choice`, and against a reference assembler that calls them directly.
+Each block's programs come from one assembler call over a Mersenne
+Twister seeded with `(seed << 32) ^ height`, and its draws are CPython's:
+every bounded draw follows `randrange`/`choice` exactly (with `k =
+n.bit_length()`, redraw `getrandbits(k)` until the result is below `n`,
+as `Random._randbelow_with_getrandbits` does), so it skips their argument
+handling but consumes the same words and yields the same values. Two
+assemblers make these draws. `assemble` in the native extension
+(`gaslab.native`) runs the twister in C, bit for bit as `random.Random`;
+`_assemble_python` below makes them on a `random.Random` and runs when the
+extension did not build. They emit the same bytes, except that the C one
+raises OverflowError once the storage pool would reach 2**64 slots, which
+only a test can reach: genesis would first write that many.
+`tests/test_workload.py` pins both against `randrange` and `choice`, and
+against a reference assembler that calls them directly.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import native
 from .evm.opcodes import Opcode, push_for
 from .evm.schedule import GasSchedule
 from .trie import MerklePatriciaTrie
@@ -56,6 +64,7 @@ CODE_LIBRARY: dict[int, bytes] = {
 
 # How a snippet's bytes follow its operands: a constant tail, one of a
 # tuple of tails picked uniformly, or a slot push (read or write) and a tail.
+# `_native.c` reads the same numbers.
 _TAIL, _PICK, _READ, _WRITE = range(4)
 
 
@@ -63,40 +72,38 @@ def _ops(*names: str) -> bytes:
     return bytes(Opcode[name] for name in names)
 
 
-def _snippet_table() -> dict[str, tuple[range, int, object]]:
-    """Featured opcode -> (operands, kind, tail or tuple of tails), where
-    `operands` is a range with one step per literal operand.
+def _snippet_table() -> dict[str, tuple[int, int, object]]:
+    """Featured opcode -> (literal operands, kind, tail or tuple of tails).
 
     Operand scaffolding uses PUSH2..PUSH32 so that PUSH1 counts stay at the
     featured rate (keeps its per-window mean from being swamped by scaffold
     samples). Memory offsets stay in bounded scratch memory (0..224).
     """
-    none, one, two = range(0), range(1), range(2)
-    table = {op: (two, _TAIL, _ops(op, "POP"))
+    table = {op: (2, _TAIL, _ops(op, "POP"))
              for op in ("ADD", "MUL", "SUB", "DIV", "LT", "GT", "EQ",
                         "AND", "OR", "XOR")}
-    table.update({op: (one, _TAIL, _ops(op, "POP"))
+    table.update({op: (1, _TAIL, _ops(op, "POP"))
                   for op in ("ISZERO", "NOT")})
     offsets = range(0, 256, 32)
     table.update(
-        PUSH1=(none, _PICK, tuple(bytes([Opcode.PUSH1, value, Opcode.POP])
-                                  for value in range(1, 256))),
-        POP=(one, _TAIL, _ops("POP")),
-        PC=(none, _TAIL, _ops("PC", "POP")),
-        JUMPDEST=(none, _TAIL, _ops("JUMPDEST")),
-        MLOAD=(none, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
-                                         Opcode.MLOAD, Opcode.POP])
-                                  for offset in offsets)),
-        MSTORE=(one, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
-                                         Opcode.MSTORE])
-                                  for offset in offsets)),
-        SLOAD=(none, _READ, _ops("SLOAD", "POP")),
-        SSTORE=(one, _WRITE, _ops("SSTORE")),
-        DUP1=(one, _TAIL, _ops("DUP1", "POP", "POP")),
-        SWAP1=(two, _TAIL, _ops("SWAP1", "POP", "POP")),
-        CALLCODE=(none, _PICK, tuple(bytes([Opcode.PUSH1, lib_id,
-                                            Opcode.CALLCODE, Opcode.POP])
-                                     for lib_id in sorted(CODE_LIBRARY))),
+        PUSH1=(0, _PICK, tuple(bytes([Opcode.PUSH1, value, Opcode.POP])
+                               for value in range(1, 256))),
+        POP=(1, _TAIL, _ops("POP")),
+        PC=(0, _TAIL, _ops("PC", "POP")),
+        JUMPDEST=(0, _TAIL, _ops("JUMPDEST")),
+        MLOAD=(0, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
+                                      Opcode.MLOAD, Opcode.POP])
+                               for offset in offsets)),
+        MSTORE=(1, _PICK, tuple(bytes([Opcode.PUSH2, 0, offset,
+                                       Opcode.MSTORE])
+                                for offset in offsets)),
+        SLOAD=(0, _READ, _ops("SLOAD", "POP")),
+        SSTORE=(1, _WRITE, _ops("SSTORE")),
+        DUP1=(1, _TAIL, _ops("DUP1", "POP", "POP")),
+        SWAP1=(2, _TAIL, _ops("SWAP1", "POP", "POP")),
+        CALLCODE=(0, _PICK, tuple(bytes([Opcode.PUSH1, lib_id,
+                                         Opcode.CALLCODE, Opcode.POP])
+                                  for lib_id in sorted(CODE_LIBRARY))),
     )
     return table
 
@@ -246,7 +253,6 @@ class WorkloadGenerator:
             acc += spec.mix[op]
             self._cumulative.append(acc)
         self._snippets = [_SNIPPETS[op] for op in mix_ops + mix_ops[-1:]]
-        self._rng = random.Random()
         # Generous bound: worst featured op is an SSTORE set (20000) plus
         # a few gas of scaffolding; never triggers out-of-gas organically.
         self._gas_limit = (schedule.intrinsic_gas
@@ -267,46 +273,62 @@ class WorkloadGenerator:
                 f"{self.next_height}, got {height}")
         self.next_height += 1
         spec = self.spec
-        rng = self._rng
-        rng.seed((spec.seed << 32) ^ height)  # same state as a new Random
-        getrandbits, draw = rng.getrandbits, rng.random
-        snippets, cumulative = self._snippets, self._cumulative
-        fresh_key_rate, pool = spec.fresh_key_rate, self.pool_size
-        length = range(spec.program_length)
-        txs = []
-        for _ in range(spec.transactions_per_block):
-            parts = []
-            append = parts.append
-            for _ in length:
-                operands, kind, tail = snippets[bisect_right(cumulative,
-                                                             draw())]
-                for _ in operands:
+        codes, self.pool_size = _assemble(
+            (spec.seed << 32) ^ height, self._snippets, self._cumulative,
+            spec.transactions_per_block, spec.program_length,
+            spec.fresh_key_rate, self.pool_size)
+        return Block(height=height,
+                     transactions=[Transaction(code, self._gas_limit)
+                                   for code in codes])
+
+
+def _assemble_python(seed: int, snippets: list, cumulative: list[float],
+                     transactions: int, length: int, fresh_key_rate: float,
+                     pool: int) -> tuple[list[bytes], int]:
+    """One block's programs and the pool size after them.
+
+    `snippets[bisect_right(cumulative, random())]` picks each snippet, so
+    `snippets` has one entry past the last bound. The reference for the C
+    assembler, which must draw and emit exactly the same.
+    """
+    rng = random.Random(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
+    codes = []
+    for _ in range(transactions):
+        parts = []
+        append = parts.append
+        for _ in range(length):
+            operands, kind, tail = snippets[bisect_right(cumulative, draw())]
+            for _ in range(operands):
+                w = getrandbits(5)
+                while w >= 31:
                     w = getrandbits(5)
-                    while w >= 31:
-                        w = getrandbits(5)
-                    bits, span, base, size = _OPERANDS[w]
+                bits, span, base, size = _OPERANDS[w]
+                r = getrandbits(bits)
+                while r >= span:
                     r = getrandbits(bits)
-                    while r >= span:
-                        r = getrandbits(bits)
-                    append((base + r).to_bytes(size, "big"))
-                if kind == _TAIL:
-                    append(tail)
-                elif kind == _PICK:
-                    append(tail[_below(getrandbits, len(tail))])
-                elif kind == _READ:
-                    slot = _below(getrandbits, pool) if pool else 0
-                    append(_push_slot(slot))
-                    append(tail)
+                append((base + r).to_bytes(size, "big"))
+            if kind == _TAIL:
+                append(tail)
+            elif kind == _PICK:
+                append(tail[_below(getrandbits, len(tail))])
+            elif kind == _READ:
+                slot = _below(getrandbits, pool) if pool else 0
+                append(_push_slot(slot))
+                append(tail)
+            else:
+                # An empty pool makes no draw; `or` skips `draw()`.
+                if pool == 0 or draw() < fresh_key_rate:
+                    slot = pool
+                    pool += 1
                 else:
-                    # An empty pool makes no draw; `or` skips `draw()`.
-                    if pool == 0 or draw() < fresh_key_rate:
-                        slot = pool
-                        pool += 1
-                    else:
-                        slot = _below(getrandbits, pool)
-                    append(_push_slot(slot))
-                    append(tail)
-            append(_STOP)
-            txs.append(Transaction(b"".join(parts), self._gas_limit))
-        self.pool_size = pool
-        return Block(height=height, transactions=txs)
+                    slot = _below(getrandbits, pool)
+                append(_push_slot(slot))
+                append(tail)
+        append(_STOP)
+        codes.append(b"".join(parts))
+    return codes, pool
+
+
+_assemble = (_assemble_python if native.module is None
+             else native.module.assemble)

@@ -158,9 +158,12 @@ def test_derived_outputs_match_golden_digests(tmp_path):
     assert digests == DERIVED_GOLDEN
 
 
-def test_simulate_missing_workload_is_exit_2(tmp_path):
-    assert run_cli("simulate", "--workload", str(tmp_path / "no.json"),
+def test_simulate_missing_workload_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "no.json"
+    assert run_cli("simulate", "--workload", str(path),
                    "--blocks", "5", "--out", str(tmp_path / "x")) == 2
+    assert f"error: workload spec not found: {path}" in \
+        capsys.readouterr().err
 
 
 def test_simulate_invalid_workload_is_exit_2(tmp_path):
@@ -478,14 +481,24 @@ def test_non_utf8_file_is_exit_2_naming_the_path(tmp_path, capsys, reader):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("reader", ["schedule", "base"])
+# Readers of a path that may name a directory: the file's name, the CLI
+# arguments and what the message calls the path.
+PATH_READERS = {
+    "schedule": (*FILE_READERS["schedule"], "schedule file"),
+    "base": (*FILE_READERS["base"], "schedule file"),
+    "workload": ("w.json", lambda path, out: [
+        "simulate", "--workload", path, "--blocks", "5", "--out", out],
+        "workload spec"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PATH_READERS))
 def test_directory_as_schedule_is_exit_2(tmp_path, capsys, reader):
-    name, argv = FILE_READERS[reader]
+    name, argv, what = PATH_READERS[reader]
     path = tmp_path / "in" / name
     path.mkdir(parents=True)
     assert run_cli(*argv(str(path), str(tmp_path / "out"))) == 2
-    assert f"error: schedule file not found: {path}" in \
-        capsys.readouterr().err
+    assert f"error: {what} is not a file: {path}" in capsys.readouterr().err
 
 
 def _write(path, text):

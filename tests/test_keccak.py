@@ -5,7 +5,7 @@ domain byte, so hashlib acts as an independent oracle for the Python
 sponge's permutation; the keccak-side digests are pinned to well-known
 constants, and the C build must agree with the Python sponge everywhere.
 The loader tests build `_native.c`, which also holds the RLP encoder
-(tested in test_rlp.py).
+(tested in test_rlp.py) and the block assembler (test_workload.py).
 """
 
 import hashlib
@@ -28,7 +28,7 @@ from gaslab.native import IMPLEMENTATION, _load
 PACKAGE = Path(gaslab.native.__file__).parent
 SOURCE = PACKAGE / "_native.c"
 SRC_ROOT = str(PACKAGE.resolve().parent)
-MODULE_DOC = b"Keccak-256 and RLP encoding in C for gaslab's trie commits."
+MODULE_DOC = b"Keccak-256, RLP encoding and block assembly in C for gaslab."
 
 # Well-known digests: the empty-input hash, the "abc" test vector, and the
 # hashes of the canonical RLP encodings of the empty string / empty list.
@@ -94,7 +94,7 @@ FIXTURE_ROOT_RAW = (
 # were bound, the known digests, and the fixture trie's root.
 _BINDINGS = """
 import json, sys
-from gaslab import keccak, native, rlp
+from gaslab import keccak, native, rlp, workload
 from gaslab.trie import MerklePatriciaTrie
 trie = MerklePatriciaTrie(secure=False)
 for i in range(16):
@@ -104,6 +104,7 @@ print(json.dumps({
     "no_module": native.module is None,
     "python_keccak_256": keccak.keccak_256 is keccak._keccak_256_python,
     "python_encode": rlp.encode is rlp._encode_python,
+    "python_assemble": workload._assemble is workload._assemble_python,
     "digests": [keccak.keccak_256(bytes.fromhex(data)).hex()
                 for data in sys.argv[1:]],
     "root": trie.root_hash().hex()}))
@@ -135,6 +136,7 @@ def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
     assert bound["no_module"]
     assert bound["python_keccak_256"]
     assert bound["python_encode"]
+    assert bound["python_assemble"]
     assert bound["digests"] == [digest for _, digest in KNOWN_VECTORS]
     assert bound["root"] == FIXTURE_ROOT_RAW
     if build.is_dir():   # a failed build leaves no library behind

@@ -1,17 +1,28 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
 
+from gaslab import native, workload
 from gaslab.evm.opcodes import Opcode, push_for
 from gaslab.evm.schedule import default_schedule
 from gaslab.workload import (CODE_LIBRARY, SUPPORTED_FEATURED_OPS,
                              WorkloadError, WorkloadGenerator, WorkloadSpec,
-                             _below, load_workload)
+                             _READ, _TAIL, _WRITE, _assemble_python, _below,
+                             load_workload)
 
 SCHED = default_schedule()
+
+# The Python assembler, and the C one where the native module built
+# (test_keccak.py checks that it builds wherever `cc` runs).
+ASSEMBLERS = [_assemble_python]
+if native.module is not None:
+    ASSEMBLERS.append(native.module.assemble)
+needs_native = pytest.mark.skipif(native.module is None,
+                                  reason="native module not built")
 
 
 def spec_with(**overrides):
@@ -250,19 +261,98 @@ def _random_spec(case):
         initial_keys=rng.choice([0, 1, 7, 256]))
 
 
-@pytest.mark.parametrize("case", range(40))
-def test_generator_matches_reference_assembler(case):
-    spec = _random_spec(case)
+# Beside the 40 random specs: the PUSH4-to-PUSH5 switch at 2**32 slots,
+# pools of 0 and 1, no transactions, programs long enough that the C
+# assembler's buffer must grow, and reads of 64-bit pool draws.
+EDGE_SPECS = {
+    "push5": dict(initial_keys=2 ** 32 - 2, fresh_key_rate=1.0),
+    "no keys": dict(initial_keys=0, fresh_key_rate=0.0),
+    "one key": dict(initial_keys=1, fresh_key_rate=0.0),
+    "no transactions": dict(transactions_per_block=0),
+    "long programs": dict(transactions_per_block=1, program_length=5000,
+                          mix=_uniform_mix()),
+    "pool 2**64-2": dict(initial_keys=2 ** 64 - 2, fresh_key_rate=0.0),
+}
+
+
+@pytest.mark.parametrize("case", [*range(40), *EDGE_SPECS])
+def test_generator_matches_reference_assembler(case, monkeypatch):
+    if case in EDGE_SPECS:
+        spec = spec_with(**EDGE_SPECS[case])
+    else:
+        spec = _random_spec(case)
     if case == 0:
         spec = dataclasses.replace(spec, mix=_uniform_mix(), initial_keys=0,
                                    transactions_per_block=2)
-    generator = WorkloadGenerator(spec, SCHED)
-    reference = ReferenceGenerator(spec)
-    for height in range(60):
-        block = generator.generate_block(height)
-        codes = [tx.code for tx in block.transactions]
-        assert codes == reference.block_codes(height), (spec, height)
-        assert generator.pool_size == reference.pool_size
+    heights = 5 if spec.program_length > 100 else 60
+    for assembler in ASSEMBLERS:
+        monkeypatch.setattr(workload, "_assemble", assembler)
+        generator = WorkloadGenerator(spec, SCHED)
+        reference = ReferenceGenerator(spec)
+        for height in range(heights):
+            block = generator.generate_block(height)
+            codes = [tx.code for tx in block.transactions]
+            assert codes == reference.block_codes(height), \
+                (assembler, spec, height)
+            assert generator.pool_size == reference.pool_size
+
+
+@needs_native
+def test_c_assembler_refuses_a_pool_of_2_64_slots():
+    table = [(0, _WRITE, b"")] * 2
+    assemble = native.module.assemble
+    with pytest.raises(OverflowError, match=r"below 2\*\*64"):
+        assemble(5, table, [1.0], 1, 1, 1.0, 2 ** 64)
+    assert assemble(5, table, [1.0], 1, 1, 1.0, 2 ** 64 - 2)[1] == \
+        2 ** 64 - 1
+    # A fresh write would take the pool from 2**64 - 1 to 2**64.
+    with pytest.raises(OverflowError, match=r"below 2\*\*64"):
+        assemble(5, table, [1.0], 1, 1, 1.0, 2 ** 64 - 1)
+    assert _assemble_python(5, table, [1.0], 1, 1, 1.0, 2 ** 64 - 1)[1] == \
+        2 ** 64
+
+
+def _draws_in_c_and_python(seed, snippets, cumulative, length, pool=0):
+    """One program from each assembler over one crafted snippet table."""
+    args = (seed, snippets, cumulative, 1, length, 0.0, pool)
+    (ours,), _ = native.module.assemble(*args)
+    (theirs,), _ = _assemble_python(*args)
+    return ours, theirs
+
+
+@needs_native
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 32 - 1, 2 ** 32, -2 ** 40,
+                                  2 ** 64, 3 ** 189])
+def test_c_twister_draws_as_random_random(seed):
+    # getrandbits(k) for k = 1..64: a read from a pool of 2**k - 1 slots
+    # draws it, again only after 2**k - 1.
+    reads = [(0, _READ, b"")] * 2
+    for k in range(1, 65):
+        ours, theirs = _draws_in_c_and_python(seed, reads, [1.0], 50,
+                                              2 ** k - 1)
+        assert ours == theirs, k
+
+    # getrandbits(8w) for w = 2..32: one literal operand a snippet.
+    operands = [(1, _TAIL, b"")] * 2
+    ours, theirs = _draws_in_c_and_python(seed, operands, [1.0], 400)
+    assert ours == theirs
+    widths, at = set(), 0
+    while theirs[at] != Opcode.STOP:
+        widths.add(theirs[at] - Opcode.PUSH1 + 1)
+        at += theirs[at] - Opcode.PUSH1 + 2
+    assert widths == set(range(2, 33))
+
+    # random(): bounds at each expected draw and the next float above it,
+    # so a snippet's index names the draw exactly.
+    rng = random.Random(seed)
+    expected = [rng.random() for _ in range(300)]
+    bounds = sorted({*expected, *(math.nextafter(x, 1) for x in expected)})
+    picks = [(0, _TAIL, i.to_bytes(2, "big"))
+             for i in range(len(bounds) + 1)]
+    ours, theirs = _draws_in_c_and_python(seed, picks, bounds, 300)
+    assert ours == theirs
+    assert theirs[:-1] == b"".join(
+        (bounds.index(x) + 1).to_bytes(2, "big") for x in expected)
 
 
 # sha256 of every program's code over 2000 blocks and the final pool size,
@@ -277,14 +367,16 @@ ALL_OPS_GOLDEN = {
 
 
 @pytest.mark.parametrize("initial_keys", sorted(ALL_OPS_GOLDEN))
-def test_all_featured_ops_generate_golden_bytes(initial_keys):
+def test_all_featured_ops_generate_golden_bytes(initial_keys, monkeypatch):
     spec = WorkloadSpec(transactions_per_block=2, program_length=8,
                         mix=_uniform_mix(), fresh_key_rate=0.5, seed=11,
                         initial_keys=initial_keys)
-    generator = WorkloadGenerator(spec, SCHED)
-    digest = hashlib.sha256()
-    for height in range(2000):
-        for tx in generator.generate_block(height).transactions:
-            digest.update(tx.code)
-    assert (digest.hexdigest(), generator.pool_size) == \
-        ALL_OPS_GOLDEN[initial_keys]
+    for assembler in ASSEMBLERS:
+        monkeypatch.setattr(workload, "_assemble", assembler)
+        generator = WorkloadGenerator(spec, SCHED)
+        digest = hashlib.sha256()
+        for height in range(2000):
+            for tx in generator.generate_block(height).transactions:
+                digest.update(tx.code)
+        assert (digest.hexdigest(), generator.pool_size) == \
+            ALL_OPS_GOLDEN[initial_keys], assembler
