@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -27,9 +26,9 @@ from pathlib import Path
 
 from .chain import RECEIPTS_HEADER, read_receipts, run_chain
 from .evm.schedule import GasSchedule, ScheduleError, default_schedule
-from .metrics import (CsvFormatError, atomic_write_text, read_table,
-                      read_windows, write_macro_csv, write_micro_csv,
-                      write_table)
+from .metrics import (COUNTER_MAX, CsvFormatError, atomic_write_text,
+                      json_text, read_table, read_windows, write_macro_csv,
+                      write_micro_csv, write_table)
 from .model.base import (InsufficientDataError, InvalidConstantError,
                          ModelFileError, UndefinedRatioError)
 from .model.classify import DEFAULT_THRESHOLD
@@ -77,6 +76,12 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
+def _require_counter(flag: str, value: int) -> None:
+    """A height, gas or gas price is a counter: 0 to 2^63 - 1."""
+    if not 0 <= value <= COUNTER_MAX:
+        raise InputError(f"{flag} must be in [0, 2^63 - 1], got {value}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -108,8 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "final_keys": report.final_keys,
         "transactions": len(report.receipts),
     }
-    atomic_write_text(out / "run.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out / "run.json", json_text(summary))
     write_manifest(out, "simulate",
                    params={"blocks": args.blocks, "window": args.window,
                            "seed": spec.seed, "clock": args.clock,
@@ -239,8 +243,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_economics(args: argparse.Namespace) -> int:
-    if args.gas_price < 0:
-        raise InputError(f"--gas-price must be >= 0, got {args.gas_price}")
+    _require_counter("--gas-price", args.gas_price)
     if args.micro and not args.macro:
         raise InputError("table mode needs --macro: the window wall times "
                          "come from its Total spans")
@@ -276,8 +279,9 @@ def cmd_economics(args: argparse.Namespace) -> int:
     if args.gas is None or args.hours is None:
         raise InputError("scalar mode needs --gas and --hours "
                          "(or provide --micro and --macro for table mode)")
-    if args.gas < 0 or not 0 <= args.hours < math.inf:
-        raise InputError("--gas and --hours must be finite and >= 0")
+    _require_counter("--gas", args.gas)
+    if not 0 <= args.hours < math.inf:
+        raise InputError("--hours must be finite and >= 0")
     point = price_for(prices, args.window_start)
     econ = fee_economics(args.gas, args.gas_price, point.eth_usd,
                          args.hours, point.infra_usd_per_hour)
@@ -291,8 +295,7 @@ def cmd_economics(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_schedule_materialize(args: argparse.Namespace) -> int:
-    if args.height < 0:
-        raise InputError(f"--height must be >= 0, got {args.height}")
+    _require_counter("--height", args.height)
     models_path = _require_file(args.models, "time models JSON")
     time_models = load_models(models_path)
     gas_model = propose_gas_model(time_models, args.tpg_constant)

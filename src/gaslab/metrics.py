@@ -20,20 +20,22 @@ writes (the interchange boundary for analysis): `read_table` and
 is an exact header line, then rows with the header's field count; blank
 lines and lines starting with '#' are skipped, so fixture files can carry
 their provenance inline. A malformed table raises `CsvFormatError` naming
-`path:line`. Files are written atomically (temp name, then rename).
+`path:line`. It owns the text of every JSON document gaslab writes too:
+`json_text`. Files are written atomically (temp name, then rename).
 
     micro: window_start,opcode,count,total_gas,total_time_ns
     macro: window_start,category,total_time_ns
 
 All times are integer nanoseconds. Every number in these two tables is a
-non-negative counter that fits a signed 64-bit integer. `read_windows`
-reads both tables back into one window list, joined on window_start, so
-analysis sees the windows `SampleSink` archived.
+non-negative counter that fits a signed 64-bit integer (`COUNTER_MAX`).
+`read_windows` reads both tables back into one window list, joined on
+window_start, so analysis sees the windows `SampleSink` archived.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -45,6 +47,7 @@ from .evm.opcodes import NAME_BY_BYTE, from_name
 
 MICRO_HEADER = "window_start,opcode,count,total_gas,total_time_ns"
 MACRO_HEADER = "window_start,category,total_time_ns"
+COUNTER_MAX = 2 ** 63 - 1   # every counter fits a signed 64-bit integer
 
 T = TypeVar("T")
 
@@ -170,6 +173,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def json_text(doc: object) -> str:
+    """The text of every JSON document gaslab writes: keys sorted,
+    two-space indent, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_table(path: str | Path, header: str,
                 rows: Iterable[Iterable[object]]) -> None:
     """Write header and rows atomically; cells print with str(), None as ''."""
@@ -236,14 +245,13 @@ def write_macro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> Non
 
 
 _CATEGORIES = frozenset(c.value for c in MacroCategory)
-_COUNTER_MAX = 2 ** 63 - 1   # every counter fits a signed 64-bit integer
 
 
 def _counter(cell: str) -> int:
     value = int(cell)
     if value < 0:
         raise ValueError("negative counter")
-    if value > _COUNTER_MAX:
+    if value > COUNTER_MAX:
         raise ValueError("counter above 2^63 - 1")
     return value
 
@@ -264,13 +272,22 @@ def read_windows(micro_path: str | Path,
     """Read a micro table, and optionally a macro table, back into windows.
 
     The two tables join on window_start: a start found in only one of them
-    keeps the other part empty. Windows come back sorted by start.
+    keeps the other part empty. Windows come back sorted by start. A
+    second row for one window's opcode or category is a CsvFormatError.
     """
     windows: dict[int, WindowAggregate] = {}
-    for start, op, stat in read_table(micro_path, MICRO_HEADER, _micro_row):
-        windows.setdefault(start, WindowAggregate(start)).instructions[op] = stat
-    macro = (read_table(macro_path, MACRO_HEADER, _macro_row)
-             if macro_path is not None else [])
-    for start, name, total in macro:
-        windows.setdefault(start, WindowAggregate(start)).categories[name] = total
+
+    def into(part: str, parse_row: Callable[[list[str]], tuple]):
+        def parse_and_add(fields: list[str]) -> None:
+            start, name, value = parse_row(fields)
+            cells = getattr(windows.setdefault(start, WindowAggregate(start)),
+                            part)
+            if name in cells:
+                raise ValueError(f"a second row for {name} in window {start}")
+            cells[name] = value
+        return parse_and_add
+
+    read_table(micro_path, MICRO_HEADER, into("instructions", _micro_row))
+    if macro_path is not None:
+        read_table(macro_path, MACRO_HEADER, into("categories", _macro_row))
     return [windows[start] for start in sorted(windows)]

@@ -1,4 +1,7 @@
-"""Block-height dependence classification.
+"""The per-opcode table and block-height dependence classification.
+
+`opcode_table` reads the windows once into each opcode's series, which
+classification, fitting and repricing all read.
 
 An opcode is height-dependent when the Pearson correlation between window
 start height and its mean execution time per window exceeds the threshold
@@ -10,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ..metrics import WindowAggregate
+from ..metrics import InstructionStat, WindowAggregate
 from .base import InsufficientDataError
 
 DEPENDENT = "dependent"
@@ -41,12 +44,37 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+class OpcodeSeries(NamedTuple):
+    """One opcode over a run: the start heights of the windows that ran
+    it, its mean time per execution in each, and its summed stat."""
+
+    heights: list[float]
+    means: list[float]
+    total: InstructionStat
+
+
+def opcode_table(windows: Iterable[WindowAggregate]
+                 ) -> dict[str, OpcodeSeries]:
+    """Every opcode in the windows, in first-seen order, with its series.
+
+    A window where the opcode has a zero count adds to its total only. The
+    order matters: the standard contract sums its frequencies in it.
+    """
+    seen: dict[str, list[tuple[int, InstructionStat]]] = {}
+    for window in windows:
+        for op, stat in window.instructions.items():
+            seen.setdefault(op, []).append((window.start, stat))
+    return {op: OpcodeSeries(
+        [float(start) for start, stat in rows if stat.count],
+        [stat.time_ns / stat.count for _, stat in rows if stat.count],
+        InstructionStat(*map(sum, zip(*(stat for _, stat in rows)))))
+        for op, rows in seen.items()}
+
+
 @dataclass
 class ClassificationResult:
-    threshold: float
     correlations: dict[str, float] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
-    windows_used: dict[str, int] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
 
     def dependent_opcodes(self) -> list[str]:
@@ -54,44 +82,27 @@ class ClassificationResult:
                       if label == DEPENDENT)
 
 
-def mean_time_series(windows: Iterable[WindowAggregate],
-                     opcode: str) -> tuple[list[float], list[float]]:
-    """(window heights, mean time per execution) where count > 0."""
-    heights, means = [], []
-    for window in windows:
-        stat = window.instructions.get(opcode)
-        if stat is None or stat.count == 0:
-            continue
-        heights.append(float(window.start))
-        means.append(stat.time_ns / stat.count)
-    return heights, means
-
-
-def classify_opcode(windows: Sequence[WindowAggregate], opcode: str,
+def classify_opcode(series: OpcodeSeries,
                     threshold: float = DEFAULT_THRESHOLD) -> tuple[float, str]:
     """Correlation and label for one opcode; raises on sparse data."""
-    heights, means = mean_time_series(windows, opcode)
-    if len(heights) < MIN_WINDOWS:
+    if len(series.heights) < MIN_WINDOWS:
         raise InsufficientDataError(
-            f"{opcode}: {len(heights)} usable windows, need {MIN_WINDOWS}")
-    r = pearson_correlation(heights, means)
+            f"{len(series.heights)} usable windows, need {MIN_WINDOWS}")
+    r = pearson_correlation(series.heights, series.means)
     return r, (DEPENDENT if r > threshold else INDEPENDENT)
 
 
-def classify_bh_dependence(windows: Sequence[WindowAggregate],
+def classify_bh_dependence(table: Mapping[str, OpcodeSeries],
                            threshold: float = DEFAULT_THRESHOLD
                            ) -> ClassificationResult:
-    """Classify every opcode observed in the windows."""
-    opcodes = sorted({op for w in windows for op in w.instructions})
-    result = ClassificationResult(threshold=threshold)
-    for op in opcodes:
-        heights, _ = mean_time_series(windows, op)
+    """Classify every opcode of an `opcode_table`."""
+    result = ClassificationResult()
+    for op in sorted(table):
         try:
-            r, label = classify_opcode(windows, op, threshold)
+            r, label = classify_opcode(table[op], threshold)
         except InsufficientDataError as exc:
-            result.skipped[op] = str(exc)
+            result.skipped[op] = f"{op}: {exc}"
             continue
         result.correlations[op] = r
         result.labels[op] = label
-        result.windows_used[op] = len(heights)
     return result

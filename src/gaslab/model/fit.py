@@ -18,14 +18,14 @@ import math
 import random
 from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from ..metrics import WindowAggregate
+from ..metrics import json_text
 from .base import (FitError, InsufficientDataError, ModelFileError,
                    ScalarModel)
-from .classify import DEPENDENT, ClassificationResult, mean_time_series
+from .classify import DEPENDENT, ClassificationResult, OpcodeSeries
 
 MIN_FIT_WINDOWS = 10
 DEFAULT_DEGREES = (1, 2, 3)
@@ -47,13 +47,12 @@ def _split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
     return sorted(indices[:cut]), sorted(indices[cut:])
 
 
-def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
-                   seed: int = 0) -> ScalarModel:
-    """Fit and select a polynomial time model for one opcode."""
-    heights, means = mean_time_series(windows, opcode)
+def fit_time_model(series: OpcodeSeries, seed: int = 0) -> ScalarModel:
+    """Fit and select a polynomial time model for one opcode's series."""
+    heights, means = series.heights, series.means
     if len(heights) < MIN_FIT_WINDOWS:
         raise InsufficientDataError(
-            f"{opcode}: {len(heights)} usable windows, need {MIN_FIT_WINDOWS}")
+            f"{len(heights)} usable windows, need {MIN_FIT_WINDOWS}")
 
     train_idx, val_idx = _split_indices(len(heights), seed)
     xs = np.asarray(heights, dtype=float)
@@ -62,7 +61,7 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
     center = float(xs[train_idx].mean())
     scale = float(xs[train_idx].std())
     if scale == 0:
-        raise FitError(f"{opcode}: all training heights equal")
+        raise FitError("all training heights equal")
     xs_std = (xs - center) / scale
 
     best: tuple[float, int, tuple[float, ...], float] | None = None
@@ -72,9 +71,9 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
         try:
             coeffs_desc = np.polyfit(xs_std[train_idx], ys[train_idx], degree)
         except np.linalg.LinAlgError as exc:
-            raise FitError(f"{opcode}: singular fit: {exc}") from exc
+            raise FitError(f"singular fit: {exc}") from exc
         if not np.all(np.isfinite(coeffs_desc)):
-            raise FitError(f"{opcode}: non-finite coefficients")
+            raise FitError("non-finite coefficients")
         residuals = ys[val_idx] - np.polyval(coeffs_desc, xs_std[val_idx])
         rss = float(np.dot(residuals, residuals))
         # Residuals at float-noise level are an exact fit; forcing them to
@@ -88,7 +87,7 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
                     rss)
     if best is None:
         raise InsufficientDataError(
-            f"{opcode}: no candidate degree is fittable with "
+            f"no candidate degree is fittable with "
             f"{len(train_idx)} training windows")
 
     score, _degree, coefficients, rss = best
@@ -104,12 +103,11 @@ def fit_time_model(windows: Sequence[WindowAggregate], opcode: str,
     )
 
 
-def constant_model(windows: Sequence[WindowAggregate],
-                   opcode: str) -> ScalarModel:
+def constant_model(series: OpcodeSeries) -> ScalarModel:
     """Mean-time constant model (used for height-independent opcodes)."""
-    heights, means = mean_time_series(windows, opcode)
+    heights, means = series.heights, series.means
     if not heights:
-        raise InsufficientDataError(f"{opcode}: no usable windows")
+        raise InsufficientDataError("no usable windows")
     mean = sum(means) / len(means)
     return ScalarModel(
         kind="constant",
@@ -119,23 +117,23 @@ def constant_model(windows: Sequence[WindowAggregate],
     )
 
 
-def build_time_models(windows: Sequence[WindowAggregate],
+def build_time_models(table: Mapping[str, OpcodeSeries],
                       classification: ClassificationResult,
                       seed: int = 0) -> dict[str, ScalarModel]:
-    """Models for every observed opcode.
+    """Models for every opcode of an `opcode_table` that has a usable
+    window.
 
     Dependent opcodes with enough windows get polynomial fits; everything
     else (independent, unclassifiable, or sparse) falls back to a constant.
     """
-    opcodes = sorted({op for w in windows for op in w.instructions})
     models: dict[str, ScalarModel] = {}
-    for op in opcodes:
-        label = classification.labels.get(op)
-        heights, _ = mean_time_series(windows, op)
-        if label == DEPENDENT and len(heights) >= MIN_FIT_WINDOWS:
-            models[op] = fit_time_model(windows, op, seed)
-        elif heights:
-            models[op] = constant_model(windows, op)
+    for op in sorted(table):
+        series = table[op]
+        if (classification.labels.get(op) == DEPENDENT
+                and len(series.heights) >= MIN_FIT_WINDOWS):
+            models[op] = fit_time_model(series, seed)
+        elif series.heights:
+            models[op] = constant_model(series)
     return models
 
 
@@ -144,27 +142,18 @@ def build_time_models(windows: Sequence[WindowAggregate],
 # ---------------------------------------------------------------------------
 
 def models_to_json(models: Mapping[str, ScalarModel]) -> str:
-    doc = {op: asdict(model) for op, model in models.items()}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text({op: asdict(model) for op, model in models.items()})
 
 
 def models_from_json(text: str) -> dict[str, ScalarModel]:
-    """Models from `models_to_json` text. Every number must be finite,
-    except `bic`, which is -inf for an exact fit."""
-    doc = json.loads(text)
+    """Models from `models_to_json` text, each built from its entry's own
+    keys, with lists read as tuples. Every number must be finite, except
+    `bic`, which is -inf for an exact fit."""
     models = {}
-    for op, entry in doc.items():
-        model = models[op] = ScalarModel(
-            kind=entry["kind"],
-            coefficients=tuple(entry["coefficients"]),
-            x_center=entry.get("x_center", 0.0),
-            x_scale=entry.get("x_scale", 1.0),
-            min_observed=entry.get("min_observed"),
-            rss=entry.get("rss"),
-            bic=entry.get("bic"),
-            train_range=(tuple(entry["train_range"])
-                         if entry.get("train_range") else None),
-        )
+    for op, entry in json.loads(text).items():
+        model = models[op] = ScalarModel(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in entry.items()})
         optional = (model.min_observed, model.rss, *(model.train_range or ()))
         numbers = (*model.coefficients, model.x_center, model.x_scale,
                    *(value for value in optional if value is not None))
@@ -174,11 +163,9 @@ def models_from_json(text: str) -> dict[str, ScalarModel]:
 
 
 def load_models(path: str | Path) -> dict[str, ScalarModel]:
-    """Read a `models_to_json` file; one that does not parse is
-    ModelFileError."""
+    """Read a `models_to_json` file; one that does not parse, or a model
+    entry with a missing or unknown key, is ModelFileError."""
     try:
         return models_from_json(Path(path).read_text())
-    except KeyError as exc:
-        raise ModelFileError(f"{path}: a model lacks {exc}") from None
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None

@@ -20,8 +20,8 @@ from typing import Mapping, Optional
 from ..evm.opcodes import from_name
 from ..evm.schedule import (ConstantRule, GasSchedule, ScheduleError,
                              default_schedule, round_gas)
-from ..metrics import WindowAggregate
 from .base import InvalidConstantError, ScalarModel
+from .classify import OpcodeSeries
 
 DEFAULT_TIME_PER_GAS = 5.0  # observed time per unit gas in early blocks
 
@@ -38,36 +38,41 @@ def propose_gas_model(time_models: Mapping[str, ScalarModel],
             for op, model in time_models.items()}
 
 
-def current_gas_model(windows: list[WindowAggregate]) -> dict[str, ScalarModel]:
-    """Constant per-opcode gas from measured means (the schedule in force).
+def current_gas_model(table: Mapping[str, OpcodeSeries]
+                      ) -> dict[str, ScalarModel]:
+    """Constant per-opcode gas from measured means (the schedule in force),
+    over an `opcode_table`'s run totals.
 
     State-dependent rules (SSTORE tiers, memory expansion) show up here as
     their observed average, which is how a constant-cost view of the
     current schedule is obtained from logs.
     """
-    totals: dict[str, list[int]] = {}
-    for window in windows:
-        for op, stat in window.instructions.items():
-            if stat.count == 0:
-                continue
-            entry = totals.setdefault(op, [0, 0])
-            entry[0] += stat.count
-            entry[1] += stat.gas
-    return {op: ScalarModel(kind="constant", coefficients=(gas / count,),
-                            min_observed=gas / count)
-            for op, (count, gas) in totals.items()}
+    means = {op: series.total.gas / series.total.count
+             for op, series in table.items() if series.total.count}
+    return {op: ScalarModel(kind="constant", coefficients=(mean,),
+                            min_observed=mean)
+            for op, mean in means.items()}
+
+
+def integer_gas(name: str, model: ScalarModel, height: int) -> int:
+    """`round_gas` of the model's gas at height (round half up, never
+    below 1); a gas that is not finite raises ScheduleError."""
+    gas = model.evaluate(height)
+    if not math.isfinite(gas):
+        raise ScheduleError(
+            f"{name}: gas at height {height} is not finite ({gas})")
+    return round_gas(gas)
 
 
 def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
                          base: Optional[GasSchedule] = None) -> GasSchedule:
     """Concrete integer schedule at one height.
 
-    Modeled opcodes take `round_gas` of their gas at that height (round
-    half up, never below 1); opcodes absent from the model keep the base
-    schedule's rule (the default schedule if no base is given). SSTORE's
-    tier rule collapses to the modeled scalar. MLOAD, MSTORE and RETURN
-    still charge memory expansion, which belongs to the opcode. A gas that
-    is not finite at `height` raises ScheduleError.
+    Modeled opcodes take their `integer_gas` at that height; opcodes
+    absent from the model keep the base schedule's rule (the default
+    schedule if no base is given). SSTORE's tier rule collapses to the
+    modeled scalar. MLOAD, MSTORE and RETURN still charge memory
+    expansion, which belongs to the opcode.
     """
     if base is None:
         base = default_schedule()
@@ -76,9 +81,5 @@ def materialize_schedule(gas_models: Mapping[str, ScalarModel], height: int,
         op = from_name(name)
         if op is None:
             continue
-        gas = model.evaluate(height)
-        if not math.isfinite(gas):
-            raise ScheduleError(
-                f"{name}: gas at height {height} is not finite ({gas})")
-        rules[op] = ConstantRule(round_gas(gas))
+        rules[op] = ConstantRule(integer_gas(name, model, height))
     return GasSchedule(rules, base.intrinsic_gas)

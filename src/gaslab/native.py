@@ -10,11 +10,10 @@ module: `_native` plus the interpreter's extension suffix, so no other
 Python loads it, and a copy of the source it was built from. Later imports
 load that library, and rebuild it whenever the shipped source differs from
 the copy. Each file is written under a temporary name and moved into
-place, the library first. A build also removes the two files of the
-module's earlier name, `_keccak.c` and `_keccak` plus the suffix; it
-leaves staged files, which another process may be writing, and other
-interpreters' libraries. A load that needs no build opens files only: the
-compile-path modules are imported by `_compile` alone.
+place, the library first. A build leaves staged files, which another
+process may be writing, and other interpreters' libraries alone. A load
+that needs no build opens files only: the compile-path modules are
+imported by `_compile` alone.
 
 If the build cannot happen (no compiler, no `Python.h`, a directory that
 cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp` and
@@ -32,8 +31,7 @@ from importlib.util import module_from_spec, spec_from_file_location
 
 def _compile(code: bytes, build_dir: str, library: str,
              built_from: str) -> None:
-    """Build `code` into `library`, record it as `built_from`, and remove
-    the library and source copy of the module's earlier name.
+    """Build `code` into `library` and record it as `built_from`.
 
     Raises OSError when a file cannot be written or the compiler is
     missing, and ImportError when the compiler rejects the source.
@@ -59,11 +57,6 @@ def _compile(code: bytes, build_dir: str, library: str,
             raise ImportError(proc.stderr)
         os.replace(staged_library, library)
         os.replace(staged_source, built_from)
-        for legacy in ("_keccak.c", "_keccak" + EXTENSION_SUFFIXES[0]):
-            try:
-                os.remove(os.path.join(build_dir, legacy))
-            except FileNotFoundError:
-                pass
     finally:
         for path in (staged_source, staged_library):
             if os.path.exists(path):

@@ -3,19 +3,18 @@
 A bundle is a directory of named tables (CSV/JSON) plus a manifest that
 records the command, its parameters, and SHA-256 hashes of every input and
 output. Identical inputs and seeds produce byte-identical bundles, so the
-manifest carries no timestamps. Files are written with
-`metrics.atomic_write_text`: a temp name in the target directory, renamed
-into place.
+manifest carries no timestamps. The manifest is `metrics.json_text`,
+written with `metrics.atomic_write_text`: a temp name in the target
+directory, renamed into place.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Mapping
 
-from ..metrics import atomic_write_text
+from ..metrics import atomic_write_text, json_text
 
 
 def sha256_of(path: str | Path) -> str:
@@ -41,5 +40,5 @@ def write_manifest(out_dir: str | Path, command: str,
                     for name in sorted(outputs)},
     }
     path = out_dir / "manifest.json"
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(manifest))
     return path

@@ -107,7 +107,8 @@ def economics_table(windows: Sequence[WindowAggregate],
     """Per-window fee vs infrastructure cost rows (the Fig-1 style table),
     each in ECONOMICS_HEADER order, for every window with instruction
     samples; the wall time is the window's own Total span, and a window
-    without infrastructure cost has a NaN ratio. A window's gas is its
+    without infrastructure cost has an undefined ratio, None, which
+    `write_table` writes as an empty cell. A window's gas is its
     instruction gas, or, given `gas_paid` (window start -> gas used, see
     `gas_paid_by_window`), the gas its transactions paid, intrinsic gas
     included.
@@ -124,5 +125,5 @@ def economics_table(windows: Sequence[WindowAggregate],
             window.categories.get("Total", 0) / NS_PER_HOUR,
             point.infra_usd_per_hour)
         rows.append((window.start, gas, fee_usd, infra_usd,
-                     fee_usd / infra_usd if infra_usd else float("nan")))
+                     fee_usd / infra_usd if infra_usd else None))
     return rows

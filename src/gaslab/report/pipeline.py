@@ -1,14 +1,16 @@
 """End-to-end log analysis: from instrumentation CSVs to the `analyze`
 bundle.
 
-Steps: classify height dependence per opcode, fit time models (BIC-selected
-polynomials for dependent opcodes, means for the rest), estimate the
-standard contract, derive the current-schedule gas view and the repriced
-gas model, then evaluate the time-per-gas and gas curves once per window.
-All of these run over the windows that carry instruction samples. Macro is
-validated against micro timings (relative difference plus chi-square
-normality) over every window with an EVM span, so a window found only in
-the macro table still counts there.
+Steps: read the windows that carry instruction samples once into the
+per-opcode table (`opcode_table`), classify height dependence per opcode,
+fit time models (BIC-selected polynomials for dependent opcodes, means for
+the rest), estimate the standard contract, derive the current-schedule gas
+view and the repriced gas model, then evaluate the time-per-gas and gas
+curves once per window. The classification, fits, current gas, contract
+counts and time-share ranking all read that table. Macro is validated
+against micro timings (relative difference plus chi-square normality) over
+every window with an EVM span, so a window found only in the macro table
+still counts there.
 
 Every output is built here: `AnalysisResult.tables` maps each CSV's file
 name to its header and rows, and `AnalysisResult.documents` maps each JSON
@@ -18,22 +20,20 @@ time per gas are read from the curve rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from scipy import stats
 
-from ..evm.schedule import round_gas
-from ..metrics import WindowAggregate
+from ..metrics import WindowAggregate, json_text
 from ..model.base import InsufficientDataError, ScalarModel
 from ..model.classify import (DEFAULT_THRESHOLD, ClassificationResult,
-                              classify_bh_dependence)
+                              classify_bh_dependence, opcode_table)
 from ..model.contract import (StandardContract, avg_prog_gas, avg_prog_tpg,
                               dependent_time_share)
 from ..model.fit import build_time_models, models_to_json
 from ..model.reprice import (DEFAULT_TIME_PER_GAS, current_gas_model,
-                             propose_gas_model)
+                             integer_gas, propose_gas_model)
 from ..model.validate import chi_square_normality, macro_micro_differences
 
 EXTRAPOLATION_FACTOR = 1.25
@@ -62,10 +62,6 @@ class AnalysisResult:
     documents: dict[str, str]                    # name -> JSON text
 
 
-def _json_text(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def analyze_windows(windows: Sequence[WindowAggregate],
                     threshold: float = DEFAULT_THRESHOLD,
                     target_tpg: float = DEFAULT_TIME_PER_GAS,
@@ -77,32 +73,37 @@ def analyze_windows(windows: Sequence[WindowAggregate],
     if not micro:
         raise InsufficientDataError("no micro windows to analyze")
 
-    classification = classify_bh_dependence(micro, threshold=threshold)
-    time_models = build_time_models(micro, classification, seed=split_seed)
-    current = current_gas_model(micro)
+    table = opcode_table(micro)
+    classification = classify_bh_dependence(table, threshold=threshold)
+    time_models = build_time_models(table, classification, seed=split_seed)
+    current = current_gas_model(table)
     proposed = propose_gas_model(time_models, target_tpg)
-
-    counts: dict[str, int] = {}
-    for w in micro:
-        for op, stat in w.instructions.items():
-            counts[op] = counts.get(op, 0) + stat.count
     contract = StandardContract.from_counts(
-        contract_length if contract_length is not None else 1.0, counts)
+        contract_length if contract_length is not None else 1.0,
+        {op: series.total.count for op, series in table.items()})
 
-    tpg_rows, gas_rows = [], []
+    # Fig-8-style execution time shares for the heaviest opcodes of the run.
+    top_ops = sorted(table, key=lambda op: (-table[op].total.time_ns, op)
+                     )[:TOP_TIME_SHARE]
+    tpg_rows, gas_rows, share_rows = [], [], []
     for w in micro:
         n = w.start
         gas = w.instruction_gas_total()
+        window_time = w.instruction_time_total()
         # The materialized schedule's integer gas, as constant models.
-        integer = {op: ScalarModel("constant", (round_gas(model.evaluate(n)),))
+        integer = {op: ScalarModel("constant", (integer_gas(op, model, n),))
                    for op, model in proposed.items()}
         tpg_rows.append((
-            n, w.instruction_time_total() / gas if gas > 0 else None,
+            n, window_time / gas if gas > 0 else None,
             avg_prog_tpg(n, time_models, current, contract),
             avg_prog_tpg(n, time_models, proposed, contract),
             avg_prog_tpg(n, time_models, integer, contract)))
         gas_rows.append((n, avg_prog_gas(n, current, contract),
                          avg_prog_gas(n, proposed, contract)))
+        if window_time:
+            share_rows += [(n, op, w.instructions[op].time_ns / window_time
+                            if op in w.instructions else 0.0)
+                           for op in top_ops]
 
     # Fig-9-style dependent share, extended past the training range.
     heights = [w.start for w in micro]
@@ -118,22 +119,6 @@ def analyze_windows(windows: Sequence[WindowAggregate],
                 dep_rows.append((n, dependent_time_share(
                     n, time_models, dependent, contract), 1))
                 n += step
-
-    # Fig-8-style execution time shares for the heaviest opcodes.
-    totals: dict[str, int] = {}
-    for w in micro:
-        for op, stat in w.instructions.items():
-            totals[op] = totals.get(op, 0) + stat.time_ns
-    top_ops = sorted(totals, key=lambda op: (-totals[op], op))[:TOP_TIME_SHARE]
-    share_rows = []
-    for w in micro:
-        window_total = w.instruction_time_total()
-        if window_total == 0:
-            continue
-        for op in top_ops:
-            stat = w.instructions.get(op)
-            share_rows.append((w.start, op,
-                               (stat.time_ns / window_total) if stat else 0.0))
 
     # Macro/micro agreement.
     diffs = macro_micro_differences(windows)
@@ -170,8 +155,8 @@ def analyze_windows(windows: Sequence[WindowAggregate],
 
     tables = {name: (header, rows) for (name, header), rows in (
         (CLASSIFICATION_TABLE, [
-            (op, classification.windows_used[op],
-             classification.correlations[op], classification.labels[op])
+            (op, len(table[op].heights), classification.correlations[op],
+             classification.labels[op])
             for op in sorted(classification.labels)]),
         (DEP_SHARE_TABLE, dep_rows),
         (GAS_CURVES_TABLE, gas_rows),
@@ -182,8 +167,8 @@ def analyze_windows(windows: Sequence[WindowAggregate],
     documents = {
         "time_models.json": models_to_json(time_models),
         "proposed_gas_models.json": models_to_json(proposed),
-        "chi_square.json": _json_text(chi_doc),
-        "standard_contract.json": _json_text(asdict(contract)),
-        "summary.json": _json_text(summary),
+        "chi_square.json": json_text(chi_doc),
+        "standard_contract.json": json_text(asdict(contract)),
+        "summary.json": json_text(summary),
     }
     return AnalysisResult(classification, tables, documents)

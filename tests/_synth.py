@@ -1,10 +1,11 @@
-"""Shared test helpers: synthetic windows for fitting tests, and one
-transaction's samples read back through a sink."""
+"""Shared test helpers: synthetic windows and series for fitting tests,
+and one transaction's samples read back through a sink."""
 
 import random
 
 from gaslab.evm.machine import execute_transaction
 from gaslab.metrics import InstructionStat, SampleSink, WindowAggregate
+from gaslab.model.classify import opcode_table
 
 
 def synth_windows(coeffs, n_windows, step, sigma, seed, opcode="OP",
@@ -21,6 +22,11 @@ def synth_windows(coeffs, n_windows, step, sigma, seed, opcode="OP",
             {opcode: InstructionStat(count, count * 3,
                                      int(round(mean * count)))}, {}))
     return windows
+
+
+def synth_series(*args, opcode="OP", **kwargs):
+    """`synth_windows`' opcode as one `opcode_table` series."""
+    return opcode_table(synth_windows(*args, opcode=opcode, **kwargs))[opcode]
 
 
 def transaction_samples(code, trie, gas_limit, height, schedule, **kwargs):

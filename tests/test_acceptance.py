@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from _synth import sample_gas_total, synth_windows, transaction_samples
+from _synth import sample_gas_total, synth_series, transaction_samples
 from scipy import stats
 
 from gaslab.chain import run_chain
@@ -26,7 +26,8 @@ from gaslab.evm.machine import execute_transaction
 from gaslab.evm.schedule import default_schedule, round_gas
 from gaslab.metrics import read_windows
 from gaslab.model.base import ScalarModel
-from gaslab.model.classify import classify_bh_dependence, classify_opcode
+from gaslab.model.classify import (classify_bh_dependence, classify_opcode,
+                                   opcode_table)
 from gaslab.model.contract import StandardContract, avg_prog_tpg
 from gaslab.model.fit import fit_time_model
 from gaslab.model.reprice import propose_gas_model
@@ -257,9 +258,10 @@ def phenomenon_run():
 
 def test_criterion_3_phenomenon_reproduction(phenomenon_run):
     report, elapsed = phenomenon_run
-    r_sload, label_sload = classify_opcode(report.windows, "SLOAD")
-    r_add, _ = classify_opcode(report.windows, "ADD")
-    r_push, _ = classify_opcode(report.windows, "PUSH1")
+    table = opcode_table(report.windows)
+    r_sload, label_sload = classify_opcode(table["SLOAD"])
+    r_add, _ = classify_opcode(table["ADD"])
+    r_push, _ = classify_opcode(table["PUSH1"])
 
     ok = (r_sload > 0.7 and label_sload == "dependent"
           and abs(r_add) < 0.3 and abs(r_push) < 0.3)
@@ -325,7 +327,7 @@ def test_criterion_8_macro_micro_consistency(phenomenon_run):
 def test_criterion_4_classification_fixture():
     started = time.perf_counter()
     windows = read_windows(DATA / "fixtures" / "table3_micro.csv")
-    result = classify_bh_dependence(windows, threshold=0.7)
+    result = classify_bh_dependence(opcode_table(windows), threshold=0.7)
     expected = {"SLOAD": "dependent", "SSTORE": "dependent",
                 "PUSH1": "independent", "MSTORE": "independent"}
     ok = result.labels == expected
@@ -344,9 +346,9 @@ def test_criterion_5_bic_monte_carlo():
     quadratic = (6000.0, 2e-3, 1.2e-9)
     selected = 0
     for trial in range(100):
-        windows = synth_windows(quadratic, 40, 100_000, sigma=800.0,
-                                seed=5000 + trial)
-        model = fit_time_model(windows, "OP", seed=trial)
+        series = synth_series(quadratic, 40, 100_000, sigma=800.0,
+                              seed=5000 + trial)
+        model = fit_time_model(series, seed=trial)
         selected += model.degree == 2
     elapsed = time.perf_counter() - started
     ok = selected >= 90

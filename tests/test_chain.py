@@ -8,7 +8,7 @@ import pytest
 from gaslab.chain import Chain, VerificationError, run_chain, verify_block
 from gaslab.clock import WallClock, Work
 from gaslab.evm.schedule import default_schedule
-from gaslab.model.classify import classify_opcode
+from gaslab.model.classify import classify_opcode, opcode_table
 from gaslab.workload import Block, Transaction, WorkloadSpec, load_workload
 
 SCHED = default_schedule()
@@ -107,7 +107,7 @@ def test_pure_add_workload_is_flat_under_virtual_clock():
                         mix={"ADD": 1.0}, fresh_key_rate=0.0, seed=3,
                         initial_keys=4)
     report = virtual_run(spec, 60, 10)
-    r, label = classify_opcode(report.windows, "ADD")
+    r, label = classify_opcode(opcode_table(report.windows)["ADD"])
     assert label == "independent"
     assert abs(r) < 1e-9  # constant virtual cost: zero variance
 
@@ -117,7 +117,7 @@ def test_sload_slowdown_reproduces_under_virtual_clock():
                         mix={"SLOAD": 0.5, "SSTORE": 0.3, "PUSH1": 0.2},
                         fresh_key_rate=0.8, seed=5, initial_keys=16)
     report = virtual_run(spec, 400, 40)
-    r, label = classify_opcode(report.windows, "SLOAD")
+    r, label = classify_opcode(opcode_table(report.windows)["SLOAD"])
     assert label == "dependent"
     assert r > 0.7
 

@@ -661,6 +661,34 @@ BAD_INPUTS = {
         "economics", "--prices", PRICES, "--gas", "1", "--hours", "1",
         "--receipts", _write(tmp_path / "receipts.csv", RECEIPTS_HEADER
                              + "\n0,0,success,21003,30000,1\n")],
+    "analyze-tpg-underflows": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--tpg-constant", "1e-320",
+        "--out", str(tmp_path / "a")],
+    "height-overlong": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "polynomial", "coefficients": [1, 2]}}',
+        height=str(10 ** 400)),
+    "gas-overlong": lambda tmp_path: ["economics", "--prices", PRICES,
+                                      "--gas", str(10 ** 400), "--hours", "1"],
+    "gas-price-overlong-scalar": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--gas-price", str(10 ** 400),
+        "--gas", "1", "--hours", "1"],
+    "gas-price-overlong-table": lambda tmp_path: [
+        "economics", "--prices", PRICES, "--gas-price", str(10 ** 400),
+        "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,Total,5\n"),
+        "--out", str(tmp_path / "eco")],
+    "models-unknown-key": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "constant", "coefficients": [1.0], '
+        '"slope": 2.0}}'),
+    "micro-repeated-row": lambda tmp_path: [
+        "analyze", "--micro", _write(
+            tmp_path / "micro.csv", MICRO_HEADER + "\n0,ADD,1,3,9\n"
+            "0,ADD,1,1,1\n50,ADD,1,3,9\n100,ADD,1,3,9\n"),
+        "--out", str(tmp_path / "a")],
+    "macro-repeated-row": lambda tmp_path: [
+        "analyze", "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,EVM,5\n0,EVM,6\n"),
+        "--out", str(tmp_path / "a")],
     "prices-nan-table": lambda tmp_path: [
         "economics", "--prices", _write(
             tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,nan\n"),
@@ -683,6 +711,29 @@ def test_bad_input_is_exit_2_without_traceback(tmp_path, capsys, case):
 def test_bad_receipt_row_names_its_line(tmp_path, capsys, case):
     assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
     assert f"error: {tmp_path / 'receipts.csv'}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["micro-repeated-row",
+                                  "macro-repeated-row"])
+def test_repeated_table_row_names_its_line(tmp_path, capsys, case):
+    assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
+    table = case.split("-")[0] + ".csv"
+    assert f"error: {tmp_path / table}:3: a second row for " in \
+        capsys.readouterr().err
+
+
+def test_zero_infra_cost_is_an_empty_ratio_that_plots(tmp_path):
+    sim = simulate(tmp_path / "sim", blocks=200, window=50)
+    out = tmp_path / "eco"
+    assert run_cli("economics", "--prices", _write(
+        tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,0.0\n"),
+        "--micro", str(sim / "micro.csv"), "--macro", str(sim / "macro.csv"),
+        "--out", str(out)) == 0
+    rows = (out / "economics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",0.0,") for row in rows)
+    assert run_cli("plot", "--bundle", str(out),
+                   "--figure", "fee-vs-infra") == 0
 
 
 def test_economics_receipts_price_intrinsic_gas(tmp_path):

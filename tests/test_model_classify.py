@@ -13,7 +13,8 @@ from hypothesis import assume, given, strategies as st
 
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model.base import InsufficientDataError
-from gaslab.model.classify import (classify_bh_dependence, classify_opcode,
+from gaslab.model.classify import (OpcodeSeries, classify_bh_dependence,
+                                   classify_opcode, opcode_table,
                                    pearson_correlation)
 
 # Published mean execution times (ns) per million-block window, 0..8M.
@@ -54,7 +55,7 @@ def windows_from_series(series: dict[str, list[float]], count=10):
 
 def test_published_series_correlations_match_hand_oracle():
     windows = windows_from_series(PUBLISHED_SERIES)
-    result = classify_bh_dependence(windows)
+    result = classify_bh_dependence(opcode_table(windows))
     for op, expected_r in FROZEN_CORRELATIONS.items():
         assert result.correlations[op] == pytest.approx(expected_r, abs=1e-6)
         assert result.labels[op] == EXPECTED_LABELS[op]
@@ -63,14 +64,14 @@ def test_published_series_correlations_match_hand_oracle():
 
 def test_strictly_increasing_series_is_dependent_with_r_one():
     windows = windows_from_series({"OP": [10, 20, 30, 40, 50]})
-    r, label = classify_opcode(windows, "OP")
+    r, label = classify_opcode(opcode_table(windows)["OP"])
     assert r == pytest.approx(1.0)
     assert label == "dependent"
 
 
 def test_constant_series_defines_r_zero_independent():
     windows = windows_from_series({"OP": [42, 42, 42, 42]})
-    r, label = classify_opcode(windows, "OP")
+    r, label = classify_opcode(opcode_table(windows)["OP"])
     assert r == 0.0
     assert label == "independent"
 
@@ -78,17 +79,17 @@ def test_constant_series_defines_r_zero_independent():
 def test_fewer_than_three_windows_is_insufficient():
     windows = windows_from_series({"OP": [1, 2]})
     with pytest.raises(InsufficientDataError):
-        classify_opcode(windows, "OP")
-    result = classify_bh_dependence(windows)
+        classify_opcode(opcode_table(windows)["OP"])
+    result = classify_bh_dependence(opcode_table(windows))
     assert "OP" in result.skipped
     assert "OP" not in result.labels
 
 
 def test_threshold_monotonicity():
-    windows = windows_from_series(PUBLISHED_SERIES)
+    table = opcode_table(windows_from_series(PUBLISHED_SERIES))
     for low, high in [(0.5, 0.7), (0.7, 0.95), (0.9, 0.97)]:
-        low_result = classify_bh_dependence(windows, threshold=low)
-        high_result = classify_bh_dependence(windows, threshold=high)
+        low_result = classify_bh_dependence(table, threshold=low)
+        high_result = classify_bh_dependence(table, threshold=high)
         for op, label in high_result.labels.items():
             if label == "dependent":
                 assert low_result.labels[op] == "dependent"
@@ -97,8 +98,24 @@ def test_threshold_monotonicity():
 def test_windows_with_zero_count_are_excluded():
     windows = windows_from_series({"OP": [10, 20, 30, 40]})
     gap = WindowAggregate(9_000_000, {"OP": InstructionStat(0, 0, 0)}, {})
-    r, label = classify_opcode(windows + [gap], "OP")
+    r, label = classify_opcode(opcode_table(windows + [gap])["OP"])
     assert r == pytest.approx(1.0)
+
+
+def test_opcode_table_keeps_first_seen_order_and_run_totals():
+    windows = [
+        WindowAggregate(0, {"SLOAD": InstructionStat(2, 400, 90)}, {}),
+        WindowAggregate(10, {"ADD": InstructionStat(0, 0, 0),
+                             "SLOAD": InstructionStat(1, 200, 30)}, {}),
+        WindowAggregate(20, {"ADD": InstructionStat(4, 12, 8)}, {}),
+    ]
+    table = opcode_table(windows)
+    assert list(table) == ["SLOAD", "ADD"]
+    assert table["SLOAD"] == OpcodeSeries(
+        [0.0, 10.0], [45.0, 30.0], InstructionStat(3, 600, 120))
+    # a zero-count window adds to the total only
+    assert table["ADD"] == OpcodeSeries([20.0], [2.0],
+                                        InstructionStat(4, 12, 8))
 
 
 @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),

@@ -9,18 +9,18 @@ import math
 
 import pytest
 
-from _synth import synth_windows
+from _synth import synth_series, synth_windows
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model.base import FitError, InsufficientDataError, ScalarModel
-from gaslab.model.classify import classify_bh_dependence
+from gaslab.model.classify import classify_bh_dependence, opcode_table
 from gaslab.model.fit import (bic_score, build_time_models, constant_model,
                               fit_time_model, models_from_json,
                               models_to_json)
 
 
 def test_noiseless_linear_selects_degree_one_with_zero_rss():
-    windows = synth_windows((100.0, 5e-4), 40, 100_000, sigma=0.0, seed=1)
-    model = fit_time_model(windows, "OP", seed=0)
+    series = synth_series((100.0, 5e-4), 40, 100_000, sigma=0.0, seed=1)
+    model = fit_time_model(series, seed=0)
     assert model.degree == 1
     assert model.rss == pytest.approx(0.0, abs=1e-12)
     assert model.bic == float("-inf")
@@ -33,9 +33,9 @@ def test_quadratic_with_noise_selected_in_at_least_90_of_100_trials():
     quadratic = (6000.0, 2e-3, 1.2e-9)
     selected = 0
     for trial in range(100):
-        windows = synth_windows(quadratic, 40, 100_000, sigma=800.0,
-                                seed=5000 + trial)
-        model = fit_time_model(windows, "OP", seed=trial)
+        series = synth_series(quadratic, 40, 100_000, sigma=800.0,
+                              seed=5000 + trial)
+        model = fit_time_model(series, seed=trial)
         selected += model.degree == 2
     assert selected >= 90
 
@@ -50,23 +50,23 @@ def test_published_shape_precedent_on_synthetic_fixtures():
         "CALLCODE": ((9000.0, 6e-3), 1),
     }
     for opcode, (coeffs, expected_degree) in shapes.items():
-        windows = synth_windows(coeffs, 40, 200_000, sigma=100.0, seed=7,
-                                opcode=opcode)
-        model = fit_time_model(windows, opcode, seed=0)
+        series = synth_series(coeffs, 40, 200_000, sigma=100.0, seed=7,
+                              opcode=opcode)
+        model = fit_time_model(series, seed=0)
         assert model.degree == expected_degree, opcode
 
 
 def test_fit_requires_ten_windows():
-    windows = synth_windows((10.0, 1e-3), 9, 1000, 0.0, 1)
+    series = synth_series((10.0, 1e-3), 9, 1000, 0.0, 1)
     with pytest.raises(InsufficientDataError):
-        fit_time_model(windows, "OP")
+        fit_time_model(series)
 
 
 def test_fit_rejects_degenerate_heights():
     stat = InstructionStat(10, 30, 1000)
     windows = [WindowAggregate(500, {"OP": stat}, {}) for _ in range(12)]
     with pytest.raises(FitError):
-        fit_time_model(windows, "OP")
+        fit_time_model(opcode_table(windows)["OP"])
 
 
 def test_bic_score_form():
@@ -79,8 +79,7 @@ def test_bic_score_form():
 
 
 def test_constant_model_is_window_mean():
-    windows = synth_windows((50.0,), 12, 1000, 0.0, 1)
-    model = constant_model(windows, "OP")
+    model = constant_model(synth_series((50.0,), 12, 1000, 0.0, 1))
     assert model.kind == "constant"
     assert model.evaluate(0) == pytest.approx(50.0)
     assert model.evaluate(10 ** 9) == pytest.approx(50.0)
@@ -93,17 +92,17 @@ def test_build_time_models_mixes_kinds():
     windows = [WindowAggregate(d.start,
                                {**d.instructions, **f.instructions}, {})
                for d, f in zip(dependent, flat)]
-    classification = classify_bh_dependence(windows)
-    models = build_time_models(windows, classification)
+    table = opcode_table(windows)
+    models = build_time_models(table, classify_bh_dependence(table))
     assert models["SLOAD"].kind == "polynomial"
     assert models["PUSH1"].kind == "constant"
 
 
 def test_sparse_dependent_opcode_falls_back_to_constant():
-    windows = synth_windows((10.0, 1e-3), 5, 1000, 0.0, 1)
-    classification = classify_bh_dependence(windows)
+    table = opcode_table(synth_windows((10.0, 1e-3), 5, 1000, 0.0, 1))
+    classification = classify_bh_dependence(table)
     assert classification.labels["OP"] == "dependent"
-    models = build_time_models(windows, classification)
+    models = build_time_models(table, classification)
     assert models["OP"].kind == "constant"
 
 
@@ -126,8 +125,8 @@ def test_extrapolation_examples():
 
 
 def test_scaled_polynomial_evaluates_in_raw_heights():
-    windows = synth_windows((1000.0, 2e-3), 30, 250_000, 0.0, 3)
-    model = fit_time_model(windows, "OP", seed=1)
+    series = synth_series((1000.0, 2e-3), 30, 250_000, 0.0, 3)
+    model = fit_time_model(series, seed=1)
     assert model.x_scale != 1.0  # fitted in standardized space
     for height in (0, 1_000_000, 7_250_000):
         assert model.evaluate(height) == pytest.approx(
@@ -135,10 +134,11 @@ def test_scaled_polynomial_evaluates_in_raw_heights():
 
 
 def test_models_json_round_trip():
-    windows = synth_windows((6000.0, 2e-3, 1.2e-9), 40, 100_000, 800.0, 42)
+    series = synth_series((6000.0, 2e-3, 1.2e-9), 40, 100_000, 800.0, 42)
     models = {
-        "SLOAD": fit_time_model(windows, "OP", seed=1),
+        "SLOAD": fit_time_model(series, seed=1),
         "PUSH1": ScalarModel("constant", (85.4,), min_observed=78.2),
     }
     restored = models_from_json(models_to_json(models))
     assert restored == models
+

@@ -12,6 +12,7 @@ from gaslab.evm.schedule import ConstantRule, default_schedule, round_gas
 from gaslab.trie import MerklePatriciaTrie
 from gaslab.metrics import InstructionStat, WindowAggregate
 from gaslab.model.base import InvalidConstantError, ScalarModel
+from gaslab.model.classify import opcode_table
 from gaslab.model.contract import StandardContract, avg_prog_tpg
 from gaslab.model.reprice import (current_gas_model, materialize_schedule,
                                   propose_gas_model)
@@ -170,5 +171,5 @@ def test_current_gas_model_uses_measured_means():
         WindowAggregate(0, {"SSTORE": InstructionStat(2, 25_000, 100)}, {}),
         WindowAggregate(1, {"SSTORE": InstructionStat(2, 10_000, 100)}, {}),
     ]
-    models = current_gas_model(windows)
+    models = current_gas_model(opcode_table(windows))
     assert models["SSTORE"].evaluate(0) == pytest.approx(35_000 / 4)
