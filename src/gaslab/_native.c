@@ -1,4 +1,4 @@
-/* gaslab's byte work in C: a CPython extension module with three functions.
+/* gaslab's byte work in C: a CPython extension module with four functions.
  *
  *   keccak_256(data) -> 32-byte digest, with the original Keccak padding
  *       (domain byte 0x01), as Ethereum uses it. Lanes are read and written
@@ -10,10 +10,15 @@
  *            fresh_key_rate, pool) -> (codes, pool): one block's programs,
  *       drawn from a Mersenne Twister seeded and read exactly as CPython's
  *       random.Random; gaslab.workload._assemble_python is the reference.
+ *   interpret(operations, halt, statuses, machine) -> None: the
+ *       interpreter's dispatch loop, which runs a Machine until it halts,
+ *       calling its Python handlers for every effect but PUSH1-32;
+ *       gaslab.evm.machine._loop_python is the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
- * gaslab.keccak, gaslab.rlp and gaslab.workload keep their pure-Python
- * functions, and the two implementations must agree on every input.
+ * gaslab.keccak, gaslab.rlp, gaslab.workload and gaslab.evm.machine keep
+ * their pure-Python functions, and the two implementations must agree on
+ * every input.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -659,6 +664,340 @@ fail:
     return NULL;
 }
 
+/* The interpreter's dispatch loop (gaslab.evm.machine). interpret() does,
+ * step for step, what gaslab.evm.machine._loop_python does, and calls the
+ * same Python handlers for every effect but PUSH1-32: it reads the clock
+ * at the same two points of each instruction, and it puts pc and gas on
+ * the machine before each handler and each _dynamic_cost call. Gas and
+ * costs stay Python objects: a polynomial rule can cost math.inf, and a
+ * schedule constant can exceed 64 bits. */
+
+static PyObject *str_pc, *str_gas, *str_status, *str_code, *str_stack,
+    *str_schedule, *str_by_byte, *str_work, *str_instructions, *str_clock,
+    *str_now_ns, *str_sink, *str_counts, *str_times, *str_dynamic_cost,
+    *str_run, *one;
+
+static int intern_names(void)
+{
+    struct { PyObject **name; const char *text; } names[] = {
+        {&str_pc, "pc"}, {&str_gas, "gas"}, {&str_status, "status"},
+        {&str_code, "code"}, {&str_stack, "stack"},
+        {&str_schedule, "schedule"}, {&str_by_byte, "by_byte"},
+        {&str_work, "work"}, {&str_instructions, "instructions"},
+        {&str_clock, "clock"}, {&str_now_ns, "now_ns"},
+        {&str_sink, "sink"}, {&str_counts, "counts"},
+        {&str_times, "times"}, {&str_dynamic_cost, "_dynamic_cost"},
+        {&str_run, "run"},
+    };
+    for (size_t i = 0; i < sizeof names / sizeof names[0]; i++)
+        if ((*names[i].name = PyUnicode_InternFromString(names[i].text))
+                == NULL)
+            return -1;
+    one = PyLong_FromLong(1);
+    return one == NULL ? -1 : 0;
+}
+
+/* The big-endian immediate of `width` bytes at code[at:], zero-padded
+ * where the end of the code cuts it off. */
+static PyObject *push_value(const unsigned char *code, Py_ssize_t end,
+                            Py_ssize_t at, Py_ssize_t width)
+{
+    if (width <= 8) {
+        uint64_t value = 0;
+        for (Py_ssize_t i = at; i < at + width; i++)
+            value = value << 8 | (i < end ? code[i] : 0);
+        return PyLong_FromUnsignedLongLong(value);
+    }
+    static const char DIGITS[] = "0123456789abcdef";
+    char hex[2 * 32 + 1];
+    for (Py_ssize_t i = 0; i < width; i++) {
+        unsigned byte = at + i < end ? code[at + i] : 0;
+        hex[2 * i] = DIGITS[byte >> 4];
+        hex[2 * i + 1] = DIGITS[byte & 15];
+    }
+    hex[2 * width] = '\0';
+    return PyLong_FromString(hex, NULL, 16);
+}
+
+/* list[i] += amount */
+static int add_into(PyObject *list, Py_ssize_t i, PyObject *amount)
+{
+    PyObject *total = PyList_GetItem(list, i);
+    if (total == NULL || (total = PyNumber_Add(total, amount)) == NULL)
+        return -1;
+    return PyList_SetItem(list, i, total);
+}
+
+/* obj.name += 1 */
+static int increment(PyObject *obj, PyObject *name)
+{
+    PyObject *count = PyObject_GetAttr(obj, name);
+    if (count == NULL)
+        return -1;
+    Py_SETREF(count, PyNumber_Add(count, one));
+    if (count == NULL)
+        return -1;
+    int result = PyObject_SetAttr(obj, name, count);
+    Py_DECREF(count);
+    return result;
+}
+
+/* machine.pc = pc */
+static int set_pc(PyObject *machine, Py_ssize_t pc)
+{
+    PyObject *value = PyLong_FromSsize_t(pc);
+    if (value == NULL)
+        return -1;
+    int result = PyObject_SetAttr(machine, str_pc, value);
+    Py_DECREF(value);
+    return result;
+}
+
+/* *pc = machine.pc */
+static int get_pc(PyObject *machine, Py_ssize_t *pc)
+{
+    PyObject *value = PyObject_GetAttr(machine, str_pc);
+    if (value == NULL)
+        return -1;
+    *pc = PyLong_AsSsize_t(value);
+    Py_DECREF(value);
+    if (*pc == -1 && PyErr_Occurred())
+        return -1;
+    if (*pc < 0) {
+        PyErr_SetString(PyExc_ValueError, "pc is negative");
+        return -1;
+    }
+    return 0;
+}
+
+/* obj.name, which must be a list */
+static PyObject *get_list(PyObject *obj, PyObject *name)
+{
+    PyObject *list = PyObject_GetAttr(obj, name);
+    if (list != NULL && !PyList_Check(list)) {
+        PyErr_Format(PyExc_TypeError, "%U is not a list", name);
+        Py_CLEAR(list);
+    }
+    return list;
+}
+
+/* interpret(operations, halt, statuses, machine): run `machine` until it
+ * halts. `operations` is machine._OPERATIONS, `halt` the _Halt class, and
+ * `statuses` the TxStatus members (SUCCESS, INVALID_OP, STACK_ERROR,
+ * OUT_OF_GAS). */
+static PyObject *interpret(PyObject *module, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "interpret takes 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *operations = args[0], *halt = args[1], *statuses = args[2],
+             *m = args[3];
+    if (!PyList_Check(operations) || !PyTuple_Check(statuses)
+            || PyTuple_GET_SIZE(statuses) != 4) {
+        PyErr_SetString(PyExc_TypeError, "interpret takes a list of "
+                        "operations, _Halt and a tuple of 4 statuses");
+        return NULL;
+    }
+    PyObject *success = PyTuple_GET_ITEM(statuses, 0);
+
+    PyObject *status = PyObject_GetAttr(m, str_status);
+    if (status == NULL)
+        return NULL;
+    Py_DECREF(status);
+    if (status != Py_None)
+        Py_RETURN_NONE;
+
+    Py_buffer view = {NULL};
+    PyObject *code = NULL, *stack = NULL, *rules = NULL, *work = NULL,
+             *now_ns = NULL, *counts = NULL, *gas_totals = NULL,
+             *times = NULL, *gas = NULL;
+    /* one instruction's own references */
+    PyObject *start = NULL, *operation = NULL, *rule = NULL, *cost = NULL,
+             *handler = NULL, *child = NULL, *stop = NULL;
+    PyObject *result = NULL;
+    Py_ssize_t pc;
+
+    PyObject *schedule = NULL, *sink = NULL, *clock = NULL;
+    if ((code = PyObject_GetAttr(m, str_code)) != NULL
+            && PyObject_GetBuffer(code, &view, PyBUF_SIMPLE) == 0
+            && get_pc(m, &pc) == 0
+            && (stack = get_list(m, str_stack)) != NULL
+            && (schedule = PyObject_GetAttr(m, str_schedule)) != NULL
+            && (rules = get_list(schedule, str_by_byte)) != NULL
+            && (work = PyObject_GetAttr(m, str_work)) != NULL
+            && (clock = PyObject_GetAttr(m, str_clock)) != NULL
+            && (now_ns = PyObject_GetAttr(clock, str_now_ns)) != NULL
+            && (sink = PyObject_GetAttr(m, str_sink)) != NULL
+            && (counts = get_list(sink, str_counts)) != NULL
+            && (gas_totals = get_list(sink, str_gas)) != NULL
+            && (times = get_list(sink, str_times)) != NULL)
+        gas = PyObject_GetAttr(m, str_gas);
+    Py_XDECREF(schedule);
+    Py_XDECREF(sink);
+    Py_XDECREF(clock);
+    if (gas == NULL)
+        goto done;
+    const unsigned char *bytes = view.buf;
+    Py_ssize_t end = view.len;
+
+    for (;;) {
+        if (pc >= end) {   /* running off the end stops */
+            if (PyObject_SetAttr(m, str_status, success) < 0)
+                goto done;
+            break;
+        }
+        if ((start = PyObject_CallNoArgs(now_ns)) == NULL)
+            goto done;
+        int byte = bytes[pc];
+        /* bounds-checked: a handler may have resized either table */
+        if ((operation = PyList_GetItem(operations, byte)) == NULL)
+            goto done;
+        Py_INCREF(operation);
+        if (operation == Py_None) {
+            PyErr_SetObject(halt, PyTuple_GET_ITEM(statuses, 1));
+            goto done;
+        }
+        if (!PyTuple_Check(operation) || PyTuple_GET_SIZE(operation) != 4) {
+            PyErr_SetString(PyExc_TypeError, "an operation is "
+                            "(need, room, push_width, handler)");
+            goto done;
+        }
+        Py_ssize_t need = PyLong_AsSsize_t(PyTuple_GET_ITEM(operation, 0));
+        Py_ssize_t room = PyLong_AsSsize_t(PyTuple_GET_ITEM(operation, 1));
+        Py_ssize_t width = PyLong_AsSsize_t(PyTuple_GET_ITEM(operation, 2));
+        if (PyErr_Occurred())
+            goto done;
+        if (width < 0 || width > 32) {
+            PyErr_SetString(PyExc_ValueError, "a push is 0 to 32 bytes wide");
+            goto done;
+        }
+        Py_ssize_t depth = PyList_GET_SIZE(stack);
+        if (!(need <= depth && depth <= room)) {
+            PyErr_SetObject(halt, PyTuple_GET_ITEM(statuses, 2));
+            goto done;
+        }
+        if ((rule = PyList_GetItem(rules, byte)) == NULL)
+            goto done;
+        Py_INCREF(rule);
+        if (PyLong_CheckExact(rule)) {
+            cost = rule;
+            rule = NULL;
+        } else {
+            PyObject *opcode = PyLong_FromLong(byte);
+            if (opcode == NULL || set_pc(m, pc) < 0
+                    || PyObject_SetAttr(m, str_gas, gas) < 0) {
+                Py_XDECREF(opcode);
+                goto done;
+            }
+            /* call[0] is the slot that PY_VECTORCALL_ARGUMENTS_OFFSET
+             * lets the callee borrow */
+            PyObject *call[4] = {NULL, m, opcode, rule};
+            cost = PyObject_VectorcallMethod(
+                str_dynamic_cost, call + 1,
+                3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            Py_DECREF(opcode);
+            Py_CLEAR(rule);
+            if (cost == NULL)
+                goto done;
+        }
+        int unaffordable = PyObject_RichCompareBool(cost, gas, Py_GT);
+        if (unaffordable < 0)
+            goto done;
+        if (unaffordable) {
+            PyErr_SetObject(halt, PyTuple_GET_ITEM(statuses, 3));
+            goto done;
+        }
+        Py_SETREF(gas, PyNumber_Subtract(gas, cost));
+        if (gas == NULL)
+            goto done;
+        if (width) {
+            PyObject *value = push_value(bytes, end, pc + 1, width);
+            if (value == NULL)
+                goto done;
+            int appended = PyList_Append(stack, value);
+            Py_DECREF(value);
+            if (appended < 0)
+                goto done;
+            pc += 1 + width;
+        } else {
+            if (set_pc(m, pc + 1) < 0
+                    || PyObject_SetAttr(m, str_gas, gas) < 0)
+                goto done;
+            handler = PyTuple_GET_ITEM(operation, 3);
+            Py_INCREF(handler);
+            if ((child = PyObject_CallOneArg(handler, m)) == NULL
+                    || get_pc(m, &pc) < 0)
+                goto done;
+        }
+        /* after the effect, which may halt */
+        if (increment(work, str_instructions) < 0
+                || (stop = PyObject_CallNoArgs(now_ns)) == NULL)
+            goto done;
+        Py_SETREF(stop, PyNumber_Subtract(stop, start));
+        if (stop == NULL || add_into(counts, byte, one) < 0
+                || add_into(gas_totals, byte, cost) < 0
+                || add_into(times, byte, stop) < 0)
+            goto done;
+        Py_CLEAR(start);
+        Py_CLEAR(stop);
+        Py_CLEAR(operation);
+        Py_CLEAR(cost);
+        if (handler == NULL)
+            continue;
+        Py_CLEAR(handler);
+        if (child != Py_None) {   /* child samples land in the sink */
+            PyObject *child_status = PyObject_CallMethodNoArgs(child, str_run);
+            if (child_status == NULL)
+                goto done;
+            Py_SETREF(gas, PyObject_GetAttr(child, str_gas));
+            if (gas == NULL || PyObject_SetAttr(m, str_gas, gas) < 0) {
+                Py_DECREF(child_status);
+                goto done;
+            }
+            if (child_status != success) {
+                PyErr_SetObject(halt, child_status);
+                Py_DECREF(child_status);
+                goto done;
+            }
+            Py_DECREF(child_status);
+            if (PyList_Append(stack, one) < 0)
+                goto done;
+        }
+        Py_CLEAR(child);
+        if ((status = PyObject_GetAttr(m, str_status)) == NULL)
+            goto done;
+        Py_DECREF(status);
+        if (status != Py_None)
+            break;
+    }
+    if (PyObject_SetAttr(m, str_gas, gas) == 0)
+        result = Py_NewRef(Py_None);
+
+done:
+    Py_XDECREF(start);
+    Py_XDECREF(operation);
+    Py_XDECREF(rule);
+    Py_XDECREF(cost);
+    Py_XDECREF(handler);
+    Py_XDECREF(child);
+    Py_XDECREF(stop);
+    if (view.obj != NULL)
+        PyBuffer_Release(&view);
+    Py_XDECREF(code);
+    Py_XDECREF(stack);
+    Py_XDECREF(rules);
+    Py_XDECREF(work);
+    Py_XDECREF(now_ns);
+    Py_XDECREF(counts);
+    Py_XDECREF(gas_totals);
+    Py_XDECREF(times);
+    Py_XDECREF(gas);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"keccak_256", keccak_256, METH_O,
      "32-byte Keccak-256 digest (original padding, as used by Ethereum)."},
@@ -667,6 +1006,9 @@ static PyMethodDef methods[] = {
     {"assemble", (PyCFunction)(void (*)(void))assemble, METH_FASTCALL,
      "One block's programs and the pool size after them, drawn exactly as "
      "gaslab.workload._assemble_python draws them."},
+    {"interpret", (PyCFunction)(void (*)(void))interpret, METH_FASTCALL,
+     "Run a gaslab.evm.machine.Machine until it halts, as "
+     "gaslab.evm.machine._loop_python does."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -682,5 +1024,7 @@ PyMODINIT_FUNC PyInit__native(void)
     for (int i = 1; i < MT_N; i++)
         mt_start[i] = 1812433253U * (mt_start[i - 1] ^ (mt_start[i - 1] >> 30))
                       + (uint32_t)i;
+    if (intern_names() < 0)
+        return NULL;
     return PyModule_Create(&module_def);
 }

@@ -37,9 +37,9 @@ from .model.reprice import (DEFAULT_TIME_PER_GAS, materialize_schedule,
                             propose_gas_model)
 from .native import IMPLEMENTATION as NATIVE_IMPLEMENTATION
 from .report.bundle import write_manifest
-from .report.economics import (ECONOMICS_HEADER, economics_table,
-                               fee_economics, gas_paid_by_window, price_for,
-                               read_price_csv)
+from .report.economics import (ECONOMICS_HEADER, NonFiniteCostError,
+                               economics_table, fee_economics,
+                               gas_paid_by_window, price_for, read_price_csv)
 from .report.pipeline import (DEP_SHARE_TABLE, GAS_CURVES_TABLE,
                               TPG_CURVES_TABLE, analyze_windows)
 from .report.svg import render_line_chart
@@ -284,7 +284,8 @@ def cmd_economics(args: argparse.Namespace) -> int:
         raise InputError("--hours must be finite and >= 0")
     point = price_for(prices, args.window_start)
     econ = fee_economics(args.gas, args.gas_price, point.eth_usd,
-                         args.hours, point.infra_usd_per_hour)
+                         args.hours, point.infra_usd_per_hour,
+                         window_start=args.window_start)
     print(f"fee_usd={econ.fee_usd!r} infra_usd={econ.infra_usd!r} "
           f"ratio={econ.ratio!r}")
     return EXIT_OK
@@ -397,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (InputError, WorkloadError, CsvFormatError, ScheduleError,
             InsufficientDataError, InvalidConstantError, ModelFileError,
-            UndefinedRatioError) as exc:
+            UndefinedRatioError, NonFiniteCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:

@@ -8,13 +8,19 @@ succeeds, each through `write_slot`, the one slot-value codec (minimal
 big-endian bytes; zero is the empty value, which deletes the key).
 
 Metering contract: the gas for an instruction is deducted before its effect
-is applied. The dispatch loop is `Machine.run`, with decode, checks, charge
-and sample bookkeeping inline. As in geth's jump table, one static table
-gives each opcode byte one entry, `(need, room, push_width, handler)`: the
-stack must hold `need` to `room = STACK_LIMIT + need - out` items, and an
-undefined byte has no entry, so it halts before any stack check. PUSH1-32
-run inline, zero-padding an immediate cut off by the end of the code; every
-other effect is one handler call. Cost comes from the schedule's per-byte
+is applied. The dispatch loop, with decode, checks, charge and sample
+bookkeeping inline, is `_loop`: the native module's `interpret`
+(`gaslab.native`) when that builds, else `_loop_python`, which is also the
+reference that the C loop follows step for step. Both call the same Python
+handlers for every effect, so each instruction's semantics live in one
+place, and both put `pc` and `gas` on the machine before each handler and
+each `_dynamic_cost` call. `Machine.run` only turns a `_Halt` into the
+final status. As in geth's jump table, one static table gives each opcode
+byte one entry, `(need, room, push_width, handler)`: the stack must hold
+`need` to `room = STACK_LIMIT + need - out` items, and an undefined byte
+has no entry, so it halts before any stack check. PUSH1-32 run inline,
+zero-padding an immediate cut off by the end of the code; every other
+effect is one handler call. Cost comes from the schedule's per-byte
 table, `GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory
 once, in the cost step: it adds the expansion to the rule's cost and, only
 if the whole charge is affordable, grows `memory`, so the handlers read and
@@ -51,9 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
+from .. import native
 from ..clock import WallClock
 from ..metrics import MacroCategory, SampleSink
 from ..trie import MerklePatriciaTrie
@@ -151,60 +158,9 @@ class Machine:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> TxStatus:
-        """Hot path: execute instructions until a halt, sampling each one."""
-        code = self.code
-        end = len(code)
-        pc = self.pc
-        stack = self.stack
-        rules = self.schedule.by_byte
-        work = self.work
-        now_ns = self.clock.now_ns
-        sink = self.sink
-        counts, gas_totals, times = sink.counts, sink.gas, sink.times
+        """Execute instructions until a halt, sampling each one."""
         try:
-            while self.status is None:
-                if pc >= end:   # running off the end stops
-                    self.status = TxStatus.SUCCESS
-                    break
-                start = now_ns()
-                byte = code[pc]
-                operation = _OPERATIONS[byte]
-                if operation is None:
-                    raise _Halt(TxStatus.INVALID_OP)
-                need, room, width, handler = operation
-                if not need <= len(stack) <= room:
-                    raise _Halt(TxStatus.STACK_ERROR)
-                rule = rules[byte]
-                cost = rule if type(rule) is int \
-                    else self._dynamic_cost(byte, rule)
-                if cost > self.gas:
-                    raise _Halt(TxStatus.OUT_OF_GAS)
-                self.gas -= cost
-                if width:
-                    pc += 1
-                    stop = pc + width
-                    value = int.from_bytes(code[pc:stop], "big")
-                    if stop > end:   # cut off by the end: zero-padded
-                        value <<= 8 * (stop - end)
-                    stack.append(value)
-                    pc = stop
-                    child = None
-                else:
-                    self.pc = pc + 1
-                    child = handler(self)
-                    pc = self.pc
-                work.instructions += 1   # after the effect, which may halt
-                duration = now_ns() - start
-
-                counts[byte] += 1
-                gas_totals[byte] += cost
-                times[byte] += duration
-                if child is not None:
-                    status = child.run()  # child samples land in the sink
-                    self.gas = child.gas
-                    if status is not TxStatus.SUCCESS:
-                        raise _Halt(status)
-                    stack.append(1)
+            _loop(self)
         except _Halt as halt:
             self.status = halt.status
             self.gas = 0  # exceptional halts consume the remaining gas
@@ -250,6 +206,66 @@ class Machine:
                        self.schedule, clock=self.clock,
                        storage_buffer=self.storage_buffer,
                        depth=self.depth + 1, sink=self.sink)
+
+
+def _loop_python(m: Machine) -> None:
+    """Hot path: the dispatch loop without the native module, and the
+    reference that `_native.interpret` follows step for step."""
+    code = m.code
+    end = len(code)
+    pc = m.pc
+    stack = m.stack
+    rules = m.schedule.by_byte
+    work = m.work
+    now_ns = m.clock.now_ns
+    sink = m.sink
+    counts, gas_totals, times = sink.counts, sink.gas, sink.times
+    while m.status is None:
+        if pc >= end:   # running off the end stops
+            m.status = TxStatus.SUCCESS
+            break
+        start = now_ns()
+        byte = code[pc]
+        operation = _OPERATIONS[byte]
+        if operation is None:
+            raise _Halt(TxStatus.INVALID_OP)
+        need, room, width, handler = operation
+        if not need <= len(stack) <= room:
+            raise _Halt(TxStatus.STACK_ERROR)
+        rule = rules[byte]
+        if type(rule) is int:
+            cost = rule
+        else:
+            m.pc = pc
+            cost = m._dynamic_cost(byte, rule)
+        if cost > m.gas:
+            raise _Halt(TxStatus.OUT_OF_GAS)
+        m.gas -= cost
+        if width:
+            pc += 1
+            stop = pc + width
+            value = int.from_bytes(code[pc:stop], "big")
+            if stop > end:   # cut off by the end: zero-padded
+                value <<= 8 * (stop - end)
+            stack.append(value)
+            pc = stop
+            child = None
+        else:
+            m.pc = pc + 1
+            child = handler(m)
+            pc = m.pc
+        work.instructions += 1   # after the effect, which may halt
+        duration = now_ns() - start
+
+        counts[byte] += 1
+        gas_totals[byte] += cost
+        times[byte] += duration
+        if child is not None:
+            status = child.run()  # child samples land in the sink
+            m.gas = child.gas
+            if status is not TxStatus.SUCCESS:
+                raise _Halt(status)
+            stack.append(1)
 
 
 def _scan_jumpdests(code: bytes) -> frozenset[int]:
@@ -448,6 +464,11 @@ def _build_operations() -> list:
 
 
 _OPERATIONS = _build_operations()
+
+_loop = (_loop_python if native.module is None
+         else partial(native.module.interpret, _OPERATIONS, _Halt,
+                      (TxStatus.SUCCESS, TxStatus.INVALID_OP,
+                       TxStatus.STACK_ERROR, TxStatus.OUT_OF_GAS)))
 
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,

@@ -2,23 +2,25 @@
 
 `_native.c` next to this module holds gaslab's C code: the trie commit
 path's Keccak-256 sponge (`keccak_256`) and RLP encoder (`rlp_encode`),
-and the block assembler (`assemble`), which draws each block's programs
-from a Mersenne Twister that matches `random.Random` bit for bit. The
-first import builds it with the local `cc` against the running
-interpreter's headers and writes two files into `_build/` next to this
-module: `_native` plus the interpreter's extension suffix, so no other
-Python loads it, and a copy of the source it was built from. Later imports
-load that library, and rebuild it whenever the shipped source differs from
-the copy. Each file is written under a temporary name and moved into
+the block assembler (`assemble`), which draws each block's programs from a
+Mersenne Twister that matches `random.Random` bit for bit, and the
+interpreter's dispatch loop (`interpret`), which calls the Python
+instruction handlers for every effect but PUSH. The first import builds
+it with the local `cc` against the running interpreter's headers and
+writes two files into `_build/` next to this module: `_native` plus the
+interpreter's extension suffix, so no other Python loads it, and a copy of
+the source it was built from. Later imports load that library, and
+rebuild it whenever the shipped source differs from the copy. Each file is written under a temporary name and moved into
 place, the library first. A build leaves staged files, which another
 process may be writing, and other interpreters' libraries alone. A load
 that needs no build opens files only: the compile-path modules are
 imported by `_compile` alone.
 
 If the build cannot happen (no compiler, no `Python.h`, a directory that
-cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp` and
-`gaslab.workload` bind their pure-Python functions, which compute the same
-bytes. `IMPLEMENTATION` names the one that runs: "c" or "python".
+cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp`,
+`gaslab.workload` and `gaslab.evm.machine` bind their pure-Python
+functions, which compute the same bytes, samples and receipts.
+`IMPLEMENTATION` names the one that runs: "c" or "python".
 """
 
 from __future__ import annotations

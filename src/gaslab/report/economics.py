@@ -42,25 +42,41 @@ class FeeEconomics:
     ratio: float
 
 
-def _costs(gas_used: float, gas_price_wei: float, eth_usd: float,
-           wall_hours: float,
-           infra_usd_per_hour: float) -> tuple[float, float]:
-    """Fee and infrastructure cost, both in USD."""
-    return (gas_used * gas_price_wei / WEI_PER_ETH * eth_usd,
-            wall_hours * infra_usd_per_hour)
+class NonFiniteCostError(ValueError):
+    """A fee, infrastructure cost or ratio past float range."""
+
+
+def _costs(window_start: int, gas_used: float, gas_price_wei: float,
+           eth_usd: float, wall_hours: float,
+           infra_usd_per_hour: float) -> tuple[float, float, Optional[float]]:
+    """Fee and infrastructure cost, both in USD, and the fee's ratio to the
+    cost, None when the cost is zero. One that is not finite raises
+    NonFiniteCostError naming the window."""
+    fee_usd = gas_used * gas_price_wei / WEI_PER_ETH * eth_usd
+    infra_usd = wall_hours * infra_usd_per_hour
+    ratio = fee_usd / infra_usd if infra_usd else None
+    for name, value in (("fee_usd", fee_usd), ("infra_usd", infra_usd),
+                        ("ratio", ratio)):
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteCostError(
+                f"window {window_start}: {name} is not finite ({value})")
+    return fee_usd, infra_usd, ratio
 
 
 def fee_economics(gas_used: float, gas_price_wei: float, eth_usd: float,
-                  wall_hours: float, infra_usd_per_hour: float) -> FeeEconomics:
-    """Scalar fee-vs-infrastructure comparison."""
+                  wall_hours: float, infra_usd_per_hour: float,
+                  window_start: int = 0) -> FeeEconomics:
+    """Scalar fee-vs-infrastructure comparison; `window_start` names the
+    window in errors."""
     if min(gas_used, gas_price_wei, eth_usd, wall_hours,
            infra_usd_per_hour) < 0:
         raise ValueError("economics inputs must be non-negative")
-    fee_usd, infra_usd = _costs(gas_used, gas_price_wei, eth_usd, wall_hours,
-                                infra_usd_per_hour)
-    if infra_usd == 0:
+    fee_usd, infra_usd, ratio = _costs(window_start, gas_used, gas_price_wei,
+                                       eth_usd, wall_hours,
+                                       infra_usd_per_hour)
+    if ratio is None:
         raise UndefinedRatioError("infrastructure cost is zero")
-    return FeeEconomics(fee_usd, infra_usd, fee_usd / infra_usd)
+    return FeeEconomics(fee_usd, infra_usd, ratio)
 
 
 def _price_row(fields: list[str]) -> PricePoint:
@@ -108,7 +124,8 @@ def economics_table(windows: Sequence[WindowAggregate],
     each in ECONOMICS_HEADER order, for every window with instruction
     samples; the wall time is the window's own Total span, and a window
     without infrastructure cost has an undefined ratio, None, which
-    `write_table` writes as an empty cell. A window's gas is its
+    `write_table` writes as an empty cell, and a cost or ratio that is not
+    finite raises NonFiniteCostError. A window's gas is its
     instruction gas, or, given `gas_paid` (window start -> gas used, see
     `gas_paid_by_window`), the gas its transactions paid, intrinsic gas
     included.
@@ -120,10 +137,8 @@ def economics_table(windows: Sequence[WindowAggregate],
         point = price_for(prices, window.start)
         gas = (window.instruction_gas_total() if gas_paid is None
                else gas_paid[window.start])
-        fee_usd, infra_usd = _costs(
-            gas, gas_price_wei, point.eth_usd,
+        rows.append((window.start, gas, *_costs(
+            window.start, gas, gas_price_wei, point.eth_usd,
             window.categories.get("Total", 0) / NS_PER_HOUR,
-            point.infra_usd_per_hour)
-        rows.append((window.start, gas, fee_usd, infra_usd,
-                     fee_usd / infra_usd if infra_usd else None))
+            point.infra_usd_per_hour)))
     return rows

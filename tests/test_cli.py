@@ -689,6 +689,16 @@ BAD_INPUTS = {
         "analyze", "--micro", TABLE3, "--macro", _write(
             tmp_path / "macro.csv", MACRO_HEADER + "\n0,EVM,5\n0,EVM,6\n"),
         "--out", str(tmp_path / "a")],
+    "fee-not-finite-scalar": lambda tmp_path: [
+        "economics", "--prices", _write(
+            tmp_path / "prices.csv", PRICES_HEADER + "\n0,1e308,0.6\n"),
+        "--gas", "10000000000", "--gas-price", "1000000000", "--hours", "1"],
+    "ratio-not-finite-table": lambda tmp_path: [
+        "economics", "--prices", _write(
+            tmp_path / "prices.csv", PRICES_HEADER + "\n0,1e300,0.6\n"),
+        "--gas-price", str(10 ** 18), "--micro", TABLE3, "--macro", _write(
+            tmp_path / "macro.csv", MACRO_HEADER + "\n0,Total,5\n"),
+        "--out", str(tmp_path / "eco")],
     "prices-nan-table": lambda tmp_path: [
         "economics", "--prices", _write(
             tmp_path / "prices.csv", PRICES_HEADER + "\n0,200.0,nan\n"),
@@ -720,6 +730,16 @@ def test_repeated_table_row_names_its_line(tmp_path, capsys, case):
     table = case.split("-")[0] + ".csv"
     assert f"error: {tmp_path / table}:3: a second row for " in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,message", [
+    ("fee-not-finite-scalar", "window 0: fee_usd is not finite (inf)"),
+    ("ratio-not-finite-table", "window 0: ratio is not finite (inf)")])
+def test_non_finite_economics_names_the_window(tmp_path, capsys, case,
+                                               message):
+    assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "eco").exists()
 
 
 def test_zero_infra_cost_is_an_empty_ratio_that_plots(tmp_path):

@@ -95,6 +95,7 @@ FIXTURE_ROOT_RAW = (
 _BINDINGS = """
 import json, sys
 from gaslab import keccak, native, rlp, workload
+from gaslab.evm import machine
 from gaslab.trie import MerklePatriciaTrie
 trie = MerklePatriciaTrie(secure=False)
 for i in range(16):
@@ -105,6 +106,7 @@ print(json.dumps({
     "python_keccak_256": keccak.keccak_256 is keccak._keccak_256_python,
     "python_encode": rlp.encode is rlp._encode_python,
     "python_assemble": workload._assemble is workload._assemble_python,
+    "python_loop": machine._loop is machine._loop_python,
     "digests": [keccak.keccak_256(bytes.fromhex(data)).hex()
                 for data in sys.argv[1:]],
     "root": trie.root_hash().hex()}))
@@ -137,6 +139,7 @@ def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
     assert bound["python_keccak_256"]
     assert bound["python_encode"]
     assert bound["python_assemble"]
+    assert bound["python_loop"]
     assert bound["digests"] == [digest for _, digest in KNOWN_VECTORS]
     assert bound["root"] == FIXTURE_ROOT_RAW
     if build.is_dir():   # a failed build leaves no library behind
