@@ -1014,7 +1014,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_native",
-    "Keccak-256, RLP encoding and block assembly in C for gaslab.", -1,
+    "gaslab's C code: keccak_256, rlp_encode, assemble, interpret.", -1,
     methods,
 };
 

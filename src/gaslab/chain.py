@@ -3,11 +3,12 @@
 A `Chain` owns one chain's state and `Chain.step` runs one block: a
 structural verification (height continuity, gas limits; signatures and
 proof of work are out of scope), then a strictly serialized import that
-executes every transaction against the world trie and commits storage
-writes. `run_chain` steps one chain through a run. Spans land in the macro
+applies every transaction with `execute_transaction` (the interpreter,
+`gaslab.evm.machine`, only interprets) and ends with a finalize.
+`run_chain` steps one chain through a run. Spans land in the macro
 categories of `gaslab.metrics`: Total wraps verify plus import, TX each
-transaction's execution, EVM the interpreter loop inside it, and DB the
-storage commits (per transaction plus a per-block finalize).
+transaction's execution, EVM the interpreter loop inside it, and DB each
+`_commit` (one per successful transaction plus a per-block finalize).
 
 Timing runs on a wall or virtual clock (see `gaslab.clock`); everything
 else — gas totals, roots, receipts — is identical across clocks and runs,
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .clock import VirtualClock, WallClock
-from .evm.machine import TxStatus, execute_transaction
+from .evm.machine import Machine, TxStatus, write_slot
 from .evm.schedule import GasSchedule
 from .metrics import (MacroCategory, SampleSink, WindowAggregate, _counter,
                       read_table)
@@ -70,6 +71,61 @@ class ChainRunReport(NamedTuple):
     final_root: bytes
     initial_keys: int
     final_keys: int
+
+
+class IntrinsicGasError(ValueError):
+    """Gas limit below the intrinsic transaction charge; not executed."""
+
+
+class TxReceipt(NamedTuple):
+    status: TxStatus
+    gas_used: int
+    return_data: bytes
+    instructions: int   # instructions completed, child calls included
+
+
+def _commit(trie: MerklePatriciaTrie, clock, sink: SampleSink,
+            writes: dict[int, int]) -> None:
+    """Write `writes` in slot order and hash them inside one DB span, so
+    that no commit lands in a later transaction's SLOAD or SSTORE timing."""
+    start = clock.now_ns()
+    trie.store.work.commits += 1
+    for slot in sorted(writes):
+        write_slot(trie, slot, writes[slot])
+    trie.root_hash()
+    sink.record_span(MacroCategory.DB, clock.now_ns() - start)
+
+
+def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
+                        block_height: int, schedule: GasSchedule,
+                        clock=WallClock,
+                        sink: Optional[SampleSink] = None) -> TxReceipt:
+    """Run one transaction against the world trie: charge the intrinsic
+    gas (a limit below it is rejected without execution), interpret the
+    code in a `Machine`, and commit its buffered writes only on success.
+    `sink` (a fresh `SampleSink` when none is given) gets the TX, EVM and
+    DB spans and, from the interpreter, each instruction's (count, gas,
+    time) sample, which excludes the intrinsic charge. The receipt's
+    instruction count is the change in the run's work counter.
+    """
+    if gas_limit < schedule.intrinsic_gas:
+        raise IntrinsicGasError(
+            f"gas limit {gas_limit} below intrinsic {schedule.intrinsic_gas}")
+
+    work = trie.store.work
+    instructions_before = work.instructions
+    tx_start = clock.now_ns()
+    machine = Machine(code, trie, gas_limit - schedule.intrinsic_gas,
+                      block_height, schedule, clock=clock, sink=sink)
+    sink = machine.sink
+    evm_start = clock.now_ns()
+    status = machine.run()
+    sink.record_span(MacroCategory.EVM, clock.now_ns() - evm_start)
+    sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
+    if status is TxStatus.SUCCESS:
+        _commit(trie, clock, sink, machine.storage_buffer)
+    return TxReceipt(status, gas_limit - machine.gas, machine.return_data,
+                     work.instructions - instructions_before)
 
 
 def verify_block(block: Block, expected_height: int,
@@ -125,10 +181,7 @@ class Chain:
                 height, tx_index, receipt.status.value, receipt.gas_used,
                 tx.gas_limit, receipt.instructions))
 
-        finalize_start = now_ns()
-        work.commits += 1
-        trie.root_hash()  # commit the block's writes inside the DB span
-        record_span(MacroCategory.DB, now_ns() - finalize_start)
+        _commit(trie, clock, sink, {})  # the block finalize writes nothing
 
         now = now_ns()
         record_span(MacroCategory.IMPORT, now - import_start)

@@ -3,9 +3,9 @@
 Each transaction runs in its own executive: a `Machine` holding the
 program counter, a 256-bit word stack (max depth 1024), byte-addressed
 memory, the remaining gas, and a storage view over the world trie. Writes
-are buffered in the executive and land in the trie only when a transaction
-succeeds, each through `write_slot`, the one slot-value codec (minimal
-big-endian bytes; zero is the empty value, which deletes the key).
+are buffered in the executive; `gaslab.chain` lands them in the trie when a
+transaction succeeds, each through `write_slot`, the one slot-value codec
+(minimal big-endian bytes; zero is the empty value, which deletes the key).
 
 Metering contract: the gas for an instruction is deducted before its effect
 is applied. The dispatch loop, with decode, checks, charge and sample
@@ -35,8 +35,8 @@ instructions only.
 
 Every run samples into a `SampleSink`: the interpreter adds each
 instruction's (count, gas, time) into the sink's open-window lists, and
-`execute_transaction` records the EVM, TX and DB spans there. A caller
-that gives no sink gets a fresh one, so there is one path for every run.
+`gaslab.chain` records every span there. A caller that gives no sink gets
+a fresh one, so there is one path for every run.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed
@@ -55,14 +55,13 @@ beyond the depth limit the call is skipped and pushes failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from typing import Optional
 
 from .. import native
 from ..clock import WallClock
-from ..metrics import MacroCategory, SampleSink
+from ..metrics import SampleSink
 from ..trie import MerklePatriciaTrie
 from .opcodes import ARITY, MEMORY_OPCODES, Opcode
 from .schedule import GasSchedule, SstoreRule, memory_expansion_cost
@@ -82,10 +81,6 @@ class TxStatus(Enum):
     STACK_ERROR = "stack-error"
 
 
-class IntrinsicGasError(ValueError):
-    """Gas limit below the intrinsic transaction charge; not executed."""
-
-
 def storage_key(slot: int) -> bytes:
     return STORAGE_PREFIX + slot.to_bytes(32, "big")
 
@@ -102,14 +97,6 @@ def write_slot(trie: MerklePatriciaTrie, slot: int, value: int) -> None:
     """Store a slot value as minimal big-endian bytes; 0 is b"", a delete."""
     trie.insert(storage_key(slot),
                 value.to_bytes((value.bit_length() + 7) // 8, "big"))
-
-
-@dataclass
-class TxReceipt:
-    status: TxStatus
-    gas_used: int
-    return_data: bytes
-    instructions: int   # instructions completed, child calls included
 
 
 class _Halt(Exception):
@@ -470,47 +457,3 @@ _loop = (_loop_python if native.module is None
                       (TxStatus.SUCCESS, TxStatus.INVALID_OP,
                        TxStatus.STACK_ERROR, TxStatus.OUT_OF_GAS)))
 
-
-def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
-                        block_height: int, schedule: GasSchedule,
-                        clock=WallClock,
-                        sink: Optional[SampleSink] = None) -> TxReceipt:
-    """Run one transaction against the world trie.
-
-    Charges the intrinsic gas first (a limit below it is rejected without
-    execution), then interprets the code. Storage writes are buffered and
-    committed to the trie, and hashed, only on success. The execution is
-    recorded in `sink` (a fresh `SampleSink` when none is given) as TX and
-    EVM spans and the commit as a DB span, and the interpreter adds each
-    instruction's (count, gas, time) sample, which excludes the intrinsic
-    charge, straight into the sink's open window. The receipt's instruction
-    count is the change in the run's work counter.
-    """
-    if gas_limit < schedule.intrinsic_gas:
-        raise IntrinsicGasError(
-            f"gas limit {gas_limit} below intrinsic {schedule.intrinsic_gas}")
-
-    work = trie.store.work
-    instructions_before = work.instructions
-    tx_start = clock.now_ns()
-    machine = Machine(code, trie, gas_limit - schedule.intrinsic_gas,
-                      block_height, schedule, clock=clock, sink=sink)
-    sink = machine.sink
-    evm_start = clock.now_ns()
-    status = machine.run()
-    sink.record_span(MacroCategory.EVM, clock.now_ns() - evm_start)
-    sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
-
-    if status is TxStatus.SUCCESS:
-        db_start = clock.now_ns()
-        work.commits += 1
-        for slot in sorted(machine.storage_buffer):
-            write_slot(trie, slot, machine.storage_buffer[slot])
-        # Hash the writes inside the DB span, so that no commit lands in a
-        # later transaction's SLOAD or SSTORE timing.
-        trie.root_hash()
-        sink.record_span(MacroCategory.DB, clock.now_ns() - db_start)
-
-    return TxReceipt(status=status, gas_used=gas_limit - machine.gas,
-                     return_data=machine.return_data,
-                     instructions=work.instructions - instructions_before)

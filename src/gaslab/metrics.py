@@ -96,7 +96,7 @@ class SampleSink:
 
     `counts`, `gas` and `times` hold the open window's per-opcode-byte
     totals; the interpreter adds into them directly (see
-    `evm.machine.execute_transaction`).
+    `gaslab.evm.machine`), and `gaslab.chain` records the spans.
     """
 
     def __init__(self, window_start: int = 0):

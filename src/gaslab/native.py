@@ -10,11 +10,11 @@ it with the local `cc` against the running interpreter's headers and
 writes two files into `_build/` next to this module: `_native` plus the
 interpreter's extension suffix, so no other Python loads it, and a copy of
 the source it was built from. Later imports load that library, and
-rebuild it whenever the shipped source differs from the copy. Each file is written under a temporary name and moved into
-place, the library first. A build leaves staged files, which another
-process may be writing, and other interpreters' libraries alone. A load
-that needs no build opens files only: the compile-path modules are
-imported by `_compile` alone.
+rebuild it whenever the shipped source differs from the copy. Each file
+is written under a temporary name and moved into place, library first.
+A build leaves staged files, which another process may be writing, and
+other interpreters' libraries alone. A load that needs no build opens
+files only: the compile-path modules are imported by `_compile` alone.
 
 If the build cannot happen (no compiler, no `Python.h`, a directory that
 cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp`,

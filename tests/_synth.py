@@ -3,7 +3,7 @@ and one transaction's samples read back through a sink."""
 
 import random
 
-from gaslab.evm.machine import execute_transaction
+from gaslab.chain import execute_transaction
 from gaslab.metrics import InstructionStat, SampleSink, WindowAggregate
 from gaslab.model.classify import opcode_table
 

@@ -20,9 +20,8 @@ import pytest
 from _synth import sample_gas_total, synth_series, transaction_samples
 from scipy import stats
 
-from gaslab.chain import run_chain
+from gaslab.chain import execute_transaction, run_chain
 from gaslab.cli import main as cli_main
-from gaslab.evm.machine import execute_transaction
 from gaslab.evm.schedule import default_schedule, round_gas
 from gaslab.metrics import read_windows
 from gaslab.model.base import ScalarModel

@@ -5,10 +5,14 @@ from importlib import resources
 
 import pytest
 
-from gaslab.chain import Chain, VerificationError, run_chain, verify_block
+from gaslab.chain import (Chain, VerificationError, execute_transaction,
+                          run_chain, verify_block)
 from gaslab.clock import WallClock, Work
+from gaslab.evm.machine import TxStatus, store_code
 from gaslab.evm.schedule import default_schedule
+from gaslab.metrics import MacroCategory, SampleSink
 from gaslab.model.classify import classify_opcode, opcode_table
+from gaslab.trie import MerklePatriciaTrie
 from gaslab.workload import Block, Transaction, WorkloadSpec, load_workload
 
 SCHED = default_schedule()
@@ -152,6 +156,50 @@ def test_out_of_gas_transactions_recorded_not_aborting():
     for row in chain.receipts:
         if row.status == "out-of-gas":
             assert row.gas_used == row.gas_limit
+
+
+# PUSH1 1, PUSH1 255, SSTORE, PUSH1 0, STOP with gas for all but the last
+# PUSH1: the transaction buffers a write to the empty slot 255, then runs
+# out of gas.
+STARVED_CODE = bytes([0x60, 1, 0x60, 255, 0x55, 0x60, 0, 0x00])
+STARVED_LIMIT = SCHED.intrinsic_gas + 3 + 3 + SCHED.by_byte[0x55].set_cost + 2
+
+
+def test_failed_transaction_records_no_commit():
+    trie = MerklePatriciaTrie()
+    store_code(trie, 1, b"\x00")
+    root, work = trie.root_hash(), trie.store.work
+    commits = work.commits
+    spans = []
+    sink = SampleSink()
+    sink.record_span = lambda category, ns: spans.append(category)
+    receipt = execute_transaction(STARVED_CODE, trie, STARVED_LIMIT, 0, SCHED,
+                                  sink=sink)
+    assert receipt.status is TxStatus.OUT_OF_GAS
+    assert receipt.gas_used == STARVED_LIMIT
+    assert receipt.instructions == 3
+    assert spans == [MacroCategory.EVM, MacroCategory.TX]
+    assert work.commits == commits
+    assert trie.root_hash() == root
+
+
+def test_block_of_one_failed_transaction_commits_only_its_finalize():
+    spec = WorkloadSpec(transactions_per_block=1, program_length=2,
+                        mix={"ADD": 1.0}, fresh_key_rate=0.0, seed=2)
+    chain = Chain(spec, SCHED, virtual=True)
+    generate_block = chain.generator.generate_block
+
+    def starved_block(height):
+        block = generate_block(height)
+        block.transactions = [Transaction(STARVED_CODE, STARVED_LIMIT)]
+        return block
+
+    chain.generator.generate_block = starved_block
+    work = chain.trie.store.work
+    commits = work.commits
+    chain.step(0)
+    assert [r.status for r in chain.receipts] == ["out-of-gas"]
+    assert work.commits == commits + 1
 
 
 def test_verify_block_rejects_bad_height_and_gas_limit():

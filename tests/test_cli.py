@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from gaslab.chain import read_receipts
 from gaslab.cli import FIGURES, RECEIPTS_HEADER, main
 from gaslab.evm.opcodes import Opcode
-from gaslab.evm.schedule import GasSchedule
-from gaslab.metrics import MACRO_HEADER, MICRO_HEADER
+from gaslab.evm.schedule import GasSchedule, default_schedule
+from gaslab.metrics import MACRO_HEADER, MICRO_HEADER, read_windows
 from gaslab.model.base import ScalarModel
 from gaslab.model.fit import models_to_json
 from gaslab.native import IMPLEMENTATION
@@ -318,6 +319,43 @@ def test_schedule_materialize_round_trips(tmp_path):
     schedule = GasSchedule.load(cfg)
     assert schedule.rules[Opcode.SLOAD].cost >= 1
     assert schedule.intrinsic_gas == 21_000
+
+
+def test_repriced_schedule_resimulates_the_same_chain(tmp_path):
+    # simulate -> analyze -> materialize -> simulate again under the
+    # schedule the tool emitted: gas metering must hold under it.
+    blocks = 1500
+    base = simulate(tmp_path / "base", blocks=blocks)
+    models = tmp_path / "an"
+    assert run_cli("analyze", "--micro", str(base / "micro.csv"),
+                   "--out", str(models)) == 0
+    cfg = tmp_path / "repriced.cfg"
+    assert run_cli("schedule", "materialize",
+                   "--models", str(models / "time_models.json"),
+                   "--height", str(blocks), "--out", str(cfg)) == 0
+    schedule = GasSchedule.load(cfg)
+    assert schedule.rules[Opcode.SLOAD].cost != \
+        default_schedule().rules[Opcode.SLOAD].cost
+    repriced = simulate(tmp_path / "repriced", blocks=blocks,
+                        extra=("--schedule", str(cfg)))
+
+    runs = [json.loads((out / "run.json").read_text())
+            for out in (base, repriced)]
+    for key in ("final_state_root", "final_keys"):
+        assert runs[0][key] == runs[1][key], key
+    before, after = (read_receipts(out / "receipts.csv")
+                     for out in (base, repriced))
+    assert len(after) == len(before) == blocks
+    for old, new in zip(before, after):
+        assert (new.height, new.tx_index) == (old.height, old.tx_index)
+        assert old.status == new.status == "success"
+        assert new.instructions == old.instructions
+    size = runs[1]["window_size"]
+    for window in read_windows(repriced / "micro.csv"):
+        paid = [r.gas_used for r in after
+                if window.start <= r.height < window.start + size]
+        assert sum(paid) == (schedule.intrinsic_gas * len(paid)
+                             + window.instruction_gas_total())
 
 
 def test_schedule_materialize_keeps_base_rules_for_unmodeled_opcodes(

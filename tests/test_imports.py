@@ -48,3 +48,13 @@ def test_package_root_serves_only_the_benchmark_names():
     from gaslab import (MacroCategory, SampleSink,  # noqa: F401
                         default_schedule, load_workload, run_chain)
     assert not hasattr(gaslab, "WorkloadSpec")
+
+
+def test_interpreter_loads_no_chain_driver_or_workload():
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, gaslab.evm.machine as m; print("
+         "[name for name in ('gaslab.chain', 'gaslab.workload') "
+         "if name in sys.modules], hasattr(m, 'execute_transaction'))"],
+        capture_output=True, text=True, env=ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[] False"

@@ -28,7 +28,7 @@ from gaslab.native import IMPLEMENTATION, _load
 PACKAGE = Path(gaslab.native.__file__).parent
 SOURCE = PACKAGE / "_native.c"
 SRC_ROOT = str(PACKAGE.resolve().parent)
-MODULE_DOC = b"Keccak-256, RLP encoding and block assembly in C for gaslab."
+MODULE_DOC = b"gaslab's C code: keccak_256, rlp_encode, assemble, interpret."
 
 # Well-known digests: the empty-input hash, the "abc" test vector, and the
 # hashes of the canonical RLP encodings of the empty string / empty list.

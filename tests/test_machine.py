@@ -6,10 +6,10 @@ import random
 import pytest
 from _synth import sample_gas_total, transaction_samples
 
+from gaslab.chain import IntrinsicGasError, execute_transaction
 from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
-from gaslab.evm.machine import (STACK_LIMIT, IntrinsicGasError, Machine,
-                                TxStatus, execute_transaction, storage_key,
+from gaslab.evm.machine import (STACK_LIMIT, Machine, TxStatus, storage_key,
                                 store_code, write_slot)
 from gaslab.evm.opcodes import ARITY, Opcode, push_for
 from gaslab.evm.schedule import GasSchedule, default_schedule

@@ -14,10 +14,11 @@ from test_machine import *  # noqa: F401,F403 -- collected again here
 from test_machine import GOLDEN_LIBRARIES, SCHED, random_byte_program
 
 from gaslab import native
+from gaslab.chain import execute_transaction
 from gaslab.clock import VirtualClock
 from gaslab.evm import machine as machine_module
 from gaslab.evm.machine import (CALL_DEPTH_LIMIT, STACK_LIMIT, Machine,
-                                execute_transaction, store_code)
+                                store_code)
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule, default_schedule
 from gaslab.metrics import SampleSink

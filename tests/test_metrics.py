@@ -5,9 +5,9 @@ from importlib import resources
 import pytest
 from _synth import transaction_samples
 
-from gaslab.chain import run_chain
+from gaslab.chain import execute_transaction, run_chain
 from gaslab.clock import VirtualClock, WallClock
-from gaslab.evm.machine import TxStatus, execute_transaction, store_code
+from gaslab.evm.machine import TxStatus, store_code
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import default_schedule
 from gaslab.metrics import (MACRO_HEADER, MICRO_HEADER, CsvFormatError,
