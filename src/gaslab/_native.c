@@ -12,7 +12,9 @@
  *       random.Random; gaslab.workload._assemble_python is the reference.
  *   interpret(operations, halt, statuses, machine) -> None: the
  *       interpreter's dispatch loop, which runs a Machine until it halts,
- *       calling its Python handlers for every effect but PUSH1-32;
+ *       calling its Python handlers for every effect but PUSH1-32. It sums
+ *       the run's samples in C and adds them into the sink as it exits,
+ *       and under WallClock reads the clock in C;
  *       gaslab.evm.machine._loop_python is the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
@@ -89,7 +91,7 @@ static void absorb(uint64_t st[25], const unsigned char *block)
     keccak_f1600(st);
 }
 
-static PyObject *keccak_256(PyObject *module, PyObject *data)
+static PyObject *keccak_256(PyObject *Py_UNUSED(module), PyObject *data)
 {
     Py_buffer view;
     uint64_t st[25] = {0};
@@ -241,7 +243,7 @@ static unsigned char *write_item(PyObject *item, unsigned char *end)
     return write_prefix(end, payload_end - end, 0xC0);
 }
 
-static PyObject *rlp_encode(PyObject *module, PyObject *item)
+static PyObject *rlp_encode(PyObject *Py_UNUSED(module), PyObject *item)
 {
     Py_ssize_t size = encoded_size(item);
     if (size < 0)
@@ -509,7 +511,7 @@ typedef struct {
  * fresh_key_rate, pool): gaslab.workload._assemble_python in C. The pool
  * must stay below 2**64: a pool at that size, or a fresh write that would
  * take it there, raises OverflowError. */
-static PyObject *assemble(PyObject *module, PyObject *const *args,
+static PyObject *assemble(PyObject *Py_UNUSED(module), PyObject *const *args,
                           Py_ssize_t nargs)
 {
     if (nargs != 7) {
@@ -664,19 +666,32 @@ fail:
     return NULL;
 }
 
-/* The interpreter's dispatch loop (gaslab.evm.machine). interpret() does,
- * step for step, what gaslab.evm.machine._loop_python does, and calls the
- * same Python handlers for every effect but PUSH1-32: it reads the clock
- * at the same two points of each instruction, and it puts pc and gas on
- * the machine before each handler and each _dynamic_cost call. Gas and
- * costs stay Python objects: a polynomial rule can cost math.inf, and a
- * schedule constant can exceed 64 bits. */
+/* The interpreter's dispatch loop (gaslab.evm.machine). interpret() does
+ * what gaslab.evm.machine._loop_python does and calls the same Python
+ * handlers for every effect but PUSH1-32: it reads the clock at the same
+ * two points of each instruction, and it puts pc and gas on the machine
+ * before each handler and each _dynamic_cost call. Gas and costs stay
+ * Python objects: a polynomial rule can cost math.inf, and a schedule
+ * constant can exceed 64 bits.
+ *
+ * Sampling does no Python-object work per instruction. A run sums its
+ * samples by opcode byte in C (struct sums) and adds the sums into the
+ * lists the sink held when the run began once, as it exits by any path; a
+ * cost or time that is not a non-negative int64 goes into the sink's list
+ * right away instead. Under WallClock, whose now_ns is
+ * time.perf_counter_ns, the loop reads that counter itself and counts
+ * instructions in a local that it adds to work.instructions as it exits.
+ * Under any other clock it calls now_ns and increments
+ * work.instructions after each instruction: a VirtualClock reads Work at
+ * every tick. */
 
 static PyObject *str_pc, *str_gas, *str_status, *str_code, *str_stack,
     *str_schedule, *str_by_byte, *str_work, *str_instructions, *str_clock,
     *str_now_ns, *str_sink, *str_counts, *str_times, *str_dynamic_cost,
-    *str_run, *one;
+    *str_run, *one, *perf_counter_ns;
 
+/* The attribute names, 1, and time.perf_counter_ns, which is
+ * WallClock.now_ns. */
 static int intern_names(void)
 {
     struct { PyObject **name; const char *text; } names[] = {
@@ -693,8 +708,31 @@ static int intern_names(void)
         if ((*names[i].name = PyUnicode_InternFromString(names[i].text))
                 == NULL)
             return -1;
+    PyObject *time = PyImport_ImportModule("time");
+    if (time == NULL)
+        return -1;
+    perf_counter_ns = PyObject_GetAttrString(time, "perf_counter_ns");
+    Py_DECREF(time);
     one = PyLong_FromLong(1);
-    return one == NULL ? -1 : 0;
+    return one == NULL || perf_counter_ns == NULL ? -1 : 0;
+}
+
+/* *now = time.perf_counter_ns(), read without a call: through
+ * CPython's private _PyTime_GetPerfCounter before 3.13, and its public
+ * PyTime_PerfCounterRaw from 3.13 on */
+static int perf_counter(int64_t *now)
+{
+#if PY_VERSION_HEX >= 0x030D0000
+    PyTime_t ticks;
+    if (PyTime_PerfCounterRaw(&ticks) < 0) {
+        PyErr_SetString(PyExc_OSError, "the performance counter failed");
+        return -1;
+    }
+    *now = ticks;
+#else
+    *now = _PyTime_GetPerfCounter();
+#endif
+    return 0;
 }
 
 /* The big-endian immediate of `width` bytes at code[at:], zero-padded
@@ -728,13 +766,13 @@ static int add_into(PyObject *list, Py_ssize_t i, PyObject *amount)
     return PyList_SetItem(list, i, total);
 }
 
-/* obj.name += 1 */
-static int increment(PyObject *obj, PyObject *name)
+/* obj.name += amount */
+static int add_to_attr(PyObject *obj, PyObject *name, PyObject *amount)
 {
     PyObject *count = PyObject_GetAttr(obj, name);
     if (count == NULL)
         return -1;
-    Py_SETREF(count, PyNumber_Add(count, one));
+    Py_SETREF(count, PyNumber_Add(count, amount));
     if (count == NULL)
         return -1;
     int result = PyObject_SetAttr(obj, name, count);
@@ -781,12 +819,113 @@ static PyObject *get_list(PyObject *obj, PyObject *name)
     return list;
 }
 
+/* One run's samples, summed by opcode byte: `ran` lists the n bytes with
+ * a non-zero count, so only `count` starts cleared. */
+struct sums {
+    int64_t count[256], gas[256], time[256];
+    unsigned char ran[256];
+    int n;
+};
+
+/* sums[byte] += amount when amount is an int and the sum stays in
+ * [0, 2**63); else list[byte] += amount */
+static int add_sample(int64_t *sums, PyObject *list, int byte,
+                      PyObject *amount)
+{
+    if (PyLong_CheckExact(amount)) {
+        int overflow;
+        long long value = PyLong_AsLongLongAndOverflow(amount, &overflow);
+        if (!overflow && value >= 0 && value <= INT64_MAX - sums[byte]) {
+            sums[byte] += value;
+            return 0;
+        }
+    }
+    return add_into(list, byte, amount);
+}
+
+/* list[byte] += value */
+static int add_int(PyObject *list, int byte, int64_t value)
+{
+    PyObject *amount = PyLong_FromLongLong(value);
+    if (amount == NULL)
+        return -1;
+    int result = add_into(list, byte, amount);
+    Py_DECREF(amount);
+    return result;
+}
+
+/* The pending exception, taken out of the thread state, or NULL. */
+static PyObject *take_exception(void)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    return PyErr_GetRaisedException();
+#else
+    PyObject *type, *value, *traceback;
+    PyErr_Fetch(&type, &value, &traceback);
+    if (type == NULL)
+        return NULL;
+    PyErr_NormalizeException(&type, &value, &traceback);
+    if (traceback != NULL) {
+        PyException_SetTraceback(value, traceback);
+        Py_DECREF(traceback);
+    }
+    Py_DECREF(type);
+    return value;
+#endif
+}
+
+/* Raise `exception`, taking its reference. */
+static void restore_exception(PyObject *exception)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    PyErr_SetRaisedException(exception);
+#else
+    PyErr_Restore(Py_NewRef(Py_TYPE(exception)), exception,
+                  PyException_GetTraceback(exception));
+#endif
+}
+
+/* Add a run's sums into the sink's lists and its wall-path instruction
+ * count into work.instructions, as a `finally:` block would: a pending
+ * exception is kept, and an error here replaces it, with the pending one
+ * as its __context__. */
+static int flush_sums(const struct sums *sums, PyObject *counts,
+                      PyObject *gas_totals, PyObject *times, PyObject *work,
+                      int64_t instructions)
+{
+    PyObject *pending = take_exception();
+    int result = 0;
+    for (int i = 0; i < sums->n && result == 0; i++) {
+        int byte = sums->ran[i];
+        if (add_int(counts, byte, sums->count[byte]) < 0
+                || add_int(gas_totals, byte, sums->gas[byte]) < 0
+                || add_int(times, byte, sums->time[byte]) < 0)
+            result = -1;
+    }
+    if (result == 0 && instructions) {
+        PyObject *amount = PyLong_FromLongLong(instructions);
+        if (amount == NULL
+                || add_to_attr(work, str_instructions, amount) < 0)
+            result = -1;
+        Py_XDECREF(amount);
+    }
+    if (pending == NULL)
+        return result;
+    if (result < 0) {
+        PyObject *error = take_exception();
+        PyException_SetContext(error, pending);
+        pending = error;
+    }
+    restore_exception(pending);
+    return result;
+}
+
 /* interpret(operations, halt, statuses, machine): run `machine` until it
  * halts. `operations` is machine._OPERATIONS, `halt` the _Halt class, and
  * `statuses` the TxStatus members (SUCCESS, INVALID_OP, STACK_ERROR,
  * OUT_OF_GAS). */
-static PyObject *interpret(PyObject *module, PyObject *const *args,
-                           Py_ssize_t nargs)
+static PyObject *interpret(PyObject *Py_UNUSED(module),
+                           PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 4) {
         PyErr_Format(PyExc_TypeError,
@@ -819,6 +958,11 @@ static PyObject *interpret(PyObject *module, PyObject *const *args,
              *handler = NULL, *child = NULL, *stop = NULL;
     PyObject *result = NULL;
     Py_ssize_t pc;
+    struct sums sums;
+    sums.n = 0;
+    memset(sums.count, 0, sizeof sums.count);
+    int wall = 0;
+    int64_t instructions = 0, began = 0, ended = 0;   /* the wall path's */
 
     PyObject *schedule = NULL, *sink = NULL, *clock = NULL;
     if ((code = PyObject_GetAttr(m, str_code)) != NULL
@@ -842,6 +986,7 @@ static PyObject *interpret(PyObject *module, PyObject *const *args,
         goto done;
     const unsigned char *bytes = view.buf;
     Py_ssize_t end = view.len;
+    wall = now_ns == perf_counter_ns;
 
     for (;;) {
         if (pc >= end) {   /* running off the end stops */
@@ -849,7 +994,8 @@ static PyObject *interpret(PyObject *module, PyObject *const *args,
                 goto done;
             break;
         }
-        if ((start = PyObject_CallNoArgs(now_ns)) == NULL)
+        if (wall ? perf_counter(&began) < 0
+                 : (start = PyObject_CallNoArgs(now_ns)) == NULL)
             goto done;
         int byte = bytes[pc];
         /* bounds-checked: a handler may have resized either table */
@@ -933,13 +1079,27 @@ static PyObject *interpret(PyObject *module, PyObject *const *args,
                 goto done;
         }
         /* after the effect, which may halt */
-        if (increment(work, str_instructions) < 0
-                || (stop = PyObject_CallNoArgs(now_ns)) == NULL)
+        if (wall) {
+            instructions++;
+            if (perf_counter(&ended) < 0)
+                goto done;
+        } else {
+            if (add_to_attr(work, str_instructions, one) < 0
+                    || (stop = PyObject_CallNoArgs(now_ns)) == NULL)
+                goto done;
+            Py_SETREF(stop, PyNumber_Subtract(stop, start));
+            if (stop == NULL)
+                goto done;
+        }
+        if (sums.count[byte]++ == 0) {
+            sums.ran[sums.n++] = (unsigned char)byte;
+            sums.gas[byte] = sums.time[byte] = 0;
+        }
+        if (add_sample(sums.gas, gas_totals, byte, cost) < 0)
             goto done;
-        Py_SETREF(stop, PyNumber_Subtract(stop, start));
-        if (stop == NULL || add_into(counts, byte, one) < 0
-                || add_into(gas_totals, byte, cost) < 0
-                || add_into(times, byte, stop) < 0)
+        if (wall)
+            sums.time[byte] += ended - began;
+        else if (add_sample(sums.time, times, byte, stop) < 0)
             goto done;
         Py_CLEAR(start);
         Py_CLEAR(stop);
@@ -977,6 +1137,10 @@ static PyObject *interpret(PyObject *module, PyObject *const *args,
         result = Py_NewRef(Py_None);
 
 done:
+    if ((sums.n || instructions)
+            && flush_sums(&sums, counts, gas_totals, times, work,
+                          instructions) < 0)
+        Py_CLEAR(result);
     Py_XDECREF(start);
     Py_XDECREF(operation);
     Py_XDECREF(rule);
@@ -1013,9 +1177,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module_def = {
-    PyModuleDef_HEAD_INIT, "_native",
-    "gaslab's C code: keccak_256, rlp_encode, assemble, interpret.", -1,
-    methods,
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_native",
+    .m_doc = "gaslab's C code: keccak_256, rlp_encode, assemble, interpret.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit__native(void)

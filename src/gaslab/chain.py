@@ -93,7 +93,8 @@ def _commit(trie: MerklePatriciaTrie, clock, sink: SampleSink,
     for slot in sorted(writes):
         write_slot(trie, slot, writes[slot])
     trie.root_hash()
-    sink.record_span(MacroCategory.DB, clock.now_ns() - start)
+    end = clock.now_ns()
+    sink.record_span(MacroCategory.DB, end - start)
 
 
 def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
@@ -120,8 +121,10 @@ def execute_transaction(code: bytes, trie: MerklePatriciaTrie, gas_limit: int,
     sink = machine.sink
     evm_start = clock.now_ns()
     status = machine.run()
-    sink.record_span(MacroCategory.EVM, clock.now_ns() - evm_start)
-    sink.record_span(MacroCategory.TX, clock.now_ns() - tx_start)
+    evm_end = clock.now_ns()
+    sink.record_span(MacroCategory.EVM, evm_end - evm_start)
+    tx_end = clock.now_ns()
+    sink.record_span(MacroCategory.TX, tx_end - tx_start)
     if status is TxStatus.SUCCESS:
         _commit(trie, clock, sink, machine.storage_buffer)
     return TxReceipt(status, gas_limit - machine.gas, machine.return_data,
@@ -170,7 +173,8 @@ class Chain:
         verify_start = now_ns()
         verify_block(block, height, schedule)
         work.spans += 1
-        record_span(MacroCategory.VERIFY, now_ns() - verify_start)
+        verify_end = now_ns()
+        record_span(MacroCategory.VERIFY, verify_end - verify_start)
 
         import_start = now_ns()
         for tx_index, tx in enumerate(block.transactions):

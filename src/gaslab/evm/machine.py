@@ -11,16 +11,16 @@ Metering contract: the gas for an instruction is deducted before its effect
 is applied. The dispatch loop, with decode, checks, charge and sample
 bookkeeping inline, is `_loop`: the native module's `interpret`
 (`gaslab.native`) when that builds, else `_loop_python`, which is also the
-reference that the C loop follows step for step. Both call the same Python
-handlers for every effect, so each instruction's semantics live in one
-place, and both put `pc` and `gas` on the machine before each handler and
-each `_dynamic_cost` call. `Machine.run` only turns a `_Halt` into the
-final status. As in geth's jump table, one static table gives each opcode
-byte one entry, `(need, room, push_width, handler)`: the stack must hold
-`need` to `room = STACK_LIMIT + need - out` items, and an undefined byte
-has no entry, so it halts before any stack check. PUSH1-32 run inline,
-zero-padding an immediate cut off by the end of the code; every other
-effect is one handler call. Cost comes from the schedule's per-byte
+reference for the C loop: the same state, receipts and sample totals. Both
+call the same Python handlers for every effect, so each instruction's
+semantics live in one place, and both put `pc` and `gas` on the machine
+before each handler and each `_dynamic_cost` call. `Machine.run` only turns
+a `_Halt` into the final status. As in geth's jump table, one static table
+gives each opcode byte one entry, `(need, room, push_width, handler)`: the
+stack must hold `need` to `room = STACK_LIMIT + need - out` items, and an
+undefined byte has no entry, so it halts before any stack check. PUSH1-32
+run inline, zero-padding an immediate cut off by the end of the code; every
+other effect is one handler call. Cost comes from the schedule's per-byte
 table, `GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory
 once, in the cost step: it adds the expansion to the rule's cost and, only
 if the whole charge is affordable, grows `memory`, so the handlers read and
@@ -33,10 +33,16 @@ opcode or jump target, stack faults) consume all remaining gas. Samples,
 and the instruction count in the run's work counters, cover successful
 instructions only.
 
-Every run samples into a `SampleSink`: the interpreter adds each
-instruction's (count, gas, time) into the sink's open-window lists, and
-`gaslab.chain` records every span there. A caller that gives no sink gets
-a fresh one, so there is one path for every run.
+Every run samples into a `SampleSink`, whose open-window lists take each
+instruction's (count, gas, time), and `gaslab.chain` records every span
+there. `_loop_python` adds each sample as the instruction ends. The C loop
+sums a run's samples in C and adds the sums into the lists once, as the
+run exits, whether it stops, halts or raises. Under `WallClock` it also
+reads the clock itself and adds the run's instruction count to the work
+counters at that exit. Under any other clock it calls `now_ns` and counts
+each instruction as it ends, since `VirtualClock` reads that count. A
+caller that gives no sink gets a fresh one, so there is one path for every
+run.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed
@@ -197,7 +203,7 @@ class Machine:
 
 def _loop_python(m: Machine) -> None:
     """Hot path: the dispatch loop without the native module, and the
-    reference that `_native.interpret` follows step for step."""
+    reference that `_native.interpret` must match."""
     code = m.code
     end = len(code)
     pc = m.pc

@@ -7,8 +7,9 @@ immutable and archived.
 
 One thread records: the chain driver runs blocks in order and closes a
 window between blocks. The open window is a dict of span totals and three
-lists indexed by opcode byte (`counts`, `gas`, `times`), and the
-interpreter adds each instruction's sample straight into those lists, so
+lists indexed by opcode byte (`counts`, `gas`, `times`). The interpreter
+adds its samples into those lists by the end of each run (the Python loop
+per instruction, the C loop once per run, from sums it keeps in C), so
 no sample exists per transaction. `close_window` names the bytes that ran
 once per window, through `evm.opcodes.NAME_BY_BYTE`, freezes the window
 and opens fresh lists. `record_instruction_totals` merges totals that are
@@ -34,7 +35,6 @@ window_start, so analysis sees the windows `SampleSink` archived.
 
 from __future__ import annotations
 
-import enum
 import json
 import os
 import tempfile
@@ -52,7 +52,9 @@ COUNTER_MAX = 2 ** 63 - 1   # every counter fits a signed 64-bit integer
 T = TypeVar("T")
 
 
-class MacroCategory(enum.Enum):
+class MacroCategory:
+    """The span categories: plain strings, each its own macro.csv name."""
+
     TOTAL = "Total"
     VERIFY = "Verify"
     IMPORT = "Import"
@@ -95,8 +97,9 @@ class SampleSink:
     """Windowed collector for macro spans and micro instruction samples.
 
     `counts`, `gas` and `times` hold the open window's per-opcode-byte
-    totals; the interpreter adds into them directly (see
-    `gaslab.evm.machine`), and `gaslab.chain` records the spans.
+    totals; the interpreter adds into them directly, by the end of each
+    run (see `gaslab.evm.machine`), and `gaslab.chain` records the spans.
+    A span's category is a `MacroCategory` string, its macro.csv name.
     """
 
     def __init__(self, window_start: int = 0):
@@ -107,10 +110,9 @@ class SampleSink:
         self._categories: dict[str, int] = {}
         self.archive: list[WindowAggregate] = []
 
-    def record_span(self, category: MacroCategory, duration_ns: int) -> None:
+    def record_span(self, category: str, duration_ns: int) -> None:
         categories = self._categories
-        name = category.value
-        categories[name] = categories.get(name, 0) + duration_ns
+        categories[category] = categories.get(category, 0) + duration_ns
 
     def record_instruction_totals(self, samples: dict[str, list[int]]) -> None:
         """Merge pre-aggregated samples, opcode name -> [count, gas, time
@@ -244,7 +246,8 @@ def write_macro_csv(windows: Iterable[WindowAggregate], path: str | Path) -> Non
         for window in windows for name in sorted(window.categories)))
 
 
-_CATEGORIES = frozenset(c.value for c in MacroCategory)
+_CATEGORIES = frozenset(value for name, value in vars(MacroCategory).items()
+                        if name.isupper())
 
 
 def _counter(cell: str) -> int:

@@ -5,7 +5,9 @@ path's Keccak-256 sponge (`keccak_256`) and RLP encoder (`rlp_encode`),
 the block assembler (`assemble`), which draws each block's programs from a
 Mersenne Twister that matches `random.Random` bit for bit, and the
 interpreter's dispatch loop (`interpret`), which calls the Python
-instruction handlers for every effect but PUSH. The first import builds
+instruction handlers for every effect but PUSH and keeps each run's
+samples in C until the run exits; under `WallClock` it reads the clock in
+C as well. The first import builds
 it with the local `cc` against the running interpreter's headers and
 writes two files into `_build/` next to this module: `_native` plus the
 interpreter's extension suffix, so no other Python loads it, and a copy of

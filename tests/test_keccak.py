@@ -15,6 +15,7 @@ import random
 import shutil
 import subprocess
 import sys
+import sysconfig
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -212,3 +213,16 @@ def test_loading_imports_no_hashing_or_build_modules():
                           text=True, env=dict(os.environ, PYTHONPATH=SRC_ROOT),
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    shutil.which("cc") is None
+    or not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists(),
+    reason="no cc on PATH or no Python.h")
+def test_native_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fPIC", "-c",
+         "-I", sysconfig.get_paths()["include"],
+         "-o", str(tmp_path / "_native.o"), str(SOURCE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ behind.
 """
 
 import random
+import time
 
 import pytest
 from test_machine import *  # noqa: F401,F403 -- collected again here
@@ -15,10 +16,10 @@ from test_machine import GOLDEN_LIBRARIES, SCHED, random_byte_program
 
 from gaslab import native
 from gaslab.chain import execute_transaction
-from gaslab.clock import VirtualClock
+from gaslab.clock import VirtualClock, WallClock
 from gaslab.evm import machine as machine_module
 from gaslab.evm.machine import (CALL_DEPTH_LIMIT, STACK_LIMIT, Machine,
-                                store_code)
+                                TxStatus, store_code)
 from gaslab.evm.opcodes import Opcode
 from gaslab.evm.schedule import GasSchedule, default_schedule
 from gaslab.metrics import SampleSink
@@ -91,31 +92,45 @@ def differential_programs(n_random=2000, seed=34):
     return runs
 
 
-def run_both_ways(loop, runs):
+def run_both_ways(loop, runs, wall=False):
     """Every run twice under `loop`: as a bare `Machine`, for its final
-    state and samples, and as a transaction, for its receipt and commit."""
+    state and samples, and as a transaction, for its receipt and commit.
+    Gives what the runs leave apart from times, and for each run its
+    (counts, times, spans): the transaction's spans, or for the bare
+    `Machine` an EVM span read around its `run`."""
     machine_module._loop = loop
     trie = MerklePatriciaTrie()
     for code_id, code in DIFFERENTIAL_LIBRARIES.items():
         store_code(trie, code_id, code)
     work = trie.store.work
-    clock = VirtualClock(work)
-    seen = []
+    clock = WallClock if wall else VirtualClock(work)
+    seen, timed = [], []
     for height, (code, gas, schedule) in enumerate(runs):
         sink = SampleSink()
         m = Machine(code, trie, gas, height, schedule, clock=clock,
                     sink=sink)
+        start = clock.now_ns()
         status = m.run()
+        span = clock.now_ns() - start
         seen.append((status, m.pc, m.stack, bytes(m.memory), m.memory_words,
                      m.gas, m.return_data, m.storage_buffer, sink.counts,
-                     sink.gas, sink.times, work.instructions))
+                     sink.gas, work.instructions))
+        timed.append((sink.counts, sink.times, {"EVM": span}))
         sink = SampleSink()
         receipt = execute_transaction(code, trie, schedule.intrinsic_gas + gas,
                                       height, schedule, clock=clock,
                                       sink=sink)
-        seen.append((receipt, sink.counts, sink.gas, sink.times,
-                     sink.close_window(1).categories, trie.root_hash()))
-    return seen
+        seen.append((receipt, sink.counts, sink.gas, trie.root_hash()))
+        timed.append((sink.counts, sink.times,
+                      sink.close_window(1).categories))
+    return seen, timed
+
+
+def assert_same_runs(runs, python, c):
+    assert len(c) == len(python) == 2 * len(runs)
+    for run, expected, got in zip([run for run in runs for _ in "mt"],
+                                  python, c):
+        assert got == expected, run
 
 
 @pytest.mark.skipif(native.module is None, reason="no native build")
@@ -123,16 +138,32 @@ def test_both_loops_leave_the_same_state_samples_and_receipts():
     runs = differential_programs()
     python = run_both_ways(machine_module._loop_python, runs)
     c = run_both_ways(BOUND_LOOP, runs)
-    assert len(c) == len(python) == 2 * len(runs)
-    for run, expected, got in zip([run for run in runs for _ in "mt"],
-                                  python, c):
-        assert got == expected, run
+    assert_same_runs(runs, list(zip(*python)), list(zip(*c)))
     # the batch reaches every status, a full stack and the depth limit
-    machines = python[::2]
+    machines = python[0][::2]
     assert len({seen[0] for seen in machines}) == 4
     assert STACK_LIMIT in {len(seen[2]) for seen in machines}
     assert CALL_DEPTH_LIMIT in {seen[8][Opcode.CALLCODE]
                                 for seen in machines}
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+def test_both_loops_agree_on_the_wall_clock():
+    """The C loop reads WallClock's counter itself and counts instructions
+    in a local. All but the times matches the Python loop; a time is
+    never negative, 0 where nothing ran, and a run's times sum to no more
+    than its EVM span."""
+    runs = differential_programs()
+    python, python_timed = run_both_ways(machine_module._loop_python, runs,
+                                         wall=True)
+    c, c_timed = run_both_ways(BOUND_LOOP, runs, wall=True)
+    assert_same_runs(runs, python, c)
+    for run, (_, _, python_spans), (counts, times, spans) in zip(
+            [run for run in runs for _ in "mt"], python_timed, c_timed):
+        assert spans.keys() == python_spans.keys(), run
+        assert all(t >= 0 and (n or t == 0)
+                   for n, t in zip(counts, times)), run
+        assert sum(times) <= spans["EVM"], run
 
 
 class FailingClock:
@@ -167,3 +198,107 @@ def test_other_exceptions_propagate_without_a_sample(fail_at):
                      m.stack, m.work.instructions))
     assert seen[0] == seen[1]
     assert sum(seen[0][0]) == (fail_at - 1) // 2
+
+
+def wall_run(loop, code, gas=10_000, library=b""):
+    """`code` as a bare `Machine` under `loop` and the wall clock, with
+    `library` stored under code id 1: its status or the exception it
+    raised, and the samples but times, the instruction count and the times
+    it leaves."""
+    machine_module._loop = loop
+    trie = MerklePatriciaTrie()
+    store_code(trie, 1, library)
+    sink = SampleSink()
+    m = Machine(code, trie, gas, 0, SCHED, clock=WallClock, sink=sink)
+    try:
+        outcome = m.run()
+    except RuntimeError as error:
+        outcome = str(error)
+    return (outcome, sink.counts, sink.gas, m.work.instructions), sink.times
+
+
+def fail(m):
+    raise RuntimeError("handler failed")
+
+
+@pytest.fixture
+def set_handler():
+    """Swap one opcode's handler in the table both loops read."""
+    operations = machine_module._OPERATIONS
+    saved = list(operations)
+
+    def set_handler(opcode, handler):
+        need, room, width, _ = operations[opcode]
+        operations[opcode] = (need, room, width, handler)
+
+    yield set_handler
+    operations[:] = saved
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+@pytest.mark.parametrize("in_child", [False, True])
+def test_wall_path_keeps_the_samples_of_a_run_a_handler_ends(set_handler,
+                                                             in_child):
+    """A handler raises after three instructions; in the child case, a
+    child's, after the caller's CALLCODE and the child's three. Both runs
+    leave their finished instructions' samples, as the Python loop does."""
+    set_handler(Opcode.MUL, fail)
+    program = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
+                     Opcode.PUSH1, 3, Opcode.MUL, Opcode.STOP])
+    code = bytes([Opcode.PUSH1, 1, Opcode.CALLCODE]) if in_child else program
+    python, _ = wall_run(machine_module._loop_python, code, library=program)
+    c, c_times = wall_run(BOUND_LOOP, code, library=program)
+    assert c == python
+    assert c[0] == "handler failed"
+    assert c[3] == 4 + 2 * in_child
+    assert all(t >= 0 and (n or t == 0) for n, t in zip(c[1], c_times))
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+def test_a_failed_flush_raises_with_the_pending_error_as_context(
+        set_handler):
+    """The C loop adds its sums as a `finally:` block would: a sink list
+    too short for PUSH1's byte fails the add, and that error is raised with
+    the handler's as its context."""
+    set_handler(Opcode.MUL, fail)
+    sink = SampleSink()
+    sink.counts = [0] * Opcode.PUSH1
+    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.MUL]),
+                MerklePatriciaTrie(), 100, 0, SCHED, sink=sink)
+    machine_module._loop = BOUND_LOOP
+    with pytest.raises(IndexError) as raised:
+        m.run()
+    assert str(raised.value.__context__) == "handler failed"
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+def test_wall_path_keeps_the_samples_of_a_run_out_of_gas():
+    code = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD]) * 4
+    python, _ = wall_run(machine_module._loop_python, code, gas=20)
+    c, c_times = wall_run(BOUND_LOOP, code, gas=20)
+    assert c == python
+    assert c[0] is TxStatus.OUT_OF_GAS
+    assert c[3] == 6   # 9 gas a PUSH1, PUSH1, ADD; then 2 PUSH1s
+    assert all(t >= 0 and (n or t == 0) for n, t in zip(c[1], c_times))
+
+
+@pytest.mark.parametrize("loop", [machine_module._loop_python, BOUND_LOOP],
+                         ids=["python", "bound"])
+def test_a_2_ms_instruction_samples_at_least_2_ms(set_handler, loop):
+    """JUMPDEST busy-waits 2 ms on time.perf_counter_ns: its sample must
+    read at least that and stay inside the EVM span, so the loop reads the
+    clock that WallClock names, in nanoseconds."""
+    def busy(m):
+        until = time.perf_counter_ns() + 2_000_000
+        while time.perf_counter_ns() < until:
+            pass
+
+    set_handler(Opcode.JUMPDEST, busy)
+    machine_module._loop = loop
+    sink = SampleSink()
+    receipt = execute_transaction(
+        bytes([Opcode.JUMPDEST, Opcode.STOP]), MerklePatriciaTrie(), 30_000,
+        0, SCHED, clock=WallClock, sink=sink)
+    assert receipt.status is TxStatus.SUCCESS
+    sampled = sink.times[Opcode.JUMPDEST]
+    assert 2_000_000 <= sampled <= sink.close_window(1).categories["EVM"]
