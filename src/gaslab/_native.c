@@ -11,11 +11,12 @@
  *       drawn from a Mersenne Twister seeded and read exactly as CPython's
  *       random.Random; gaslab.workload._assemble_python is the reference.
  *   interpret(operations, halt, statuses, machine) -> None: the
- *       interpreter's dispatch loop, which runs a Machine until it halts,
- *       calling its Python handlers for every effect but PUSH1-32. It sums
- *       the run's samples in C and adds them into the sink as it exits,
- *       and under WallClock reads the clock in C;
- *       gaslab.evm.machine._loop_python is the reference.
+ *       interpreter's dispatch loop, which runs a Machine until it halts.
+ *       It runs PUSH1-32, STOP, PC and the effects that need only the
+ *       stack itself, and calls its Python handlers for every other
+ *       effect. It sums the run's samples in C and adds them into the sink
+ *       as it exits, and under WallClock reads the clock in C;
+ *       gaslab.evm.machine._loop_python and its handlers are the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
  * gaslab.keccak, gaslab.rlp, gaslab.workload and gaslab.evm.machine keep
@@ -667,12 +668,19 @@ fail:
 }
 
 /* The interpreter's dispatch loop (gaslab.evm.machine). interpret() does
- * what gaslab.evm.machine._loop_python does and calls the same Python
- * handlers for every effect but PUSH1-32: it reads the clock at the same
- * two points of each instruction, and it puts pc and gas on the machine
- * before each handler and each _dynamic_cost call. Gas and costs stay
- * Python objects: a polynomial rule can cost math.inf, and a schedule
- * constant can exceed 64 bits.
+ * what gaslab.evm.machine._loop_python does, which stays the reference,
+ * with its Python handlers: it reads the clock at the same two points of
+ * each instruction, and it puts pc and gas on the machine before each
+ * handler and each _dynamic_cost call. It runs some effects itself, switched
+ * on the opcode byte: PUSH1-32; the effects that need only the stack (ADD,
+ * MUL, SUB, DIV, LT, GT, EQ, ISZERO, AND, OR, XOR, NOT, POP, DUP1-16,
+ * SWAP1-16, JUMPDEST), on Python ints as their handlers compute them; PC,
+ * from the loop's own pc; and STOP. Every other effect is a handler call.
+ * The pc that _loop_python would have put on the machine before one of these
+ * effects is kept in a local and put there once, as the run exits by any
+ * path, along with the gas. Gas and costs stay Python objects: a
+ * polynomial rule can cost math.inf, and a schedule constant can exceed 64
+ * bits.
  *
  * Sampling does no Python-object work per instruction. A run sums its
  * samples by opcode byte in C (struct sums) and adds the sums into the
@@ -688,10 +696,10 @@ fail:
 static PyObject *str_pc, *str_gas, *str_status, *str_code, *str_stack,
     *str_schedule, *str_by_byte, *str_work, *str_instructions, *str_clock,
     *str_now_ns, *str_sink, *str_counts, *str_times, *str_dynamic_cost,
-    *str_run, *one, *perf_counter_ns;
+    *str_run, *zero, *one, *word_mask, *perf_counter_ns;
 
-/* The attribute names, 1, and time.perf_counter_ns, which is
- * WallClock.now_ns. */
+/* The attribute names, 0, 1, WORD_MASK (2**256 - 1), and
+ * time.perf_counter_ns, which is WallClock.now_ns. */
 static int intern_names(void)
 {
     struct { PyObject **name; const char *text; } names[] = {
@@ -713,8 +721,13 @@ static int intern_names(void)
         return -1;
     perf_counter_ns = PyObject_GetAttrString(time, "perf_counter_ns");
     Py_DECREF(time);
+    zero = PyLong_FromLong(0);
     one = PyLong_FromLong(1);
-    return one == NULL || perf_counter_ns == NULL ? -1 : 0;
+    word_mask = PyLong_FromString(
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+        NULL, 16);
+    return zero == NULL || one == NULL || word_mask == NULL
+           || perf_counter_ns == NULL ? -1 : 0;
 }
 
 /* *now = time.perf_counter_ns(), read without a call: through
@@ -819,6 +832,122 @@ static PyObject *get_list(PyObject *obj, PyObject *name)
     return list;
 }
 
+/* The opcode bytes (gaslab.evm.opcodes) whose effects the loop runs. */
+enum {
+    STOP = 0x00, ADD = 0x01, MUL = 0x02, SUB = 0x03, DIV = 0x04,
+    LT = 0x10, GT = 0x11, EQ = 0x14, ISZERO = 0x15, AND = 0x16, OR = 0x17,
+    XOR = 0x18, NOT = 0x19, POP = 0x50, PC = 0x58, JUMPDEST = 0x5B,
+    DUP1 = 0x80, DUP16 = 0x8F, SWAP1 = 0x90, SWAP16 = 0x9F,
+};
+
+/* x & WORD_MASK, taking the reference to x */
+static PyObject *masked(PyObject *x)
+{
+    if (x == NULL)
+        return NULL;
+    Py_SETREF(x, PyNumber_And(x, word_mask));
+    return x;
+}
+
+/* 1 if truth else 0, or NULL when truth is -1 (an error) */
+static PyObject *flag(int truth)
+{
+    return truth < 0 ? NULL : Py_NewRef(truth ? one : zero);
+}
+
+/* What the handler of a two-operand `byte` pushes, where `a` was the top
+ * of the stack and `b` the item below it. */
+static PyObject *binary(int byte, PyObject *a, PyObject *b)
+{
+    int nonzero;
+    switch (byte) {
+    case ADD: return masked(PyNumber_Add(a, b));
+    case MUL: return masked(PyNumber_Multiply(a, b));
+    case SUB: return masked(PyNumber_Subtract(a, b));
+    case DIV:
+        nonzero = PyObject_IsTrue(b);
+        return nonzero > 0 ? PyNumber_FloorDivide(a, b) : flag(nonzero);
+    case LT: return flag(PyObject_RichCompareBool(a, b, Py_LT));
+    case GT: return flag(PyObject_RichCompareBool(a, b, Py_GT));
+    case EQ: return flag(PyObject_RichCompareBool(a, b, Py_EQ));
+    case AND: return PyNumber_And(a, b);
+    case OR: return PyNumber_Or(a, b);
+    default: return PyNumber_Xor(a, b);
+    }
+}
+
+/* stack.append(item), taking the reference to item */
+static int push(PyObject *stack, PyObject *item)
+{
+    if (item == NULL)
+        return -1;
+    int result = PyList_Append(stack, item);
+    Py_DECREF(item);
+    return result;
+}
+
+/* Runs the effect of `byte` at `pc` when it needs only the stack or only
+ * pc, popping and pushing as its handler does: 1 when it ran, 0 when
+ * `byte` has no such effect here, -1 with an exception set. The stack
+ * check has run, against the table the caller may change; a stack too
+ * shallow for the effect raises IndexError, as the handler's pop would. */
+static int stack_effect(int byte, PyObject *stack, Py_ssize_t pc)
+{
+    Py_ssize_t depth = PyList_GET_SIZE(stack), need;
+    if (byte >= DUP1 && byte <= DUP16)
+        need = byte - DUP1 + 1;
+    else if (byte >= SWAP1 && byte <= SWAP16)
+        need = byte - SWAP1 + 2;
+    else
+        switch (byte) {
+        case JUMPDEST: case PC:
+            need = 0;
+            break;
+        case ISZERO: case NOT: case POP:
+            need = 1;
+            break;
+        case ADD: case MUL: case SUB: case DIV: case LT: case GT: case EQ:
+        case AND: case OR: case XOR:
+            need = 2;
+            break;
+        default:
+            return 0;
+        }
+    if (depth < need) {
+        PyErr_SetString(PyExc_IndexError, "pop from a too shallow stack");
+        return -1;
+    }
+    PyObject **items = ((PyListObject *)stack)->ob_item;
+    if (byte >= DUP1 && byte <= DUP16)
+        return PyList_Append(stack, items[depth - need]) < 0 ? -1 : 1;
+    if (byte >= SWAP1 && byte <= SWAP16) {
+        PyObject *top = items[depth - 1];
+        items[depth - 1] = items[depth - need];
+        items[depth - need] = top;
+        return 1;
+    }
+    if (need == 0)
+        return byte == PC && push(stack, PyLong_FromSsize_t(pc)) < 0
+               ? -1 : 1;
+    /* pop: the references pass from the list to a and b */
+    PyObject *a = items[depth - 1], *b = need == 2 ? items[depth - 2] : NULL,
+             *result;
+    Py_SET_SIZE(stack, depth - need);
+    if (byte == POP) {
+        Py_DECREF(a);
+        return 1;
+    }
+    if (b != NULL)
+        result = binary(byte, a, b);
+    else if (byte == NOT)
+        result = PyNumber_Xor(a, word_mask);
+    else
+        result = flag(PyObject_RichCompareBool(a, zero, Py_EQ));
+    Py_DECREF(a);
+    Py_XDECREF(b);
+    return push(stack, result) < 0 ? -1 : 1;
+}
+
 /* One run's samples, summed by opcode byte: `ran` lists the n bytes with
  * a non-zero count, so only `count` starts cleared. */
 struct sums {
@@ -885,16 +1014,21 @@ static void restore_exception(PyObject *exception)
 #endif
 }
 
-/* Add a run's sums into the sink's lists and its wall-path instruction
- * count into work.instructions, as a `finally:` block would: a pending
- * exception is kept, and an error here replaces it, with the pending one
- * as its __context__. */
-static int flush_sums(const struct sums *sums, PyObject *counts,
-                      PyObject *gas_totals, PyObject *times, PyObject *work,
-                      int64_t instructions)
+/* What a run leaves behind as it exits, as a `finally:` block would: the
+ * pc not yet put on the machine (unless it is -1) and the gas (unless it
+ * is NULL) on the machine, the run's sums in the sink's lists, and its
+ * wall-path instruction count in work.instructions. A pending exception is
+ * kept, and an error here replaces it, with the pending one as its
+ * __context__. */
+static int finish(PyObject *m, Py_ssize_t pc, PyObject *gas,
+                  const struct sums *sums, PyObject *counts,
+                  PyObject *gas_totals, PyObject *times, PyObject *work,
+                  int64_t instructions)
 {
     PyObject *pending = take_exception();
-    int result = 0;
+    int result = (pc >= 0 && set_pc(m, pc) < 0)
+                 || (gas != NULL && PyObject_SetAttr(m, str_gas, gas) < 0)
+                 ? -1 : 0;
     for (int i = 0; i < sums->n && result == 0; i++) {
         int byte = sums->ran[i];
         if (add_int(counts, byte, sums->count[byte]) < 0
@@ -957,7 +1091,10 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     PyObject *start = NULL, *operation = NULL, *rule = NULL, *cost = NULL,
              *handler = NULL, *child = NULL, *stop = NULL;
     PyObject *result = NULL;
-    Py_ssize_t pc;
+    /* pending_pc: the pc that _loop_python would have put on the machine
+     * and this loop has not yet, or -1 */
+    Py_ssize_t pc, pending_pc = -1;
+    int ran, stopped = 0;
     struct sums sums;
     sums.n = 0;
     memset(sums.count, 0, sizeof sums.count);
@@ -1033,6 +1170,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             rule = NULL;
         } else {
             PyObject *opcode = PyLong_FromLong(byte);
+            pending_pc = -1;
             if (opcode == NULL || set_pc(m, pc) < 0
                     || PyObject_SetAttr(m, str_gas, gas) < 0) {
                 Py_XDECREF(opcode);
@@ -1068,7 +1206,17 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             if (appended < 0)
                 goto done;
             pc += 1 + width;
+        } else if (byte == STOP) {
+            pending_pc = ++pc;
+            stopped = 1;
+            if (PyObject_SetAttr(m, str_status, success) < 0)
+                goto done;
+        } else if ((ran = stack_effect(byte, stack, pc)) != 0) {
+            pending_pc = ++pc;   /* also when the effect failed */
+            if (ran < 0)
+                goto done;
         } else {
+            pending_pc = -1;
             if (set_pc(m, pc + 1) < 0
                     || PyObject_SetAttr(m, str_gas, gas) < 0)
                 goto done;
@@ -1105,6 +1253,8 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
         Py_CLEAR(stop);
         Py_CLEAR(operation);
         Py_CLEAR(cost);
+        if (stopped)
+            break;
         if (handler == NULL)
             continue;
         Py_CLEAR(handler);
@@ -1133,13 +1283,11 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
         if (status != Py_None)
             break;
     }
-    if (PyObject_SetAttr(m, str_gas, gas) == 0)
-        result = Py_NewRef(Py_None);
+    result = Py_NewRef(Py_None);
 
 done:
-    if ((sums.n || instructions)
-            && flush_sums(&sums, counts, gas_totals, times, work,
-                          instructions) < 0)
+    if (finish(m, pending_pc, gas, &sums, counts, gas_totals, times, work,
+               instructions) < 0)
         Py_CLEAR(result);
     Py_XDECREF(start);
     Py_XDECREF(operation);

@@ -11,20 +11,26 @@ Metering contract: the gas for an instruction is deducted before its effect
 is applied. The dispatch loop, with decode, checks, charge and sample
 bookkeeping inline, is `_loop`: the native module's `interpret`
 (`gaslab.native`) when that builds, else `_loop_python`, which is also the
-reference for the C loop: the same state, receipts and sample totals. Both
-call the same Python handlers for every effect, so each instruction's
-semantics live in one place, and both put `pc` and `gas` on the machine
-before each handler and each `_dynamic_cost` call. `Machine.run` only turns
-a `_Halt` into the final status. As in geth's jump table, one static table
-gives each opcode byte one entry, `(need, room, push_width, handler)`: the
-stack must hold `need` to `room = STACK_LIMIT + need - out` items, and an
-undefined byte has no entry, so it halts before any stack check. PUSH1-32
-run inline, zero-padding an immediate cut off by the end of the code; every
-other effect is one handler call. Cost comes from the schedule's per-byte
-table, `GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory
-once, in the cost step: it adds the expansion to the rule's cost and, only
-if the whole charge is affordable, grows `memory`, so the handlers read and
-write memory that is already there. The timed region, between two clock
+reference for the C loop: the same state, receipts and sample totals.
+`_loop_python` calls a Python handler for every effect but PUSH, and those
+handlers define each instruction's semantics. The C loop, like the jump
+tables of compiled clients, runs STOP and the effects that need only the
+stack or the loop's own pc itself: ADD, MUL, SUB, DIV, LT, GT, EQ, ISZERO,
+AND, OR, XOR, NOT, POP, PC, JUMPDEST, DUP1-16 and SWAP1-16, on Python ints
+as their handlers compute them. It calls the same handlers for every other
+effect. Both loops put `pc` and `gas` on the machine before each handler
+and each `_dynamic_cost` call, and whatever path a run exits by, the C loop
+leaves the `pc` and `gas` that `_loop_python` leaves. `Machine.run` only
+turns a `_Halt` into the final status. As in geth's jump table, one static
+table gives each opcode byte one entry, `(need, room, push_width,
+handler)`: the stack must hold `need` to `room = STACK_LIMIT + need - out`
+items, and an undefined byte has no entry, so it halts before any stack
+check. PUSH1-32 run inline, zero-padding an immediate cut off by the end of
+the code. Cost comes from the schedule's per-byte table,
+`GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory once, in
+the cost step: it adds the expansion to the rule's cost and, only if the
+whole charge is affordable, grows `memory`, so the handlers read and write
+memory that is already there. The timed region, between two clock
 reads, covers decode, the stack check, dynamic cost evaluation, the charge
 and the effect, an inline PUSH's included; only the loop itself and sample
 bookkeeping stay outside, so the summed instruction times track the

@@ -4,14 +4,17 @@
 path's Keccak-256 sponge (`keccak_256`) and RLP encoder (`rlp_encode`),
 the block assembler (`assemble`), which draws each block's programs from a
 Mersenne Twister that matches `random.Random` bit for bit, and the
-interpreter's dispatch loop (`interpret`), which calls the Python
-instruction handlers for every effect but PUSH and keeps each run's
-samples in C until the run exits; under `WallClock` it reads the clock in
-C as well. The first import builds
-it with the local `cc` against the running interpreter's headers and
-writes two files into `_build/` next to this module: `_native` plus the
-interpreter's extension suffix, so no other Python loads it, and a copy of
-the source it was built from. Later imports load that library, and
+interpreter's dispatch loop (`interpret`), which runs PUSH, STOP, PC and
+the effects that need only the stack (the arithmetic, comparison and
+bitwise opcodes, POP, JUMPDEST, DUP and SWAP) itself, calls the Python
+instruction handlers for every other effect, and keeps each run's samples
+in C until the run exits; under `WallClock` it reads the clock in C as
+well. `gaslab.evm.machine._loop_python` and its handlers stay the
+reference that it must match. The first import builds it with the local
+`cc` against the running interpreter's headers and writes two files into
+`_build/` next to this module: `_native` plus the interpreter's extension
+suffix, so no other Python loads it, and a copy of the source it was built
+from. Later imports load that library, and
 rebuild it whenever the shipped source differs from the copy. Each file
 is written under a temporary name and moved into place, library first.
 A build leaves staged files, which another process may be writing, and

@@ -7,6 +7,7 @@ runs both loops over the same programs and compares everything they leave
 behind.
 """
 
+import itertools
 import random
 import time
 
@@ -20,8 +21,8 @@ from gaslab.clock import VirtualClock, WallClock
 from gaslab.evm import machine as machine_module
 from gaslab.evm.machine import (CALL_DEPTH_LIMIT, STACK_LIMIT, Machine,
                                 TxStatus, store_code)
-from gaslab.evm.opcodes import Opcode
-from gaslab.evm.schedule import GasSchedule, default_schedule
+from gaslab.evm.opcodes import ARITY, Opcode
+from gaslab.evm.schedule import GasSchedule, PolynomialRule, default_schedule
 from gaslab.metrics import SampleSink
 from gaslab.trie import MerklePatriciaTrie
 
@@ -166,6 +167,91 @@ def test_both_loops_agree_on_the_wall_clock():
         assert sum(times) <= spans["EVM"], run
 
 
+# The bytes whose effects the C loop runs itself instead of calling their
+# Python handlers (PUSH1-32 aside), and the operands they are checked on.
+C_EFFECTS = [Opcode.STOP, Opcode.ADD, Opcode.MUL, Opcode.SUB, Opcode.DIV,
+             Opcode.LT, Opcode.GT, Opcode.EQ, Opcode.ISZERO, Opcode.AND,
+             Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.POP, Opcode.PC,
+             Opcode.JUMPDEST, *(Opcode(Opcode.DUP1 + k) for k in range(16)),
+             *(Opcode(Opcode.SWAP1 + k) for k in range(16))]
+OPERANDS = [0, 1, 2 ** 255, 2 ** 256 - 1]
+
+# Every C_EFFECTS cost as a polynomial: each goes through _dynamic_cost,
+# and STOP costs 1 (a polynomial costs at least 1), so it can run out of gas.
+DYNAMIC_SCHEDULE = GasSchedule(
+    {**SCHED.rules,
+     **{op: PolynomialRule((float(SCHED.rules[op].cost),))
+        for op in C_EFFECTS}},
+    SCHED.intrinsic_gas)
+
+
+def push32(value):
+    return bytes([Opcode.PUSH32]) + value.to_bytes(32, "big")
+
+
+def c_effect_programs():
+    """(code, gas, stack, schedule) for each bare run: each C_EFFECTS byte
+    on every choice of OPERANDS, each DUPk and SWAPk on 17 distinct items,
+    each byte on a stack one short of its need, at its need, at its room
+    and one past its room, and each byte with just enough gas and one
+    gas short, under both schedules."""
+    runs = []
+    for op in C_EFFECTS:
+        need, out = ARITY[op]
+        room = STACK_LIMIT + need - out
+        if need <= 2:
+            for operands in itertools.product(OPERANDS, repeat=need):
+                # the first operand is pushed last: it is the top
+                code = b"".join(map(push32, reversed(operands)))
+                runs.append((code + bytes([op]), 10_000, [], SCHED))
+        else:
+            runs.append((bytes([op]), 10_000, list(range(1, 18)), SCHED))
+        for depth in sorted({max(need - 1, 0), need, room, room + 1}):
+            runs.append((bytes([op]), 10_000, list(range(depth)), SCHED))
+        code = bytes([Opcode.PUSH1, 1]) * need + bytes([op])
+        for schedule in (SCHED, DYNAMIC_SCHEDULE):
+            paid = (need * SCHED.by_byte[Opcode.PUSH1]
+                    + schedule.rules[op].base_cost(0))
+            runs += [(code, gas, [], schedule) for gas in (paid - 1, paid)
+                     if gas >= 0]
+    return runs
+
+
+def run_bare(loop, runs):
+    """Each run as a bare `Machine` under `loop` and the virtual clock: its
+    final state, samples and the work count."""
+    machine_module._loop = loop
+    trie = MerklePatriciaTrie()
+    clock = VirtualClock(trie.store.work)
+    seen = []
+    for code, gas, stack, schedule in runs:
+        sink = SampleSink()
+        m = Machine(code, trie, gas, 0, schedule, clock=clock, sink=sink)
+        m.stack = list(stack)
+        status = m.run()
+        seen.append((status, m.pc, m.stack, m.gas, sink.counts, sink.gas,
+                     sink.times, trie.store.work.instructions))
+    return seen
+
+
+def test_the_c_effect_batch_runs_every_byte_the_c_loop_runs():
+    seen = run_bare(machine_module._loop_python, c_effect_programs())
+    counts = [sum(column) for column in zip(*(run[4] for run in seen))]
+    assert [op.name for op in C_EFFECTS if not counts[op]] == []
+    assert {run[0] for run in seen} == {TxStatus.SUCCESS, TxStatus.OUT_OF_GAS,
+                                         TxStatus.STACK_ERROR}
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+def test_both_loops_agree_on_every_byte_the_c_loop_runs():
+    runs = c_effect_programs()
+    python = run_bare(machine_module._loop_python, runs)
+    c = run_bare(BOUND_LOOP, runs)
+    assert len(c) == len(python) == len(runs)
+    for run, expected, got in zip(runs, python, c):
+        assert got == expected, run[:2] + run[3:]
+
+
 class FailingClock:
     """Counts its reads, and raises at read `fail_at`."""
 
@@ -195,7 +281,7 @@ def test_other_exceptions_propagate_without_a_sample(fail_at):
         with pytest.raises(RuntimeError, match="clock failed"):
             m.run()
         seen.append((sink.counts, sink.gas, sink.times, m.status, m.pc,
-                     m.stack, m.work.instructions))
+                     m.gas, m.stack, m.work.instructions))
     assert seen[0] == seen[1]
     assert sum(seen[0][0]) == (fail_at - 1) // 2
 
@@ -242,9 +328,9 @@ def test_wall_path_keeps_the_samples_of_a_run_a_handler_ends(set_handler,
     """A handler raises after three instructions; in the child case, a
     child's, after the caller's CALLCODE and the child's three. Both runs
     leave their finished instructions' samples, as the Python loop does."""
-    set_handler(Opcode.MUL, fail)
+    set_handler(Opcode.MSTORE, fail)
     program = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
-                     Opcode.PUSH1, 3, Opcode.MUL, Opcode.STOP])
+                     Opcode.PUSH1, 3, Opcode.MSTORE, Opcode.STOP])
     code = bytes([Opcode.PUSH1, 1, Opcode.CALLCODE]) if in_child else program
     python, _ = wall_run(machine_module._loop_python, code, library=program)
     c, c_times = wall_run(BOUND_LOOP, code, library=program)
@@ -260,15 +346,38 @@ def test_a_failed_flush_raises_with_the_pending_error_as_context(
     """The C loop adds its sums as a `finally:` block would: a sink list
     too short for PUSH1's byte fails the add, and that error is raised with
     the handler's as its context."""
-    set_handler(Opcode.MUL, fail)
+    set_handler(Opcode.MSTORE, fail)
     sink = SampleSink()
     sink.counts = [0] * Opcode.PUSH1
-    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.MUL]),
+    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.MSTORE]),
                 MerklePatriciaTrie(), 100, 0, SCHED, sink=sink)
     machine_module._loop = BOUND_LOOP
     with pytest.raises(IndexError) as raised:
         m.run()
     assert str(raised.value.__context__) == "handler failed"
+
+
+@pytest.mark.skipif(native.module is None, reason="no native build")
+@pytest.mark.parametrize("opcode", [Opcode.ADD, Opcode.NOT, Opcode.POP,
+                                    Opcode.DUP16, Opcode.SWAP16])
+def test_a_table_that_lowers_a_need_raises_index_error(opcode):
+    """The C loop runs these effects itself, so it checks the stack it
+    reads against the opcode's own need, not only the table's: a table
+    entry that takes 0 items gives the IndexError that the handler's pop or
+    index gives under the Python loop, not a read past the stack."""
+    operations = machine_module._OPERATIONS
+    saved = operations[opcode]
+    operations[opcode] = (0, STACK_LIMIT, 0, saved[3])
+    try:
+        for loop in (machine_module._loop_python, BOUND_LOOP):
+            machine_module._loop = loop
+            m = Machine(bytes([opcode]), MerklePatriciaTrie(), 100, 0, SCHED)
+            with pytest.raises(IndexError):
+                m.run()
+            assert (m.pc, m.gas, m.stack) == (
+                1, 100 - SCHED.by_byte[opcode], [])
+    finally:
+        operations[opcode] = saved
 
 
 @pytest.mark.skipif(native.module is None, reason="no native build")
@@ -285,7 +394,7 @@ def test_wall_path_keeps_the_samples_of_a_run_out_of_gas():
 @pytest.mark.parametrize("loop", [machine_module._loop_python, BOUND_LOOP],
                          ids=["python", "bound"])
 def test_a_2_ms_instruction_samples_at_least_2_ms(set_handler, loop):
-    """JUMPDEST busy-waits 2 ms on time.perf_counter_ns: its sample must
+    """MSTORE busy-waits 2 ms on time.perf_counter_ns: its sample must
     read at least that and stay inside the EVM span, so the loop reads the
     clock that WallClock names, in nanoseconds."""
     def busy(m):
@@ -293,12 +402,12 @@ def test_a_2_ms_instruction_samples_at_least_2_ms(set_handler, loop):
         while time.perf_counter_ns() < until:
             pass
 
-    set_handler(Opcode.JUMPDEST, busy)
+    set_handler(Opcode.MSTORE, busy)
     machine_module._loop = loop
     sink = SampleSink()
     receipt = execute_transaction(
-        bytes([Opcode.JUMPDEST, Opcode.STOP]), MerklePatriciaTrie(), 30_000,
-        0, SCHED, clock=WallClock, sink=sink)
+        bytes([Opcode.PUSH1, 0, Opcode.PUSH1, 0, Opcode.MSTORE, Opcode.STOP]),
+        MerklePatriciaTrie(), 30_000, 0, SCHED, clock=WallClock, sink=sink)
     assert receipt.status is TxStatus.SUCCESS
-    sampled = sink.times[Opcode.JUMPDEST]
+    sampled = sink.times[Opcode.MSTORE]
     assert 2_000_000 <= sampled <= sink.close_window(1).categories["EVM"]
