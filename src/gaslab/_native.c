@@ -14,9 +14,10 @@
  *       interpreter's dispatch loop, which runs a Machine until it halts.
  *       It runs PUSH1-32, STOP, PC and the effects that need only the
  *       stack itself, and calls its Python handlers for every other
- *       effect. It sums the run's samples in C and adds them into the sink
- *       as it exits, and under WallClock reads the clock in C;
- *       gaslab.evm.machine._loop_python and its handlers are the reference.
+ *       effect. It adds each instruction's sample into the sink's int64
+ *       window arrays as the instruction ends, and under WallClock reads
+ *       the clock in C; gaslab.evm.machine._loop_python and its handlers
+ *       are the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
  * gaslab.keccak, gaslab.rlp, gaslab.workload and gaslab.evm.machine keep
@@ -682,16 +683,17 @@ fail:
  * polynomial rule can cost math.inf, and a schedule constant can exceed 64
  * bits.
  *
- * Sampling does no Python-object work per instruction. A run sums its
- * samples by opcode byte in C (struct sums) and adds the sums into the
- * lists the sink held when the run began once, as it exits by any path; a
- * cost or time that is not a non-negative int64 goes into the sink's list
- * right away instead. Under WallClock, whose now_ns is
- * time.perf_counter_ns, the loop reads that counter itself and counts
- * instructions in a local that it adds to work.instructions as it exits.
- * Under any other clock it calls now_ns and increments
- * work.instructions after each instruction: a VirtualClock reads Work at
- * every tick. */
+ * Sampling is one design in both loops: as each instruction ends, its
+ * count, gas and time are added, in that order, into the open window of
+ * the sink the run began with, whose counts, gas and times are
+ * array('q')s of 256 items; this loop writes their buffers directly, and
+ * a total past the int64 range raises OverflowError, as the array would.
+ * Both clocks give int64 readings, and one subtraction gives the sample
+ * time: under WallClock, whose now_ns is time.perf_counter_ns, the loop
+ * reads that counter itself and counts instructions in a local that it
+ * adds to work.instructions as it exits; under any other clock it calls
+ * now_ns and increments work.instructions after each instruction, since a
+ * VirtualClock reads Work at every tick. */
 
 static PyObject *str_pc, *str_gas, *str_status, *str_code, *str_stack,
     *str_schedule, *str_by_byte, *str_work, *str_instructions, *str_clock,
@@ -730,22 +732,31 @@ static int intern_names(void)
            || perf_counter_ns == NULL ? -1 : 0;
 }
 
-/* *now = time.perf_counter_ns(), read without a call: through
- * CPython's private _PyTime_GetPerfCounter before 3.13, and its public
- * PyTime_PerfCounterRaw from 3.13 on */
-static int perf_counter(int64_t *now)
+/* *now = now_ns(), which must return an int in the int64 range. When
+ * now_ns is time.perf_counter_ns, the counter is read without a call:
+ * through CPython's private _PyTime_GetPerfCounter before 3.13, and its
+ * public PyTime_PerfCounterRaw from 3.13 on. */
+static int read_clock(PyObject *now_ns, int64_t *now)
 {
+    if (now_ns == perf_counter_ns) {
 #if PY_VERSION_HEX >= 0x030D0000
-    PyTime_t ticks;
-    if (PyTime_PerfCounterRaw(&ticks) < 0) {
-        PyErr_SetString(PyExc_OSError, "the performance counter failed");
-        return -1;
-    }
-    *now = ticks;
+        PyTime_t ticks;
+        if (PyTime_PerfCounterRaw(&ticks) < 0) {
+            PyErr_SetString(PyExc_OSError, "the performance counter failed");
+            return -1;
+        }
+        *now = ticks;
 #else
-    *now = _PyTime_GetPerfCounter();
+        *now = _PyTime_GetPerfCounter();
 #endif
-    return 0;
+        return 0;
+    }
+    PyObject *reading = PyObject_CallNoArgs(now_ns);
+    if (reading == NULL)
+        return -1;
+    *now = PyLong_AsLongLong(reading);
+    Py_DECREF(reading);
+    return *now == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
 /* The big-endian immediate of `width` bytes at code[at:], zero-padded
@@ -768,15 +779,6 @@ static PyObject *push_value(const unsigned char *code, Py_ssize_t end,
     }
     hex[2 * width] = '\0';
     return PyLong_FromString(hex, NULL, 16);
-}
-
-/* list[i] += amount */
-static int add_into(PyObject *list, Py_ssize_t i, PyObject *amount)
-{
-    PyObject *total = PyList_GetItem(list, i);
-    if (total == NULL || (total = PyNumber_Add(total, amount)) == NULL)
-        return -1;
-    return PyList_SetItem(list, i, total);
 }
 
 /* obj.name += amount */
@@ -948,39 +950,56 @@ static int stack_effect(int byte, PyObject *stack, Py_ssize_t pc)
     return push(stack, result) < 0 ? -1 : 1;
 }
 
-/* One run's samples, summed by opcode byte: `ran` lists the n bytes with
- * a non-zero count, so only `count` starts cleared. */
-struct sums {
-    int64_t count[256], gas[256], time[256];
-    unsigned char ran[256];
-    int n;
-};
-
-/* sums[byte] += amount when amount is an int and the sum stays in
- * [0, 2**63); else list[byte] += amount */
-static int add_sample(int64_t *sums, PyObject *list, int byte,
-                      PyObject *amount)
+/* A buffer of obj.name, which must be a writable array('q') of 256
+ * items: one of the sink's window totals. */
+static int get_window(PyObject *obj, PyObject *name, Py_buffer *view)
 {
-    if (PyLong_CheckExact(amount)) {
-        int overflow;
-        long long value = PyLong_AsLongLongAndOverflow(amount, &overflow);
-        if (!overflow && value >= 0 && value <= INT64_MAX - sums[byte]) {
-            sums[byte] += value;
-            return 0;
-        }
-    }
-    return add_into(list, byte, amount);
+    PyObject *array = PyObject_GetAttr(obj, name);
+    if (array == NULL)
+        return -1;
+    int got = PyObject_GetBuffer(array, view, PyBUF_WRITABLE | PyBUF_FORMAT);
+    Py_DECREF(array);
+    if (got == 0 && view->format != NULL && strcmp(view->format, "q") == 0
+            && view->len == 256 * (Py_ssize_t)sizeof(int64_t))
+        return 0;
+    if (got == 0)
+        PyBuffer_Release(view);
+    PyErr_Format(PyExc_TypeError, "sink.%U is not a writable array('q') "
+                 "of 256 items", name);
+    return -1;
 }
 
-/* list[byte] += value */
-static int add_int(PyObject *list, int byte, int64_t value)
+/* *total += amount, raising OverflowError where an array('q') would */
+static int accumulate(int64_t *total, int64_t amount)
 {
-    PyObject *amount = PyLong_FromLongLong(value);
-    if (amount == NULL)
+    int64_t sum;
+    if (__builtin_add_overflow(*total, amount, &sum)) {
+        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
         return -1;
-    int result = add_into(list, byte, amount);
-    Py_DECREF(amount);
-    return result;
+    }
+    *total = sum;
+    return 0;
+}
+
+/* One instruction's sample, added into the window as _loop_python adds
+ * it: counts[byte] += 1, gas[byte] += cost (an int), then times[byte] +=
+ * ended - began. */
+static int record_sample(Py_buffer window[3], int byte, PyObject *cost,
+                         int64_t began, int64_t ended)
+{
+    int64_t *counts = window[0].buf, *gas = window[1].buf,
+            *times = window[2].buf, elapsed;
+    if (accumulate(&counts[byte], 1) < 0)
+        return -1;
+    long long amount = PyLong_AsLongLong(cost);
+    if ((amount == -1 && PyErr_Occurred())
+            || accumulate(&gas[byte], amount) < 0)
+        return -1;
+    if (__builtin_sub_overflow(ended, began, &elapsed)) {
+        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
+        return -1;
+    }
+    return accumulate(&times[byte], elapsed);
 }
 
 /* The pending exception, taken out of the thread state, or NULL. */
@@ -1016,26 +1035,16 @@ static void restore_exception(PyObject *exception)
 
 /* What a run leaves behind as it exits, as a `finally:` block would: the
  * pc not yet put on the machine (unless it is -1) and the gas (unless it
- * is NULL) on the machine, the run's sums in the sink's lists, and its
- * wall-path instruction count in work.instructions. A pending exception is
- * kept, and an error here replaces it, with the pending one as its
- * __context__. */
-static int finish(PyObject *m, Py_ssize_t pc, PyObject *gas,
-                  const struct sums *sums, PyObject *counts,
-                  PyObject *gas_totals, PyObject *times, PyObject *work,
+ * is NULL) on the machine, and its wall-path instruction count in
+ * work.instructions. A pending exception is kept, and an error here
+ * replaces it, with the pending one as its __context__. */
+static int finish(PyObject *m, Py_ssize_t pc, PyObject *gas, PyObject *work,
                   int64_t instructions)
 {
     PyObject *pending = take_exception();
     int result = (pc >= 0 && set_pc(m, pc) < 0)
                  || (gas != NULL && PyObject_SetAttr(m, str_gas, gas) < 0)
                  ? -1 : 0;
-    for (int i = 0; i < sums->n && result == 0; i++) {
-        int byte = sums->ran[i];
-        if (add_int(counts, byte, sums->count[byte]) < 0
-                || add_int(gas_totals, byte, sums->gas[byte]) < 0
-                || add_int(times, byte, sums->time[byte]) < 0)
-            result = -1;
-    }
     if (result == 0 && instructions) {
         PyObject *amount = PyLong_FromLongLong(instructions);
         if (amount == NULL
@@ -1083,23 +1092,20 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     if (status != Py_None)
         Py_RETURN_NONE;
 
-    Py_buffer view = {NULL};
+    /* view: the code's bytes; window: the sink's counts, gas and times */
+    Py_buffer view = {NULL}, window[3] = {{NULL}, {NULL}, {NULL}};
     PyObject *code = NULL, *stack = NULL, *rules = NULL, *work = NULL,
-             *now_ns = NULL, *counts = NULL, *gas_totals = NULL,
-             *times = NULL, *gas = NULL;
+             *now_ns = NULL, *gas = NULL;
     /* one instruction's own references */
-    PyObject *start = NULL, *operation = NULL, *rule = NULL, *cost = NULL,
-             *handler = NULL, *child = NULL, *stop = NULL;
+    PyObject *operation = NULL, *rule = NULL, *cost = NULL, *handler = NULL,
+             *child = NULL;
     PyObject *result = NULL;
     /* pending_pc: the pc that _loop_python would have put on the machine
      * and this loop has not yet, or -1 */
     Py_ssize_t pc, pending_pc = -1;
-    int ran, stopped = 0;
-    struct sums sums;
-    sums.n = 0;
-    memset(sums.count, 0, sizeof sums.count);
-    int wall = 0;
-    int64_t instructions = 0, began = 0, ended = 0;   /* the wall path's */
+    int ran, stopped = 0, wall = 0;
+    int64_t began = 0, ended = 0;   /* one instruction's clock readings */
+    int64_t instructions = 0;   /* the wall path's count */
 
     PyObject *schedule = NULL, *sink = NULL, *clock = NULL;
     if ((code = PyObject_GetAttr(m, str_code)) != NULL
@@ -1112,9 +1118,9 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             && (clock = PyObject_GetAttr(m, str_clock)) != NULL
             && (now_ns = PyObject_GetAttr(clock, str_now_ns)) != NULL
             && (sink = PyObject_GetAttr(m, str_sink)) != NULL
-            && (counts = get_list(sink, str_counts)) != NULL
-            && (gas_totals = get_list(sink, str_gas)) != NULL
-            && (times = get_list(sink, str_times)) != NULL)
+            && get_window(sink, str_counts, &window[0]) == 0
+            && get_window(sink, str_gas, &window[1]) == 0
+            && get_window(sink, str_times, &window[2]) == 0)
         gas = PyObject_GetAttr(m, str_gas);
     Py_XDECREF(schedule);
     Py_XDECREF(sink);
@@ -1131,8 +1137,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
                 goto done;
             break;
         }
-        if (wall ? perf_counter(&began) < 0
-                 : (start = PyObject_CallNoArgs(now_ns)) == NULL)
+        if (read_clock(now_ns, &began) < 0)
             goto done;
         int byte = bytes[pc];
         /* bounds-checked: a handler may have resized either table */
@@ -1227,30 +1232,13 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
                 goto done;
         }
         /* after the effect, which may halt */
-        if (wall) {
-            instructions++;
-            if (perf_counter(&ended) < 0)
-                goto done;
-        } else {
-            if (add_to_attr(work, str_instructions, one) < 0
-                    || (stop = PyObject_CallNoArgs(now_ns)) == NULL)
-                goto done;
-            Py_SETREF(stop, PyNumber_Subtract(stop, start));
-            if (stop == NULL)
-                goto done;
-        }
-        if (sums.count[byte]++ == 0) {
-            sums.ran[sums.n++] = (unsigned char)byte;
-            sums.gas[byte] = sums.time[byte] = 0;
-        }
-        if (add_sample(sums.gas, gas_totals, byte, cost) < 0)
-            goto done;
         if (wall)
-            sums.time[byte] += ended - began;
-        else if (add_sample(sums.time, times, byte, stop) < 0)
+            instructions++;
+        else if (add_to_attr(work, str_instructions, one) < 0)
             goto done;
-        Py_CLEAR(start);
-        Py_CLEAR(stop);
+        if (read_clock(now_ns, &ended) < 0
+                || record_sample(window, byte, cost, began, ended) < 0)
+            goto done;
         Py_CLEAR(operation);
         Py_CLEAR(cost);
         if (stopped)
@@ -1286,26 +1274,23 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     result = Py_NewRef(Py_None);
 
 done:
-    if (finish(m, pending_pc, gas, &sums, counts, gas_totals, times, work,
-               instructions) < 0)
+    if (finish(m, pending_pc, gas, work, instructions) < 0)
         Py_CLEAR(result);
-    Py_XDECREF(start);
     Py_XDECREF(operation);
     Py_XDECREF(rule);
     Py_XDECREF(cost);
     Py_XDECREF(handler);
     Py_XDECREF(child);
-    Py_XDECREF(stop);
     if (view.obj != NULL)
         PyBuffer_Release(&view);
+    for (int i = 0; i < 3; i++)
+        if (window[i].obj != NULL)
+            PyBuffer_Release(&window[i]);
     Py_XDECREF(code);
     Py_XDECREF(stack);
     Py_XDECREF(rules);
     Py_XDECREF(work);
     Py_XDECREF(now_ns);
-    Py_XDECREF(counts);
-    Py_XDECREF(gas_totals);
-    Py_XDECREF(times);
     Py_XDECREF(gas);
     return result;
 }

@@ -6,7 +6,11 @@ spans. The run's `NodeStore` owns it, and every layer increments it at the
 point where the work happens, whichever clock the run uses, so wall runs
 keep the same counts as virtual ones.
 
-Two interchangeable clocks drive all span and instruction timing:
+Any clock's `now_ns` must return an int in the signed 64-bit range: the
+native interpreter loop reads it as one (a non-int raises TypeError, a
+larger int OverflowError), and an instruction's sample time is the
+difference of two readings. Two interchangeable clocks drive all span and
+instruction timing:
 
 * `WallClock` reads the OS monotonic clock; it is what the measurement
   study runs on.
@@ -54,8 +58,10 @@ class Work:
 class WallClock:
     """Monotonic wall clock: `now_ns` is the bare `time.perf_counter_ns`,
     no Python frame. The native interpreter loop recognizes it and reads
-    the same counter in C, with no call, around each instruction; a
-    wrapped or replaced `now_ns` is called like any other clock's."""
+    the same counter in C, with no call, around each instruction; its
+    sample time is the difference of the two int64 readings, as under any
+    clock. A wrapped or replaced `now_ns` is called like any other
+    clock's."""
 
     now_ns = staticmethod(time.perf_counter_ns)
 

@@ -39,16 +39,16 @@ opcode or jump target, stack faults) consume all remaining gas. Samples,
 and the instruction count in the run's work counters, cover successful
 instructions only.
 
-Every run samples into a `SampleSink`, whose open-window lists take each
-instruction's (count, gas, time), and `gaslab.chain` records every span
-there. `_loop_python` adds each sample as the instruction ends. The C loop
-sums a run's samples in C and adds the sums into the lists once, as the
-run exits, whether it stops, halts or raises. Under `WallClock` it also
-reads the clock itself and adds the run's instruction count to the work
-counters at that exit. Under any other clock it calls `now_ns` and counts
-each instruction as it ends, since `VirtualClock` reads that count. A
-caller that gives no sink gets a fresh one, so there is one path for every
-run.
+Every run samples into a `SampleSink`, and `gaslab.chain` records every
+span there. Both loops sample the same way: as each instruction ends, its
+count, gas and time are added, in that order, into the sink's open
+window, three signed 64-bit arrays indexed by opcode byte, so a total past
+2^63 - 1 raises OverflowError in either loop. The C loop writes those
+arrays through their buffers. Under `WallClock` it also reads the clock
+itself and adds the run's instruction count to the work counters as the
+run exits; under any other clock it calls `now_ns` and counts each
+instruction as it ends, since `VirtualClock` reads that count. A caller
+that gives no sink gets a fresh one, so there is one path for every run.
 
 JUMPDEST analysis runs on first use, as in geth: the first JUMP or JUMPI
 that checks a destination scans the code, inside that instruction's timed

@@ -7,13 +7,14 @@ immutable and archived.
 
 One thread records: the chain driver runs blocks in order and closes a
 window between blocks. The open window is a dict of span totals and three
-lists indexed by opcode byte (`counts`, `gas`, `times`). The interpreter
-adds its samples into those lists by the end of each run (the Python loop
-per instruction, the C loop once per run, from sums it keeps in C), so
-no sample exists per transaction. `close_window` names the bytes that ran
-once per window, through `evm.opcodes.NAME_BY_BYTE`, freezes the window
-and opens fresh lists. `record_instruction_totals` merges totals that are
-already aggregated by opcode name into the same lists.
+`array('q')`s of 256 signed 64-bit totals indexed by opcode byte
+(`counts`, `gas`, `times`), so each total has the `COUNTER_MAX` bound the
+tables hold, and one past it raises OverflowError. Either interpreter loop
+adds each instruction's sample into those arrays as the instruction ends,
+so no sample exists per transaction. `close_window` names the bytes that
+ran once per window, through `evm.opcodes.NAME_BY_BYTE`, freezes the
+window and opens fresh arrays. `record_instruction_totals` merges totals
+that are already aggregated by opcode name into the same arrays.
 
 This module owns the table format of every CSV that gaslab reads or
 writes (the interchange boundary for analysis): `read_table` and
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -97,18 +99,22 @@ class SampleSink:
     """Windowed collector for macro spans and micro instruction samples.
 
     `counts`, `gas` and `times` hold the open window's per-opcode-byte
-    totals; the interpreter adds into them directly, by the end of each
-    run (see `gaslab.evm.machine`), and `gaslab.chain` records the spans.
+    totals, each an `array('q')` of 256 items; the interpreter adds into
+    them directly as each instruction ends (see `gaslab.evm.machine`), and
+    `gaslab.chain` records the spans.
     A span's category is a `MacroCategory` string, its macro.csv name.
     """
 
     def __init__(self, window_start: int = 0):
-        self._window_start = window_start
-        self.counts = [0] * 256
-        self.gas = [0] * 256
-        self.times = [0] * 256
-        self._categories: dict[str, int] = {}
         self.archive: list[WindowAggregate] = []
+        self._open(window_start)
+
+    def _open(self, window_start: int) -> None:
+        self._window_start = window_start
+        self.counts = array("q", [0]) * 256
+        self.gas = array("q", [0]) * 256
+        self.times = array("q", [0]) * 256
+        self._categories: dict[str, int] = {}
 
     def record_span(self, category: str, duration_ns: int) -> None:
         categories = self._categories
@@ -118,7 +124,8 @@ class SampleSink:
         """Merge pre-aggregated samples, opcode name -> [count, gas, time
         ns], into the open window. Names with a zero count are ignored; an
         unknown name with a non-zero count raises ValueError, and then
-        nothing is merged."""
+        nothing is merged. A total past `COUNTER_MAX` raises
+        OverflowError."""
         merged = []
         for name, (count, gas, duration_ns) in samples.items():
             if count == 0:
@@ -147,11 +154,7 @@ class SampleSink:
              for byte in compress(range(256), counts)},
             self._categories)
         self.archive.append(aggregate)
-        self._window_start = next_start
-        self.counts = [0] * 256
-        self.gas = [0] * 256
-        self.times = [0] * 256
-        self._categories = {}
+        self._open(next_start)
         return aggregate
 
 

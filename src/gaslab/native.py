@@ -7,10 +7,11 @@ Mersenne Twister that matches `random.Random` bit for bit, and the
 interpreter's dispatch loop (`interpret`), which runs PUSH, STOP, PC and
 the effects that need only the stack (the arithmetic, comparison and
 bitwise opcodes, POP, JUMPDEST, DUP and SWAP) itself, calls the Python
-instruction handlers for every other effect, and keeps each run's samples
-in C until the run exits; under `WallClock` it reads the clock in C as
-well. `gaslab.evm.machine._loop_python` and its handlers stay the
-reference that it must match. The first import builds it with the local
+instruction handlers for every other effect, and adds each instruction's
+sample into the sink's 64-bit window arrays as the instruction ends; under
+`WallClock` it reads the clock in C as well.
+`gaslab.evm.machine._loop_python` and its handlers stay the reference that
+it must match. The first import builds it with the local
 `cc` against the running interpreter's headers and writes two files into
 `_build/` next to this module: `_native` plus the interpreter's extension
 suffix, so no other Python loads it, and a copy of the source it was built

@@ -48,6 +48,7 @@ from pathlib import Path
 from . import native
 from .evm.opcodes import Opcode, push_for
 from .evm.schedule import GasSchedule
+from .metrics import COUNTER_MAX
 from .trie import MerklePatriciaTrie
 from .evm.machine import store_code, write_slot
 
@@ -257,6 +258,10 @@ class WorkloadGenerator:
         # a few gas of scaffolding; never triggers out-of-gas organically.
         self._gas_limit = (schedule.intrinsic_gas
                            + spec.program_length * 21_000 + 2_000)
+        if self._gas_limit > COUNTER_MAX:   # receipts.csv could not hold it
+            raise WorkloadError(
+                f"gas limit {self._gas_limit} is above 2^63 - 1: lower the "
+                f"schedule's intrinsic gas or the program length")
 
     def write_genesis(self, trie: MerklePatriciaTrie) -> None:
         """Prefill initial storage slots, deploy the code library, commit."""

@@ -415,6 +415,33 @@ def test_sload_gas_past_float_range_halts_out_of_gas(tmp_path):
     assert len(statuses) == 5 and set(statuses) == {"out-of-gas"}
 
 
+def test_simulate_writes_only_gas_limits_that_analyze_reads(tmp_path,
+                                                            capsys):
+    """Each transaction's gas limit is the schedule's intrinsic gas plus
+    21000 a program slot plus 2000. A limit of 2^63 - 1 simulates and
+    analyzes; one more is a bad input, and no receipts are written."""
+    length = json.loads(Path(SLOAD_HEAVY).read_text())["program_length"]
+    room = 2 ** 63 - 1 - length * 21_000 - 2_000
+    for intrinsic, status in ((room, 0), (room + 1, 2)):
+        out = tmp_path / str(status)
+        schedule = _write(tmp_path / "schedule.cfg", (
+            DATA / "gas_schedule_default.cfg").read_text().replace(
+                "intrinsic = 21000", f"intrinsic = {intrinsic}"))
+        assert run_cli("simulate", "--workload", SLOAD_HEAVY, "--blocks",
+                       "5", "--clock", "virtual", "--schedule", schedule,
+                       "--out", str(out / "sim")) == status
+    sim = tmp_path / "0" / "sim"
+    assert {row.gas_limit for row in read_receipts(sim / "receipts.csv")} \
+        == {2 ** 63 - 1}
+    assert run_cli("analyze", "--micro", str(sim / "micro.csv"),
+                   "--receipts", str(sim / "receipts.csv"),
+                   "--out", str(tmp_path / "analysis")) == 0
+    assert not (tmp_path / "2" / "sim" / "receipts.csv").exists()
+    err = capsys.readouterr().err
+    assert "error: gas limit 9223372036854775808 is above 2^63 - 1" in err
+    assert "Traceback" not in err
+
+
 def test_gaslab_out_env_var_roots_output(tmp_path, monkeypatch):
     monkeypatch.setenv("GASLAB_OUT", str(tmp_path))
     simulate("rooted", blocks=100, window=50)

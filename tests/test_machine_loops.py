@@ -10,6 +10,7 @@ behind.
 import itertools
 import random
 import time
+from array import array
 
 import pytest
 from test_machine import *  # noqa: F401,F403 -- collected again here
@@ -72,7 +73,9 @@ EDGE_PROGRAMS = [
 
 GAS_LIMITS = [40, 400, 4_000, 40_000, 400_000]
 
-# Costs past 64 bits, and a polynomial that overflows to math.inf.
+# Costs past 64 bits, and a polynomial that overflows to math.inf. A 2**70
+# ADD that runs takes its window's gas total past 2**63 - 1, so its run
+# raises OverflowError after the count is added.
 WIDE_SCHEDULE = GasSchedule.parse(
     default_schedule().format()
     .replace("ADD = 3", f"ADD = {2 ** 70}")
@@ -98,7 +101,8 @@ def run_both_ways(loop, runs, wall=False):
     state and samples, and as a transaction, for its receipt and commit.
     Gives what the runs leave apart from times, and for each run its
     (counts, times, spans): the transaction's spans, or for the bare
-    `Machine` an EVM span read around its `run`."""
+    `Machine` an EVM span read around its `run`. A run that raises
+    OverflowError has that class as its status or receipt."""
     machine_module._loop = loop
     trie = MerklePatriciaTrie()
     for code_id, code in DIFFERENTIAL_LIBRARIES.items():
@@ -111,16 +115,22 @@ def run_both_ways(loop, runs, wall=False):
         m = Machine(code, trie, gas, height, schedule, clock=clock,
                     sink=sink)
         start = clock.now_ns()
-        status = m.run()
+        try:
+            status = m.run()
+        except OverflowError:
+            status = OverflowError
         span = clock.now_ns() - start
         seen.append((status, m.pc, m.stack, bytes(m.memory), m.memory_words,
                      m.gas, m.return_data, m.storage_buffer, sink.counts,
                      sink.gas, work.instructions))
         timed.append((sink.counts, sink.times, {"EVM": span}))
         sink = SampleSink()
-        receipt = execute_transaction(code, trie, schedule.intrinsic_gas + gas,
-                                      height, schedule, clock=clock,
-                                      sink=sink)
+        try:
+            receipt = execute_transaction(
+                code, trie, schedule.intrinsic_gas + gas, height, schedule,
+                clock=clock, sink=sink)
+        except OverflowError:
+            receipt = OverflowError
         seen.append((receipt, sink.counts, sink.gas, trie.root_hash()))
         timed.append((sink.counts, sink.times,
                       sink.close_window(1).categories))
@@ -140,9 +150,10 @@ def test_both_loops_leave_the_same_state_samples_and_receipts():
     python = run_both_ways(machine_module._loop_python, runs)
     c = run_both_ways(BOUND_LOOP, runs)
     assert_same_runs(runs, list(zip(*python)), list(zip(*c)))
-    # the batch reaches every status, a full stack and the depth limit
+    # the batch reaches every status and OverflowError, a full stack and
+    # the depth limit
     machines = python[0][::2]
-    assert len({seen[0] for seen in machines}) == 4
+    assert len({seen[0] for seen in machines}) == 5
     assert STACK_LIMIT in {len(seen[2]) for seen in machines}
     assert CALL_DEPTH_LIMIT in {seen[8][Opcode.CALLCODE]
                                 for seen in machines}
@@ -153,7 +164,8 @@ def test_both_loops_agree_on_the_wall_clock():
     """The C loop reads WallClock's counter itself and counts instructions
     in a local. All but the times matches the Python loop; a time is
     never negative, 0 where nothing ran, and a run's times sum to no more
-    than its EVM span."""
+    than its EVM span, where it has one: a transaction that raised
+    records none."""
     runs = differential_programs()
     python, python_timed = run_both_ways(machine_module._loop_python, runs,
                                          wall=True)
@@ -164,7 +176,8 @@ def test_both_loops_agree_on_the_wall_clock():
         assert spans.keys() == python_spans.keys(), run
         assert all(t >= 0 and (n or t == 0)
                    for n, t in zip(counts, times)), run
-        assert sum(times) <= spans["EVM"], run
+        if "EVM" in spans:
+            assert sum(times) <= spans["EVM"], run
 
 
 # The bytes whose effects the C loop runs itself instead of calling their
@@ -341,20 +354,21 @@ def test_wall_path_keeps_the_samples_of_a_run_a_handler_ends(set_handler,
 
 
 @pytest.mark.skipif(native.module is None, reason="no native build")
-def test_a_failed_flush_raises_with_the_pending_error_as_context(
-        set_handler):
-    """The C loop adds its sums as a `finally:` block would: a sink list
-    too short for PUSH1's byte fails the add, and that error is raised with
-    the handler's as its context."""
-    set_handler(Opcode.MSTORE, fail)
+@pytest.mark.parametrize("totals", [
+    [0] * 256, array("q", [0]) * 255, array("Q", [0]) * 256, bytes(2048)],
+    ids=["list", "short", "unsigned", "read-only"])
+def test_the_c_loop_takes_only_int64_windows(totals):
+    """The C loop adds into the sink's totals through their buffers: any
+    but a writable array('q') of 256 items raises TypeError before the
+    first instruction."""
     sink = SampleSink()
-    sink.counts = [0] * Opcode.PUSH1
-    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.MSTORE]),
-                MerklePatriciaTrie(), 100, 0, SCHED, sink=sink)
+    sink.gas = totals
+    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.STOP]), MerklePatriciaTrie(),
+                100, 0, SCHED, sink=sink)
     machine_module._loop = BOUND_LOOP
-    with pytest.raises(IndexError) as raised:
+    with pytest.raises(TypeError, match="sink.gas is not"):
         m.run()
-    assert str(raised.value.__context__) == "handler failed"
+    assert (m.pc, m.gas, m.stack, sum(sink.counts)) == (0, 100, [], 0)
 
 
 @pytest.mark.skipif(native.module is None, reason="no native build")
@@ -411,3 +425,27 @@ def test_a_2_ms_instruction_samples_at_least_2_ms(set_handler, loop):
     assert receipt.status is TxStatus.SUCCESS
     sampled = sink.times[Opcode.MSTORE]
     assert 2_000_000 <= sampled <= sink.close_window(1).categories["EVM"]
+
+
+@pytest.mark.parametrize("loop", [machine_module._loop_python, BOUND_LOOP],
+                         ids=["python", "bound"])
+def test_an_sload_reads_the_samples_of_the_instructions_before_it(loop):
+    """Each loop adds a sample into the sink's window as its instruction
+    ends, not as the run exits: a trie `get` inside SLOAD already reads
+    the three PUSH1 samples and ADD's (count, gas, virtual time)."""
+    class PeekingTrie(MerklePatriciaTrie):
+        def get(self, key):
+            seen.append((sink.counts[Opcode.PUSH1], sink.counts[Opcode.ADD],
+                         sink.gas[Opcode.ADD], sink.times[Opcode.ADD]))
+            return super().get(key)
+
+    seen = []
+    machine_module._loop = loop
+    trie = PeekingTrie()
+    sink = SampleSink()
+    m = Machine(bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
+                       Opcode.PUSH1, 0, Opcode.SLOAD, Opcode.STOP]),
+                trie, 10_000, 0, SCHED, clock=VirtualClock(trie.store.work),
+                sink=sink)
+    assert m.run() is TxStatus.SUCCESS
+    assert seen == [(3, 1, SCHED.by_byte[Opcode.ADD], 400)]
