@@ -14,7 +14,8 @@
  *       interpreter's dispatch loop, which runs a Machine until it halts.
  *       It runs PUSH1-32, STOP, PC and the effects that need only the
  *       stack itself, and calls its Python handlers for every other
- *       effect. It adds each instruction's sample into the sink's int64
+ *       effect. It charges gas on a C int64 where the gas and the cost
+ *       fit one, adds each instruction's sample into the sink's int64
  *       window arrays as the instruction ends, and under WallClock reads
  *       the clock in C; gaslab.evm.machine._loop_python and its handlers
  *       are the reference.
@@ -679,9 +680,17 @@ fail:
  * from the loop's own pc; and STOP. Every other effect is a handler call.
  * The pc that _loop_python would have put on the machine before one of these
  * effects is kept in a local and put there once, as the run exits by any
- * path, along with the gas. Gas and costs stay Python objects: a
- * polynomial rule can cost math.inf, and a schedule constant can exceed 64
- * bits.
+ * path, along with the gas.
+ *
+ * Gas is metered in a C int64 while it is an exact int in [0, 2**63), as
+ * every gas limit the tool makes is: a cost in that range is compared and
+ * subtracted in C, and its sample reuses the int64. The gas becomes a
+ * Python int again only where Python code can read it: before each
+ * _dynamic_cost call and each handler call, after a CALLCODE child, and
+ * as the run exits. Any other gas or cost (a schedule constant past 64
+ * bits, math.inf from an overflowing polynomial, gas of 2**80) is
+ * compared and subtracted as Python objects, as _loop_python does.
+ * A PUSH immediate is built from its bytes.
  *
  * Sampling is one design in both loops: as each instruction ends, its
  * count, gas and time are added, in that order, into the open window of
@@ -770,15 +779,20 @@ static PyObject *push_value(const unsigned char *code, Py_ssize_t end,
             value = value << 8 | (i < end ? code[i] : 0);
         return PyLong_FromUnsignedLongLong(value);
     }
-    static const char DIGITS[] = "0123456789abcdef";
-    char hex[2 * 32 + 1];
-    for (Py_ssize_t i = 0; i < width; i++) {
-        unsigned byte = at + i < end ? code[at + i] : 0;
-        hex[2 * i] = DIGITS[byte >> 4];
-        hex[2 * i + 1] = DIGITS[byte & 15];
+    unsigned char padded[32];
+    const unsigned char *immediate = code + at;
+    if (at + width > end) {
+        Py_ssize_t inside = end > at ? end - at : 0;
+        memcpy(padded, immediate, (size_t)inside);
+        memset(padded + inside, 0, (size_t)(width - inside));
+        immediate = padded;
     }
-    hex[2 * width] = '\0';
-    return PyLong_FromString(hex, NULL, 16);
+#if PY_VERSION_HEX >= 0x030D0000
+    return PyLong_FromUnsignedNativeBytes(immediate, (size_t)width,
+                                          Py_ASNATIVEBYTES_BIG_ENDIAN);
+#else
+    return _PyLong_FromByteArray(immediate, (size_t)width, 0, 0);
+#endif
 }
 
 /* obj.name += amount */
@@ -983,23 +997,103 @@ static int accumulate(int64_t *total, int64_t amount)
 
 /* One instruction's sample, added into the window as _loop_python adds
  * it: counts[byte] += 1, gas[byte] += cost (an int), then times[byte] +=
- * ended - began. */
+ * ended - began. The cost is `amount` when `cost` is NULL. */
 static int record_sample(Py_buffer window[3], int byte, PyObject *cost,
-                         int64_t began, int64_t ended)
+                         int64_t amount, int64_t began, int64_t ended)
 {
     int64_t *counts = window[0].buf, *gas = window[1].buf,
             *times = window[2].buf, elapsed;
     if (accumulate(&counts[byte], 1) < 0)
         return -1;
-    long long amount = PyLong_AsLongLong(cost);
-    if ((amount == -1 && PyErr_Occurred())
-            || accumulate(&gas[byte], amount) < 0)
+    if (cost != NULL && (amount = PyLong_AsLongLong(cost)) == -1
+            && PyErr_Occurred())
+        return -1;
+    if (accumulate(&gas[byte], amount) < 0)
         return -1;
     if (__builtin_sub_overflow(ended, began, &elapsed)) {
         PyErr_SetString(PyExc_OverflowError, "int too big to convert");
         return -1;
     }
     return accumulate(&times[byte], elapsed);
+}
+
+/* A run's gas: `left` while it is an exact int in [0, 2**63), as every
+ * gas limit the tool makes is, else the Python object `object`. */
+typedef struct {
+    int64_t left;
+    PyObject *object;   /* NULL while the gas is `left` */
+} Gas;
+
+/* *value as an int64 when it is an exact int in [0, 2**63), else -1 */
+static int64_t small_int(PyObject *value)
+{
+    if (!PyLong_CheckExact(value))
+        return -1;
+    int overflow;
+    long long small = PyLong_AsLongLongAndOverflow(value, &overflow);
+    return overflow ? -1 : small;
+}
+
+/* Make `value` the gas, taking its reference. */
+static void gas_take(Gas *gas, PyObject *value)
+{
+    int64_t left = small_int(value);
+    if (left < 0) {
+        Py_XSETREF(gas->object, value);
+        return;
+    }
+    gas->left = left;
+    Py_DECREF(value);
+    Py_CLEAR(gas->object);
+}
+
+/* The gas as a Python int (or whatever object it is), or NULL */
+static PyObject *gas_value(const Gas *gas)
+{
+    return gas->object != NULL ? Py_NewRef(gas->object)
+           : PyLong_FromLongLong(gas->left);
+}
+
+/* machine.gas = the gas, which Python code is about to read */
+static int gas_put(const Gas *gas, PyObject *machine)
+{
+    PyObject *value = gas_value(gas);
+    if (value == NULL)
+        return -1;
+    int result = PyObject_SetAttr(machine, str_gas, value);
+    Py_DECREF(value);
+    return result;
+}
+
+/* Charge `cost` if it is affordable (not above the gas), as
+ * `if cost > m.gas: halt; m.gas -= cost` does: 1 when charged, 0 when not,
+ * -1 with an exception set. A cost in [0, 2**63) against an int64 gas is
+ * charged in C and put in *amount, with *exact set; any other pair (a
+ * 2**70 constant, math.inf, gas of 2**80) is compared and subtracted as
+ * Python objects. */
+static int charge(Gas *gas, PyObject *cost, int64_t *amount, int *exact)
+{
+    *exact = 0;
+    if (gas->object == NULL && (*amount = small_int(cost)) >= 0) {
+        if (*amount > gas->left)
+            return 0;
+        gas->left -= *amount;
+        *exact = 1;
+        return 1;
+    }
+    PyObject *left = gas_value(gas);
+    if (left == NULL)
+        return -1;
+    int unaffordable = PyObject_RichCompareBool(cost, left, Py_GT);
+    if (unaffordable != 0) {
+        Py_DECREF(left);
+        return unaffordable < 0 ? -1 : 0;
+    }
+    Py_SETREF(left, PyNumber_Subtract(left, cost));
+    if (left == NULL)
+        return -1;
+    gas_take(gas, left);
+    return 1;
 }
 
 /* The pending exception, taken out of the thread state, or NULL. */
@@ -1038,13 +1132,12 @@ static void restore_exception(PyObject *exception)
  * is NULL) on the machine, and its wall-path instruction count in
  * work.instructions. A pending exception is kept, and an error here
  * replaces it, with the pending one as its __context__. */
-static int finish(PyObject *m, Py_ssize_t pc, PyObject *gas, PyObject *work,
+static int finish(PyObject *m, Py_ssize_t pc, const Gas *gas, PyObject *work,
                   int64_t instructions)
 {
     PyObject *pending = take_exception();
     int result = (pc >= 0 && set_pc(m, pc) < 0)
-                 || (gas != NULL && PyObject_SetAttr(m, str_gas, gas) < 0)
-                 ? -1 : 0;
+                 || (gas != NULL && gas_put(gas, m) < 0) ? -1 : 0;
     if (result == 0 && instructions) {
         PyObject *amount = PyLong_FromLongLong(instructions);
         if (amount == NULL
@@ -1065,7 +1158,7 @@ static int finish(PyObject *m, Py_ssize_t pc, PyObject *gas, PyObject *work,
 
 /* interpret(operations, halt, statuses, machine): run `machine` until it
  * halts. `operations` is machine._OPERATIONS, `halt` the _Halt class, and
- * `statuses` the TxStatus members (SUCCESS, INVALID_OP, STACK_ERROR,
+ * `statuses` the TxStatus strings (SUCCESS, INVALID_OP, STACK_ERROR,
  * OUT_OF_GAS). */
 static PyObject *interpret(PyObject *Py_UNUSED(module),
                            PyObject *const *args, Py_ssize_t nargs)
@@ -1095,7 +1188,8 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     /* view: the code's bytes; window: the sink's counts, gas and times */
     Py_buffer view = {NULL}, window[3] = {{NULL}, {NULL}, {NULL}};
     PyObject *code = NULL, *stack = NULL, *rules = NULL, *work = NULL,
-             *now_ns = NULL, *gas = NULL;
+             *now_ns = NULL, *limit = NULL;
+    Gas gas = {0, NULL}, *metered = NULL;   /* &gas once m.gas is read */
     /* one instruction's own references */
     PyObject *operation = NULL, *rule = NULL, *cost = NULL, *handler = NULL,
              *child = NULL;
@@ -1105,6 +1199,8 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     Py_ssize_t pc, pending_pc = -1;
     int ran, stopped = 0, wall = 0;
     int64_t began = 0, ended = 0;   /* one instruction's clock readings */
+    int64_t amount = 0;   /* one instruction's cost, when `exact` */
+    int exact;
     int64_t instructions = 0;   /* the wall path's count */
 
     PyObject *schedule = NULL, *sink = NULL, *clock = NULL;
@@ -1121,12 +1217,14 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             && get_window(sink, str_counts, &window[0]) == 0
             && get_window(sink, str_gas, &window[1]) == 0
             && get_window(sink, str_times, &window[2]) == 0)
-        gas = PyObject_GetAttr(m, str_gas);
+        limit = PyObject_GetAttr(m, str_gas);
     Py_XDECREF(schedule);
     Py_XDECREF(sink);
     Py_XDECREF(clock);
-    if (gas == NULL)
+    if (limit == NULL)
         goto done;
+    metered = &gas;
+    gas_take(metered, limit);
     const unsigned char *bytes = view.buf;
     Py_ssize_t end = view.len;
     wall = now_ns == perf_counter_ns;
@@ -1177,7 +1275,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             PyObject *opcode = PyLong_FromLong(byte);
             pending_pc = -1;
             if (opcode == NULL || set_pc(m, pc) < 0
-                    || PyObject_SetAttr(m, str_gas, gas) < 0) {
+                    || gas_put(&gas, m) < 0) {
                 Py_XDECREF(opcode);
                 goto done;
             }
@@ -1192,16 +1290,13 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             if (cost == NULL)
                 goto done;
         }
-        int unaffordable = PyObject_RichCompareBool(cost, gas, Py_GT);
-        if (unaffordable < 0)
+        int charged = charge(&gas, cost, &amount, &exact);
+        if (charged < 0)
             goto done;
-        if (unaffordable) {
+        if (!charged) {
             PyErr_SetObject(halt, PyTuple_GET_ITEM(statuses, 3));
             goto done;
         }
-        Py_SETREF(gas, PyNumber_Subtract(gas, cost));
-        if (gas == NULL)
-            goto done;
         if (width) {
             PyObject *value = push_value(bytes, end, pc + 1, width);
             if (value == NULL)
@@ -1222,8 +1317,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
                 goto done;
         } else {
             pending_pc = -1;
-            if (set_pc(m, pc + 1) < 0
-                    || PyObject_SetAttr(m, str_gas, gas) < 0)
+            if (set_pc(m, pc + 1) < 0 || gas_put(&gas, m) < 0)
                 goto done;
             handler = PyTuple_GET_ITEM(operation, 3);
             Py_INCREF(handler);
@@ -1237,7 +1331,8 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
         else if (add_to_attr(work, str_instructions, one) < 0)
             goto done;
         if (read_clock(now_ns, &ended) < 0
-                || record_sample(window, byte, cost, began, ended) < 0)
+                || record_sample(window, byte, exact ? NULL : cost, amount,
+                                 began, ended) < 0)
             goto done;
         Py_CLEAR(operation);
         Py_CLEAR(cost);
@@ -1250,8 +1345,11 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             PyObject *child_status = PyObject_CallMethodNoArgs(child, str_run);
             if (child_status == NULL)
                 goto done;
-            Py_SETREF(gas, PyObject_GetAttr(child, str_gas));
-            if (gas == NULL || PyObject_SetAttr(m, str_gas, gas) < 0) {
+            PyObject *left = PyObject_GetAttr(child, str_gas);
+            int put = left == NULL ? -1 : PyObject_SetAttr(m, str_gas, left);
+            if (left != NULL)
+                gas_take(&gas, left);
+            if (put < 0) {
                 Py_DECREF(child_status);
                 goto done;
             }
@@ -1274,7 +1372,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     result = Py_NewRef(Py_None);
 
 done:
-    if (finish(m, pending_pc, gas, work, instructions) < 0)
+    if (finish(m, pending_pc, metered, work, instructions) < 0)
         Py_CLEAR(result);
     Py_XDECREF(operation);
     Py_XDECREF(rule);
@@ -1291,7 +1389,7 @@ done:
     Py_XDECREF(rules);
     Py_XDECREF(work);
     Py_XDECREF(now_ns);
-    Py_XDECREF(gas);
+    Py_XDECREF(gas.object);
     return result;
 }
 

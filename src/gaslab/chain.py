@@ -40,13 +40,14 @@ RECEIPTS_HEADER = "height,tx_index,status,gas_used,gas_limit,instructions"
 class ReceiptRow(NamedTuple):
     height: int
     tx_index: int
-    status: str          # a TxStatus value
+    status: str          # a TxStatus string
     gas_used: int
     gas_limit: int
     instructions: int
 
 
-_STATUSES = frozenset(status.value for status in TxStatus)
+_STATUSES = frozenset(value for name, value in vars(TxStatus).items()
+                      if name.isupper())
 
 
 def _receipt_row(fields: list[str]) -> ReceiptRow:
@@ -60,7 +61,7 @@ def _receipt_row(fields: list[str]) -> ReceiptRow:
 
 def read_receipts(path: str | Path) -> list[ReceiptRow]:
     """Rows of a receipts table as `simulate` writes it; a row whose status
-    is not a TxStatus value, or whose number is not a counter (see
+    is not a TxStatus string, or whose number is not a counter (see
     `gaslab.metrics`), raises CsvFormatError naming its line."""
     return read_table(path, RECEIPTS_HEADER, _receipt_row)
 
@@ -78,7 +79,7 @@ class IntrinsicGasError(ValueError):
 
 
 class TxReceipt(NamedTuple):
-    status: TxStatus
+    status: str          # a TxStatus string
     gas_used: int
     return_data: bytes
     instructions: int   # instructions completed, child calls included
@@ -182,7 +183,7 @@ class Chain:
                 tx.code, trie, tx.gas_limit, height, schedule,
                 clock=clock, sink=sink)
             append(ReceiptRow(
-                height, tx_index, receipt.status.value, receipt.gas_used,
+                height, tx_index, receipt.status, receipt.gas_used,
                 tx.gas_limit, receipt.instructions))
 
         _commit(trie, clock, sink, {})  # the block finalize writes nothing

@@ -20,24 +20,28 @@ AND, OR, XOR, NOT, POP, PC, JUMPDEST, DUP1-16 and SWAP1-16, on Python ints
 as their handlers compute them. It calls the same handlers for every other
 effect. Both loops put `pc` and `gas` on the machine before each handler
 and each `_dynamic_cost` call, and whatever path a run exits by, the C loop
-leaves the `pc` and `gas` that `_loop_python` leaves. `Machine.run` only
-turns a `_Halt` into the final status. As in geth's jump table, one static
-table gives each opcode byte one entry, `(need, room, push_width,
-handler)`: the stack must hold `need` to `room = STACK_LIMIT + need - out`
-items, and an undefined byte has no entry, so it halts before any stack
-check. PUSH1-32 run inline, zero-padding an immediate cut off by the end of
-the code. Cost comes from the schedule's per-byte table,
-`GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size their memory once, in
-the cost step: it adds the expansion to the rule's cost and, only if the
-whole charge is affordable, grows `memory`, so the handlers read and write
-memory that is already there. The timed region, between two clock
-reads, covers decode, the stack check, dynamic cost evaluation, the charge
-and the effect, an inline PUSH's included; only the loop itself and sample
-bookkeeping stay outside, so the summed instruction times track the
-interpreter-level span closely. Exceptional halts (out of gas, invalid
-opcode or jump target, stack faults) consume all remaining gas. Samples,
-and the instruction count in the run's work counters, cover successful
-instructions only.
+leaves the `pc` and `gas` that `_loop_python` leaves. Between those points
+the C loop meters gas in a C int64, as geth's `uint64` and EVMC's
+`int64_t` gas fields do, while the gas is an int in [0, 2^63) and the
+cost one too; any other gas or cost (a 2^70 constant, `math.inf` from an
+overflowing polynomial) is compared and subtracted as a Python object.
+`Machine.run` only turns a `_Halt` into the final status. As in geth's
+jump table, one static table gives each opcode byte one entry, `(need,
+room, push_width, handler)`: the stack must hold `need` to `room =
+STACK_LIMIT + need - out` items, and an undefined byte has no entry, so it
+halts before any stack check. PUSH1-32 run inline, zero-padding an
+immediate cut off by the end of the code. Cost comes from the schedule's
+per-byte table, `GasSchedule.by_byte`. MLOAD, MSTORE and RETURN size
+their memory once, in the cost step: it adds the expansion to the rule's
+cost and, only if the whole charge is affordable, grows `memory`, so the
+handlers read and write memory that is already there. The timed region,
+between two clock reads, covers decode, the stack check, dynamic cost
+evaluation, the charge and the effect, an inline PUSH's included; only the
+loop itself and sample bookkeeping stay outside, so the summed instruction
+times track the interpreter-level span closely. Exceptional halts (out of
+gas, invalid opcode or jump target, stack faults) consume all remaining
+gas. Samples, and the instruction count in the run's work counters, cover
+successful instructions only.
 
 Every run samples into a `SampleSink`, and `gaslab.chain` records every
 span there. Both loops sample the same way: as each instruction ends, its
@@ -67,7 +71,6 @@ beyond the depth limit the call is skipped and pushes failure.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property, partial
 from typing import Optional
 
@@ -86,7 +89,9 @@ STORAGE_PREFIX = b"slot:"
 CODE_PREFIX = b"code:"
 
 
-class TxStatus(Enum):
+class TxStatus:
+    """A run's final status: plain strings, each its receipts.csv name."""
+
     SUCCESS = "success"
     OUT_OF_GAS = "out-of-gas"
     INVALID_OP = "invalid-op"      # undefined opcode or bad jump target
@@ -112,7 +117,7 @@ def write_slot(trie: MerklePatriciaTrie, slot: int, value: int) -> None:
 
 
 class _Halt(Exception):
-    def __init__(self, status: TxStatus):
+    def __init__(self, status: str):
         self.status = status
 
 
@@ -138,7 +143,7 @@ class Machine:
         self.storage_buffer: dict[int, int] = (
             storage_buffer if storage_buffer is not None else {})
         self.return_data = b""
-        self.status: Optional[TxStatus] = None
+        self.status: Optional[str] = None   # a TxStatus string once halted
         # one sink for the whole call tree; its open window takes the samples
         self.sink = sink if sink is not None else SampleSink()
 
@@ -156,7 +161,7 @@ class Machine:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self) -> TxStatus:
+    def run(self) -> str:
         """Execute instructions until a halt, sampling each one."""
         try:
             _loop(self)

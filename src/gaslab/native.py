@@ -7,8 +7,9 @@ Mersenne Twister that matches `random.Random` bit for bit, and the
 interpreter's dispatch loop (`interpret`), which runs PUSH, STOP, PC and
 the effects that need only the stack (the arithmetic, comparison and
 bitwise opcodes, POP, JUMPDEST, DUP and SWAP) itself, calls the Python
-instruction handlers for every other effect, and adds each instruction's
-sample into the sink's 64-bit window arrays as the instruction ends; under
+instruction handlers for every other effect, charges gas on a C int64
+while the gas and the cost fit one, and adds each instruction's sample
+into the sink's 64-bit window arrays as the instruction ends; under
 `WallClock` it reads the clock in C as well.
 `gaslab.evm.machine._loop_python` and its handlers stay the reference that
 it must match. The first import builds it with the local
@@ -37,6 +38,16 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
 
 
+def cc_command(source: str, library: str) -> list[str]:
+    """The `cc` command line that builds `source` into `library`."""
+    import sysconfig
+
+    link = (["-bundle", "-undefined", "dynamic_lookup"]
+            if sys.platform == "darwin" else ["-shared"])
+    return ["cc", "-O3", "-fPIC", *link,
+            "-I", sysconfig.get_paths()["include"], "-o", library, source]
+
+
 def _compile(code: bytes, build_dir: str, library: str,
              built_from: str) -> None:
     """Build `code` into `library` and record it as `built_from`.
@@ -45,22 +56,16 @@ def _compile(code: bytes, build_dir: str, library: str,
     missing, and ImportError when the compiler rejects the source.
     """
     import subprocess
-    import sysconfig
 
     os.makedirs(build_dir, exist_ok=True)
     staged = os.path.join(build_dir, f".{os.getpid()}")
     staged_source = staged + "_native.c"
     staged_library = staged + os.path.basename(library)
-    link = (["-bundle", "-undefined", "dynamic_lookup"]
-            if sys.platform == "darwin" else ["-shared"])
     try:
         with open(staged_source, "wb") as fp:
             fp.write(code)
-        proc = subprocess.run(
-            ["cc", "-O3", "-fPIC", *link,
-             "-I", sysconfig.get_paths()["include"],
-             "-o", staged_library, staged_source],
-            capture_output=True, text=True)
+        proc = subprocess.run(cc_command(staged_source, staged_library),
+                              capture_output=True, text=True)
         if proc.returncode != 0:
             raise ImportError(proc.stderr)
         os.replace(staged_library, library)

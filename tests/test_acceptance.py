@@ -126,7 +126,7 @@ def test_criterion_2_gas_accounting():
             receipts.append((receipt, samples))
             programs.append((tx.code, receipt))
 
-    exact = all(r.status.value == "success"
+    exact = all(r.status == "success"
                 and r.gas_used == SCHED.intrinsic_gas + sample_gas_total(s)
                 for r, s in receipts)
 
@@ -143,7 +143,7 @@ def test_criterion_2_gas_accounting():
         if starved_limit < SCHED.intrinsic_gas:
             continue
         starved = execute_transaction(code, trie, starved_limit, 0, SCHED)
-        boundary_ok &= starved.status.value == "out-of-gas"
+        boundary_ok &= starved.status == "out-of-gas"
         boundary_ok &= starved.gas_used == starved_limit
 
     elapsed = time.perf_counter() - started

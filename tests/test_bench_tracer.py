@@ -45,7 +45,7 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
     assert SampleSink.record_instruction_totals is merge_before
 
     receipts = report.receipts
-    assert receipts and all(r.status == TxStatus.SUCCESS.value
+    assert receipts and all(r.status == TxStatus.SUCCESS
                             for r in receipts)
     counts = tracer.loop_counts()
     assert counts["instructions"] == sum(r.instructions for r in receipts)

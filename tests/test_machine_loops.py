@@ -449,3 +449,123 @@ def test_an_sload_reads_the_samples_of_the_instructions_before_it(loop):
                 sink=sink)
     assert m.run() is TxStatus.SUCCESS
     assert seen == [(3, 1, SCHED.by_byte[Opcode.ADD], 400)]
+
+
+LOOPS = pytest.mark.parametrize(
+    "loop", [machine_module._loop_python, BOUND_LOOP], ids=["python", "bound"])
+
+# A program whose two PUSH1s and ADD cost exactly 2**63 - 1 in all: the C
+# loop keeps gas in an int64 while it is an int in [0, 2**63).
+INT64_SCHEDULE = GasSchedule.parse(
+    default_schedule().format()
+    .replace("PUSH1 = 3", f"PUSH1 = {2 ** 61}")
+    .replace("ADD = 3", f"ADD = {2 ** 62 - 1}"))
+ADD_TWO = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.STOP])
+
+
+@LOOPS
+@pytest.mark.parametrize("schedule, gas, status, left", [
+    (SCHED, 9, TxStatus.SUCCESS, 0),
+    (SCHED, 8, TxStatus.OUT_OF_GAS, 0),
+    (SCHED, 2 ** 63 - 1, TxStatus.SUCCESS, 2 ** 63 - 10),
+    (SCHED, 2 ** 63, TxStatus.SUCCESS, 2 ** 63 - 9),
+    (INT64_SCHEDULE, 2 ** 63 - 1, TxStatus.SUCCESS, 0),
+    (INT64_SCHEDULE, 2 ** 63 - 2, TxStatus.OUT_OF_GAS, 0),
+    (INT64_SCHEDULE, 2 ** 63, TxStatus.SUCCESS, 1),
+], ids=["cost-is-gas", "cost-above-gas", "gas-2^63-1", "gas-2^63",
+        "int64-cost-is-gas", "int64-cost-above-gas", "int64-costs-gas-2^63"])
+def test_a_cost_equal_to_the_gas_is_charged_and_one_more_halts(
+        loop, schedule, gas, status, left):
+    """The last instruction (STOP at cost 0, or ADD) costs exactly the gas
+    left, or one more than it; at gas 2**63 - 1 the gas fits an int64,
+    at 2**63 it does not until the first charge."""
+    machine_module._loop = loop
+    sink = SampleSink()
+    m = Machine(ADD_TWO, MerklePatriciaTrie(), gas, 0, schedule, sink=sink)
+    assert m.run() is status
+    assert type(m.gas) is int and m.gas == left
+    ran = [Opcode.PUSH1, Opcode.PUSH1] + (
+        [Opcode.ADD, Opcode.STOP] if status is TxStatus.SUCCESS else [])
+    assert sum(sink.counts) == len(ran)
+    assert sum(sink.gas) == sum(schedule.by_byte[op] for op in ran)
+
+
+def recording_run(loop, gas, set_handler, code, library=b""):
+    """`code` under `loop` on a `Machine` whose `_dynamic_cost`, and the
+    MSTORE and SLOAD handlers, record the gas they read: (what was read,
+    status, the gas left)."""
+    seen = []
+
+    class Recording(Machine):
+        def _dynamic_cost(self, byte, rule):
+            seen.append(("cost", self.depth, Opcode(byte).name, self.gas))
+            return super()._dynamic_cost(byte, rule)
+
+    for opcode in (Opcode.MSTORE, Opcode.SLOAD):
+        def record(m, handler=machine_module._OPERATIONS[opcode][3],
+                   name=opcode.name):
+            seen.append(("handler", m.depth, name, m.gas))
+            return handler(m)
+        set_handler(opcode, record)
+    machine_module._loop = loop
+    trie = MerklePatriciaTrie()
+    store_code(trie, 1, library)
+    m = Recording(code, trie, gas, 0, SCHED)
+    status = m.run()
+    return seen, status, m.gas
+
+
+@LOOPS
+@pytest.mark.parametrize("gas", [221, 2 ** 63 - 1, 2 ** 63, 2 ** 80])
+def test_python_code_reads_the_gas_left_mid_run(loop, gas, set_handler):
+    """`_dynamic_cost` reads the gas before MSTORE's charge, and each
+    handler the gas after its own instruction's charge."""
+    code = bytes([Opcode.PUSH1, 7, Opcode.PUSH1, 0, Opcode.MSTORE,
+                  Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
+                  Opcode.SLOAD, Opcode.STOP])
+    seen, status, left = recording_run(loop, gas, set_handler, code)
+    assert seen == [("cost", 0, "MSTORE", gas - 6),
+                    ("handler", 0, "MSTORE", gas - 12),
+                    ("handler", 0, "SLOAD", gas - 221)]
+    assert (status, left) == (TxStatus.SUCCESS, gas - 221)
+
+
+@LOOPS
+@pytest.mark.parametrize("gas", [2 ** 63 - 1, 2 ** 63 + 700, 10_000])
+def test_a_callcode_child_takes_and_returns_the_gas(loop, gas, set_handler):
+    """The child starts with all the gas left after CALLCODE's charge
+    (gas - 703) and hands back what it did not use; at 2**63 + 700 the
+    charge brings the gas inside the int64 range. The child is a plain
+    `Machine`, so only its MSTORE handler records."""
+    library = bytes([Opcode.PUSH1, 5, Opcode.PUSH1, 0, Opcode.MSTORE,
+                     Opcode.STOP])
+    code = bytes([Opcode.PUSH1, 1, Opcode.CALLCODE, Opcode.PUSH1, 9,
+                  Opcode.PUSH1, 32, Opcode.MSTORE, Opcode.STOP])
+    seen, status, left = recording_run(loop, gas, set_handler, code,
+                                       library)
+    assert seen == [("handler", 1, "MSTORE", gas - 715),
+                    ("cost", 0, "MSTORE", gas - 721),
+                    ("handler", 0, "MSTORE", gas - 730)]
+    assert (status, left) == (TxStatus.SUCCESS, gas - 730)
+
+
+def push_immediates():
+    """Each PUSH1-32 immediate with leading zero bytes and with every byte
+    0xFF, cut off by the end of the code after each byte count."""
+    for width in range(1, 33):
+        zeros = width // 2
+        for immediate in (bytes(zeros) + bytes(range(1, width - zeros + 1)),
+                          b"\xff" * width):
+            for kept in range(width + 1):
+                yield width, immediate[:kept]
+
+
+@LOOPS
+def test_a_push_reads_its_immediate_big_endian_zero_padded(loop):
+    machine_module._loop = loop
+    for width, kept in push_immediates():
+        code = bytes([Opcode.PUSH1 + width - 1]) + kept
+        m = Machine(code, MerklePatriciaTrie(), 100, 0, SCHED)
+        assert m.run() is TxStatus.SUCCESS
+        expected = int.from_bytes(kept + bytes(width - len(kept)), "big")
+        assert (m.stack, m.gas) == ([expected], 97), code
