@@ -1,11 +1,20 @@
-/* gaslab's byte work in C: a CPython extension module with four functions.
+/* gaslab's byte work in C: a CPython extension module with six functions.
  *
  *   keccak_256(data) -> 32-byte digest, with the original Keccak padding
- *       (domain byte 0x01), as Ethereum uses it. Lanes are read and written
- *       little-endian byte by byte, so the digest does not depend on the
- *       host's byte order.
+ *       (domain byte 0x01), as Ethereum uses it. The permutation keeps its
+ *       25 lanes in locals; lanes are read and written little-endian byte
+ *       by byte, so the digest does not depend on the host's byte order.
  *   rlp_encode(item) -> the RLP encoding of a byte string (bytes or
  *       bytearray) or of an arbitrarily nested list or tuple of them.
+ *   rlp_decode(data) -> the item of a bytes object that holds exactly one
+ *       RLP encoding. It accepts and rejects what gaslab.rlp.decode does
+ *       and raises gaslab.rlp.RLPError with the same message; the trie's
+ *       write path resolves stored nodes with it, and lookups keep the
+ *       Python decoder.
+ *   commit(node, encode, keccak, put) -> the ref of a dirty trie node:
+ *       the dirty nodes under it are committed bottom-up, children left
+ *       to right, and each is encoded, hashed and stored through the
+ *       callables given; gaslab.trie._commit_python is the reference.
  *   assemble(seed, snippets, cumulative, transactions, length,
  *            fresh_key_rate, pool) -> (codes, pool): one block's programs,
  *       drawn from a Mersenne Twister seeded and read exactly as CPython's
@@ -21,9 +30,9 @@
  *       are the reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
- * gaslab.keccak, gaslab.rlp, gaslab.workload and gaslab.evm.machine keep
- * their pure-Python functions, and the two implementations must agree on
- * every input.
+ * gaslab.keccak, gaslab.rlp, gaslab.trie, gaslab.workload and
+ * gaslab.evm.machine keep their pure-Python functions, and the two
+ * implementations must agree on every input.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,44 +52,96 @@ static const uint64_t ROUND_CONSTANTS[24] = {
     0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-/* Lane walk order and rotation amounts for the combined rho/pi step. */
-static const int PI_LANES[24] = {10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
-                                 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1};
-static const int ROTATIONS[24] = {1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
-                                  27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44};
-
 /* Every rotation amount is in 1..63, so neither shift is by 64. */
 #define ROL(x, n) (((x) << (n)) | ((x) >> (64 - (n))))
 
+/* Keccak-f[1600] with the state in 25 local lanes, a[x + 5y], and each
+ * step written out lane by lane (Bertoni et al., "The Keccak reference",
+ * 2011): theta folds into the rotations of rho and pi, which write b, and
+ * chi writes b back into a. Only the 24 rounds stay a loop. */
 static void keccak_f1600(uint64_t st[25])
 {
-    uint64_t c[5], d, t, next;
+    uint64_t a00 = st[0], a01 = st[1], a02 = st[2], a03 = st[3], a04 = st[4];
+    uint64_t a05 = st[5], a06 = st[6], a07 = st[7], a08 = st[8], a09 = st[9];
+    uint64_t a10 = st[10], a11 = st[11], a12 = st[12], a13 = st[13],
+        a14 = st[14];
+    uint64_t a15 = st[15], a16 = st[16], a17 = st[17], a18 = st[18],
+        a19 = st[19];
+    uint64_t a20 = st[20], a21 = st[21], a22 = st[22], a23 = st[23],
+        a24 = st[24];
+    uint64_t b00, b01, b02, b03, b04, b05, b06, b07, b08, b09, b10, b11, b12,
+        b13, b14, b15, b16, b17, b18, b19, b20, b21, b22, b23, b24;
+    uint64_t c0, c1, c2, c3, c4, d0, d1, d2, d3, d4;
     for (int round = 0; round < 24; round++) {
         /* theta */
-        for (int x = 0; x < 5; x++)
-            c[x] = st[x] ^ st[x + 5] ^ st[x + 10] ^ st[x + 15] ^ st[x + 20];
-        for (int x = 0; x < 5; x++) {
-            d = c[(x + 4) % 5] ^ ROL(c[(x + 1) % 5], 1);
-            for (int y = 0; y < 25; y += 5)
-                st[x + y] ^= d;
-        }
-        /* rho + pi */
-        t = st[1];
-        for (int i = 0; i < 24; i++) {
-            next = st[PI_LANES[i]];
-            st[PI_LANES[i]] = ROL(t, ROTATIONS[i]);
-            t = next;
-        }
-        /* chi */
-        for (int y = 0; y < 25; y += 5) {
-            for (int x = 0; x < 5; x++)
-                c[x] = st[y + x];
-            for (int x = 0; x < 5; x++)
-                st[y + x] = c[x] ^ (~c[(x + 1) % 5] & c[(x + 2) % 5]);
-        }
-        /* iota */
-        st[0] ^= ROUND_CONSTANTS[round];
+        c0 = a00 ^ a05 ^ a10 ^ a15 ^ a20;
+        c1 = a01 ^ a06 ^ a11 ^ a16 ^ a21;
+        c2 = a02 ^ a07 ^ a12 ^ a17 ^ a22;
+        c3 = a03 ^ a08 ^ a13 ^ a18 ^ a23;
+        c4 = a04 ^ a09 ^ a14 ^ a19 ^ a24;
+        d0 = c4 ^ ROL(c1, 1);
+        d1 = c0 ^ ROL(c2, 1);
+        d2 = c1 ^ ROL(c3, 1);
+        d3 = c2 ^ ROL(c4, 1);
+        d4 = c3 ^ ROL(c0, 1);
+        /* rho and pi: b[y, 2x + 3y] = ROL(a[x, y] ^ d[x], r[x, y]) */
+        b00 = a00 ^ d0;
+        b01 = ROL(a06 ^ d1, 44);
+        b02 = ROL(a12 ^ d2, 43);
+        b03 = ROL(a18 ^ d3, 21);
+        b04 = ROL(a24 ^ d4, 14);
+        b05 = ROL(a03 ^ d3, 28);
+        b06 = ROL(a09 ^ d4, 20);
+        b07 = ROL(a10 ^ d0, 3);
+        b08 = ROL(a16 ^ d1, 45);
+        b09 = ROL(a22 ^ d2, 61);
+        b10 = ROL(a01 ^ d1, 1);
+        b11 = ROL(a07 ^ d2, 6);
+        b12 = ROL(a13 ^ d3, 25);
+        b13 = ROL(a19 ^ d4, 8);
+        b14 = ROL(a20 ^ d0, 18);
+        b15 = ROL(a04 ^ d4, 27);
+        b16 = ROL(a05 ^ d0, 36);
+        b17 = ROL(a11 ^ d1, 10);
+        b18 = ROL(a17 ^ d2, 15);
+        b19 = ROL(a23 ^ d3, 56);
+        b20 = ROL(a02 ^ d2, 62);
+        b21 = ROL(a08 ^ d3, 55);
+        b22 = ROL(a14 ^ d4, 39);
+        b23 = ROL(a15 ^ d0, 41);
+        b24 = ROL(a21 ^ d1, 2);
+        /* chi and iota */
+        a00 = b00 ^ (~b01 & b02) ^ ROUND_CONSTANTS[round];
+        a01 = b01 ^ (~b02 & b03);
+        a02 = b02 ^ (~b03 & b04);
+        a03 = b03 ^ (~b04 & b00);
+        a04 = b04 ^ (~b00 & b01);
+        a05 = b05 ^ (~b06 & b07);
+        a06 = b06 ^ (~b07 & b08);
+        a07 = b07 ^ (~b08 & b09);
+        a08 = b08 ^ (~b09 & b05);
+        a09 = b09 ^ (~b05 & b06);
+        a10 = b10 ^ (~b11 & b12);
+        a11 = b11 ^ (~b12 & b13);
+        a12 = b12 ^ (~b13 & b14);
+        a13 = b13 ^ (~b14 & b10);
+        a14 = b14 ^ (~b10 & b11);
+        a15 = b15 ^ (~b16 & b17);
+        a16 = b16 ^ (~b17 & b18);
+        a17 = b17 ^ (~b18 & b19);
+        a18 = b18 ^ (~b19 & b15);
+        a19 = b19 ^ (~b15 & b16);
+        a20 = b20 ^ (~b21 & b22);
+        a21 = b21 ^ (~b22 & b23);
+        a22 = b22 ^ (~b23 & b24);
+        a23 = b23 ^ (~b24 & b20);
+        a24 = b24 ^ (~b20 & b21);
     }
+    st[0] = a00; st[1] = a01; st[2] = a02; st[3] = a03; st[4] = a04;
+    st[5] = a05; st[6] = a06; st[7] = a07; st[8] = a08; st[9] = a09;
+    st[10] = a10; st[11] = a11; st[12] = a12; st[13] = a13; st[14] = a14;
+    st[15] = a15; st[16] = a16; st[17] = a17; st[18] = a18; st[19] = a19;
+    st[20] = a20; st[21] = a21; st[22] = a22; st[23] = a23; st[24] = a24;
 }
 
 static void absorb(uint64_t st[25], const unsigned char *block)
@@ -258,6 +319,221 @@ static PyObject *rlp_encode(PyObject *Py_UNUSED(module), PyObject *item)
         return NULL;
     write_item(item, (unsigned char *)PyBytes_AS_STRING(encoded) + size);
     return encoded;
+}
+
+/* The RLP decoder of the trie's write path: gaslab.trie resolves the stored
+ * nodes that an insert or a delete rewrites through rlp_decode, while a
+ * lookup keeps the Python gaslab.rlp.decode, whose per-level cost gaslab
+ * measures. It accepts and rejects exactly what gaslab.rlp.decode does, in
+ * the same order of checks, and raises gaslab.rlp.RLPError with the same
+ * message; that class is looked up on the first error. */
+
+static PyObject *rlp_error;
+
+/* gaslab.rlp.RLPError (a borrowed reference), or NULL with an exception
+ * set. */
+static PyObject *rlp_error_type(void)
+{
+    if (rlp_error == NULL) {
+        PyObject *rlp = PyImport_ImportModule("gaslab.rlp");
+        if (rlp == NULL)
+            return NULL;
+        rlp_error = PyObject_GetAttrString(rlp, "RLPError");
+        Py_DECREF(rlp);
+    }
+    return rlp_error;
+}
+
+/* Sets RLPError(message) and returns NULL. */
+static PyObject *decode_error(const char *message)
+{
+    PyObject *type = rlp_error_type();
+    if (type != NULL)
+        PyErr_SetString(type, message);
+    return NULL;
+}
+
+/* Payload start and length of the prefix at data[pos], whose first byte is
+ * `tag`, for strings (offset 0x80) or lists (0xC0); -1 with RLPError set
+ * on a prefix that gaslab.rlp._read_length rejects. */
+static int read_length(const unsigned char *data, Py_ssize_t size,
+                       Py_ssize_t pos, int tag, int offset,
+                       Py_ssize_t *start, Py_ssize_t *length)
+{
+    uint64_t value;
+    if (tag <= offset + 55) {
+        value = (uint64_t)(tag - offset);
+        *start = pos + 1;
+    } else {
+        int n = tag - offset - 55;   /* 1..8 bytes of length */
+        if (pos + 1 + n > size) {
+            decode_error("truncated length field");
+            return -1;
+        }
+        if (data[pos + 1] == 0) {
+            decode_error("length field has leading zero");
+            return -1;
+        }
+        value = 0;
+        for (int i = 1; i <= n; i++)
+            value = value << 8 | data[pos + i];
+        if (value <= 55) {
+            decode_error("non-minimal length encoding");
+            return -1;
+        }
+        *start = pos + 1 + n;
+    }
+    if (value > (uint64_t)(size - *start)) {
+        decode_error("payload extends past end of input");
+        return -1;
+    }
+    *length = (Py_ssize_t)value;
+    return 0;
+}
+
+/* The item encoded at data[pos], and in *next the position after it, as
+ * gaslab.rlp._decode_at: a list's single bytes and short strings are read
+ * in its own loop, long strings and nested lists recurse. */
+static PyObject *decode_at(const unsigned char *data, Py_ssize_t size,
+                           Py_ssize_t pos, Py_ssize_t *next)
+{
+    Py_ssize_t start, length;
+    if (pos >= size)
+        return decode_error("unexpected end of input");
+    int tag = data[pos];
+    if (tag < 0x80) {
+        *next = pos + 1;
+        return PyBytes_FromStringAndSize((const char *)data + pos, 1);
+    }
+    if (tag <= 0xBF) {
+        if (read_length(data, size, pos, tag, 0x80, &start, &length) < 0)
+            return NULL;
+        if (tag <= 0xB7 && length == 1 && data[start] < 0x80)
+            return decode_error("non-canonical single byte");
+        *next = start + length;
+        return PyBytes_FromStringAndSize((const char *)data + start, length);
+    }
+
+    if (read_length(data, size, pos, tag, 0xC0, &start, &length) < 0)
+        return NULL;
+    if (Py_EnterRecursiveCall(" while decoding a nested RLP list"))
+        return NULL;
+    Py_ssize_t end = start + length, cursor = start;
+    PyObject *items = PyList_New(0), *item = NULL;
+    while (items != NULL && cursor < end) {
+        tag = data[cursor];
+        if (tag < 0x80) {
+            item = PyBytes_FromStringAndSize((const char *)data + cursor, 1);
+            cursor++;
+        } else if (tag <= 0xB7) {
+            start = cursor + 1;
+            cursor = start + tag - 0x80;
+            if (cursor > end)
+                item = decode_error("list item overruns list payload");
+            else if (tag == 0x81 && data[start] < 0x80)
+                item = decode_error("non-canonical single byte");
+            else
+                item = PyBytes_FromStringAndSize((const char *)data + start,
+                                                 tag - 0x80);
+        } else {
+            item = decode_at(data, size, cursor, &cursor);
+            if (item != NULL && cursor > end) {
+                Py_CLEAR(item);
+                decode_error("list item overruns list payload");
+            }
+        }
+        if (item == NULL || PyList_Append(items, item) < 0)
+            Py_CLEAR(items);
+        Py_XDECREF(item);
+    }
+    Py_LeaveRecursiveCall();
+    *next = end;
+    return items;
+}
+
+static PyObject *rlp_decode(PyObject *Py_UNUSED(module), PyObject *data)
+{
+    Py_ssize_t consumed;
+    if (!PyBytes_Check(data))
+        return PyErr_Format(PyExc_TypeError, "rlp_decode takes bytes, not %s",
+                            Py_TYPE(data)->tp_name);
+    Py_ssize_t size = PyBytes_GET_SIZE(data);
+    PyObject *item = decode_at((const unsigned char *)PyBytes_AS_STRING(data),
+                               size, 0, &consumed);
+    if (item != NULL && consumed != size) {
+        Py_DECREF(item);
+        PyObject *type = rlp_error_type();
+        return type == NULL ? NULL : PyErr_Format(
+            type, "trailing bytes after RLP item (%zd)", size - consumed);
+    }
+    return item;
+}
+
+/* The trie's commit (gaslab.trie._commit_python is the reference): the ref
+ * of a dirty node after committing the dirty nodes under it, bottom-up and
+ * children left to right. Each is copied with its children's refs in place
+ * and encoded once; an encoding under 32 bytes keeps the copy inline as the
+ * ref, and any other is hashed and stored, and its digest is the ref. The
+ * encoder, the hash and the store's put are the callables given, so every
+ * write goes through the store. The dirty lists are only read, so a commit
+ * that fails leaves them as they were. */
+static PyObject *commit_node(PyObject *node, PyObject *encode,
+                             PyObject *keccak, PyObject *put)
+{
+    if (Py_EnterRecursiveCall(" while committing a trie node"))
+        return NULL;
+    PyObject *ref = NULL, *encoded = NULL, *digest = NULL;
+    PyObject *copy = PyList_GetSlice(node, 0, PyList_GET_SIZE(node));
+    if (copy == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(copy); i++) {
+        PyObject *child = PyList_GET_ITEM(copy, i);
+        if (PyList_Check(child)) {
+            PyObject *child_ref = commit_node(child, encode, keccak, put);
+            if (child_ref == NULL)
+                goto done;
+            PyList_SET_ITEM(copy, i, child_ref);
+            Py_DECREF(child);
+        }
+    }
+    if ((encoded = PyObject_CallOneArg(encode, copy)) == NULL)
+        goto done;
+    Py_ssize_t size = PyObject_Size(encoded);
+    if (size < 0)
+        goto done;
+    if (size < 32) {
+        ref = copy;
+        copy = NULL;
+        goto done;
+    }
+    if ((digest = PyObject_CallOneArg(keccak, encoded)) == NULL)
+        goto done;
+    PyObject *args[2] = {digest, encoded};
+    PyObject *stored = PyObject_Vectorcall(put, args, 2, NULL);
+    if (stored != NULL) {
+        Py_DECREF(stored);
+        ref = digest;
+        digest = NULL;
+    }
+done:
+    Py_XDECREF(copy);
+    Py_XDECREF(encoded);
+    Py_XDECREF(digest);
+    Py_LeaveRecursiveCall();
+    return ref;
+}
+
+static PyObject *commit(PyObject *Py_UNUSED(module), PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError,
+                            "commit takes 4 arguments (%zd given)", nargs);
+    if (!PyList_Check(args[0]))
+        return PyErr_Format(PyExc_TypeError,
+                            "commit takes a list node, not %s",
+                            Py_TYPE(args[0])->tp_name);
+    return commit_node(args[0], args[1], args[2], args[3]);
 }
 
 /* Block assembly (gaslab.workload). The draws come from MT19937 (Matsumoto
@@ -1398,6 +1674,12 @@ static PyMethodDef methods[] = {
      "32-byte Keccak-256 digest (original padding, as used by Ethereum)."},
     {"rlp_encode", rlp_encode, METH_O,
      "RLP encoding of bytes, bytearray, or nested lists and tuples of them."},
+    {"rlp_decode", rlp_decode, METH_O,
+     "The item of a bytes object that holds exactly one RLP encoding, as "
+     "gaslab.rlp.decode decodes and rejects it."},
+    {"commit", (PyCFunction)(void (*)(void))commit, METH_FASTCALL,
+     "Ref of a dirty trie node after committing it through encode, keccak "
+     "and put, as gaslab.trie._commit_python commits it."},
     {"assemble", (PyCFunction)(void (*)(void))assemble, METH_FASTCALL,
      "One block's programs and the pool size after them, drawn exactly as "
      "gaslab.workload._assemble_python draws them."},
@@ -1410,7 +1692,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "gaslab's C code: keccak_256, rlp_encode, assemble, interpret.",
+    .m_doc = "gaslab's C code: keccak_256, rlp_encode, rlp_decode, commit, assemble, interpret.",
     .m_size = -1,
     .m_methods = methods,
 };

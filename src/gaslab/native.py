@@ -1,8 +1,9 @@
 """Build and load gaslab's native extension module, `gaslab._native`.
 
-`_native.c` next to this module holds gaslab's C code: the trie commit
-path's Keccak-256 sponge (`keccak_256`) and RLP encoder (`rlp_encode`),
-the block assembler (`assemble`), which draws each block's programs from a
+`_native.c` next to this module holds gaslab's C code: the trie write
+path's Keccak-256 sponge (`keccak_256`), RLP encoder (`rlp_encode`), RLP
+decoder of the stored nodes that an insert or a delete rewrites
+(`rlp_decode`) and bottom-up commit walk (`commit`), the block assembler (`assemble`), which draws each block's programs from a
 Mersenne Twister that matches `random.Random` bit for bit, and the
 interpreter's dispatch loop (`interpret`), which runs PUSH, STOP, PC and
 the effects that need only the stack (the arithmetic, comparison and
@@ -25,8 +26,9 @@ files only: the compile-path modules are imported by `_compile` alone.
 
 If the build cannot happen (no compiler, no `Python.h`, a directory that
 cannot be written), `module` is None and `gaslab.keccak`, `gaslab.rlp`,
-`gaslab.workload` and `gaslab.evm.machine` bind their pure-Python
-functions, which compute the same bytes, samples and receipts.
+`gaslab.trie`, `gaslab.workload` and `gaslab.evm.machine` bind their
+pure-Python functions, which compute the same bytes, roots, samples and
+receipts.
 `IMPLEMENTATION` names the one that runs: "c" or "python".
 """
 

@@ -14,7 +14,10 @@ hundreds of times more than its encoding.
 `decode` is the per-level cost of a trie lookup: `gaslab.trie` fully decodes
 every node it reads from its store, with no decoded-node cache. It stays
 Python in every build, because the lookup walk is what gaslab measures
-(see the lookup contract in `gaslab.trie`). A list's items are decoded in
+(see the lookup contract in `gaslab.trie`). The trie's write path decodes
+the stored nodes it rewrites with the native module's `rlp_decode` when
+that builds, which accepts and rejects what `decode` does and raises
+`RLPError` with the same messages; `decode` is its reference. A list's items are decoded in
 one loop: single bytes and short strings (a branch node's hash refs and
 empty slots) are sliced inline, with every strictness check of the
 recursive path; long strings and nested lists recurse.

@@ -16,6 +16,15 @@ holds committed nodes only, and a batch of writes hashes its shared upper
 levels once rather than once per write. `get` commits first, so every
 lookup walks stored, hashed nodes.
 
+The write path runs in C when the native module builds (`gaslab.native`):
+the commit walk is one `commit` call, which encodes, hashes and stores
+through `rlp.encode`, `keccak_256` and `store.put`, looked up here at each
+commit, so `NodeStore.put` stays the one writer; and `insert` and `delete`
+decode the stored nodes they rewrite with its `rlp_decode`, bound at
+import. `_commit_python` and `rlp.decode` are the references and the
+fallback. A commit that raises leaves the trie dirty, its node lists as
+they were, and the next commit stores the same root.
+
 Lookup contract: each hash-referenced level of a `get` is exactly one
 `store.get` and one full, strict `rlp.decode` of the bytes it returns,
 reached through the module attribute `rlp` and the trie's `store`. There is
@@ -34,7 +43,7 @@ from typing import Optional
 
 from .clock import Work
 from .keccak import keccak_256
-from . import rlp
+from . import native, rlp
 
 EMPTY_REF = b""
 EMPTY_ROOT = keccak_256(rlp.encode(b""))
@@ -163,9 +172,12 @@ class MerklePatriciaTrie:
         `MerklePatriciaTrie(store, root_hash=...)`.
         """
         if isinstance(self._root_ref, list):
-            ref = self._commit(self._root_ref)
+            ref = _commit(self._root_ref, rlp.encode, keccak_256,
+                          self.store.put)
             if isinstance(ref, list):   # a short root is still stored
-                ref = self._put(rlp.encode(ref))
+                encoded = rlp.encode(ref)
+                ref = keccak_256(encoded)
+                self.store.put(ref, encoded)
             self._root_ref = ref
         if self._root_ref == EMPTY_REF:
             return EMPTY_ROOT
@@ -249,28 +261,10 @@ class MerklePatriciaTrie:
             return None
         if isinstance(ref, list):
             return ref
-        decoded = rlp.decode(self.store.get(ref))
+        decoded = _decode_stored(self.store.get(ref))
         if not isinstance(decoded, list):
             raise CorruptStoreError(f"{ref.hex()}: {_MALFORMED}")
         return decoded
-
-    def _commit(self, node: list) -> rlp.RlpItem:
-        """Ref of a node after committing its children, bottom-up: the node
-        itself if its encoding is under 32 bytes, else its stored hash.
-
-        Values are bytes, so every list item of a node is a child node.
-        """
-        node = [self._commit(item) if isinstance(item, list) else item
-                for item in node]
-        encoded = rlp.encode(node)
-        if len(encoded) < 32:
-            return node
-        return self._put(encoded)
-
-    def _put(self, encoded: bytes) -> bytes:
-        digest = keccak_256(encoded)
-        self.store.put(digest, encoded)
-        return digest
 
     def _insert(self, ref: rlp.RlpItem, path: bytes, value: bytes,
                 holder: bytes = EMPTY_REF) -> tuple[rlp.RlpItem, bool]:
@@ -386,6 +380,31 @@ class MerklePatriciaTrie:
         child_path, is_leaf = _short_path(
             child, holder if child is child_ref else child_ref)
         return [hex_prefix_encode(prefix + child_path, is_leaf), child[1]]
+
+
+def _commit_python(node: list, encode, keccak, put) -> rlp.RlpItem:
+    """Ref of a dirty node after committing the dirty nodes under it,
+    bottom-up and children left to right: a copy of the node with its
+    children's refs if its encoding is under 32 bytes, else the digest
+    under which `put` stored the encoding.
+
+    Values are bytes, so every list item of a node is a child node.
+    """
+    node = [_commit_python(item, encode, keccak, put)
+            if isinstance(item, list) else item for item in node]
+    encoded = encode(node)
+    if len(encoded) < 32:
+        return node
+    digest = keccak(encoded)
+    put(digest, encoded)
+    return digest
+
+
+# The write path in C when the native module built (see the module
+# docstring); the lookup path keeps `rlp.decode` in every build.
+_commit = _commit_python if native.module is None else native.module.commit
+_decode_stored = (rlp.decode if native.module is None
+                  else native.module.rlp_decode)
 
 
 def _short_path(node: list, holder: bytes) -> tuple[bytes, bool]:

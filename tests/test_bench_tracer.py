@@ -55,3 +55,30 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
     record = bench_tracer.SPAN_NAMES.index("metrics.record")
     assert list(tracer.name).count(record) == (
         RECORDS_PER_TX * len(receipts) + RECORDS_PER_BLOCK * BLOCKS)
+
+
+def test_tracer_sees_every_hash_and_write_of_the_commit(monkeypatch):
+    # The commit, native or not, must hash and store each node through
+    # `gaslab.trie.keccak_256` and `NodeStore.put`, where the tracer wraps
+    # them: every keccak span is a key's first path hash (later ones come
+    # from the key-path cache) or the digest of a stored node.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer as bench_tracer
+
+    spec = load_workload(WORKLOADS / "sload_heavy.json")
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        tracer.wrap("chain", run_chain)(spec, 30, default_schedule(),
+                                        window_size=10, sink=SampleSink(0))
+    finally:
+        tracer.uninstall()
+
+    def spans(name):
+        return list(tracer.name).count(bench_tracer.SPAN_NAMES.index(name))
+
+    trie = tracer.trie
+    puts = spans("trie.store.put")
+    assert puts == trie.store.work.node_writes > 250   # genesis and blocks
+    assert spans("keccak") == len(trie._key_path_cache) + puts
+    assert spans("rlp.encode") >= puts

@@ -29,7 +29,8 @@ from gaslab.native import IMPLEMENTATION, _load
 PACKAGE = Path(gaslab.native.__file__).parent
 SOURCE = PACKAGE / "_native.c"
 SRC_ROOT = str(PACKAGE.resolve().parent)
-MODULE_DOC = b"gaslab's C code: keccak_256, rlp_encode, assemble, interpret."
+MODULE_DOC = (b"gaslab's C code: keccak_256, rlp_encode, rlp_decode, "
+              b"commit, assemble, interpret.")
 
 # Well-known digests: the empty-input hash, the "abc" test vector, and the
 # hashes of the canonical RLP encodings of the empty string / empty list.
@@ -92,15 +93,26 @@ FIXTURE_ROOT_RAW = (
     "ae65879ed4f8035acd099fe0f62a07f7fe42cacc9d02904ec01d6670c2b4df20")
 
 # Run in a fresh interpreter against a copy of the package: which functions
-# were bound, the known digests, and the fixture trie's root.
+# were bound, the known digests, the fixture trie's root, and the roots of a
+# fixed run of inserts, updates and deletes, which commits inline and
+# hashed nodes and rewrites stored ones.
 _BINDINGS = """
 import json, sys
-from gaslab import keccak, native, rlp, workload
+from gaslab import keccak, native, rlp, trie as trie_module, workload
 from gaslab.evm import machine
 from gaslab.trie import MerklePatriciaTrie
 trie = MerklePatriciaTrie(secure=False)
 for i in range(16):
     trie.insert(f"key-{i:02d}".encode(), f"value-{i:02d}".encode())
+history = []
+for secure in (False, True):
+    fixed = MerklePatriciaTrie(secure=secure)
+    for i in range(400):
+        fixed.insert(i.to_bytes(2, "big")[i % 2:], bytes([i % 7]) * (i % 41))
+        if i % 3 == 2:
+            fixed.delete((i // 2).to_bytes(2, "big")[i % 2:])
+        if i % 20 == 19:
+            history.append(fixed.root_hash().hex())
 print(json.dumps({
     "implementation": native.IMPLEMENTATION,
     "no_module": native.module is None,
@@ -108,16 +120,36 @@ print(json.dumps({
     "python_encode": rlp.encode is rlp._encode_python,
     "python_assemble": workload._assemble is workload._assemble_python,
     "python_loop": machine._loop is machine._loop_python,
+    "python_commit": trie_module._commit is trie_module._commit_python,
+    "python_write_decode": trie_module._decode_stored is rlp.decode,
+    "python_lookup_decode": trie_module.rlp.decode is rlp.decode,
     "digests": [keccak.keccak_256(bytes.fromhex(data)).hex()
                 for data in sys.argv[1:]],
-    "root": trie.root_hash().hex()}))
+    "root": trie.root_hash().hex(),
+    "history": history}))
 """
+
+
+def _bindings(package_root: str, cwd) -> dict:
+    """What `_BINDINGS` reports for the package under `package_root`."""
+    proc = subprocess.run([sys.executable, "-c", _BINDINGS,
+                           *(data.hex() for data, _ in KNOWN_VECTORS)],
+                          cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=package_root),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def built_bindings(tmp_path_factory):
+    """`_BINDINGS` for this package, as built."""
+    return _bindings(SRC_ROOT, tmp_path_factory.mktemp("built"))
 
 
 @pytest.mark.parametrize("case", ["no compiler", "build dir is a file",
                                   "source does not compile"])
 def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
-                                                      case):
+                                                      case, built_bindings):
     # A copy of the package without its build, so importing it builds.
     package = tmp_path / "src" / "gaslab"
     shutil.copytree(PACKAGE, package,
@@ -129,20 +161,22 @@ def test_impossible_build_falls_back_to_python_sponge(tmp_path, monkeypatch,
         build.write_text("")
     else:
         (package / "_native.c").write_bytes(b"this is not C\n")
-    proc = subprocess.run([sys.executable, "-c", _BINDINGS,
-                           *(data.hex() for data, _ in KNOWN_VECTORS)],
-                          cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=str(package.parent)),
-                          capture_output=True, text=True, check=True)
-    bound = json.loads(proc.stdout)
+    bound = _bindings(str(package.parent), tmp_path)
     assert bound["implementation"] == "python"
     assert bound["no_module"]
     assert bound["python_keccak_256"]
     assert bound["python_encode"]
     assert bound["python_assemble"]
     assert bound["python_loop"]
+    assert bound["python_commit"]
+    assert bound["python_write_decode"]
+    assert bound["python_lookup_decode"]
     assert bound["digests"] == [digest for _, digest in KNOWN_VECTORS]
     assert bound["root"] == FIXTURE_ROOT_RAW
+    # The same roots as the build this package runs with, native or not.
+    assert len(set(bound["history"])) == len(bound["history"]) == 40
+    assert bound["history"] == built_bindings["history"]
+    assert built_bindings["python_lookup_decode"]
     if build.is_dir():   # a failed build leaves no library behind
         assert not list(build.glob("*" + EXTENSION_SUFFIXES[0]))
 

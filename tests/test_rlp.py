@@ -199,16 +199,31 @@ def _ref_read_length(data, pos, tag, offset):
     return length, start
 
 
+# `rlp.decode` and, in a C build, the write path's decoder of `gaslab.trie`
+# (`native.module.rlp_decode`); every differential test runs each of them.
+DECODERS = (rlp.decode,) + (() if native.module is None
+                            else (native.module.rlp_decode,))
+
+
 def _outcome(decoder, data):
+    """("item", the item) or ("error", the RLPError's message)."""
     try:
         return "item", decoder(data)
-    except rlp.RLPError:
-        return "error", None
+    except rlp.RLPError as error:
+        assert type(error) is rlp.RLPError
+        return "error", str(error)
 
 
 def assert_same_as_reference(data):
-    expected = _outcome(reference_decode, data)
-    assert _outcome(rlp.decode, data) == expected
+    """Every decoder gives `rlp.decode`'s item or error message, and the
+    reference's item or an error where it gives one."""
+    expected = _outcome(rlp.decode, data)
+    for decode in DECODERS:
+        assert _outcome(decode, data) == expected
+    reference = _outcome(reference_decode, data)
+    assert expected[0] == reference[0]
+    if expected[0] == "item":
+        assert expected == reference
     return expected
 
 
@@ -247,6 +262,7 @@ def test_differential_truncations(item, cut):
     b"\xc1\xc2\x80",                 # nested list overruns its parent
     b"\xc2\x80\x80\x80",             # trailing bytes after a list
     b"\xc5\x83ab",                   # list payload truncated
+    b"\xc1\x81\x05",                 # overrun checked before canonical
 ])
 def test_in_list_strictness(data):
     assert assert_same_as_reference(data)[0] == "error"
@@ -332,3 +348,56 @@ def test_c_encoder_deep_nesting_raises_recursion_error():
     for _ in range(100):
         shallow = (shallow,)
     assert native.module.rlp_encode(shallow) == rlp._encode_python(shallow)
+
+
+# ---------------------------------------------------------------------------
+# the C decoder of the trie's write path against `rlp.decode`
+# ---------------------------------------------------------------------------
+
+def _nested_lists(depth):
+    """The encoding of `depth` lists, each holding the next and the
+    innermost empty, built level by level without a recursive encoder."""
+    prefixes, size = [], 1
+    for _ in range(depth):
+        prefixes.append(rlp._length_prefix(size, 0xC0))
+        size += len(prefixes[-1])
+    return b"".join(reversed(prefixes)) + b"\xc0"
+
+
+def test_deep_nesting_raises_recursion_error_in_every_decoder():
+    deep = _nested_lists(100000)
+    for decode in DECODERS:
+        with pytest.raises(RecursionError):
+            decode(deep)
+    shallow = _nested_lists(100)
+    item = []
+    for _ in range(100):
+        item = [item]
+    for decode in DECODERS:
+        assert decode(shallow) == item
+
+
+@needs_c
+@pytest.mark.parametrize("data", [
+    b"\xbf" + b"\xff" * 8,                 # a string of 2**64 - 1 bytes
+    b"\xff\x7f" + b"\xff" * 7,             # a list of 2**63 - 1 bytes
+    b"\xbf\x00" + b"\x01" * 7,             # an 8-byte field, leading zero
+    b"\xb8", b"\xf8", b"\xb9\x01",         # truncated length fields
+    b"\xb8\x37" + b"a" * 55,               # non-minimal length
+    b"\xb8\x38" + b"a" * 56,               # the shortest long string
+    b"\xf8\x38" + b"\x80" * 56,            # the shortest long list
+    b"\xc2\x80\xc0\x00",                   # trailing byte after a list
+    b"\x80" * 3, b"\x00", b"\x80", b"\xc0",
+])
+def test_c_decoder_matches_python_at_length_edges(data):
+    c_outcome = _outcome(native.module.rlp_decode, data)
+    assert c_outcome == _outcome(rlp.decode, data)
+    if c_outcome[0] == "item":
+        assert type(c_outcome[1]) is type(rlp.decode(data))
+
+
+@needs_c
+def test_c_decoder_takes_bytes_only():
+    for data in (bytearray(b"\x80"), memoryview(b"\x80"), "\x80"):
+        with pytest.raises(TypeError, match="^rlp_decode takes bytes"):
+            native.module.rlp_decode(data)

@@ -9,6 +9,7 @@ with this oracle before the trie was built and is frozen here.
 import random
 import types
 
+import gaslab.clock
 import gaslab.keccak
 import gaslab.rlp
 import gaslab.trie
@@ -346,8 +347,9 @@ def test_each_lookup_level_is_one_store_read_and_one_decode(monkeypatch):
 
 def test_lookup_decode_is_python_and_commit_work_is_native():
     # The lookup walk is what gaslab measures, so its decode is the Python
-    # function of gaslab/rlp.py in every build; the commit path's encode and
-    # hash are the native functions whenever the native build loaded.
+    # function of gaslab/rlp.py in every build; the write path's encode,
+    # hash, decode and commit are the native functions whenever the native
+    # build loaded.
     for decode in (gaslab.rlp.decode, gaslab.trie.rlp.decode):
         assert isinstance(decode, types.FunctionType)
         assert decode.__code__.co_filename == gaslab.rlp.__file__
@@ -357,26 +359,49 @@ def test_lookup_decode_is_python_and_commit_work_is_native():
         assert gaslab.rlp.encode is native.module.rlp_encode
         assert gaslab.keccak.keccak_256 is native.module.keccak_256
         assert gaslab.trie.keccak_256 is native.module.keccak_256
+        assert gaslab.trie._decode_stored is native.module.rlp_decode
+        assert gaslab.trie._commit is native.module.commit
     else:
         assert gaslab.rlp.encode is gaslab.rlp._encode_python
         assert gaslab.keccak.keccak_256 is gaslab.keccak._keccak_256_python
+        assert gaslab.trie._decode_stored is gaslab.rlp.decode
+        assert gaslab.trie._commit is gaslab.trie._commit_python
 
 
-def _commit_history(monkeypatch, encode):
-    """Roots after each commit of one seeded run of inserts, updates and
-    deletes over short non-secure keys (inline nodes, short roots), and the
-    store it leaves, with `gaslab.trie.rlp.encode` bound to `encode`."""
+# The Python commit and, in a C build, the native one.
+COMMITS = [gaslab.trie._commit_python] + (
+    [] if native.module is None else [native.module.commit])
+COMMIT_IDS = ["python", "c"][:len(COMMITS)]
+
+_WORK_FIELDS = gaslab.clock.Work.__slots__
+
+
+def _commit_history(monkeypatch, encode, commit=gaslab.trie._commit):
+    """Root and `Work` deltas of each commit of one seeded run of inserts,
+    updates and deletes over short non-secure keys (inline nodes, short
+    roots), and the items of the store it leaves in insertion order, with
+    `gaslab.trie.rlp.encode` bound to `encode` and the commit to `commit`.
+    """
     monkeypatch.setattr(gaslab.trie, "rlp", types.SimpleNamespace(
         encode=encode, decode=gaslab.rlp.decode, RlpItem=gaslab.rlp.RlpItem))
+    monkeypatch.setattr(gaslab.trie, "_commit", commit)
     rng = random.Random(28)
     trie = MerklePatriciaTrie(secure=False)
-    live, roots = set(), []
+    work = trie.store.work
+    live, commits = set(), []
+
+    def commit_root():
+        before = [getattr(work, field) for field in _WORK_FIELDS]
+        root = trie.root_hash()
+        commits.append((root, [getattr(work, field) - was
+                               for field, was in zip(_WORK_FIELDS, before)]))
+
     for batch in range(60):
         if batch % 10 == 9:   # drain to one key: a short root
             for key in sorted(live)[1:]:
                 trie.delete(key)
             live = set(sorted(live)[:1])
-            roots.append(trie.root_hash())
+            commit_root()
         for _ in range(rng.randrange(1, 12)):
             roll = rng.random()
             if live and roll < 0.3:
@@ -388,8 +413,8 @@ def _commit_history(monkeypatch, encode):
                        else rng.randbytes(rng.randrange(1, 4)))
                 trie.insert(key, rng.randbytes(rng.choice((1, 2, 5, 40))))
                 live.add(key)
-        roots.append(trie.root_hash())
-    return roots, dict(trie.store._data)
+        commit_root()
+    return commits, list(trie.store._data.items())
 
 
 @pytest.mark.skipif(native.module is None, reason="native build unavailable")
@@ -399,11 +424,54 @@ def test_c_and_python_encoders_commit_identical_tries(monkeypatch):
     with monkeypatch.context() as patch:
         python_run = _commit_history(patch, gaslab.rlp._encode_python)
     assert c_run == python_run
-    roots, data = c_run
-    assert len(set(roots)) > 40
-    assert any(len(encoded) < 32 for encoded in data.values())  # short root
+    commits, items = c_run
+    assert len({root for root, _ in commits}) > 40
+    assert any(len(encoded) < 32 for _, encoded in items)  # short root
     assert any(any(isinstance(item, list) for item in rlp.decode(encoded))
-               for encoded in data.values())   # inline child nodes
+               for _, encoded in items)   # inline child nodes
+
+
+@pytest.mark.skipif(native.module is None, reason="native build unavailable")
+def test_c_and_python_commits_write_identical_stores(monkeypatch):
+    runs = []
+    for commit in COMMITS:
+        with monkeypatch.context() as patch:
+            runs.append(_commit_history(patch, gaslab.rlp.encode, commit))
+    python_run, c_run = runs
+    assert c_run == python_run   # roots, Work deltas, store order
+    commits, items = c_run
+    assert sum(delta[_WORK_FIELDS.index("node_writes")]
+               for _, delta in commits) >= len(items) > 100
+
+
+@pytest.mark.parametrize("commit", COMMITS, ids=COMMIT_IDS)
+def test_failed_put_leaves_the_trie_dirty(monkeypatch, commit):
+    monkeypatch.setattr(gaslab.trie, "_commit", commit)
+    mapping = {i.to_bytes(2, "big")[i % 2:]: bytes([i]) * (i % 40 + 1)
+               for i in range(1, 120)}
+    reference = make_trie(mapping, secure=False)
+    reference.root_hash()
+    trie = make_trie(mapping, secure=False)
+    puts = 0
+    real_put = NodeStore.put
+
+    def failing_put(store, key, value):
+        nonlocal puts
+        puts += 1
+        if puts == 10:
+            raise OSError("store is full")
+        real_put(store, key, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NodeStore, "put", failing_put)
+        with pytest.raises(OSError, match="^store is full$"):
+            trie.root_hash()
+    assert isinstance(trie._root_ref, list)   # still dirty
+    assert len(trie.store) == 9
+    assert trie.root_hash() == reference.root_hash()
+    assert list(trie.store._data.items()) == \
+        list(reference.store._data.items())
+    assert all(trie.get(key) == value for key, value in mapping.items())
 
 
 def _corrupt_root(bad_node):
