@@ -23,11 +23,11 @@
  *       interpreter's dispatch loop, which runs a Machine until it halts.
  *       It runs PUSH1-32, STOP, PC and the effects that need only the
  *       stack itself, and calls its Python handlers for every other
- *       effect. It charges gas on a C int64 where the gas and the cost
- *       fit one, adds each instruction's sample into the sink's int64
- *       window arrays as the instruction ends, and under WallClock reads
- *       the clock in C; gaslab.evm.machine._loop_python and its handlers
- *       are the reference.
+ *       effect. It meters gas in a C int64, adds each instruction's
+ *       sample into the sink's int64 window arrays as the instruction
+ *       ends, and under WallClock reads the clock in C;
+ *       gaslab.evm.machine._loop_python and its handlers are the
+ *       reference.
  *
  * gaslab.native compiles this file on first import; when it cannot,
  * gaslab.keccak, gaslab.rlp, gaslab.trie, gaslab.workload and
@@ -958,15 +958,14 @@ fail:
  * effects is kept in a local and put there once, as the run exits by any
  * path, along with the gas.
  *
- * Gas is metered in a C int64 while it is an exact int in [0, 2**63), as
- * every gas limit the tool makes is: a cost in that range is compared and
- * subtracted in C, and its sample reuses the int64. The gas becomes a
- * Python int again only where Python code can read it: before each
- * _dynamic_cost call and each handler call, after a CALLCODE child, and
- * as the run exits. Any other gas or cost (a schedule constant past 64
- * bits, math.inf from an overflowing polynomial, gas of 2**80) is
- * compared and subtracted as Python objects, as _loop_python does.
- * A PUSH immediate is built from its bytes.
+ * Gas is one int64 domain: Machine refuses a gas outside [0, 2**63) and
+ * GasSchedule a constant past it, so the gas is read from the machine
+ * once, metered in a C int64, and put back as a Python int only where
+ * Python code can read it: before each _dynamic_cost call and each
+ * handler call, and as the run exits. A cost that is not an exact int in
+ * [0, 2**63) (a polynomial past that range, or math.inf past float
+ * range) is more than any gas and halts out of gas, as _loop_python's
+ * `cost > m.gas` does. A PUSH immediate is built from its bytes.
  *
  * Sampling is one design in both loops: as each instruction ends, its
  * count, gas and time are added, in that order, into the open window of
@@ -1272,19 +1271,16 @@ static int accumulate(int64_t *total, int64_t amount)
 }
 
 /* One instruction's sample, added into the window as _loop_python adds
- * it: counts[byte] += 1, gas[byte] += cost (an int), then times[byte] +=
- * ended - began. The cost is `amount` when `cost` is NULL. */
-static int record_sample(Py_buffer window[3], int byte, PyObject *cost,
-                         int64_t amount, int64_t began, int64_t ended)
+ * it: counts[byte] += 1, gas[byte] += cost, then times[byte] += ended -
+ * began. */
+static int record_sample(Py_buffer window[3], int byte, int64_t cost,
+                         int64_t began, int64_t ended)
 {
     int64_t *counts = window[0].buf, *gas = window[1].buf,
             *times = window[2].buf, elapsed;
     if (accumulate(&counts[byte], 1) < 0)
         return -1;
-    if (cost != NULL && (amount = PyLong_AsLongLong(cost)) == -1
-            && PyErr_Occurred())
-        return -1;
-    if (accumulate(&gas[byte], amount) < 0)
+    if (accumulate(&gas[byte], cost) < 0)
         return -1;
     if (__builtin_sub_overflow(ended, began, &elapsed)) {
         PyErr_SetString(PyExc_OverflowError, "int too big to convert");
@@ -1293,47 +1289,10 @@ static int record_sample(Py_buffer window[3], int byte, PyObject *cost,
     return accumulate(&times[byte], elapsed);
 }
 
-/* A run's gas: `left` while it is an exact int in [0, 2**63), as every
- * gas limit the tool makes is, else the Python object `object`. */
-typedef struct {
-    int64_t left;
-    PyObject *object;   /* NULL while the gas is `left` */
-} Gas;
-
-/* *value as an int64 when it is an exact int in [0, 2**63), else -1 */
-static int64_t small_int(PyObject *value)
+/* machine.gas = gas, which Python code is about to read */
+static int set_gas(PyObject *machine, int64_t gas)
 {
-    if (!PyLong_CheckExact(value))
-        return -1;
-    int overflow;
-    long long small = PyLong_AsLongLongAndOverflow(value, &overflow);
-    return overflow ? -1 : small;
-}
-
-/* Make `value` the gas, taking its reference. */
-static void gas_take(Gas *gas, PyObject *value)
-{
-    int64_t left = small_int(value);
-    if (left < 0) {
-        Py_XSETREF(gas->object, value);
-        return;
-    }
-    gas->left = left;
-    Py_DECREF(value);
-    Py_CLEAR(gas->object);
-}
-
-/* The gas as a Python int (or whatever object it is), or NULL */
-static PyObject *gas_value(const Gas *gas)
-{
-    return gas->object != NULL ? Py_NewRef(gas->object)
-           : PyLong_FromLongLong(gas->left);
-}
-
-/* machine.gas = the gas, which Python code is about to read */
-static int gas_put(const Gas *gas, PyObject *machine)
-{
-    PyObject *value = gas_value(gas);
+    PyObject *value = PyLong_FromLongLong(gas);
     if (value == NULL)
         return -1;
     int result = PyObject_SetAttr(machine, str_gas, value);
@@ -1341,34 +1300,34 @@ static int gas_put(const Gas *gas, PyObject *machine)
     return result;
 }
 
-/* Charge `cost` if it is affordable (not above the gas), as
- * `if cost > m.gas: halt; m.gas -= cost` does: 1 when charged, 0 when not,
- * -1 with an exception set. A cost in [0, 2**63) against an int64 gas is
- * charged in C and put in *amount, with *exact set; any other pair (a
- * 2**70 constant, math.inf, gas of 2**80) is compared and subtracted as
- * Python objects. */
-static int charge(Gas *gas, PyObject *cost, int64_t *amount, int *exact)
+/* *gas = machine.gas, an int in [0, 2**63) */
+static int get_gas(PyObject *machine, int64_t *gas)
 {
-    *exact = 0;
-    if (gas->object == NULL && (*amount = small_int(cost)) >= 0) {
-        if (*amount > gas->left)
-            return 0;
-        gas->left -= *amount;
-        *exact = 1;
-        return 1;
-    }
-    PyObject *left = gas_value(gas);
-    if (left == NULL)
+    PyObject *value = PyObject_GetAttr(machine, str_gas);
+    if (value == NULL)
         return -1;
-    int unaffordable = PyObject_RichCompareBool(cost, left, Py_GT);
-    if (unaffordable != 0) {
-        Py_DECREF(left);
-        return unaffordable < 0 ? -1 : 0;
-    }
-    Py_SETREF(left, PyNumber_Subtract(left, cost));
-    if (left == NULL)
+    *gas = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (*gas == -1 && PyErr_Occurred())
         return -1;
-    gas_take(gas, left);
+    if (*gas < 0) {
+        PyErr_SetString(PyExc_ValueError, "gas is negative");
+        return -1;
+    }
+    return 0;
+}
+
+/* Charge `cost` if it is affordable, as `if cost > m.gas: halt; m.gas -=
+ * cost` does: 1 when charged, with the cost in *amount, 0 when not. A cost
+ * that is not an exact int in [0, 2**63) is more than any gas. */
+static int charge(int64_t *gas, PyObject *cost, int64_t *amount)
+{
+    int overflow;   /* a cost past the int64 range reads as -1 */
+    if (!PyLong_CheckExact(cost)
+            || (*amount = PyLong_AsLongLongAndOverflow(cost, &overflow)) < 0
+            || *amount > *gas)
+        return 0;
+    *gas -= *amount;
     return 1;
 }
 
@@ -1404,16 +1363,16 @@ static void restore_exception(PyObject *exception)
 }
 
 /* What a run leaves behind as it exits, as a `finally:` block would: the
- * pc not yet put on the machine (unless it is -1) and the gas (unless it
- * is NULL) on the machine, and its wall-path instruction count in
- * work.instructions. A pending exception is kept, and an error here
- * replaces it, with the pending one as its __context__. */
-static int finish(PyObject *m, Py_ssize_t pc, const Gas *gas, PyObject *work,
+ * pc not yet put on the machine and the gas (each unless negative) on the
+ * machine, and its wall-path instruction count in work.instructions. A
+ * pending exception is kept, and an error here replaces it, with the
+ * pending one as its __context__. */
+static int finish(PyObject *m, Py_ssize_t pc, int64_t gas, PyObject *work,
                   int64_t instructions)
 {
     PyObject *pending = take_exception();
     int result = (pc >= 0 && set_pc(m, pc) < 0)
-                 || (gas != NULL && gas_put(gas, m) < 0) ? -1 : 0;
+                 || (gas >= 0 && set_gas(m, gas) < 0) ? -1 : 0;
     if (result == 0 && instructions) {
         PyObject *amount = PyLong_FromLongLong(instructions);
         if (amount == NULL
@@ -1464,8 +1423,8 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     /* view: the code's bytes; window: the sink's counts, gas and times */
     Py_buffer view = {NULL}, window[3] = {{NULL}, {NULL}, {NULL}};
     PyObject *code = NULL, *stack = NULL, *rules = NULL, *work = NULL,
-             *now_ns = NULL, *limit = NULL;
-    Gas gas = {0, NULL}, *metered = NULL;   /* &gas once m.gas is read */
+             *now_ns = NULL;
+    int64_t gas = -1;   /* negative until m.gas is read */
     /* one instruction's own references */
     PyObject *operation = NULL, *rule = NULL, *cost = NULL, *handler = NULL,
              *child = NULL;
@@ -1475,8 +1434,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     Py_ssize_t pc, pending_pc = -1;
     int ran, stopped = 0, wall = 0;
     int64_t began = 0, ended = 0;   /* one instruction's clock readings */
-    int64_t amount = 0;   /* one instruction's cost, when `exact` */
-    int exact;
+    int64_t amount = 0;   /* one instruction's cost */
     int64_t instructions = 0;   /* the wall path's count */
 
     PyObject *schedule = NULL, *sink = NULL, *clock = NULL;
@@ -1493,14 +1451,12 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             && get_window(sink, str_counts, &window[0]) == 0
             && get_window(sink, str_gas, &window[1]) == 0
             && get_window(sink, str_times, &window[2]) == 0)
-        limit = PyObject_GetAttr(m, str_gas);
+        get_gas(m, &gas);
     Py_XDECREF(schedule);
     Py_XDECREF(sink);
     Py_XDECREF(clock);
-    if (limit == NULL)
+    if (gas < 0)
         goto done;
-    metered = &gas;
-    gas_take(metered, limit);
     const unsigned char *bytes = view.buf;
     Py_ssize_t end = view.len;
     wall = now_ns == perf_counter_ns;
@@ -1551,7 +1507,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             PyObject *opcode = PyLong_FromLong(byte);
             pending_pc = -1;
             if (opcode == NULL || set_pc(m, pc) < 0
-                    || gas_put(&gas, m) < 0) {
+                    || set_gas(m, gas) < 0) {
                 Py_XDECREF(opcode);
                 goto done;
             }
@@ -1566,10 +1522,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             if (cost == NULL)
                 goto done;
         }
-        int charged = charge(&gas, cost, &amount, &exact);
-        if (charged < 0)
-            goto done;
-        if (!charged) {
+        if (!charge(&gas, cost, &amount)) {
             PyErr_SetObject(halt, PyTuple_GET_ITEM(statuses, 3));
             goto done;
         }
@@ -1593,7 +1546,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
                 goto done;
         } else {
             pending_pc = -1;
-            if (set_pc(m, pc + 1) < 0 || gas_put(&gas, m) < 0)
+            if (set_pc(m, pc + 1) < 0 || set_gas(m, gas) < 0)
                 goto done;
             handler = PyTuple_GET_ITEM(operation, 3);
             Py_INCREF(handler);
@@ -1607,8 +1560,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
         else if (add_to_attr(work, str_instructions, one) < 0)
             goto done;
         if (read_clock(now_ns, &ended) < 0
-                || record_sample(window, byte, exact ? NULL : cost, amount,
-                                 began, ended) < 0)
+                || record_sample(window, byte, amount, began, ended) < 0)
             goto done;
         Py_CLEAR(operation);
         Py_CLEAR(cost);
@@ -1621,11 +1573,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
             PyObject *child_status = PyObject_CallMethodNoArgs(child, str_run);
             if (child_status == NULL)
                 goto done;
-            PyObject *left = PyObject_GetAttr(child, str_gas);
-            int put = left == NULL ? -1 : PyObject_SetAttr(m, str_gas, left);
-            if (left != NULL)
-                gas_take(&gas, left);
-            if (put < 0) {
+            if (get_gas(child, &gas) < 0) {
                 Py_DECREF(child_status);
                 goto done;
             }
@@ -1648,7 +1596,7 @@ static PyObject *interpret(PyObject *Py_UNUSED(module),
     result = Py_NewRef(Py_None);
 
 done:
-    if (finish(m, pending_pc, metered, work, instructions) < 0)
+    if (finish(m, pending_pc, gas, work, instructions) < 0)
         Py_CLEAR(result);
     Py_XDECREF(operation);
     Py_XDECREF(rule);
@@ -1665,7 +1613,6 @@ done:
     Py_XDECREF(rules);
     Py_XDECREF(work);
     Py_XDECREF(now_ns);
-    Py_XDECREF(gas.object);
     return result;
 }
 

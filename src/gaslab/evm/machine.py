@@ -20,11 +20,13 @@ AND, OR, XOR, NOT, POP, PC, JUMPDEST, DUP1-16 and SWAP1-16, on Python ints
 as their handlers compute them. It calls the same handlers for every other
 effect. Both loops put `pc` and `gas` on the machine before each handler
 and each `_dynamic_cost` call, and whatever path a run exits by, the C loop
-leaves the `pc` and `gas` that `_loop_python` leaves. Between those points
-the C loop meters gas in a C int64, as geth's `uint64` and EVMC's
-`int64_t` gas fields do, while the gas is an int in [0, 2^63) and the
-cost one too; any other gas or cost (a 2^70 constant, `math.inf` from an
-overflowing polynomial) is compared and subtracted as a Python object.
+leaves the `pc` and `gas` that `_loop_python` leaves. Gas is one int64
+domain, as geth's `uint64` and EVMC's `int64_t` gas fields are: a
+`Machine` refuses a gas outside [0, 2^63 - 1] (`COUNTER_MAX`), and a
+schedule refuses a constant above it, so between those points the C loop
+meters gas in a C int64. A cost that is not an int in that range (a
+polynomial past it, or `math.inf` past float range) is more than any gas,
+and the instruction halts out of gas in either loop.
 `Machine.run` only turns a `_Halt` into the final status. As in geth's
 jump table, one static table gives each opcode byte one entry, `(need,
 room, push_width, handler)`: the stack must hold `need` to `room =
@@ -76,7 +78,7 @@ from typing import Optional
 
 from .. import native
 from ..clock import WallClock
-from ..metrics import SampleSink
+from ..metrics import COUNTER_MAX, SampleSink
 from ..trie import MerklePatriciaTrie
 from .opcodes import ARITY, MEMORY_OPCODES, Opcode
 from .schedule import GasSchedule, SstoreRule, memory_expansion_cost
@@ -128,6 +130,8 @@ class Machine:
                  block_height: int, schedule: GasSchedule,
                  clock=WallClock, storage_buffer: Optional[dict] = None,
                  depth: int = 0, sink: Optional[SampleSink] = None):
+        if not 0 <= gas <= COUNTER_MAX:
+            raise ValueError(f"gas {gas} is not in [0, {COUNTER_MAX}]")
         self.code = code
         self.trie = trie
         self.gas = gas

@@ -26,7 +26,12 @@ executions finite); STOP and RETURN may cost zero. Each rule must fit its
 opcode: only SSTORE may take the ``sstore:`` tier rule, and the rules of
 MLOAD, MSTORE and RETURN, and of no other opcode, carry ``+mem``. The
 marker is part of the file format only: those three opcodes always add the
-quadratic memory-expansion delta to their rule's cost.
+quadratic memory-expansion delta to their rule's cost. A constant, either
+``sstore:`` tier and ``intrinsic`` must be at most ``COUNTER_MAX``
+(2^63 - 1), the bound of every gas limit and counter, so gas is one int64
+domain; a polynomial's cost past it at some height is, like ``math.inf``,
+more than any gas, and the instruction halts out of gas there. A file's
+errors name their line.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ..metrics import COUNTER_MAX
 from .opcodes import (ALL_OPCODES, MEMORY_OPCODES, Opcode, TERMINAL_OPCODES,
                       from_name)
 
@@ -100,8 +106,7 @@ class GasSchedule:
         missing = [op.name for op in ALL_OPCODES if op not in rules]
         if missing:
             raise ScheduleError(f"schedule missing opcodes: {', '.join(missing)}")
-        if intrinsic_gas < 0:
-            raise ScheduleError("intrinsic gas must be non-negative")
+        _validate_intrinsic(intrinsic_gas)
         for op, rule in rules.items():
             _validate_rule(op, rule)
         self.rules = dict(rules)
@@ -141,6 +146,7 @@ class GasSchedule:
                 except ValueError:
                     raise ScheduleError(f"line {line_no}: bad intrinsic gas: "
                                         f"{value!r}") from None
+                _on_line(line_no, _validate_intrinsic, intrinsic)
                 continue
             plus_memory = value.endswith("+mem")
             rule = _parse_rule(name, value.removesuffix("+mem").strip(),
@@ -148,22 +154,24 @@ class GasSchedule:
             op = None   # a family has no memory opcode
             if name in ("PUSH", "DUP", "SWAP"):
                 family[name] = rule
+                members = _family(name)
             else:
                 op = from_name(name)
                 if op is None:
                     raise ScheduleError(f"line {line_no}: unknown opcode {name!r}")
                 individual[op] = rule
+                members = [op]
             if plus_memory != (op in MEMORY_OPCODES):
                 raise ScheduleError(
                     f"line {line_no}: {name}: +mem is required"
                     if op in MEMORY_OPCODES else
                     f"line {line_no}: {name}: +mem applies to MLOAD, MSTORE "
                     f"and RETURN only")
+            for member in members:
+                _on_line(line_no, _validate_rule, member, rule)
         rules: dict[Opcode, GasRule] = {}
         for prefix, rule in family.items():
-            for op in ALL_OPCODES:
-                if op.name.startswith(prefix) and op.name[len(prefix):].isdigit():
-                    rules[op] = rule
+            rules.update(dict.fromkeys(_family(prefix), rule))
         rules.update(individual)
         return cls(rules, intrinsic)
 
@@ -192,6 +200,26 @@ def _parse_rule(name: str, value: str, line_no: int) -> GasRule:
         raise ScheduleError(f"line {line_no}: bad rule for {name}: {value!r}") from None
 
 
+def _family(prefix: str) -> list[Opcode]:
+    """The opcodes that a family name (PUSH, DUP or SWAP) sets."""
+    return [op for op in ALL_OPCODES
+            if op.name.startswith(prefix) and op.name[len(prefix):].isdigit()]
+
+
+def _on_line(line_no: int, check, *args) -> None:
+    """check(*args), naming the config line in its ScheduleError."""
+    try:
+        check(*args)
+    except ScheduleError as exc:
+        raise ScheduleError(f"line {line_no}: {exc}") from None
+
+
+def _validate_intrinsic(gas: int) -> None:
+    if not 0 <= gas <= COUNTER_MAX:
+        raise ScheduleError(
+            f"intrinsic gas {gas} is not in [0, {COUNTER_MAX}]")
+
+
 def _validate_rule(op: Opcode, rule: GasRule) -> None:
     if isinstance(rule, SstoreRule) and op is not Opcode.SSTORE:
         raise ScheduleError(f"{op.name}: sstore: tiers apply to SSTORE only")
@@ -200,9 +228,15 @@ def _validate_rule(op: Opcode, rule: GasRule) -> None:
         if rule.cost < minimum:
             raise ScheduleError(
                 f"{op.name}: cost {rule.cost} below minimum {minimum}")
+        if rule.cost > COUNTER_MAX:
+            raise ScheduleError(
+                f"{op.name}: cost {rule.cost} above {COUNTER_MAX}")
     elif isinstance(rule, SstoreRule):
         if rule.set_cost < 1 or rule.reset_cost < 1:
             raise ScheduleError(f"{op.name}: SSTORE tiers must be >= 1")
+        if max(rule.set_cost, rule.reset_cost) > COUNTER_MAX:
+            raise ScheduleError(
+                f"{op.name}: SSTORE tiers must be <= {COUNTER_MAX}")
     elif isinstance(rule, PolynomialRule):
         if not rule.coefficients:
             raise ScheduleError(f"{op.name}: empty polynomial")

@@ -8,8 +8,8 @@ Mersenne Twister that matches `random.Random` bit for bit, and the
 interpreter's dispatch loop (`interpret`), which runs PUSH, STOP, PC and
 the effects that need only the stack (the arithmetic, comparison and
 bitwise opcodes, POP, JUMPDEST, DUP and SWAP) itself, calls the Python
-instruction handlers for every other effect, charges gas on a C int64
-while the gas and the cost fit one, and adds each instruction's sample
+instruction handlers for every other effect, meters gas in a C int64,
+and adds each instruction's sample
 into the sink's 64-bit window arrays as the instruction ends; under
 `WallClock` it reads the clock in C as well.
 `gaslab.evm.machine._loop_python` and its handlers stay the reference that

@@ -406,6 +406,20 @@ def test_non_finite_schedule_and_model_errors_name_their_source(tmp_path,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, source", [
+    ("schedule-constant-2^63", "line 32: SLOAD: cost 9223372036854775808 "),
+    ("schedule-tier-2^63", "line 33: SSTORE: SSTORE tiers must be <= "),
+    ("schedule-intrinsic-2^63", "line 7: intrinsic gas 9223372036854775808 "),
+    ("models-gas-past-int64-at-height", "SLOAD: cost 20000000000000000000 "),
+])
+def test_a_schedule_cost_past_int64_names_its_source(tmp_path, capsys, case,
+                                                     source):
+    """Gas is one int64 domain: a schedule file's cost past 2**63 - 1
+    names its line, and a repriced one its opcode."""
+    assert run_cli(*BAD_INPUTS[case](tmp_path)) == 2
+    assert f"error: {source}" in capsys.readouterr().err
+
+
 def test_sload_gas_past_float_range_halts_out_of_gas(tmp_path):
     # Finite coefficients whose value is past float range from height 2
     # on: there SLOAD costs more than any budget, and the run goes on.
@@ -579,9 +593,14 @@ def _models_file(tmp_path, text, height="1"):
 
 
 def _schedule_file(tmp_path, sload_rule):
+    return _schedule_line(tmp_path, "SLOAD = 200", f"SLOAD = {sload_rule}")
+
+
+def _schedule_line(tmp_path, old, new):
+    """simulate under the default schedule with its line `old` made `new`"""
     path = tmp_path / "schedule.cfg"
     path.write_text((DATA / "gas_schedule_default.cfg").read_text().replace(
-        "SLOAD = 200", f"SLOAD = {sload_rule}"))
+        old, new))
     return ["simulate", "--workload", SLOAD_HEAVY, "--blocks", "5",
             "--clock", "virtual", "--schedule", str(path),
             "--out", str(tmp_path / "sim")]
@@ -685,6 +704,15 @@ BAD_INPUTS = {
         '"coefficients": [1e308, 1e308]}}', height="100"),
     "schedule-poly-nan": lambda tmp_path: _schedule_file(tmp_path, "poly:nan"),
     "schedule-poly-inf": lambda tmp_path: _schedule_file(tmp_path, "poly:inf"),
+    "schedule-constant-2^63": lambda tmp_path: _schedule_file(
+        tmp_path, str(2 ** 63)),
+    "schedule-tier-2^63": lambda tmp_path: _schedule_line(
+        tmp_path, "sstore:20000,5000", f"sstore:20000,{2 ** 63}"),
+    "schedule-intrinsic-2^63": lambda tmp_path: _schedule_line(
+        tmp_path, "intrinsic = 21000", f"intrinsic = {2 ** 63}"),
+    "models-gas-past-int64-at-height": lambda tmp_path: _models_file(
+        tmp_path, '{"SLOAD": {"kind": "polynomial", '
+        '"coefficients": [0.0, 1e18]}}', height="100"),
     "hours-nan": lambda tmp_path: ["economics", "--prices", PRICES,
                                    "--gas", "1", "--hours", "nan"],
     "hours-inf": lambda tmp_path: ["economics", "--prices", PRICES,

@@ -24,7 +24,7 @@ from gaslab.evm.machine import (CALL_DEPTH_LIMIT, STACK_LIMIT, Machine,
                                 TxStatus, store_code)
 from gaslab.evm.opcodes import ARITY, Opcode
 from gaslab.evm.schedule import GasSchedule, PolynomialRule, default_schedule
-from gaslab.metrics import SampleSink
+from gaslab.metrics import COUNTER_MAX, SampleSink
 from gaslab.trie import MerklePatriciaTrie
 
 BOUND_LOOP = machine_module._loop
@@ -73,13 +73,16 @@ EDGE_PROGRAMS = [
 
 GAS_LIMITS = [40, 400, 4_000, 40_000, 400_000]
 
-# Costs past 64 bits, and a polynomial that overflows to math.inf. A 2**70
-# ADD that runs takes its window's gas total past 2**63 - 1, so its run
-# raises OverflowError after the count is added.
-WIDE_SCHEDULE = GasSchedule.parse(
+# Costs that a schedule reaches and no gas pays: ADD past 2**63 - 1,
+# SLOAD past it at height 0 and math.inf past float range from height 2,
+# and MSTORE 9223372036854774784, 1023 below 2**63 - 1, so that only its
+# memory expansion takes it past.
+UNAFFORDABLE_SCHEDULE = GasSchedule.parse(
     default_schedule().format()
-    .replace("ADD = 3", f"ADD = {2 ** 70}")
-    .replace("SLOAD = 200", "SLOAD = poly:1e308,1e308"))
+    .replace("ADD = 3", "ADD = poly:1e30")
+    .replace("SLOAD = 200", "SLOAD = poly:1e308,1e308")
+    .replace("MSTORE = 3 +mem", "MSTORE = poly:9.223372036854775e18 +mem"))
+UNAFFORDABLE_GAS = [2 ** 63 - 1, 2 ** 62, 40_000]
 
 
 def differential_programs(n_random=2000, seed=34):
@@ -90,9 +93,9 @@ def differential_programs(n_random=2000, seed=34):
             for _ in range(n_random)]
     runs += [(code, gas, SCHED) for code in EDGE_PROGRAMS
              for gas in GAS_LIMITS]
-    runs += [(code, gas, WIDE_SCHEDULE)
+    runs += [(code, gas, UNAFFORDABLE_SCHEDULE)
              for code in [random_byte_program(rng) for _ in range(50)]
-             for gas in (2 ** 80, 2 ** 71, 40_000)]
+             for gas in UNAFFORDABLE_GAS]
     return runs
 
 
@@ -101,8 +104,7 @@ def run_both_ways(loop, runs, wall=False):
     state and samples, and as a transaction, for its receipt and commit.
     Gives what the runs leave apart from times, and for each run its
     (counts, times, spans): the transaction's spans, or for the bare
-    `Machine` an EVM span read around its `run`. A run that raises
-    OverflowError has that class as its status or receipt."""
+    `Machine` an EVM span read around its `run`."""
     machine_module._loop = loop
     trie = MerklePatriciaTrie()
     for code_id, code in DIFFERENTIAL_LIBRARIES.items():
@@ -115,22 +117,16 @@ def run_both_ways(loop, runs, wall=False):
         m = Machine(code, trie, gas, height, schedule, clock=clock,
                     sink=sink)
         start = clock.now_ns()
-        try:
-            status = m.run()
-        except OverflowError:
-            status = OverflowError
+        status = m.run()
         span = clock.now_ns() - start
         seen.append((status, m.pc, m.stack, bytes(m.memory), m.memory_words,
                      m.gas, m.return_data, m.storage_buffer, sink.counts,
                      sink.gas, work.instructions))
         timed.append((sink.counts, sink.times, {"EVM": span}))
         sink = SampleSink()
-        try:
-            receipt = execute_transaction(
-                code, trie, schedule.intrinsic_gas + gas, height, schedule,
-                clock=clock, sink=sink)
-        except OverflowError:
-            receipt = OverflowError
+        receipt = execute_transaction(
+            code, trie, schedule.intrinsic_gas + gas, height, schedule,
+            clock=clock, sink=sink)
         seen.append((receipt, sink.counts, sink.gas, trie.root_hash()))
         timed.append((sink.counts, sink.times,
                       sink.close_window(1).categories))
@@ -150,10 +146,9 @@ def test_both_loops_leave_the_same_state_samples_and_receipts():
     python = run_both_ways(machine_module._loop_python, runs)
     c = run_both_ways(BOUND_LOOP, runs)
     assert_same_runs(runs, list(zip(*python)), list(zip(*c)))
-    # the batch reaches every status and OverflowError, a full stack and
-    # the depth limit
+    # the batch reaches every status, a full stack and the depth limit
     machines = python[0][::2]
-    assert len({seen[0] for seen in machines}) == 5
+    assert len({seen[0] for seen in machines}) == 4
     assert STACK_LIMIT in {len(seen[2]) for seen in machines}
     assert CALL_DEPTH_LIMIT in {seen[8][Opcode.CALLCODE]
                                 for seen in machines}
@@ -454,8 +449,8 @@ def test_an_sload_reads_the_samples_of_the_instructions_before_it(loop):
 LOOPS = pytest.mark.parametrize(
     "loop", [machine_module._loop_python, BOUND_LOOP], ids=["python", "bound"])
 
-# A program whose two PUSH1s and ADD cost exactly 2**63 - 1 in all: the C
-# loop keeps gas in an int64 while it is an int in [0, 2**63).
+# A program whose two PUSH1s and ADD cost exactly 2**63 - 1 in all, the
+# most gas a Machine takes.
 INT64_SCHEDULE = GasSchedule.parse(
     default_schedule().format()
     .replace("PUSH1 = 3", f"PUSH1 = {2 ** 61}")
@@ -468,19 +463,25 @@ ADD_TWO = bytes([Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD, Opcode.STOP])
     (SCHED, 9, TxStatus.SUCCESS, 0),
     (SCHED, 8, TxStatus.OUT_OF_GAS, 0),
     (SCHED, 2 ** 63 - 1, TxStatus.SUCCESS, 2 ** 63 - 10),
-    (SCHED, 2 ** 63, TxStatus.SUCCESS, 2 ** 63 - 9),
+    (SCHED, 2 ** 63, ValueError, None),
     (INT64_SCHEDULE, 2 ** 63 - 1, TxStatus.SUCCESS, 0),
     (INT64_SCHEDULE, 2 ** 63 - 2, TxStatus.OUT_OF_GAS, 0),
-    (INT64_SCHEDULE, 2 ** 63, TxStatus.SUCCESS, 1),
+    (INT64_SCHEDULE, 2 ** 63, ValueError, None),
 ], ids=["cost-is-gas", "cost-above-gas", "gas-2^63-1", "gas-2^63",
         "int64-cost-is-gas", "int64-cost-above-gas", "int64-costs-gas-2^63"])
 def test_a_cost_equal_to_the_gas_is_charged_and_one_more_halts(
         loop, schedule, gas, status, left):
     """The last instruction (STOP at cost 0, or ADD) costs exactly the gas
-    left, or one more than it; at gas 2**63 - 1 the gas fits an int64,
-    at 2**63 it does not until the first charge."""
+    left, or one more than it, up to gas 2**63 - 1; a gas of 2**63 is
+    refused before any instruction runs."""
     machine_module._loop = loop
     sink = SampleSink()
+    if status is ValueError:
+        with pytest.raises(ValueError, match=f"gas {gas} is not in"):
+            Machine(ADD_TWO, MerklePatriciaTrie(), gas, 0, schedule,
+                    sink=sink)
+        assert (sum(sink.counts), sum(sink.gas)) == (0, 0)
+        return
     m = Machine(ADD_TWO, MerklePatriciaTrie(), gas, 0, schedule, sink=sink)
     assert m.run() is status
     assert type(m.gas) is int and m.gas == left
@@ -488,6 +489,75 @@ def test_a_cost_equal_to_the_gas_is_charged_and_one_more_halts(
         [Opcode.ADD, Opcode.STOP] if status is TxStatus.SUCCESS else [])
     assert sum(sink.counts) == len(ran)
     assert sum(sink.gas) == sum(schedule.by_byte[op] for op in ran)
+
+
+@LOOPS
+@pytest.mark.parametrize("gas", [-1, 2 ** 63, 2 ** 63 + 700, 2 ** 80],
+                         ids=["-1", "2^63", "2^63+700", "2^80"])
+def test_a_gas_outside_the_int64_range_is_refused(loop, gas):
+    """Gas is one int64 domain: a Machine refuses any other gas before
+    either loop runs, so no sample is taken."""
+    machine_module._loop = loop
+    sink = SampleSink()
+    with pytest.raises(ValueError, match=f"gas {gas} is not in"):
+        Machine(ADD_TWO, MerklePatriciaTrie(), gas, 0, SCHED, sink=sink)
+    assert (sum(sink.counts), sum(sink.gas)) == (0, 0)
+
+
+@LOOPS
+@pytest.mark.parametrize("gas", UNAFFORDABLE_GAS,
+                         ids=["2^63-1", "2^62", "40000"])
+@pytest.mark.parametrize("code, height, halts, ran", [
+    (ADD_TWO, 0, Opcode.ADD, 2),
+    (bytes([Opcode.PUSH1, 0, Opcode.SLOAD]), 0, Opcode.SLOAD, 1),
+    (bytes([Opcode.PUSH1, 0, Opcode.SLOAD]), 2, Opcode.SLOAD, 1),
+    (bytes([Opcode.PUSH1, 7, Opcode.PUSH2, 0x27, 0x10, Opcode.MSTORE]), 0,
+     Opcode.MSTORE, 2),
+], ids=["ADD", "SLOAD", "SLOAD-inf", "MSTORE-10000"])
+def test_a_cost_past_the_int64_range_halts_out_of_gas(loop, gas, code,
+                                                      height, halts, ran):
+    """A cost past 2**63 - 1 is more than any gas: ADD's, SLOAD's (an int
+    at height 0, math.inf at height 2) and MSTORE's, whose base cost fits
+    and whose memory expansion of 1134 gas at offset 10,000 does not. The
+    run halts out of gas with no sample for the halting opcode and no
+    memory grown, on either loop."""
+    machine_module._loop = loop
+    sink = SampleSink()
+    m = Machine(code, MerklePatriciaTrie(), gas, height,
+                UNAFFORDABLE_SCHEDULE, sink=sink)
+    assert m.run() is TxStatus.OUT_OF_GAS
+    assert m.gas == 0
+    assert (sink.counts[halts], sink.gas[halts]) == (0, 0)
+    assert (m.memory_words, m.memory) == (0, bytearray())
+    assert sum(sink.counts) == ran
+
+
+def test_a_window_total_past_int64_raises_overflow_error():
+    """Each transaction's ADD costs 2**62, within its own gas; the second
+    takes the shared window's ADD gas total past 2**63 - 1, so its run
+    raises OverflowError after its count is added. Both loops leave the
+    same sink."""
+    schedule = GasSchedule.parse(default_schedule().format()
+                                 .replace("ADD = 3", f"ADD = {2 ** 62}"))
+    gas_limit = schedule.intrinsic_gas + 2 ** 62 + 6
+    seen = []
+    for loop in (machine_module._loop_python, BOUND_LOOP):
+        machine_module._loop = loop
+        trie = MerklePatriciaTrie()
+        clock = VirtualClock(trie.store.work)
+        sink = SampleSink()
+        execute_transaction(ADD_TWO, trie, gas_limit, 0, schedule,
+                            clock=clock, sink=sink)
+        with pytest.raises(OverflowError):
+            execute_transaction(ADD_TWO, trie, gas_limit, 1, schedule,
+                                clock=clock, sink=sink)
+        seen.append((sink.counts, sink.gas, sink.times,
+                     sink.close_window(1).categories))
+    assert seen[0] == seen[1]
+    counts, gas, times, _ = seen[0]
+    assert (counts[Opcode.ADD], gas[Opcode.ADD]) == (2, 2 ** 62)
+    assert (counts[Opcode.PUSH1], gas[Opcode.PUSH1]) == (4, 12)
+    assert counts[Opcode.STOP] == 1
 
 
 def recording_run(loop, gas, set_handler, code, library=b""):
@@ -516,13 +586,18 @@ def recording_run(loop, gas, set_handler, code, library=b""):
 
 
 @LOOPS
-@pytest.mark.parametrize("gas", [221, 2 ** 63 - 1, 2 ** 63, 2 ** 80])
+@pytest.mark.parametrize("gas", [221, 2 ** 63 - 1, 2 ** 63])
 def test_python_code_reads_the_gas_left_mid_run(loop, gas, set_handler):
     """`_dynamic_cost` reads the gas before MSTORE's charge, and each
-    handler the gas after its own instruction's charge."""
+    handler the gas after its own instruction's charge. A gas of 2**63 is
+    refused before any of them reads it."""
     code = bytes([Opcode.PUSH1, 7, Opcode.PUSH1, 0, Opcode.MSTORE,
                   Opcode.PUSH1, 1, Opcode.PUSH1, 2, Opcode.ADD,
                   Opcode.SLOAD, Opcode.STOP])
+    if gas > COUNTER_MAX:
+        with pytest.raises(ValueError, match=f"gas {gas} is not in"):
+            recording_run(loop, gas, set_handler, code)
+        return
     seen, status, left = recording_run(loop, gas, set_handler, code)
     assert seen == [("cost", 0, "MSTORE", gas - 6),
                     ("handler", 0, "MSTORE", gas - 12),
@@ -531,11 +606,10 @@ def test_python_code_reads_the_gas_left_mid_run(loop, gas, set_handler):
 
 
 @LOOPS
-@pytest.mark.parametrize("gas", [2 ** 63 - 1, 2 ** 63 + 700, 10_000])
+@pytest.mark.parametrize("gas", [2 ** 63 - 1, 10_000])
 def test_a_callcode_child_takes_and_returns_the_gas(loop, gas, set_handler):
     """The child starts with all the gas left after CALLCODE's charge
-    (gas - 703) and hands back what it did not use; at 2**63 + 700 the
-    charge brings the gas inside the int64 range. The child is a plain
+    (gas - 703) and hands back what it did not use. The child is a plain
     `Machine`, so only its MSTORE handler records."""
     library = bytes([Opcode.PUSH1, 5, Opcode.PUSH1, 0, Opcode.MSTORE,
                      Opcode.STOP])

@@ -112,6 +112,24 @@ def test_bad_rule_reports_line():
         GasSchedule.parse("ADD = 3\nintrinsic = x\n")
 
 
+def test_costs_past_int64_are_refused():
+    """Gas is one int64 domain: a constant, an SSTORE tier or the
+    intrinsic gas may be 2**63 - 1 and no more."""
+    rules = default_schedule().rules
+    top = 2 ** 63 - 1
+    accepted = GasSchedule({**rules, Opcode.ADD: ConstantRule(top),
+                            Opcode.SSTORE: SstoreRule(top, top)}, top)
+    assert accepted.by_byte[Opcode.ADD] == top
+    with pytest.raises(ScheduleError, match=f"ADD: cost {top + 1} above"):
+        GasSchedule({**rules, Opcode.ADD: ConstantRule(2 ** 63)})
+    with pytest.raises(ScheduleError, match="SSTORE tiers must be <="):
+        GasSchedule({**rules, Opcode.SSTORE: SstoreRule(20000, 2 ** 63)})
+    with pytest.raises(ScheduleError, match="intrinsic gas"):
+        GasSchedule(rules, 2 ** 63)
+    with pytest.raises(ScheduleError, match="line 3: PUSH1: cost"):
+        GasSchedule.parse(f"ADD = 3\n\nPUSH = {2 ** 63}\n")
+
+
 @pytest.mark.parametrize("line, opcode", [
     ("MSTORE = 3", "MSTORE"),               # +mem missing
     ("MLOAD = poly:3,0.001", "MLOAD"),
